@@ -7,9 +7,21 @@ algebra structure is equivalently a family of action tables or a
 multifunctor into the endomorphism multicategory fixing objects; both
 encodings are supported and interconvert losslessly.
 
+A function is identified by its table ``f:a|b|…``, the outputs listed
+over the lexicographic order of the product of input carriers.  These
+string ids are what callers see: in ``ops_at``, in the results of
+composition and of the actions, in multifunctor maps and in JSON.
+Inside, the kernel works on positions in that order: `_lex_coords` gives
+each input's element->index map and stride, from which a position is a
+stride sum.
+
 `EndView` exposes the endomorphism multicategory lazily so that large
-carriers never materialize full tables; `end_multicategory` materializes
-a table when the total size is within a configured limit.
+carriers never materialize full tables; per signature it keeps the
+strides, per slot composition of signatures a gather map and per
+symmetric action an index permutation.  `end_multicategory`
+materializes a table when the total size is within a configured limit,
+and `end_of_map` tabulates the pairs intertwined by a map, with
+projections to the two views.
 """
 
 from dataclasses import dataclass
@@ -52,49 +64,46 @@ def fn_table(opid):
     return tuple(body.split("|")) if body else ()
 
 
-def _domain(family, inputs):
-    return [family.carrier(c) for c in inputs]
+def _element_index(family):
+    """Per color, the element->index map of its carrier."""
+    return {c: {e: i for i, e in enumerate(family.carrier(c))}
+            for c in family.colors}
 
 
-def _lex_inputs(domains):
-    return product(*domains)
+def _lex_coords(index, inputs):
+    """Per input color, its element->index map and its stride in the
+    lexicographic order of the product of carriers; and the size of
+    that product."""
+    coords = []
+    stride = 1
+    for c in reversed(inputs):
+        coords.append((index[c], stride))
+        stride *= len(index[c])
+    return tuple(reversed(coords)), stride
 
 
-def _lex_index(tup, domains):
-    idx = 0
-    for v, dom in zip(tup, domains):
-        idx = idx * len(dom) + dom.index(v)
-    return idx
+def _lex_position(coords, args):
+    return sum(ix[a] * st for (ix, st), a in zip(coords, args))
 
 
-def signature_size(family, s):
-    size = len(family.carrier(s[1]))
-    found_empty = False
-    for c in s[0]:
-        n = len(family.carrier(c))
-        if n == 0:
-            found_empty = True
-        size = size  # output count fixed; domain handled below
-    dom = 1
-    for c in s[0]:
-        dom *= len(family.carrier(c))
-    return len(family.carrier(s[1])) ** dom
+def _image_positions(f, family, target_index, inputs):
+    """Position of f(z) in the target's order, for each z of the family's
+    product in lexicographic order."""
+    coords, _ = _lex_coords(target_index, inputs)
+    maps = [f[c] for c in inputs]
+    return [_lex_position(coords, [m[v] for m, v in zip(maps, z)])
+            for z in product(*map(family.carrier, inputs))]
 
 
 class _EndOps:
     """Lazily enumerated operation set at one signature."""
 
-    def __init__(self, family, s, limit):
-        self.family = family
+    def __init__(self, view, s):
         self.s = s
-        self.limit = limit
-        self.domains = _domain(family, s[0])
-        self.codomain = family.carrier(s[1])
-        dom = 1
-        for d in self.domains:
-            dom *= len(d)
-        self.dom_size = dom
-        self.size = len(self.codomain) ** dom
+        self.limit = view.limit
+        self.codomain = view.family.carrier(s[1])
+        self.dom_size = view._lex(s[0])[1]
+        self.size = len(self.codomain) ** self.dom_size
 
     def __bool__(self):
         return self.size > 0
@@ -118,7 +127,13 @@ class _EndOps:
 
 
 class EndView:
-    """The endomorphism multicategory of a family, computed on demand."""
+    """The endomorphism multicategory of a family, computed on demand.
+
+    Operation ids are function tables; composition and the actions
+    rearrange positions of those tables through maps that the view builds
+    on first use and keeps: the lexicographic coordinates of each input
+    list, a gather map for each (psig, slot, qsig) and an index
+    permutation for each (signature, permutation)."""
 
     complete = True
     symmetric = True
@@ -130,6 +145,16 @@ class EndView:
         self.colors = family.colors
         self.name = name or "End"
         self.comp = {}  # no tabulated entries; everything is computed
+        self._index = _element_index(family)
+        self._coords = {}  # inputs -> (per input (index map, stride), size)
+        self._gathers = {}  # (psig, slot, qsig) -> (rsig, stride, pairs)
+        self._perms = {}  # (sig, perm) -> source position of each entry
+
+    def _lex(self, inputs):
+        got = self._coords.get(inputs)
+        if got is None:
+            got = self._coords[inputs] = _lex_coords(self._index, inputs)
+        return got
 
     def max_arity(self):
         return self.arity_cap
@@ -140,7 +165,7 @@ class EndView:
             for combo in product(self.colors, repeat=k):
                 for c in self.colors:
                     s = (combo, c)
-                    if _EndOps(self.family, s, self.limit).size > 0:
+                    if _EndOps(self, s).size > 0:
                         out.append(s)
         return sorted(out, key=sig_key)
 
@@ -149,7 +174,7 @@ class EndView:
             return ()
         if not (set(s[0]) <= set(self.colors) and s[1] in self.colors):
             return ()
-        return _EndOps(self.family, s, self.limit)
+        return _EndOps(self, s)
 
     def iter_ops(self, s):
         ops = self.ops_at(s)
@@ -169,24 +194,39 @@ class EndView:
 
     def apply(self, ref, args):
         s, opid = ref
-        table = fn_table(opid)
-        domains = _domain(self.family, s[0])
-        return table[_lex_index(tuple(args), domains)]
+        return fn_table(opid)[_lex_position(self._lex(s[0])[0], args)]
 
-    def compose1(self, pref, slot, qref):
-        psig, _ = pref
-        qsig, _ = qref
+    def _gather(self, psig, slot, qsig):
+        # position z of p o_slot q reads p at b + stride * (q at j): the
+        # composite's inputs are p's prefix, q's inputs and p's suffix,
+        # in that lexicographic order
         rsig = composed_sig(psig, slot, qsig)
         if len(rsig[0]) > self.arity_cap:
             raise StructuralError(
                 f"composite arity {len(rsig[0])} beyond the cap")
-        domains = _domain(self.family, rsig[0])
-        k = len(qsig[0])
-        out = []
-        for z in _lex_inputs(domains):
-            mid = self.apply(qref, z[slot:slot + k])
-            out.append(self.apply(pref, z[:slot] + (mid,) + z[slot + k:]))
-        return (rsig, fn_id(out))
+        coords, _ = self._lex(psig[0])
+        stride = coords[slot][1]
+        block = stride * len(coords[slot][0])
+        _, n_pre = self._lex(psig[0][:slot])
+        _, n_q = self._lex(qsig[0])
+        pairs = tuple((pre * block + suf, j) for pre in range(n_pre)
+                      for j in range(n_q) for suf in range(stride))
+        return rsig, stride, pairs
+
+    def compose1(self, pref, slot, qref):
+        psig, p = pref
+        qsig, q = qref
+        key = (psig, slot, qsig)
+        gather = self._gathers.get(key)
+        if gather is None:
+            gather = self._gathers[key] = self._gather(psig, slot, qsig)
+        rsig, stride, pairs = gather
+        if not pairs:  # an empty domain: neither table is read
+            return (rsig, "f:")
+        pt = p[2:].split("|")
+        ix = self._index[qsig[1]]
+        qt = [stride * ix[v] for v in q[2:].split("|")]
+        return (rsig, "f:" + "|".join([pt[b + qt[j]] for b, j in pairs]))
 
     def try_compose1(self, pref, slot, qref):
         try:
@@ -207,22 +247,34 @@ class EndView:
         s, opid = ref
         if p == perms.identity(len(p)):
             return ref
-        sizes = tuple(len(self.family.carrier(c)) for c in s[0])
-        new_table = perms.act_on_function(fn_table(opid), p, sizes)
-        # act_on_function works on index tables; ours hold element names,
-        # which is fine since only positions are permuted
-        return ((perms.permute(s[0], p), s[1]), fn_id(new_table))
+        key = (s, p)
+        src = self._perms.get(key)
+        if src is None:
+            coords, size = self._lex(s[0])
+            sizes = tuple(len(ix) for ix, _ in coords)
+            src = self._perms[key] = perms.act_on_function(
+                range(size), p, sizes)
+        table = opid[2:].split("|")
+        return ((perms.permute(s[0], p), s[1]),
+                "f:" + "|".join([table[i] for i in src]))
+
+
+def _signatures_within(view, limit):
+    """The view's signatures, once their operations number at most the
+    limit in total."""
+    sigs = view.signatures()
+    total = sum(view.ops_at(s).size for s in sigs)
+    if total > limit:
+        raise BudgetExceededError(
+            f"{total} operations exceed the materialization limit {limit}")
+    return sigs
 
 
 def end_multicategory(A, arity_cap=2, limit=200000):
     """Materialized endomorphism multicategory; raises when the total
     number of operations exceeds the limit."""
     view = EndView(A, arity_cap=arity_cap, limit=limit)
-    sigs = view.signatures()
-    total = sum(_EndOps(A, s, limit).size for s in sigs)
-    if total > limit:
-        raise BudgetExceededError(
-            f"{total} operations exceed the materialization limit {limit}")
+    sigs = _signatures_within(view, limit)
     ops = {s: tuple(sorted(view.ops_at(s))) for s in sigs}
     action = {}
     for s in sigs:
@@ -270,8 +322,8 @@ class AlgebraStructure:
 
     def apply(self, ref, args):
         s, op = ref
-        domains = _domain(self.carrier, s[0])
-        return self.action[s][op][_lex_index(tuple(args), domains)]
+        coords, _ = _lex_coords(_element_index(self.carrier), s[0])
+        return self.action[s][op][_lex_position(coords, args)]
 
     def key(self):
         return tuple(
@@ -398,10 +450,7 @@ class EndModule:
     arity_cap: int
 
     def ops_at(self, s):
-        domains = _domain(self.source, s[0])
-        dom = 1
-        for d in domains:
-            dom *= len(d)
+        _, dom = _lex_coords(_element_index(self.source), s[0])
         cod = self.target.carrier(s[1])
         return [fn_id(t) for t in product(cod, repeat=dom)]
 
@@ -415,8 +464,8 @@ class EndModule:
 
     def apply(self, ref, args):
         s, opid = ref
-        domains = _domain(self.source, s[0])
-        return fn_table(opid)[_lex_index(tuple(args), domains)]
+        coords, _ = _lex_coords(_element_index(self.source), s[0])
+        return fn_table(opid)[_lex_position(coords, args)]
 
     def act(self, ref, p):
         s, opid = ref
@@ -428,10 +477,9 @@ class EndModule:
         """psi in End(target) applied after a tuple of module elements."""
         sig_inputs = tuple(c for ref in module_refs for c in ref[0][0])
         rsig = (sig_inputs, psi_ref[0][1])
-        domains = _domain(self.source, rsig[0])
         view = EndView(self.target, arity_cap=len(psi_ref[0][0]))
         out = []
-        for z in _lex_inputs(domains):
+        for z in product(*map(self.source.carrier, rsig[0])):
             mids = []
             pos = 0
             for ref in module_refs:
@@ -445,11 +493,10 @@ class EndModule:
         """One endomorphism of the source substituted into one input."""
         msig, _ = mref
         rsig = composed_sig(msig, slot, phi_ref[0])
-        domains = _domain(self.source, rsig[0])
         view = EndView(self.source, arity_cap=len(phi_ref[0][0]))
         k = len(phi_ref[0][0])
         out = []
-        for z in _lex_inputs(domains):
+        for z in product(*map(self.source.carrier, rsig[0])):
             mid = view.apply(phi_ref, z[slot:slot + k])
             out.append(self.apply(mref, z[:slot] + (mid,) + z[slot + k:]))
         return (rsig, fn_id(out))
@@ -459,43 +506,60 @@ def end_module(A, B, arity_cap=2):
     return EndModule(source=A, target=B, arity_cap=arity_cap)
 
 
+def _intertwined_pairs(f, viewA, viewB, s):
+    """The pairs (phi, psi) at s with f . phi = psi . f^n: psi is fixed on
+    the image of f^n and free elsewhere, and phi has a partner exactly
+    when the values it forces agree."""
+    inputs, out = s
+    image = _image_positions(f, viewA.family, viewB._index, inputs)
+    _, size_b = viewB._lex(inputs)
+    free = sorted(set(range(size_b)) - set(image))
+    f_out = f[out]
+    cod_b = viewB.family.carrier(out)
+    for phi in product(viewA.family.carrier(out), repeat=len(image)):
+        psi = [None] * size_b
+        for j, v in zip(image, phi):
+            w = f_out[v]
+            if psi[j] is None:
+                psi[j] = w
+            elif psi[j] != w:
+                break
+        else:
+            phi_id = fn_id(phi)
+            for choice in product(cod_b, repeat=len(free)):
+                for j, w in zip(free, choice):
+                    psi[j] = w
+                yield phi_id, fn_id(psi)
+
+
 def end_of_map(f, A, B, arity_cap=2, limit=200000):
     """Operations are the pairs (phi, psi) of endomorphisms intertwined by
     f; the table inherits componentwise structure, and the projections to
-    either endomorphism multicategory are returned."""
+    the endomorphism views of A and B are returned.  The limit bounds
+    each endomorphism multicategory as in `end_multicategory`."""
     for c in A.colors:
         if set(f[c]) != set(A.carrier(c)):
             raise DomainError(f"map not total on carrier {c}")
         if any(v not in B.carrier(c) for v in f[c].values()):
             raise DomainError(f"map leaves carrier {c} of the target")
-    endA = end_multicategory(A, arity_cap=arity_cap, limit=limit)
-    endB = end_multicategory(B, arity_cap=arity_cap, limit=limit)
-    viewA = EndView(A, arity_cap=arity_cap)
-    viewB = EndView(B, arity_cap=arity_cap)
+    viewA = EndView(A, arity_cap=arity_cap, limit=limit)
+    viewB = EndView(B, arity_cap=arity_cap, limit=limit)
+    sigs = _signatures_within(viewA, limit)
+    _signatures_within(viewB, limit)
 
-    def intertwined(s, phi, psi):
-        domains = _domain(A, s[0])
-        for z in _lex_inputs(domains):
-            fz = tuple(f[c][v] for c, v in zip(s[0], z))
-            if f[s[1]][viewA.apply((s, phi), z)] != viewB.apply((s, psi), fz):
-                return False
-        return True
+    def pair_id(phi, psi):
+        return f"<{phi},{psi}>"
 
     ops = {}
     pairs = {}
-    for s in endA.signatures():
+    for s in sigs:
         ids = []
-        for phi in endA.ops_at(s):
-            for psi in endB.ops_at(s):
-                if intertwined(s, phi, psi):
-                    pid = f"<{phi},{psi}>"
-                    ids.append(pid)
-                    pairs[s, pid] = (phi, psi)
+        for phi, psi in _intertwined_pairs(f, viewA, viewB, s):
+            pid = pair_id(phi, psi)
+            ids.append(pid)
+            pairs[s, pid] = (phi, psi)
         if ids:
             ops[s] = tuple(sorted(ids))
-
-    def pair_id(s, phi, psi):
-        return f"<{phi},{psi}>"
 
     action = {}
     for s in ops:
@@ -505,9 +569,9 @@ def end_of_map(f, A, B, arity_cap=2, limit=200000):
             for pid in ops[s]:
                 phi, psi = pairs[s, pid]
                 table[pid] = pair_id(
-                    s, viewA.act((s, phi), p)[1], viewB.act((s, psi), p)[1])
+                    viewA.act((s, phi), p)[1], viewB.act((s, psi), p)[1])
             action[s, p] = table
-    units = {c: pair_id(None, viewA.unit_ref(c)[1], viewB.unit_ref(c)[1])
+    units = {c: pair_id(viewA.unit_ref(c)[1], viewB.unit_ref(c)[1])
              for c in A.colors}
     comp = {}
     for s in ops:
@@ -524,16 +588,16 @@ def end_of_map(f, A, B, arity_cap=2, limit=200000):
                         phi2, psi2 = pairs[qs, qid]
                         rphi = viewA.compose1((s, phi), slot, (qs, phi2))[1]
                         rpsi = viewB.compose1((s, psi), slot, (qs, psi2))[1]
-                        comp[s, pid, slot, qs, qid] = pair_id(None, rphi, rpsi)
+                        comp[s, pid, slot, qs, qid] = pair_id(rphi, rpsi)
     table = TableMulticategory(
         collection=FiniteCollection(A.colors, ops, action),
         units=units, comp=comp, name="End(f)")
     projA = Multifunctor(
-        source=table, target=endA,
+        source=table, target=viewA,
         object_map={c: c for c in A.colors},
         op_maps={s: {pid: pairs[s, pid][0] for pid in ops[s]} for s in ops})
     projB = Multifunctor(
-        source=table, target=endB,
+        source=table, target=viewB,
         object_map={c: c for c in A.colors},
         op_maps={s: {pid: pairs[s, pid][1] for pid in ops[s]} for s in ops})
     return table, projA, projB
@@ -542,14 +606,15 @@ def end_of_map(f, A, B, arity_cap=2, limit=200000):
 def is_algebra_hom(alg0, alg1, f):
     """The intertwining criterion, checked on every operation."""
     P = alg0.multicategory
+    index1 = _element_index(alg1.carrier)
     for s in P.signatures():
-        domains = _domain(alg0.carrier, s[0])
+        image = _image_positions(f, alg0.carrier, index1, s[0])
+        f_out = f[s[1]]
         for op in P.ops_at(s):
-            for z in _lex_inputs(domains):
-                fz = tuple(f[c][v] for c, v in zip(s[0], z))
-                left = f[s[1]][alg0.apply((s, op), z)]
-                if left != alg1.apply((s, op), fz):
-                    return False
+            t0 = alg0.action[s][op]
+            t1 = alg1.action[s][op]
+            if any(f_out[v] != t1[j] for v, j in zip(t0, image)):
+                return False
     return True
 
 

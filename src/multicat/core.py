@@ -31,12 +31,6 @@ def sig_key(s):
     return ",".join(s[0]) + ";" + s[1]
 
 
-def parse_sig_key(text):
-    ins, _, out = text.partition(";")
-    inputs = tuple(x for x in ins.split(",") if x)
-    return (inputs, out)
-
-
 def composed_sig(psig, slot, qsig):
     """Signature of p o_slot q: the slot-th input replaced by q's inputs."""
     p_in, p_out = psig
@@ -133,22 +127,6 @@ def complete_actions(ops, generators):
             if (s, p) not in action:
                 raise StructuralError(
                     f"action generators do not reach {p} at {sig_key(s)}")
-    return action
-
-
-def trivial_actions(ops):
-    """Full action tables for ops whose ids are stable under permutation
-    of inputs with equal colors (single op per signature, etc.).  Only
-    valid when every permuted signature carries the same ids."""
-    action = {}
-    for s in ops:
-        n = len(s[0])
-        for p in perms.all_perms(n):
-            target = (perms.permute(s[0], p), s[1])
-            if sorted(ops.get(target, ())) != sorted(ops[s]):
-                raise StructuralError(
-                    f"signature orbit of {sig_key(s)} has unequal op sets")
-            action[s, p] = {op: op for op in ops[s]}
     return action
 
 
@@ -294,12 +272,16 @@ def _ref_str(ref):
 def check_multicategory_laws(M, max_violations=25):
     """Exhaustive law check over the declared support.
 
-    For complete tables a missing composition cell is a structural error;
-    for tables marked partial the laws are verified on all instances whose
-    every intermediate composite is present.
+    For complete tables a composition cell that is absent although its
+    result signature is in the support is reported once, as a
+    ``missing-cell`` violation whose witness names the cell, and the
+    instances that need it are skipped.  For tables marked partial the
+    laws are verified on all instances whose every intermediate composite
+    is present.
     """
     report = LawReport()
     coll = M.collection
+    missing = set()
 
     def comp(pref, slot, qref):
         psig, p = pref
@@ -313,9 +295,11 @@ def check_multicategory_laws(M, max_violations=25):
         if M.is_unit(pref):
             return qref
         if rsig in M.ops and M.complete:
-            raise StructuralError(
-                "missing composition cell "
-                f"({_ref_str(pref)}) o_{slot} ({_ref_str(qref)})")
+            cell = (psig, p, slot, qsig, q)
+            if cell not in missing:
+                missing.add(cell)
+                report.fail("missing-cell",
+                            f"({_ref_str(pref)}) o_{slot} ({_ref_str(qref)})")
         return None
 
     # units present and well placed

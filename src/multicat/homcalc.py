@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 from itertools import product
 
 from . import perms
-from .core import LawReport, TableMulticategory, FiniteCollection, sig_key
+from .core import (FiniteCollection, LawReport, TableMulticategory,
+                   composed_sig, sig_key)
 from .errors import (BudgetExceededError, DomainError, PartialInputError,
                      StructuralError)
 
@@ -97,8 +98,6 @@ def check_multifunctor(F):
                         report.fail("equivariance",
                                     f"{sig_key(s)}:{op} perm {p}")
     for (psig, p, slot, qsig, q), r in P.comp.items():
-        from .core import composed_sig
-
         rsig = composed_sig(psig, slot, qsig)
         report.note("compositions")
         got = Q.compose1(F.map_ref((psig, p)), slot, F.map_ref((qsig, q)))
@@ -126,8 +125,6 @@ def enumerate_multifunctors(P, Q, budget=10 ** 6, fix_objects=None):
 
     op_order = [(s, op) for s in P.signatures() for op in P.ops_at(s)]
     op_order.sort(key=lambda ref: (len(ref[0][0]), sig_key(ref[0]), ref[1]))
-
-    from .core import composed_sig
 
     tried = [0]
     results = []
@@ -428,8 +425,6 @@ def internal_hom(P, Q, arity_cap=3, budget=10 ** 6):
                                 eta.component_ref(a))[1]
                         zeta = KNatTransformation(
                             new_sources, xi.target, comps)
-                        from .core import composed_sig
-
                         comp[s, oid, slot, qs, qid] = oid_of(zeta)
 
     table = TableMulticategory(
@@ -527,8 +522,7 @@ def tensor_to_hom(H, P, Q, R, sat, hom):
         rep = sat.class_of(t)
         if rep is None:
             return None
-        rsig = __import__("multicat.trees", fromlist=["term_signature"]
-                          ).term_signature(rep)
+        rsig = term_signature(rep)
         return H.map_ref((rsig, term_text(rep)))
 
     object_map = {}

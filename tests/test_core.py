@@ -1,11 +1,13 @@
 """Tables, law checking, the underlying category, nerves, object maps."""
 
+from dataclasses import replace
+
 import pytest
 
 from multicat import perms
 from multicat.core import (check_category_laws, check_multicategory_laws,
                            extend_objects_injective, is_equivalence, nerve,
-                           restrict_objects, underlying_category)
+                           restrict_objects, sig_key, underlying_category)
 from multicat.errors import DomainError
 from multicat.homcalc import Multifunctor, identity_multifunctor
 from multicat.standard import (assoc_multicategory, comm_multicategory,
@@ -30,6 +32,23 @@ def test_seeded_unit_violation_found():
     assert not report.ok
     assert any(law == "unit-right" for law, _ in report.violations)
     assert any("1_x" in witness for _, witness in report.violations)
+
+
+def test_missing_cell_reported_once():
+    # a complete table with one non-unit cell deleted: the check reports
+    # that cell once and skips the instances that need it
+    cell = next(k for k in COM3.comp
+                if not COM3.is_unit((k[0], k[1]))
+                and not COM3.is_unit((k[3], k[4])))
+    comp = dict(COM3.comp)
+    del comp[cell]
+    holed = replace(COM3, comp=comp)
+    assert holed.complete
+    report = check_multicategory_laws(holed)
+    psig, p, slot, qsig, q = cell
+    assert report.violations == [(
+        "missing-cell",
+        f"({sig_key(psig)}:{p}) o_{slot} ({sig_key(qsig)}:{q})")]
 
 
 def test_compose_examples(fx):
