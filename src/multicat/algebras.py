@@ -29,7 +29,7 @@ from itertools import product
 
 from . import perms
 from .core import (FiniteCollection, TableMulticategory,
-                   check_multicategory_laws, composed_sig, sig_key)
+                   check_multicategory_laws, composed_sig, sig_key, tabulate)
 from .errors import (BudgetExceededError, CompositionError, DomainError,
                      StructuralError)
 from .homcalc import Multifunctor, check_multifunctor, enumerate_multifunctors
@@ -275,29 +275,13 @@ def end_multicategory(A, arity_cap=2, limit=200000):
     number of operations exceeds the limit."""
     view = EndView(A, arity_cap=arity_cap, limit=limit)
     sigs = _signatures_within(view, limit)
-    ops = {s: tuple(sorted(view.ops_at(s))) for s in sigs}
-    action = {}
-    for s in sigs:
-        n = len(s[0])
-        for p in perms.all_perms(n):
-            action[s, p] = {op: view.act((s, op), p)[1] for op in ops[s]}
-    units = {c: view.unit_ref(c)[1] for c in view.colors}
-    comp = {}
-    for s in sigs:
-        for slot, color in enumerate(s[0]):
-            for qs in sigs:
-                if qs[1] != color:
-                    continue
-                rsig = composed_sig(s, slot, qs)
-                if len(rsig[0]) > arity_cap:
-                    continue
-                for p in ops[s]:
-                    for q in ops[qs]:
-                        comp[s, p, slot, qs, q] = view.compose1(
-                            (s, p), slot, (qs, q))[1]
-    return TableMulticategory(
-        collection=FiniteCollection(view.colors, ops, action),
-        units=units, comp=comp, name=f"End({','.join(view.colors)})")
+    table, _, _ = tabulate(
+        view.colors, {s: view.ops_at(s) for s in sigs},
+        {c: view.unit_ref(c)[1] for c in view.colors}, str,
+        lambda s, op, p: view.act((s, op), p)[1],
+        lambda s, p, slot, qs, q: view.compose1((s, p), slot, (qs, q))[1],
+        arity_cap=arity_cap, name=f"End({','.join(view.colors)})")
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -547,60 +531,29 @@ def end_of_map(f, A, B, arity_cap=2, limit=200000):
     sigs = _signatures_within(viewA, limit)
     _signatures_within(viewB, limit)
 
-    def pair_id(phi, psi):
-        return f"<{phi},{psi}>"
+    def pair_id(pair):
+        return f"<{pair[0]},{pair[1]}>"
 
-    ops = {}
-    pairs = {}
-    for s in sigs:
-        ids = []
-        for phi, psi in _intertwined_pairs(f, viewA, viewB, s):
-            pid = pair_id(phi, psi)
-            ids.append(pid)
-            pairs[s, pid] = (phi, psi)
-        if ids:
-            ops[s] = tuple(sorted(ids))
+    def act(s, pair, p):
+        return (viewA.act((s, pair[0]), p)[1], viewB.act((s, pair[1]), p)[1])
 
-    action = {}
-    for s in ops:
-        n = len(s[0])
-        for p in perms.all_perms(n):
-            table = {}
-            for pid in ops[s]:
-                phi, psi = pairs[s, pid]
-                table[pid] = pair_id(
-                    viewA.act((s, phi), p)[1], viewB.act((s, psi), p)[1])
-            action[s, p] = table
-    units = {c: pair_id(viewA.unit_ref(c)[1], viewB.unit_ref(c)[1])
-             for c in A.colors}
-    comp = {}
-    for s in ops:
-        for slot, color in enumerate(s[0]):
-            for qs in ops:
-                if qs[1] != color:
-                    continue
-                rsig = composed_sig(s, slot, qs)
-                if rsig not in ops:
-                    continue
-                for pid in ops[s]:
-                    phi, psi = pairs[s, pid]
-                    for qid in ops[qs]:
-                        phi2, psi2 = pairs[qs, qid]
-                        rphi = viewA.compose1((s, phi), slot, (qs, phi2))[1]
-                        rpsi = viewB.compose1((s, psi), slot, (qs, psi2))[1]
-                        comp[s, pid, slot, qs, qid] = pair_id(rphi, rpsi)
-    table = TableMulticategory(
-        collection=FiniteCollection(A.colors, ops, action),
-        units=units, comp=comp, name="End(f)")
-    projA = Multifunctor(
-        source=table, target=viewA,
-        object_map={c: c for c in A.colors},
-        op_maps={s: {pid: pairs[s, pid][0] for pid in ops[s]} for s in ops})
-    projB = Multifunctor(
-        source=table, target=viewB,
-        object_map={c: c for c in A.colors},
-        op_maps={s: {pid: pairs[s, pid][1] for pid in ops[s]} for s in ops})
-    return table, projA, projB
+    def compose(s, pair, slot, qs, arg):
+        return (viewA.compose1((s, pair[0]), slot, (qs, arg[0]))[1],
+                viewB.compose1((s, pair[1]), slot, (qs, arg[1]))[1])
+
+    table, pairs, _ = tabulate(
+        A.colors,
+        {s: list(_intertwined_pairs(f, viewA, viewB, s)) for s in sigs},
+        {c: (viewA.unit_ref(c)[1], viewB.unit_ref(c)[1]) for c in A.colors},
+        pair_id, act, compose, arity_cap=arity_cap, name="End(f)")
+
+    def projection(i, view):
+        return Multifunctor(
+            source=table, target=view, object_map={c: c for c in A.colors},
+            op_maps={s: {pid: pairs[s, pid][i] for pid in ids}
+                     for s, ids in table.ops.items()})
+
+    return table, projection(0, viewA), projection(1, viewB)
 
 
 def is_algebra_hom(alg0, alg1, f):

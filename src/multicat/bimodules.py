@@ -17,10 +17,10 @@ from itertools import product
 
 from . import perms
 from .core import (FiniteCollection, LawReport, TableMulticategory,
-                   TruncatedSimplicialSet, composed_sig, sig_key)
+                   TruncatedSimplicialSet, composed_sig, sig_key, tabulate)
 from .errors import BudgetExceededError, StructuralError
 from .homcalc import Multifunctor
-from .presents import _UnionFind
+from .presents import UnionFind
 from .trees import base_layer, canonical_circle, circle_layer
 
 
@@ -88,14 +88,17 @@ def module_from_multicategory(M, max_arity=None):
     left_table = {}
     refs = list(coll.refs())
     for s in M.signatures():
+        # argument tuples in product order, pruned as soon as their
+        # running total arity passes the cap
+        tuples = [((), 0)]
+        for c in s[0]:
+            tuples = [(t + (m,), n + len(m[0][0])) for t, n in tuples
+                      for m in refs
+                      if m[0][1] == c and n + len(m[0][0]) <= cap]
         for p in M.ops_at(s):
-            pools = [[m for m in refs if m[0][1] == c] for c in s[0]]
-            for mrefs in product(*pools):
-                if sum(len(m[0][0]) for m in mrefs) > cap:
-                    continue
+            for mrefs, _ in tuples:
                 try:
-                    left_table[(s, p), tuple(mrefs)] = M.gamma(
-                        (s, p), list(mrefs))
+                    left_table[(s, p), mrefs] = M.gamma((s, p), list(mrefs))
                 except StructuralError:
                     continue
     return Bimodule(left=M, right=M, collection=coll,
@@ -421,7 +424,7 @@ def bar_complex(X, P, Y, n_max=3, max_arity=2):
         depth=n_max, levels=tuple(level_elems),
         faces=faces, degeneracies=degeneracies)
 
-    uf = _UnionFind(list(level_elems[0]))
+    uf = UnionFind(list(level_elems[0]))
     if n_max >= 1:
         for e in level_elems[1]:
             uf.union(faces[1, 0][e], faces[1, 1][e])
@@ -752,40 +755,21 @@ def end_right_module(M, arity_cap=None, budget=200000):
     if arity_cap is None:
         arity_cap = max_arity
 
-    ops = {}
-    homs = {}
+    elements = {}
     for k in range(arity_cap + 1):
         for factors in product(out_colors, repeat=k):
             for b in out_colors:
-                found = enumerate_module_homs(
+                elements[tuple(factors), b] = enumerate_module_homs(
                     N, list(factors), b, max_arity, budget=budget)
-                if not found:
-                    continue
-                sig = (tuple(factors), b)
-                ids = []
-                for h in found:
-                    hid = _hom_id(h)
-                    ids.append(hid)
-                    homs[sig, hid] = h
-                ops[sig] = tuple(sorted(ids))
 
     def act_hom(sig, h, p):
-        k = len(sig[0])
         new_factors = perms.permute(sig[0], p)
         out = {}
         for (s, e), v in h.items():
             _, blocks = e
-            new_blocks = tuple(blocks[p[j]] for j in range(k))
+            new_blocks = tuple(blocks[j] for j in p)
             out[(s[0], new_factors), ("tens", new_blocks)] = v
         return out
-
-    action = {}
-    for sig in ops:
-        k = len(sig[0])
-        for p in perms.all_perms(k):
-            action[sig, p] = {
-                hid: _hom_id(act_hom(sig, homs[sig, hid], p))
-                for hid in ops[sig]}
 
     units = {}
     for b in out_colors:
@@ -794,7 +778,7 @@ def end_right_module(M, arity_cap=None, budget=200000):
             for e in es:
                 (_, ((_, mref),)) = e
                 h[s, e] = mref
-        units[b] = _hom_id(h)
+        units[b] = h
 
     def compose_homs(sig, h, slot, qsig, g):
         l = len(qsig[0])
@@ -817,24 +801,9 @@ def end_right_module(M, arity_cap=None, budget=200000):
                 out[s, e] = h[(s[0], tuple(sig[0])), ("tens", new_blocks)]
         return out
 
-    comp = {}
-    for sig in ops:
-        k = len(sig[0])
-        for slot in range(k):
-            for qsig in ops:
-                if qsig[1] != sig[0][slot]:
-                    continue
-                if k + len(qsig[0]) - 1 > arity_cap:
-                    continue
-                for hid in ops[sig]:
-                    for gid in ops[qsig]:
-                        composite = compose_homs(
-                            sig, homs[sig, hid], slot, qsig, homs[qsig, gid])
-                        comp[sig, hid, slot, qsig, gid] = _hom_id(composite)
-
-    table = TableMulticategory(
-        collection=FiniteCollection(tuple(out_colors), ops, action),
-        units=units, comp=comp, name=f"End_mod({N.name})")
+    table, homs, _ = tabulate(
+        out_colors, elements, units, _hom_id, act_hom, compose_homs,
+        arity_cap=arity_cap, name=f"End_mod({N.name})")
     return table, homs
 
 

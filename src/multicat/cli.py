@@ -310,7 +310,7 @@ def cmd_end(args):
             color, _, pairs = part.partition("=")
             fmap[color] = dict(pair.split(":") for pair in pairs.split(","))
         table, _, _ = end_of_map(fmap, family, target,
-                                 arity_cap=args.cap_arity)
+                                 arity_cap=args.cap_arity, limit=args.budget)
         _emit(args, jsonio.multicategory_json(table))
         return 0
     if args.pair_target:

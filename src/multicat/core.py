@@ -235,6 +235,68 @@ def _gamma_by_size(compose1, pref, qrefs):
     return out
 
 
+def tabulate(colors, elements, units, text, act, compose, arity_cap=None,
+             symmetric=True, name=""):
+    """Fill the tables of a multicategory from a model of its operations.
+
+    ``elements`` maps each signature to its model elements, ``units`` each
+    color to the element of its identity; ``text(e)`` is the op id of an
+    element, ``act(s, e, p)`` its image under a permutation (every
+    permutation, or the identity only when ``symmetric`` is False) and
+    ``compose(s, e, slot, qs, f)`` the element of e o_slot f.  Composites
+    are filled over the argument signatures whose output color is the
+    slot's color, skipping those whose arity exceeds ``arity_cap``.  A
+    ``compose`` that returns None leaves the cell out and counts as an
+    escape; the table is ``complete`` exactly when there are no escapes.
+
+    Returns ``(table, structure, escapes)``, where ``structure`` maps
+    ``(signature, op id)`` to the element behind the operation.
+    Signatures without elements are left out of the support.
+    """
+    structure = {}
+    ops = {}
+    by_out = {}
+    for s, elems in elements.items():
+        ids = []
+        for e in elems:
+            tid = text(e)
+            ids.append(tid)
+            structure[s, tid] = e
+        if ids:
+            ops[s] = tuple(sorted(ids))
+            by_out.setdefault(s[1], []).append(s)
+
+    action = {}
+    for s, ids in ops.items():
+        n = len(s[0])
+        for p in perms.all_perms(n) if symmetric else [perms.identity(n)]:
+            action[s, p] = {tid: text(act(s, structure[s, tid], p))
+                            for tid in ids}
+
+    comp = {}
+    escapes = 0
+    for s, ids in ops.items():
+        for slot, color in enumerate(s[0]):
+            for qs in by_out.get(color, ()):
+                if (arity_cap is not None
+                        and len(s[0]) + len(qs[0]) - 1 > arity_cap):
+                    continue
+                for tid in ids:
+                    e = structure[s, tid]
+                    for qid in ops[qs]:
+                        got = compose(s, e, slot, qs, structure[qs, qid])
+                        if got is None:
+                            escapes += 1
+                        else:
+                            comp[s, tid, slot, qs, qid] = text(got)
+
+    table = TableMulticategory(
+        collection=FiniteCollection(tuple(colors), ops, action),
+        units={c: text(u) for c, u in units.items()}, comp=comp,
+        complete=(escapes == 0), name=name, symmetric=symmetric)
+    return table, structure, escapes
+
+
 # ---------------------------------------------------------------------------
 # law checking
 

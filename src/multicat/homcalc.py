@@ -14,10 +14,11 @@ from dataclasses import dataclass, field
 from itertools import product
 
 from . import perms
-from .core import (FiniteCollection, LawReport, TableMulticategory,
-                   composed_sig, sig_key)
+from .core import (LawReport, TableMulticategory, composed_sig, sig_key,
+                   tabulate)
 from .errors import (BudgetExceededError, DomainError, PartialInputError,
                      StructuralError)
+from .presents import bv_tensor, pair_color
 
 
 @dataclass
@@ -335,8 +336,7 @@ def internal_hom(P, Q, arity_cap=3, budget=10 ** 6):
     ids = {i: F for i, F in enumerate(functors)}
     color_of = {i: f"F{i}" for i in ids}
 
-    ops = {}
-    knats = {}
+    elements = {}
     tried = 0
     colors_sorted = sorted(P.colors)
     for k in range(arity_cap + 1):
@@ -362,77 +362,36 @@ def internal_hom(P, Q, arity_cap=3, budget=10 ** 6):
                     if tried > budget:
                         raise BudgetExceededError(
                             "transformation search exceeded budget",
-                            count=sum(len(v) for v in ops.values()))
+                            count=sum(len(v) for v in elements.values()))
                     xi = KNatTransformation(
                         sources=sources, target=G,
                         components=dict(zip(colors_sorted, assignment)))
-                    ok, _ = is_k_natural(xi)
-                    if not ok:
-                        continue
-                    oid = "{" + ",".join(
-                        f"{a}:{xi.components[a]}"
-                        for a in colors_sorted) + "}"
-                    ops.setdefault(sig, []).append(oid)
-                    knats[sig, oid] = xi
-
-    ops = {s: tuple(sorted(v)) for s, v in ops.items()}
+                    if is_k_natural(xi)[0]:
+                        elements.setdefault(sig, []).append(xi)
 
     def oid_of(xi):
         return "{" + ",".join(
             f"{a}:{xi.components[a]}" for a in colors_sorted) + "}"
 
-    action = {}
-    for s in ops:
-        k = len(s[0])
-        for p in perms.all_perms(k):
-            table = {}
-            for oid in ops[s]:
-                xi = knats[s, oid]
-                acted = KNatTransformation(
-                    sources=tuple(xi.sources[p[i]] for i in range(k)),
-                    target=xi.target,
-                    components={
-                        a: Q.act(xi.component_ref(a), p)[1]
+    def act(s, xi, p):
+        return KNatTransformation(
+            sources=tuple(xi.sources[i] for i in p), target=xi.target,
+            components={a: Q.act(xi.component_ref(a), p)[1]
                         for a in colors_sorted})
-                table[oid] = oid_of(acted)
-            action[s, p] = table
 
-    units = {}
-    for i, F in ids.items():
-        comps = {a: Q.unit_ref(F.object_map[a])[1] for a in colors_sorted}
-        xi = KNatTransformation((F,), F, comps)
-        units[color_of[i]] = oid_of(xi)
+    def compose(s, xi, slot, qs, eta):
+        return KNatTransformation(
+            xi.sources[:slot] + eta.sources + xi.sources[slot + 1:],
+            xi.target,
+            {a: Q.compose1(xi.component_ref(a), slot,
+                           eta.component_ref(a))[1] for a in colors_sorted})
 
-    comp = {}
-    for s in ops:
-        k = len(s[0])
-        for oid in ops[s]:
-            xi = knats[s, oid]
-            for slot in range(k):
-                for qs in ops:
-                    if qs[1] != s[0][slot]:
-                        continue
-                    if len(s[0]) + len(qs[0]) - 1 > arity_cap:
-                        continue
-                    for qid in ops[qs]:
-                        eta = knats[qs, qid]
-                        new_sources = (xi.sources[:slot] + eta.sources
-                                       + xi.sources[slot + 1:])
-                        comps = {}
-                        for a in colors_sorted:
-                            comps[a] = Q.compose1(
-                                xi.component_ref(a), slot,
-                                eta.component_ref(a))[1]
-                        zeta = KNatTransformation(
-                            new_sources, xi.target, comps)
-                        comp[s, oid, slot, qs, qid] = oid_of(zeta)
-
-    table = TableMulticategory(
-        collection=FiniteCollection(
-            tuple(color_of[i] for i in sorted(ids)), ops, action),
-        units=units, comp=comp,
-        complete=True,
-        name=f"Hom({P.name},{Q.name})")
+    units = {color_of[i]: KNatTransformation(
+        (F,), F, {a: Q.unit_ref(F.object_map[a])[1] for a in colors_sorted})
+        for i, F in ids.items()}
+    table, knats, _ = tabulate(
+        [color_of[i] for i in sorted(ids)], elements, units, oid_of, act,
+        compose, arity_cap=arity_cap, name=f"Hom({P.name},{Q.name})")
     return HomResult(table=table,
                      functors={color_of[i]: ids[i] for i in ids},
                      knats=knats)
@@ -464,10 +423,6 @@ class AdjunctionReport:
             "pairing": self.pairing,
             "witnesses": self.witnesses,
         }
-
-
-def _pair_color(a, b):
-    return f"{a}.{b}"
 
 
 def evaluate_term(term, R, gen_image):
@@ -510,14 +465,14 @@ def tensor_to_hom(H, P, Q, R, sat, hom):
         if kind == "left":
             pid, b = a_or_pid, b_or_qid
             psig = next(s for s in P.signatures() if pid in P.ops_at(s))
-            gsig = (tuple(_pair_color(x, b) for x in psig[0]),
-                    _pair_color(psig[1], b))
+            gsig = (tuple(pair_color(x, b) for x in psig[0]),
+                    pair_color(psig[1], b))
             t = corolla(gsig, f"p:{pid}:{b}")
         else:
             a, qid = a_or_pid, b_or_qid
             qsig = next(s for s in Q.signatures() if qid in Q.ops_at(s))
-            gsig = (tuple(_pair_color(a, y) for y in qsig[0]),
-                    _pair_color(a, qsig[1]))
+            gsig = (tuple(pair_color(a, y) for y in qsig[0]),
+                    pair_color(a, qsig[1]))
             t = corolla(gsig, f"q:{a}:{qid}")
         rep = sat.class_of(t)
         if rep is None:
@@ -529,7 +484,7 @@ def tensor_to_hom(H, P, Q, R, sat, hom):
     op_maps = {}
     for a in P.colors:
         # the slice functor Q -> R at color a
-        slice_obj = {b: H.object_map[_pair_color(a, b)] for b in Q.colors}
+        slice_obj = {b: H.object_map[pair_color(a, b)] for b in Q.colors}
         slice_ops = {}
         for qs in Q.signatures():
             table = {}
@@ -598,7 +553,7 @@ def hom_to_tensor(K, P, Q, R, sat, hom):
     for a in P.colors:
         F = hom.functors[K.object_map[a]]
         for b in Q.colors:
-            object_map[_pair_color(a, b)] = F.object_map[b]
+            object_map[pair_color(a, b)] = F.object_map[b]
     op_maps = {}
     for s in T.signatures():
         table = {}
@@ -611,21 +566,17 @@ def hom_to_tensor(K, P, Q, R, sat, hom):
 
 
 def sat_structure_term(sat, s, tid):
-    from .trees import term_signature, term_text
-
-    for rep in set(sat.rep_of.values()):
-        if term_signature(rep) == s and term_text(rep) == tid:
-            return rep
-    raise StructuralError(f"no class representative for {sig_key(s)}:{tid}")
+    rep = sat.structure.get((s, tid))
+    if rep is None:
+        raise StructuralError(
+            f"no class representative for {sig_key(s)}:{tid}")
+    return rep
 
 
 def adjunction_check(P, Q, R, max_arity=4, max_vertices=4, budget=10 ** 6):
     """Certify the explicit bijection between multifunctors off the tensor
     and multifunctors into the hom: both round trips are identities and
     the two independent enumerations have equal size."""
-    sat = bv = None
-    from .presents import bv_tensor
-
     sat = bv_tensor(P, Q, max_arity=max_arity, max_vertices=max_vertices)
     if not sat.report.stabilized:
         raise PartialInputError("tensor did not stabilize within caps")

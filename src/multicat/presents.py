@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 from . import perms
 from .core import (FiniteCollection, TableMulticategory, composed_sig,
-                   sig_key)
+                   restrict_objects, sig_key, tabulate)
 from .errors import DomainError, PartialInputError, StructuralError
 from .trees import (canonical_term, corolla, enumerate_terms, graft,
                     identity_term, renumber_term, term_arity,
@@ -66,7 +66,7 @@ class SaturationReport:
         }
 
 
-class _UnionFind:
+class UnionFind:
     def __init__(self, items):
         self.parent = {x: x for x in items}
 
@@ -154,6 +154,8 @@ class Saturation:
     report: SaturationReport
     presentation: Presentation
     rep_of: dict = field(repr=False, default_factory=dict)
+    # (signature, op id) -> the representative term of that class
+    structure: dict = field(repr=False, default_factory=dict)
     max_arity: int = 3
     max_vertices: int = 4
 
@@ -186,7 +188,7 @@ def saturate(presentation, max_arity=3, max_vertices=4, max_rounds=200):
     gens = presentation.generators
     terms = enumerate_terms(gens, max_arity, max_vertices, symmetric=True)
     term_set = set(terms)
-    uf = _UnionFind(terms)
+    uf = UnionFind(terms)
 
     canon_cache = {}
 
@@ -283,69 +285,23 @@ def saturate(presentation, max_arity=3, max_vertices=4, max_rounds=200):
             break
 
     reps = rep_map()
-    rep_of = dict(reps)
-
-    classes_by_sig = {}
-    for rep in sorted(set(reps.values()), key=_term_key):
-        classes_by_sig.setdefault(term_signature(rep), []).append(rep)
-
-    ops = {}
-    structure = {}
-    for s, rs in classes_by_sig.items():
-        ids = []
-        for rep in rs:
-            tid = term_text(rep)
-            ids.append(tid)
-            structure[s, tid] = rep
-        ops[s] = tuple(sorted(ids))
-
-    action = {}
-    for s in ops:
-        n = len(s[0])
-        for p in perms.all_perms(n):
-            table = {}
-            for tid in ops[s]:
-                acted = reps[canon(renumber_term(structure[s, tid], p))]
-                table[tid] = term_text(acted)
-            action[s, p] = table
-
-    units = {}
-    for c in gens.colors:
-        units[c] = term_text(reps[identity_term(c)])
-
     sat = Saturation(
         table=None, report=None, presentation=presentation,
-        rep_of=rep_of, max_arity=max_arity, max_vertices=max_vertices)
-
-    comp = {}
-    comp_escapes = 0
-    for s in ops:
-        for tid in ops[s]:
-            t = structure[s, tid]
-            for slot, color in enumerate(s[0]):
-                for qs in ops:
-                    if qs[1] != color:
-                        continue
-                    rsig = composed_sig(s, slot, qs)
-                    if len(rsig[0]) > max_arity:
-                        continue
-                    for qid in ops[qs]:
-                        w = graft(t, slot, structure[qs, qid])
-                        red = sat.class_of(w)
-                        if red is None:
-                            comp_escapes += 1
-                            continue
-                        comp[s, tid, slot, qs, qid] = term_text(red)
-
-    table = TableMulticategory(
-        collection=FiniteCollection(tuple(sorted(gens.colors)), ops, action),
-        units=units, comp=comp, complete=(comp_escapes == 0),
-        name=presentation.name or "saturated")
+        rep_of=reps, max_arity=max_arity, max_vertices=max_vertices)
+    elements = {}
+    for rep in sorted(set(reps.values()), key=_term_key):
+        elements.setdefault(term_signature(rep), []).append(rep)
+    table, sat.structure, comp_escapes = tabulate(
+        sorted(gens.colors), elements,
+        {c: reps[identity_term(c)] for c in gens.colors}, term_text,
+        lambda s, t, p: reps[canon(renumber_term(t, p))],
+        lambda s, t, slot, qs, q: sat.class_of(graft(t, slot, q)),
+        arity_cap=max_arity, name=presentation.name or "saturated")
     report = SaturationReport(
         stabilized=stabilized and seed_escapes == 0,
         rounds=rounds,
         term_count=len(terms),
-        class_counts={sig_key(s): len(v) for s, v in ops.items()},
+        class_counts={sig_key(s): len(v) for s, v in table.ops.items()},
         seed_escapes=seed_escapes,
         comp_escapes=comp_escapes,
         caps=(max_arity, max_vertices))
@@ -358,7 +314,7 @@ def saturate(presentation, max_arity=3, max_vertices=4, max_rounds=200):
 # coproduct and tensor presentations
 
 
-def _pair_color(a, b):
+def pair_color(a, b):
     return f"{a}.{b}"
 
 
@@ -389,12 +345,12 @@ def _tensor_generators(P, Q):
                     continue
                 for c in other_colors:
                     if fixed_right:
-                        gsig = (tuple(_pair_color(x, c) for x in s[0]),
-                                _pair_color(s[1], c))
+                        gsig = (tuple(pair_color(x, c) for x in s[0]),
+                                pair_color(s[1], c))
                         gid = _left_id(op, c)
                     else:
-                        gsig = (tuple(_pair_color(c, x) for x in s[0]),
-                                _pair_color(c, s[1]))
+                        gsig = (tuple(pair_color(c, x) for x in s[0]),
+                                pair_color(c, s[1]))
                         gid = _right_id(c, op)
                     ops.setdefault(gsig, []).append(gid)
 
@@ -409,14 +365,14 @@ def _tensor_generators(P, Q):
                 base = M.collection.action[s, p]
                 for c in other_colors:
                     if fixed_right:
-                        gsig = (tuple(_pair_color(x, c) for x in s[0]),
-                                _pair_color(s[1], c))
+                        gsig = (tuple(pair_color(x, c) for x in s[0]),
+                                pair_color(s[1], c))
                         table = {_left_id(op, c): _left_id(im, c)
                                  for op, im in base.items()
                                  if not M.is_unit((s, op))}
                     else:
-                        gsig = (tuple(_pair_color(c, x) for x in s[0]),
-                                _pair_color(c, s[1]))
+                        gsig = (tuple(pair_color(c, x) for x in s[0]),
+                                pair_color(c, s[1]))
                         table = {_right_id(c, op): _right_id(c, im)
                                  for op, im in base.items()
                                  if not M.is_unit((s, op))}
@@ -426,7 +382,7 @@ def _tensor_generators(P, Q):
     act_tables(P, Q.colors, True)
     act_tables(Q, P.colors, False)
     colors = tuple(sorted(
-        _pair_color(a, b) for a in P.colors for b in Q.colors))
+        pair_color(a, b) for a in P.colors for b in Q.colors))
     return FiniteCollection(colors, ops, action)
 
 
@@ -437,15 +393,15 @@ def _side_relations(M, other_colors, fixed_right, gens):
 
     def gref(s, op, c):
         if M.is_unit((s, op)):
-            color = (_pair_color(s[1], c) if fixed_right
-                     else _pair_color(c, s[1]))
+            color = (pair_color(s[1], c) if fixed_right
+                     else pair_color(c, s[1]))
             return identity_term(color)
         if fixed_right:
-            gsig = (tuple(_pair_color(x, c) for x in s[0]),
-                    _pair_color(s[1], c))
+            gsig = (tuple(pair_color(x, c) for x in s[0]),
+                    pair_color(s[1], c))
             return corolla(gsig, _left_id(op, c))
-        gsig = (tuple(_pair_color(c, x) for x in s[0]),
-                _pair_color(c, s[1]))
+        gsig = (tuple(pair_color(c, x) for x in s[0]),
+                pair_color(c, s[1]))
         return corolla(gsig, _right_id(c, op))
 
     for (psig, p, slot, qsig, q), r in M.comp.items():
@@ -490,23 +446,23 @@ def interchange_relations(P, Q, gens):
                         continue
                     a, b = ps[1], qs[1]
                     # root a x psi with phi x b_j grafted on each slot
-                    root_r = (tuple(_pair_color(a, y) for y in qs[0]),
-                              _pair_color(a, b))
+                    root_r = (tuple(pair_color(a, y) for y in qs[0]),
+                              pair_color(a, b))
                     left = corolla(root_r, _right_id(a, psi))
                     for j in reversed(range(n)):
-                        arg_sig = (tuple(_pair_color(x, qs[0][j])
+                        arg_sig = (tuple(pair_color(x, qs[0][j])
                                          for x in ps[0]),
-                                   _pair_color(a, qs[0][j]))
+                                   pair_color(a, qs[0][j]))
                         left = graft(left, j,
                                      corolla(arg_sig, _left_id(phi, qs[0][j])))
                     # root phi x b with a_i x psi grafted on each slot
-                    root_l = (tuple(_pair_color(x, b) for x in ps[0]),
-                              _pair_color(a, b))
+                    root_l = (tuple(pair_color(x, b) for x in ps[0]),
+                              pair_color(a, b))
                     right = corolla(root_l, _left_id(phi, b))
                     for i in reversed(range(m)):
-                        arg_sig = (tuple(_pair_color(ps[0][i], y)
+                        arg_sig = (tuple(pair_color(ps[0][i], y)
                                          for y in qs[0]),
-                                   _pair_color(ps[0][i], b))
+                                   pair_color(ps[0][i], b))
                         right = graft(right, i,
                                       corolla(arg_sig, _right_id(ps[0][i], psi)))
                     shuffled = renumber_term(
@@ -534,53 +490,29 @@ def bv_tensor(P, Q, max_arity=3, max_vertices=4, allow_partial=False):
 def arrow_multicategory(P, n):
     """Colors 0..n; a k-ary operation from x_1..x_k to x exists for every
     k-ary operation of the single-colored P whenever max(x_i) <= x, with
-    composition and actions read off P."""
+    composition and actions read off P: the restriction of P along the
+    constant color map, cut to those signatures."""
     if len(P.colors) != 1:
         raise DomainError("the arrow construction needs a single color")
     if n < 0:
         raise DomainError("level must be >= 0")
     if n == 0:
         return P
-    base = P.colors[0]
     colors = tuple(str(i) for i in range(n + 1))
+    full = restrict_objects(P, {c: P.colors[0] for c in colors})
 
     def allowed(s):
         return all(int(c) <= int(s[1]) for c in s[0])
 
-    ops = {}
-    action = {}
-    from itertools import product as _product
-
-    for s in P.signatures():
-        k = len(s[0])
-        for combo in _product(colors, repeat=k):
-            for out in colors:
-                new_sig = (combo, out)
-                if not allowed(new_sig):
-                    continue
-                ops[new_sig] = tuple(P.ops_at(s))
-                for p in perms.all_perms(k):
-                    base_table = P.collection.action[s, p]
-                    action[new_sig, p] = dict(base_table)
-
-    units = {c: P.units[base] for c in colors}
-    comp = {}
-    for (psig, p, slot, qsig, q), r in P.comp.items():
-        k = len(psig[0])
-        kq = len(qsig[0])
-        for combo in _product(colors, repeat=k):
-            for out in colors:
-                new_p = (combo, out)
-                if not allowed(new_p):
-                    continue
-                for qcombo in _product(colors, repeat=kq):
-                    new_q = (qcombo, combo[slot])
-                    if not allowed(new_q):
-                        continue
-                    comp[new_p, p, slot, new_q, q] = r
+    action = {(s, p): t for (s, p), t in full.collection.action.items()
+              if allowed(s)}
+    comp = {key: r for key, r in full.comp.items()
+            if allowed(key[0]) and allowed(key[3])}
     return TableMulticategory(
-        collection=FiniteCollection(colors, ops, action),
-        units=units, comp=comp, complete=P.complete,
+        collection=FiniteCollection(
+            colors, {s: v for s, v in full.ops.items() if allowed(s)},
+            action),
+        units=full.units, comp=comp, complete=P.complete,
         name=f"{P.name or 'P'}^{n}")
 
 
@@ -601,7 +533,7 @@ def pushout(F, G, allow_partial=False):
 
     # colors: quotient of the disjoint union by F(a) ~ G(a)
     items = [("b", c) for c in B.colors] + [("c", c) for c in C.colors]
-    uf = _UnionFind(items)
+    uf = UnionFind(items)
     for a in A.colors:
         uf.union(("b", F.object_map[a]), ("c", G.object_map[a]))
     color_name = {}

@@ -9,7 +9,7 @@ commutative family has a single operation per arity.
 from itertools import permutations
 
 from . import perms
-from .core import FiniteCollection, TableMulticategory
+from .core import FiniteCollection, TableMulticategory, tabulate
 
 
 def unit_multicategory(color="u"):
@@ -53,57 +53,24 @@ def assoc_multicategory(max_arity=3, color="x", include_nullary=True):
     With include_nullary=False the empty word is dropped (the arity
     -positive part), which keeps bar-type constructions face-stable."""
     lo = 0 if include_nullary else 1
-    words = {n: sorted(permutations(range(n)))
-             for n in range(lo, max_arity + 1)}
-    ops = {}
-    for n, ws in words.items():
-        ops[((color,) * n, color)] = tuple(word_id(w) for w in ws)
-    action = {}
-    for n, ws in words.items():
-        s = ((color,) * n, color)
-        for p in perms.all_perms(n):
-            action[s, p] = {word_id(w): word_id(word_relabel(w, p))
-                            for w in ws}
-    comp = {}
-    for n, ws in words.items():
-        s = ((color,) * n, color)
-        for m, us in words.items():
-            if n == 0 or n + m - 1 > max_arity:
-                continue
-            qs = ((color,) * m, color)
-            for w in ws:
-                for i in range(n):
-                    for u in us:
-                        comp[s, word_id(w), i, qs, word_id(u)] = word_id(
-                            word_substitute(w, i, u))
-    return TableMulticategory(
-        collection=FiniteCollection((color,), ops, action),
-        units={color: word_id((0,))}, comp=comp,
-        name=f"assoc{max_arity}")
+    table, _, _ = tabulate(
+        (color,),
+        {((color,) * n, color): sorted(permutations(range(n)))
+         for n in range(lo, max_arity + 1)},
+        {color: (0,)}, word_id, lambda s, w, p: word_relabel(w, p),
+        lambda s, w, i, qs, u: word_substitute(w, i, u),
+        arity_cap=max_arity, name=f"assoc{max_arity}")
+    return table
 
 
 def comm_multicategory(max_arity=3, color="x"):
     """Commutative monoid laws, truncated: one operation per arity."""
-    ops = {((color,) * n, color): (f"m{n}",) for n in range(max_arity + 1)}
-    action = {}
-    for n in range(max_arity + 1):
-        s = ((color,) * n, color)
-        for p in perms.all_perms(n):
-            action[s, p] = {f"m{n}": f"m{n}"}
-    comp = {}
-    for n in range(1, max_arity + 1):
-        s = ((color,) * n, color)
-        for m in range(max_arity + 1):
-            if n + m - 1 > max_arity:
-                continue
-            qs = ((color,) * m, color)
-            r = f"m{n + m - 1}"
-            for i in range(n):
-                comp[s, f"m{n}", i, qs, f"m{m}"] = r
-    return TableMulticategory(
-        collection=FiniteCollection((color,), ops, action),
-        units={color: "m1"}, comp=comp,
-        name=f"comm{max_arity}")
+    table, _, _ = tabulate(
+        (color,), {((color,) * n, color): [n] for n in range(max_arity + 1)},
+        {color: 1}, lambda n: f"m{n}", lambda s, n, p: n,
+        lambda s, n, i, qs, m: n + m - 1,
+        arity_cap=max_arity, name=f"comm{max_arity}")
+    return table
 
 
 def indiscrete_pair(colors=("a", "b")):

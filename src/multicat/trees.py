@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from . import perms
-from .core import (FiniteCollection, TableMulticategory, composed_sig, sig_key)
+from .core import FiniteCollection, composed_sig, sig_key, tabulate
 from .errors import (CompositionError, StructuralError, SubstitutionError,
                      TruncationError)
 
@@ -354,65 +354,25 @@ def build_tree_multicategory(max_arity=3, max_vertices=2, cap=200000):
     vertex count escapes the cap are omitted and the table is marked
     partial (the full structure is infinite).
     """
-    ops = {}
-    structure = {}
-    colors = tuple(str(n) for n in range(max_arity + 1))
-
-    def valence_lists(k):
-        yield from product(range(max_arity + 1), repeat=k)
-
+    elements = {}
     for k in range(max_vertices + 1):
-        for vals in valence_lists(k):
+        for vals in product(range(max_arity + 1), repeat=k):
             n = (sum(vals) - k + 1) if k else 1
-            if n < 0 or n > max_arity:
-                continue
-            trees = op_hom_set(list(vals), n, cap=cap)
-            if not trees:
-                continue
-            s = (tuple(str(v) for v in vals), str(n))
-            ids = []
-            for t in trees:
-                tid = op_text(t)
-                ids.append(tid)
-                structure[s, tid] = t
-            ops[s] = tuple(sorted(ids))
+            if 0 <= n <= max_arity:
+                s = (tuple(str(v) for v in vals), str(n))
+                elements[s] = op_hom_set(list(vals), n, cap=cap)
 
-    action = {}
-    for s in ops:
-        k = len(s[0])
-        for p in perms.all_perms(k):
-            table = {}
-            for tid in ops[s]:
-                acted = op_act(structure[s, tid], p)
-                table[tid] = op_text(acted)
-            action[s, p] = table
+    def compose(s, t, slot, qs, q):
+        if not elements.get(composed_sig(s, slot, qs)):
+            return None
+        inners = [op_identity(int(v)) for v in s[0]]
+        inners[slot] = q
+        return op_compose(t, inners)
 
-    units = {str(n): op_text(op_identity(n)) for n in range(max_arity + 1)}
-
-    comp = {}
-    complete = True
-    for s in ops:
-        k = len(s[0])
-        for tid in ops[s]:
-            t = structure[s, tid]
-            for slot in range(k):
-                for qs in ops:
-                    if qs[1] != s[0][slot]:
-                        continue
-                    rsig = composed_sig(s, slot, qs)
-                    for qid in ops[qs]:
-                        q = structure[qs, qid]
-                        inners = [op_identity(int(v)) for v in s[0]]
-                        inners[slot] = q
-                        result = op_compose(t, inners)
-                        if rsig not in ops:
-                            complete = False
-                            continue
-                        comp[s, tid, slot, qs, qid] = op_text(result)
-
-    table = TableMulticategory(
-        collection=FiniteCollection(colors, ops, action),
-        units=units, comp=comp, complete=complete, name="trees")
+    table, structure, _ = tabulate(
+        tuple(str(n) for n in range(max_arity + 1)), elements,
+        {str(n): op_identity(n) for n in range(max_arity + 1)}, op_text,
+        lambda s, t, p: op_act(t, p), compose, name="trees")
     return table, structure
 
 
@@ -490,60 +450,31 @@ def free_multicategory(gens, symmetric, max_arity=3, max_vertices=4,
     as the symmetric action.  With require_complete, a composition that
     escapes the vertex cap raises instead of marking the table partial."""
     terms = enumerate_terms(gens, max_arity, max_vertices, symmetric)
-    by_sig = {}
-    structure = {}
-    for t in terms:
-        s = term_signature(t)
-        tid = term_text(t)
-        by_sig.setdefault(s, []).append(tid)
-        structure[s, tid] = t
-    ops = {s: tuple(sorted(v)) for s, v in by_sig.items()}
     term_set = set(terms)
+    elements = {}
+    for t in terms:
+        elements.setdefault(term_signature(t), []).append(t)
 
     def canon(t):
         return canonical_term(t, gens) if symmetric else t
 
-    action = {}
-    for s in ops:
-        n = len(s[0])
-        ps = perms.all_perms(n) if symmetric else [perms.identity(n)]
-        for p in ps:
-            table = {}
-            for tid in ops[s]:
-                acted = canon(renumber_term(structure[s, tid], p))
-                if acted not in term_set:
-                    raise StructuralError("renumbering left the term pool")
-                table[tid] = term_text(acted)
-            action[s, p] = table
+    def act(s, t, p):
+        acted = canon(renumber_term(t, p))
+        if acted not in term_set:
+            raise StructuralError("renumbering left the term pool")
+        return acted
 
-    units = {c: term_text(identity_term(c)) for c in gens.colors}
+    def compose(s, t, slot, qs, q):
+        w = canon(graft(t, slot, q))
+        return w if w in term_set else None
 
-    comp = {}
-    escapes = 0
-    for s in ops:
-        for tid in ops[s]:
-            t = structure[s, tid]
-            for slot, color in enumerate(s[0]):
-                for qs in ops:
-                    if qs[1] != color:
-                        continue
-                    rsig = composed_sig(s, slot, qs)
-                    if len(rsig[0]) > max_arity:
-                        continue
-                    for qid in ops[qs]:
-                        w = canon(graft(t, slot, structure[qs, qid]))
-                        if w in term_set:
-                            comp[s, tid, slot, qs, qid] = term_text(w)
-                        else:
-                            escapes += 1
-
+    table, _, escapes = tabulate(
+        sorted(gens.colors), elements,
+        {c: identity_term(c) for c in gens.colors}, term_text, act, compose,
+        arity_cap=max_arity, symmetric=symmetric, name="free")
     if escapes and require_complete:
         raise TruncationError(
             f"{escapes} compositions escape the vertex cap {max_vertices}")
-    table = TableMulticategory(
-        collection=FiniteCollection(tuple(sorted(gens.colors)), ops, action),
-        units=units, comp=comp, complete=(escapes == 0),
-        name="free", symmetric=symmetric)
     return table, FreeReport(escapes == 0, escapes, len(terms))
 
 

@@ -103,12 +103,12 @@ def test_operad_roundtrip():
 
 def _evaluation_iso(sat, P):
     from multicat.homcalc import check_multifunctor, evaluate_term
-    from multicat.presents import _pair_color
+    from multicat.presents import pair_color
     from multicat.trees import term_signature, term_text
 
     T = sat.table
     u = I.colors[0]
-    color_map = {_pair_color(u, c): c for c in P.colors}
+    color_map = {pair_color(u, c): c for c in P.colors}
 
     def gen_image(gsig, gid):
         if gsig is None:

@@ -64,6 +64,71 @@ def free_two_level_module():
                     right_table=right_table, name="kQ")
 
 
+def product_then_filter_left_table(M, cap):
+    """The left action as it was first built: every tuple of module
+    elements over the input colors, dropped when its total arity is over
+    the cap."""
+    from itertools import product
+
+    from multicat.errors import StructuralError
+
+    left_table = {}
+    refs = list(M.collection.refs())
+    for s in M.signatures():
+        for p in M.ops_at(s):
+            pools = [[m for m in refs if m[0][1] == c] for c in s[0]]
+            for mrefs in product(*pools):
+                if sum(len(m[0][0]) for m in mrefs) > cap:
+                    continue
+                try:
+                    left_table[(s, p), tuple(mrefs)] = M.gamma(
+                        (s, p), list(mrefs))
+                except StructuralError:
+                    continue
+    return left_table
+
+
+class TestLeftAction:
+    @pytest.fixture(scope="class")
+    def bimod(self, docs_dir):
+        from multicat import dsl
+
+        ast, _ = dsl.parse((docs_dir / "bimod.mcat").read_text())
+        return dsl.elaborate(ast)[0]
+
+    @pytest.mark.parametrize("name", ["As2", "As3pos", "Com3", "Reg"])
+    def test_bounded_tuples_match_product_then_filter(self, name, bimod):
+        M = {"As2": assoc_multicategory(2),
+             "As3pos": assoc_multicategory(3, include_nullary=False),
+             "Com3": comm_multicategory(3),
+             "Reg": bimod["Reg"].left}[name]
+        for cap in range(M.max_arity() + 1):
+            got = module_from_multicategory(M, max_arity=cap).left_table
+            want = product_then_filter_left_table(M, cap)
+            assert list(got.items()) == list(want.items())
+        if name == "Reg":
+            got = module_from_multicategory(M).left_table
+            assert got == bimod["Reg"].left_table
+
+    def test_positive_assoc4_keeps_141_entries(self):
+        from math import factorial
+
+        M = assoc_multicategory(4, include_nullary=False)
+        mod = module_from_multicategory(M, max_arity=4)
+
+        # an n-ary word (n! of them) on arguments of arities a_1..a_n >= 1
+        # with a_1 + ... + a_n <= 4, each argument one of a_i! words
+        def tuples(n, room):
+            if n == 0:
+                return 1
+            return sum(factorial(a) * tuples(n - 1, room - a)
+                       for a in range(1, room + 1))
+
+        want = sum(factorial(n) * tuples(n, 4) for n in range(1, 5))
+        assert want == 141
+        assert len(mod.left_table) == want
+
+
 class TestLaws:
     @pytest.mark.parametrize("P", [I, AS2P, COM2], ids=lambda M: M.name)
     def test_regular_bimodule_passes(self, P):

@@ -143,6 +143,17 @@ class TestCli:
         doc = json.loads(out.read_text())
         assert doc["saturation"]["stabilized"]
 
+    def test_end_of_map_honours_budget(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "multicat.cli", "end", "dummy",
+             "--carrier", "x=a,b", "--cap-arity", "2", "--budget", "5",
+             "--map", "x=a:b,b:a", "--target-carrier", "x=a,b"],
+            capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert "exceed the materialization limit 5" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
     def test_missing_block_usage_error(self, docs_dir):
         assert run_cli("export", str(docs_dir / "i.mcat"),
                        "--name", "NoSuch") == 2

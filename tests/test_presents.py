@@ -160,11 +160,11 @@ def _unit_tensor_iso(sat, P):
     """The evaluation multifunctor from the saturated unit tensor onto P,
     bijective per signature; None when anything fails."""
     from multicat.homcalc import check_multifunctor
-    from multicat.presents import _pair_color
+    from multicat.presents import pair_color
 
     T = sat.table
     u = I.colors[0]
-    color_map = {_pair_color(u, c): c for c in P.colors}
+    color_map = {pair_color(u, c): c for c in P.colors}
 
     def gen_image(gsig, gid):
         if gsig is None:
