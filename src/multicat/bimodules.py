@@ -17,11 +17,13 @@ from itertools import product
 
 from . import perms
 from .core import (FiniteCollection, LawReport, TableMulticategory,
-                   TruncatedSimplicialSet, composed_sig, sig_key, tabulate)
-from .errors import BudgetExceededError, StructuralError
+                   TruncatedSimplicialSet, backtrack, composed_sig, sig_key,
+                   tabulate)
+from .errors import StructuralError
 from .homcalc import Multifunctor
 from .presents import UnionFind
-from .trees import base_layer, canonical_circle, circle_layer
+from .trees import (base_layer, canonical_circle, circle_layer,
+                    renumber_blocks, shuffles)
 
 
 @dataclass
@@ -571,31 +573,17 @@ def tensor_elements(N, factors, max_arity):
     decomposition of the input positions with one element per factor.
     Keys are (input colors, factors)."""
     out = {}
-    k = len(factors)
     for n in range(max_arity + 1):
-        assigns = product(range(k), repeat=n) if k else (
-            [()] if n == 0 else [])
-        for assign in assigns:
-            blocks_pos = tuple(tuple(p for p in range(n) if assign[p] == j)
-                               for j in range(k))
-            pools = []
-            ok = True
-            for j, S in enumerate(blocks_pos):
-                cands = []
-                for s in N.collection.signatures():
-                    if s[1] == factors[j] and len(s[0]) == len(S):
-                        cands.extend((s, m) for m in N.collection.ops_at(s))
-                if not cands:
-                    ok = False
-                    break
-                pools.append(cands)
-            if not ok and k:
-                continue
+        for blocks_pos in shuffles(n, len(factors)):
+            pools = [[(s, m) for s in N.collection.signatures()
+                      if s[1] == b and len(s[0]) == len(S)
+                      for m in N.collection.ops_at(s)]
+                     for S, b in zip(blocks_pos, factors)]
             for combo in product(*pools):
-                blocks = tuple((blocks_pos[j], combo[j]) for j in range(k))
+                blocks = tuple(zip(blocks_pos, combo))
                 inputs = [None] * n
-                for (S, (ms, _)) in blocks:
-                    for local, pos in enumerate(sorted(S)):
+                for S, (ms, _) in blocks:
+                    for local, pos in enumerate(S):
                         inputs[pos] = ms[0][local]
                 sig = (tuple(inputs), tuple(factors))
                 out.setdefault(sig, []).append(("tens", blocks))
@@ -603,17 +591,9 @@ def tensor_elements(N, factors, max_arity):
 
 
 def tensor_act_sigma(N, elem, p):
-    _, blocks = elem
-    inv = perms.inverse(p)
-    new_blocks = []
-    for S, mref in blocks:
-        newS = tuple(sorted(inv[x] for x in S))
-        old_sorted = sorted(S)
-        rho = tuple(old_sorted.index(p[x]) for x in newS)
-        new_blocks.append(
-            (newS, N.act(mref, rho) if rho != perms.identity(len(rho))
-             else mref))
-    return ("tens", tuple(new_blocks))
+    return ("tens", tuple(
+        (S, mref if rho == perms.identity(len(rho)) else N.act(mref, rho))
+        for S, rho, mref in renumber_blocks(elem[1], p)))
 
 
 def tensor_act_right(N, elem, slot, qref):
@@ -643,8 +623,8 @@ def tensor_act_right(N, elem, slot, qref):
 
 def enumerate_module_homs(N, factors, target, max_arity, budget=200000):
     """Right-module homomorphisms from an ordered tensor of slices into
-    the slice at `target`, by backtracking with forward propagation along
-    the symmetric actions and the right action."""
+    the slice at `target`, in depth-first order: a `core.backtrack` that
+    derives images along the symmetric actions and the right action."""
     elems = tensor_elements(N, factors, max_arity)
     elem_sets = {s: set(v) for s, v in elems.items()}
     order = [(s, e)
@@ -654,74 +634,31 @@ def enumerate_module_homs(N, factors, target, max_arity, budget=200000):
                       for m in N.collection.ops_at((s[0], target))]
                   for s in elems}
 
-    results = []
-    tried = [0]
-
-    def propagate(assign, queue):
-        while queue:
-            key = queue.pop()
-            s, e = key
-            value = assign[key]
-            n = len(s[0])
-            for p in perms.all_perms(n):
-                e2 = tensor_act_sigma(N, e, p)
-                s2 = (perms.permute(s[0], p), s[1])
-                k2 = (s2, e2)
-                if e2 not in elem_sets.get(s2, ()):
+    def derive(key, value, assign):
+        s, e = key
+        for p in perms.all_perms(len(s[0])):
+            e2 = tensor_act_sigma(N, e, p)
+            s2 = (perms.permute(s[0], p), s[1])
+            if e2 in elem_sets.get(s2, ()):
+                yield (s2, e2), N.act(value, p)
+        for slot, color in enumerate(s[0]):
+            for qs in N.over.signatures():
+                if qs[1] != color or len(s[0]) + len(qs[0]) - 1 > max_arity:
                     continue
-                v2 = N.act(value, p)
-                if k2 in assign:
-                    if assign[k2] != v2:
-                        return False
-                else:
-                    assign[k2] = v2
-                    queue.append(k2)
-            for slot, color in enumerate(s[0]):
-                for qs in N.over.signatures():
-                    if qs[1] != color:
+                for q in N.over.ops_at(qs):
+                    e2 = tensor_act_right(N, e, slot, (qs, q))
+                    if e2 is None:
                         continue
-                    if len(s[0]) + len(qs[0]) - 1 > max_arity:
+                    v2 = N.try_act1(value, slot, (qs, q))
+                    if v2 is None:
                         continue
-                    for q in N.over.ops_at(qs):
-                        qref = (qs, q)
-                        e2 = tensor_act_right(N, e, slot, qref)
-                        if e2 is None:
-                            continue
-                        v2 = N.try_act1(value, slot, qref)
-                        if v2 is None:
-                            continue
-                        s2 = (composed_sig((s[0], "*"), slot, qs)[0], s[1])
-                        k2 = (s2, e2)
-                        if e2 not in elem_sets.get(s2, ()):
-                            continue
-                        if k2 in assign:
-                            if assign[k2] != v2:
-                                return False
-                        else:
-                            assign[k2] = v2
-                            queue.append(k2)
-        return True
+                    s2 = (composed_sig((s[0], "*"), slot, qs)[0], s[1])
+                    if e2 in elem_sets.get(s2, ()):
+                        yield (s2, e2), v2
 
-    def rec(assign):
-        pending = [key for key in order if key not in assign]
-        if not pending:
-            results.append(dict(assign))
-            return
-        key = pending[0]
-        s, _ = key
-        for cand in target_ops[s]:
-            tried[0] += 1
-            if tried[0] > budget:
-                raise BudgetExceededError(
-                    "module homomorphism search exceeded budget",
-                    count=len(results))
-            trial = dict(assign)
-            trial[key] = cand
-            if propagate(trial, [key]):
-                rec(trial)
-
-    rec({})
-    return results
+    return list(backtrack(
+        order, lambda key: target_ops[key[0]], derive, {}, budget,
+        "module homomorphism search exceeded budget"))
 
 
 def _tens_id(e):

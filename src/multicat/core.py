@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 from itertools import product
 
 from . import perms
-from .errors import CompositionError, DomainError, StructuralError
+from .errors import (BudgetExceededError, CompositionError, DomainError,
+                     StructuralError)
 
 Signature = tuple  # (tuple of input colors, output color)
 OpRef = tuple  # (Signature, op id)
@@ -295,6 +296,57 @@ def tabulate(colors, elements, units, text, act, compose, arity_cap=None,
         units={c: text(u) for c, u in units.items()}, comp=comp,
         complete=(escapes == 0), name=name, symmetric=symmetric)
     return table, structure, escapes
+
+
+def backtrack(order, candidates, derive, start, budget, what, counts=None):
+    """Every assignment of the keys in ``order`` that extends ``start`` and
+    is closed under ``derive``, depth first.
+
+    ``derive(key, value, assign)`` yields the ``(key, value)`` pairs forced
+    by one assigned key given the others; a forced value that differs from
+    an assigned one prunes the branch.  The first unassigned key of
+    ``order`` branches over ``candidates(key)``, in its order.  Every
+    candidate tried counts against ``budget``; past it BudgetExceededError
+    is raised with the message ``what`` and the number of assignments
+    found.  ``counts``, a dict with the keys ``"tried"`` and ``"found"``,
+    carries both figures across calls that share one budget.  Each
+    assignment is yielded as a dict of its own.
+    """
+    if counts is None:
+        counts = {"tried": 0, "found": 0}
+
+    def closed(assign, queue):
+        while queue:
+            key = queue.pop()
+            for key2, value2 in derive(key, assign[key], assign):
+                if key2 in assign:
+                    if assign[key2] != value2:
+                        return False
+                else:
+                    assign[key2] = value2
+                    queue.append(key2)
+        return True
+
+    def search(assign, i):
+        while i < len(order) and order[i] in assign:
+            i += 1
+        if i == len(order):
+            counts["found"] += 1
+            yield assign
+            return
+        key = order[i]
+        for cand in candidates(key):
+            counts["tried"] += 1
+            if counts["tried"] > budget:
+                raise BudgetExceededError(what, count=counts["found"])
+            trial = dict(assign)
+            trial[key] = cand
+            if closed(trial, [key]):
+                yield from search(trial, i + 1)
+
+    assign = dict(start)
+    if closed(assign, list(assign)):
+        yield from search(assign, 0)
 
 
 # ---------------------------------------------------------------------------

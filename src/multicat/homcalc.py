@@ -14,11 +14,11 @@ from dataclasses import dataclass, field
 from itertools import product
 
 from . import perms
-from .core import (LawReport, TableMulticategory, composed_sig, sig_key,
-                   tabulate)
+from .core import (LawReport, TableMulticategory, backtrack, composed_sig,
+                   sig_key, tabulate)
 from .errors import (BudgetExceededError, DomainError, PartialInputError,
                      StructuralError)
-from .presents import bv_tensor, pair_color
+from .presents import bv_tensor, pair_color, tensor_generator
 
 
 @dataclass
@@ -110,104 +110,58 @@ def check_multifunctor(F):
 
 
 def enumerate_multifunctors(P, Q, budget=10 ** 6, fix_objects=None):
-    """All multifunctors P -> Q by backtracking with forward propagation.
-
-    Assignments forced by units, the symmetric actions, and tabulated
-    compositions are derived eagerly; `budget` bounds the number of
-    candidate images tried before BudgetExceededError.
+    """All multifunctors P -> Q, sorted by key: one `core.backtrack` per
+    object map, with units fixed and the images forced by the symmetric
+    actions and the tabulated compositions derived eagerly.  `budget`
+    bounds the candidate images tried over all object maps before
+    BudgetExceededError.
     """
     if not P.complete:
         raise PartialInputError("source must be complete")
+    # op -> the compositions it takes part in, as (p, slot, q, result)
     comp_index = {}
-    for key in P.comp:
+    for key, r in P.comp.items():
         psig, p, slot, qsig, q = key
-        comp_index.setdefault((psig, p), []).append(key)
-        comp_index.setdefault((qsig, q), []).append(key)
+        entry = ((psig, p), slot, (qsig, q),
+                 (composed_sig(psig, slot, qsig), r))
+        comp_index.setdefault(entry[0], []).append(entry)
+        comp_index.setdefault(entry[2], []).append(entry)
 
     op_order = [(s, op) for s in P.signatures() for op in P.ops_at(s)]
     op_order.sort(key=lambda ref: (len(ref[0][0]), sig_key(ref[0]), ref[1]))
+    ops_of = getattr(Q, "iter_ops", Q.ops_at)
 
-    tried = [0]
-    results = []
-
-    def propagate(assign, object_map, queue):
-        while queue:
-            ref = queue.pop()
-            image = assign[ref]
-            s = ref[0]
-            if P.symmetric:
-                for sp in perms.all_perms(len(s[0])):
-                    derived = P.act(ref, sp)
-                    want = Q.act(image, sp)
-                    if derived in assign:
-                        if assign[derived] != want:
-                            return False
-                    else:
-                        assign[derived] = want
-                        queue.append(derived)
-            for key in comp_index.get(ref, ()):
-                psig, p, slot, qsig, q = key
-                pref, qref = (psig, p), (qsig, q)
-                if pref in assign and qref in assign:
-                    rsig = composed_sig(psig, slot, qsig)
-                    rref = (rsig, P.comp[key])
-                    want = Q.compose1(assign[pref], slot, assign[qref])
-                    if rref in assign:
-                        if assign[rref] != want:
-                            return False
-                    else:
-                        assign[rref] = want
-                        queue.append(rref)
-        return True
-
-    def candidates(Q, ms):
-        it = getattr(Q, "iter_ops", None)
-        if it is not None:
-            yield from it(ms)
-        else:
-            yield from Q.ops_at(ms)
-
-    def search(object_map):
-        base = {}
-        queue = []
-        for c in P.colors:
-            ref = P.unit_ref(c)
-            base[ref] = Q.unit_ref(object_map[c])
-            queue.append(ref)
-        if not propagate(base, object_map, queue):
-            return
-
-        def rec(assign):
-            pending = [ref for ref in op_order if ref not in assign]
-            if not pending:
-                op_maps = {}
-                for (s, op), (ms, im) in assign.items():
-                    op_maps.setdefault(s, {})[op] = im
-                results.append(Multifunctor(
-                    source=P, target=Q, object_map=dict(object_map),
-                    op_maps=op_maps))
-                return
-            ref = pending[0]
-            ms = (tuple(object_map[c] for c in ref[0][0]),
-                  object_map[ref[0][1]])
-            for cand in candidates(Q, ms):
-                tried[0] += 1
-                if tried[0] > budget:
-                    raise BudgetExceededError(
-                        f"multifunctor search exceeded {budget} candidates",
-                        count=len(results))
-                trial = dict(assign)
-                trial[ref] = (ms, cand)
-                if propagate(trial, object_map, [ref]):
-                    rec(trial)
-
-        rec(base)
+    def derive(ref, image, assign):
+        if P.symmetric:
+            for sp in perms.all_perms(len(ref[0][0])):
+                yield P.act(ref, sp), Q.act(image, sp)
+        for pref, slot, qref, rref in comp_index.get(ref, ()):
+            if pref in assign and qref in assign:
+                yield rref, Q.compose1(assign[pref], slot, assign[qref])
 
     if fix_objects is not None:
-        search(dict(fix_objects))
+        object_maps = [dict(fix_objects)]
     else:
-        for combo in product(Q.colors, repeat=len(P.colors)):
-            search(dict(zip(P.colors, combo)))
+        object_maps = [dict(zip(P.colors, combo))
+                       for combo in product(Q.colors, repeat=len(P.colors))]
+    counts = {"tried": 0, "found": 0}
+    results = []
+    for object_map in object_maps:
+        def candidates(ref):
+            ms = (tuple(object_map[c] for c in ref[0][0]),
+                  object_map[ref[0][1]])
+            return ((ms, cand) for cand in ops_of(ms))
+
+        start = {P.unit_ref(c): Q.unit_ref(object_map[c]) for c in P.colors}
+        for assign in backtrack(
+                op_order, candidates, derive, start, budget,
+                f"multifunctor search exceeded {budget} candidates", counts):
+            op_maps = {}
+            for (s, op), (ms, im) in assign.items():
+                op_maps.setdefault(s, {})[op] = im
+            results.append(Multifunctor(source=P, target=Q,
+                                        object_map=dict(object_map),
+                                        op_maps=op_maps))
     results.sort(key=lambda F: F.key())
     return results
 
@@ -460,25 +414,12 @@ def tensor_to_hom(H, P, Q, R, sat, hom):
     transformation."""
     from .trees import corolla, term_signature, term_text
 
-    def tensor_image(kind, a_or_pid, b_or_qid):
-        # class of a generator term, then its image under H
-        if kind == "left":
-            pid, b = a_or_pid, b_or_qid
-            psig = next(s for s in P.signatures() if pid in P.ops_at(s))
-            gsig = (tuple(pair_color(x, b) for x in psig[0]),
-                    pair_color(psig[1], b))
-            t = corolla(gsig, f"p:{pid}:{b}")
-        else:
-            a, qid = a_or_pid, b_or_qid
-            qsig = next(s for s in Q.signatures() if qid in Q.ops_at(s))
-            gsig = (tuple(pair_color(a, y) for y in qsig[0]),
-                    pair_color(a, qsig[1]))
-            t = corolla(gsig, f"q:{a}:{qid}")
-        rep = sat.class_of(t)
+    def tensor_image(s, op, c, left):
+        # class of a generator corolla, then its image under H
+        rep = sat.class_of(corolla(*tensor_generator(s, op, c, left)))
         if rep is None:
             return None
-        rsig = term_signature(rep)
-        return H.map_ref((rsig, term_text(rep)))
+        return H.map_ref((term_signature(rep), term_text(rep)))
 
     object_map = {}
     op_maps = {}
@@ -492,7 +433,7 @@ def tensor_to_hom(H, P, Q, R, sat, hom):
                 if Q.is_unit((qs, qid)):
                     table[qid] = R.unit_ref(slice_obj[qs[1]])[1]
                 else:
-                    img = tensor_image("right", a, qid)
+                    img = tensor_image(qs, qid, a, left=False)
                     if img is None:
                         return None
                     table[qid] = img[1]
@@ -512,7 +453,7 @@ def tensor_to_hom(H, P, Q, R, sat, hom):
                 continue
             comps = {}
             for b in sorted(Q.colors):
-                img = tensor_image("left", pid, b)
+                img = tensor_image(ps, pid, b, left=True)
                 if img is None:
                     return None
                 comps[b] = img[1]
@@ -527,34 +468,26 @@ def tensor_to_hom(H, P, Q, R, sat, hom):
 def hom_to_tensor(K, P, Q, R, sat, hom):
     """Evaluate every congruence class on its representative term, sending
     each generator through K."""
-
-    T = sat.table
-
-    def gen_image(gsig, gid):
-        if gsig is None:
-            # color request: gid is a tensor color "a.b"
-            a, _, b = gid.partition(".")
-            F = hom.functors[K.object_map[a]]
-            return F.object_map[b]
-        kind, mid, rest = gid.split(":", 2)
-        if kind == "q":
-            a, qid = mid, rest
-            F = hom.functors[K.object_map[a]]
-            qsig = next(s for s in Q.signatures() if qid in Q.ops_at(s))
-            return F.map_ref((qsig, qid))
-        pid, b = mid, rest
-        psig = next(s for s in P.signatures() if pid in P.ops_at(s))
-        oid = K.op_maps[psig][pid]
-        hsig = K.map_sig(psig)
-        xi = hom.knats[hsig, oid]
-        return xi.component_ref(b)
-
     object_map = {}
+    images = {}  # tensor generator (gsig, gid) -> its image in R
     for a in P.colors:
         F = hom.functors[K.object_map[a]]
         for b in Q.colors:
             object_map[pair_color(a, b)] = F.object_map[b]
+        for qref in Q.refs():
+            images[tensor_generator(*qref, a, left=False)] = F.map_ref(qref)
+    for ps, pid in P.refs():
+        xi = hom.knats[K.map_ref((ps, pid))]
+        for b in Q.colors:
+            gen = tensor_generator(ps, pid, b, left=True)
+            images[gen] = xi.component_ref(b)
+
+    def gen_image(gsig, gid):
+        # gsig None asks for the image of the tensor color gid
+        return object_map[gid] if gsig is None else images[gsig, gid]
+
     op_maps = {}
+    T = sat.table
     for s in T.signatures():
         table = {}
         for tid in T.ops_at(s):

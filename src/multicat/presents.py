@@ -326,6 +326,16 @@ def _right_id(a, qid):
     return f"q:{a}:{qid}"
 
 
+def tensor_generator(s, op, c, left):
+    """Signature and id of the tensor generator for the operation ``op`` at
+    ``s`` of the left factor (or the right one) at the other's color c."""
+    if left:
+        return ((tuple(pair_color(x, c) for x in s[0]), pair_color(s[1], c)),
+                _left_id(op, c))
+    return ((tuple(pair_color(c, x) for x in s[0]), pair_color(c, s[1])),
+            _right_id(c, op))
+
+
 def _require_complete(M):
     if not M.complete:
         raise PartialInputError(
@@ -344,14 +354,7 @@ def _tensor_generators(P, Q):
                 if M.is_unit((s, op)):
                     continue
                 for c in other_colors:
-                    if fixed_right:
-                        gsig = (tuple(pair_color(x, c) for x in s[0]),
-                                pair_color(s[1], c))
-                        gid = _left_id(op, c)
-                    else:
-                        gsig = (tuple(pair_color(c, x) for x in s[0]),
-                                pair_color(c, s[1]))
-                        gid = _right_id(c, op)
+                    gsig, gid = tensor_generator(s, op, c, fixed_right)
                     ops.setdefault(gsig, []).append(gid)
 
     add_side(P, Q.colors, True)
@@ -396,13 +399,7 @@ def _side_relations(M, other_colors, fixed_right, gens):
             color = (pair_color(s[1], c) if fixed_right
                      else pair_color(c, s[1]))
             return identity_term(color)
-        if fixed_right:
-            gsig = (tuple(pair_color(x, c) for x in s[0]),
-                    pair_color(s[1], c))
-            return corolla(gsig, _left_id(op, c))
-        gsig = (tuple(pair_color(c, x) for x in s[0]),
-                pair_color(c, s[1]))
-        return corolla(gsig, _right_id(c, op))
+        return corolla(*tensor_generator(s, op, c, fixed_right))
 
     for (psig, p, slot, qsig, q), r in M.comp.items():
         rsig = composed_sig(psig, slot, qsig)

@@ -544,53 +544,49 @@ def canonical_circle(root_elem, blocks, m_layer):
     return best
 
 
+def shuffles(n, k):
+    """The ways to deal the input positions 0..n-1 into k ordered blocks,
+    each a sorted tuple of positions, in product order."""
+    assigns = product(range(k), repeat=n) if k else ([()] if n == 0 else [])
+    for assign in assigns:
+        yield tuple(tuple(p for p in range(n) if assign[p] == j)
+                    for j in range(k))
+
+
+def renumber_blocks(blocks, p):
+    """Move (positions, item) blocks along the permutation p of their
+    inputs: yields (new positions, rho, item), where local position t of
+    the new block reads the old local position rho[t]."""
+    inv = perms.inverse(p)
+    for S, item in blocks:
+        new_s = tuple(sorted(inv[x] for x in S))
+        old_sorted = sorted(S)
+        yield new_s, tuple(old_sorted.index(p[x]) for x in new_s), item
+
+
 def circle_layer(m_layer, n_layer, max_arity):
     """The circle product: one m-element at the root, n-elements on its
     inputs, modulo the simultaneous block permutation."""
     by_sig = {}
     for ms in m_layer.signatures():
-        k = len(ms[0])
         for n in range(max_arity + 1):
-            for assign in product(range(k), repeat=n) if k else ([()] if n == 0 else []):
-                blocks_pos = tuple(
-                    tuple(p for p in range(n) if assign[p] == j)
-                    for j in range(k))
+            for blocks_pos in shuffles(n, len(ms[0])):
+                pools = [[e for cs in n_layer.signatures()
+                          if cs[1] == out and len(cs[0]) == len(S)
+                          for e in n_layer.elements(cs)]
+                         for S, out in zip(blocks_pos, ms[0])]
                 for root in m_layer.elements(ms):
-                    pools = []
-                    ok = True
-                    for j, S in enumerate(blocks_pos):
-                        wanted_out = ms[0][j]
-                        cands = []
-                        for cs in n_layer.signatures():
-                            if cs[1] == wanted_out and len(cs[0]) == len(S):
-                                cands.extend(
-                                    (cs, e) for e in n_layer.elements(cs))
-                        if not cands:
-                            ok = False
-                            break
-                        pools.append(cands)
-                    if not ok and k:
-                        continue
                     for combo in product(*pools):
-                        blocks = tuple(
-                            (blocks_pos[j], combo[j][1]) for j in range(k))
-                        e = canonical_circle(root, blocks, m_layer)
-                        s = elem_signature(e)
-                        by_sig.setdefault(s, set()).add(e)
+                        e = canonical_circle(
+                            root, tuple(zip(blocks_pos, combo)), m_layer)
+                        by_sig.setdefault(elem_signature(e), set()).add(e)
 
     def act(elem, p):
         _, root, blocks = elem
-        inv = perms.inverse(p)
-        new_blocks = []
-        for S, child in blocks:
-            newS = tuple(sorted(inv[x] for x in S))
-            old_sorted = sorted(S)
-            # relative order of the block's inputs after the global
-            # renumbering: local position t of the new block reads the
-            # old local position of the input it came from
-            rho = tuple(old_sorted.index(p[x]) for x in newS)
-            new_blocks.append((newS, n_layer.act(child, rho)))
-        return canonical_circle(root, tuple(new_blocks), m_layer)
+        return canonical_circle(
+            root, tuple((S, n_layer.act(child, rho))
+                        for S, rho, child in renumber_blocks(blocks, p)),
+            m_layer)
 
     return LayeredSet({s: sorted(v) for s, v in by_sig.items()}, act,
                       name=f"{m_layer.name}∘{n_layer.name}")

@@ -1,5 +1,6 @@
 """The document format, diagnostics, the driver, and determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -154,6 +155,26 @@ class TestCli:
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
 
+    def test_multicolored_adjunction(self, docs_dir, tmp_path):
+        out = tmp_path / "adj.json"
+        assert run_cli("adjunction", str(docs_dir / "twocolor.mcat"),
+                       "Pair", "Point", "Pair", "--cap-arity", "2",
+                       "--cap-vertices", "2", "--out", str(out)) == 0
+        doc = json.loads(out.read_text())
+        assert doc["bijective"] and doc["round_trips_ok"]
+        assert doc["tensor_side"] == doc["hom_side"] == 4
+
+    def test_multifunctor_budget_message(self, docs_dir):
+        proc = subprocess.run(
+            [sys.executable, "-m", "multicat.cli", "hom",
+             str(docs_dir / "com2.mcat"), "Com2", "Com2", "--objects-only",
+             "--budget", "1"],
+            capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert "multifunctor search exceeded 1 candidates" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
     def test_missing_block_usage_error(self, docs_dir):
         assert run_cli("export", str(docs_dir / "i.mcat"),
                        "--name", "NoSuch") == 2
@@ -185,3 +206,37 @@ class TestCommandTable:
             assert COMMAND_TABLE[op] in SUBCOMMANDS
         # and nothing maps to several subcommands: the table is a function
         assert len(COMMAND_TABLE) == len(set(COMMAND_TABLE))
+
+
+# sha256 of the JSON artifacts of the search-backed subcommands, taken
+# before the multifunctor and module-homomorphism searches were merged
+SEARCH_DIGESTS = {
+    "hom": (
+        ("hom", "com2.mcat", "Com2", "Com2", "--cap-arity", "2"),
+        "96409e653b771eb47af85d7e95a32c8780179a84f4dc24b8f83c5cc56069bc25"),
+    "hom-objects-only": (
+        ("hom", "com2.mcat", "Com2", "Com2", "--objects-only"),
+        "847ae2273b47c42c354a033047eefb1c52a171338c5c6798d1cc1cbff3550633"),
+    "algebras": (
+        ("algebras", "as3.mcat", "--name", "As3", "--carrier", "x=a,b"),
+        "a37c1f4368be8d034ec226eae315beeca5c6415e4b1114ef2da776a9ed2f56ed"),
+    "end-module": (
+        ("end", "bimod.mcat", "--module", "Reg"),
+        "a2ad5edc6b43edc1295662cbc9569492b75ec60d979ae360cf6b974b15882b26"),
+    "end-analyze": (
+        ("end", "bimod.mcat", "--module", "Reg", "--analyze"),
+        "f7f26935111063dd1b28594df3a0e61e72c55015e75e4272987f0e8554e2c70a"),
+    "adjunction": (
+        ("adjunction", "adjunction.mcat", "I", "As2", "As2",
+         "--cap-arity", "2", "--cap-vertices", "3"),
+        "3e545123a89df0e451763f1bb5791b4324adeebf27266d4bb75616cb5e3e68da"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEARCH_DIGESTS))
+def test_search_outputs_unchanged(name, docs_dir, tmp_path):
+    (command, document, *rest), digest = SEARCH_DIGESTS[name]
+    out = tmp_path / "out.json"
+    assert run_cli(command, str(docs_dir / document), *rest,
+                   "--out", str(out)) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

@@ -12,6 +12,7 @@ from multicat.homcalc import (KNatTransformation, Multifunctor,
                               generated_ops, identity_multifunctor,
                               internal_hom, is_k_natural,
                               naturality_on_generators)
+from multicat.presents import arrow_multicategory
 from multicat.standard import (assoc_multicategory, comm_multicategory,
                                indiscrete_pair, unit_multicategory)
 
@@ -165,6 +166,17 @@ class TestAdjunction:
         rep = adjunction_check(COM2, COM2, view, max_arity=4,
                                max_vertices=4)
         assert rep.ok and rep.tensor_side == 4
+
+    @pytest.mark.parametrize("P", [
+        arrow_multicategory(I, 1), indiscrete_pair()],
+        ids=["arrow", "indiscrete"])
+    def test_multicolored_source(self, P):
+        # the same op id at several signatures of P: transposition must
+        # read the signature it loops over, not the first one holding the id
+        assert len({op for s in P.signatures() for op in P.ops_at(s)}) \
+            < sum(len(P.ops_at(s)) for s in P.signatures())
+        rep = adjunction_check(P, I, AS2, max_arity=2, max_vertices=2)
+        assert rep.bijective and rep.round_trips_ok and not rep.witnesses
 
     def test_naturality_in_the_target(self):
         # transposing after postcomposition equals pushing the hom side
