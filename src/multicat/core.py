@@ -13,6 +13,7 @@ within a signature.  An operation is referenced as a pair
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 
 from . import perms
@@ -83,6 +84,21 @@ class FiniteCollection:
                 f"no action entry for {op} at {sig_key(s)} under {p}")
         return ((perms.permute(s[0], p), s[1]), table[op])
 
+    @cached_property
+    def _images(self):
+        return {}
+
+    def images(self, ref):
+        """Every symmetric image of an operation as ``(p, signature, id)``,
+        in the order of ``perms.all_perms``; filled once per operation and
+        raising as :meth:`act` does on a missing action entry."""
+        got = self._images.get(ref)
+        if got is None:
+            got = tuple((p, *self.act(ref, p))
+                        for p in perms.all_perms(len(ref[0][0])))
+            self._images[ref] = got
+        return got
+
     def refs(self):
         for s in self.signatures():
             for op in self.ops[s]:
@@ -96,7 +112,8 @@ def complete_actions(ops, generators):
     identity tables are implicit, and adjacent transpositions at every
     signature suffice as input.  Raises on inconsistency (two generator
     words assigning different tables to the same permutation) or when the
-    given permutations do not generate the full group.
+    given permutations do not generate the full group, or when a
+    generator table misses an operation it is applied to.
     """
     action = {}
     for s in ops:
@@ -112,6 +129,11 @@ def complete_actions(ops, generators):
             if gsig != psig:
                 continue
             new_p = perms.compose(p, t)
+            missing = set(table.values()) - gen.keys()
+            if missing:
+                raise StructuralError(
+                    f"action generator {t} at {sig_key(psig)} has no entry "
+                    f"for {min(missing)}")
             new_table = {op: gen[table[op]] for op in table}
             key = (s, new_p)
             if key in action:

@@ -12,10 +12,24 @@ three inference moves until a full round adds no merges:
 * the leaf-renumbering symmetric actions.
 
 Representatives are minimal in (vertex count, encoding), so rewriting
-never escapes the caps.  The computed quotient is a sound lower bound for
-the presented congruence; ``stabilized`` is reported only when every
-relation seed fits inside the caps and the closure reached a merge-free
-round, and facts should only be asserted of stabilized results.
+never escapes the caps.  The terms are numbered once, in sorted order, and
+the closure runs on those numbers.  Each instance of a move runs once: a
+rewrite per (term, subtree, representative of the subtree), a
+substitution per (term, slot, argument), and the symmetric move per
+(term, representative); the term images under grafting and renumbering
+are computed once and kept.  Since a union is never undone, a repeated
+instance could only repeat a union that is already made, so every
+round's merges, the round count and the quotient are those of re-running
+every move over every term.
+
+The computed quotient is a sound lower bound for the presented
+congruence.  ``stabilized`` is reported when every relation seed fits
+inside the caps and the bounded closure reached a merge-free round: a
+fixpoint of the moves on the terms within the caps.  It does not mean
+that the quotient is the presented operad cut to the caps, since a
+consequence may need a detour through larger terms.  The tensor
+Com2(x)Com2 at caps (4, 3) is stabilized with 115 classes at arity 4,
+where Eckmann-Hilton forces one (caps (4, 4) give one).
 """
 
 from dataclasses import dataclass, field
@@ -25,7 +39,7 @@ from .core import (FiniteCollection, TableMulticategory, composed_sig,
                    restrict_objects, sig_key, tabulate)
 from .errors import DomainError, PartialInputError, StructuralError
 from .trees import (canonical_term, corolla, enumerate_terms, graft,
-                    identity_term, renumber_term, term_arity,
+                    identity_term, renumber_term, renumbering,
                     term_signature, term_text, term_vertices)
 
 
@@ -92,10 +106,6 @@ class UnionFind:
         return out
 
 
-def _term_key(t):
-    return (term_vertices(t), t)
-
-
 def subtree_sites(t, path=()):
     """Proper vertex subtrees of t, as (path, node) pairs."""
     if t[0] == "L":
@@ -158,6 +168,9 @@ class Saturation:
     structure: dict = field(repr=False, default_factory=dict)
     max_arity: int = 3
     max_vertices: int = 4
+    # canonical term outside rep_of -> its class_of result; exact because
+    # rep_of does not change once the saturation is built
+    reduced: dict = field(repr=False, default_factory=dict, init=False)
 
     def class_of(self, term):
         """Representative of a term's congruence class, reducing oversized
@@ -165,8 +178,11 @@ class Saturation:
         cannot be brought inside the caps."""
         gens = self.presentation.generators
         t = canonical_term(term, gens)
-        if t in self.rep_of:
-            return self.rep_of[t]
+        got = self.rep_of.get(t)
+        if got is not None:
+            return got
+        if t in self.reduced:
+            return self.reduced[t]
         if t[0] == "L":
             return t
         children = []
@@ -177,130 +193,158 @@ class Saturation:
             std, mapping = extract_standalone(child)
             red = self.class_of(std)
             if red is None:
-                return None
+                break
             children.append(embed_standalone(red, mapping))
-        t2 = canonical_term(("N", t[1], t[2], tuple(children)), gens)
-        return self.rep_of.get(t2)
+        else:
+            red = self.rep_of.get(
+                canonical_term(("N", t[1], t[2], tuple(children)), gens))
+        self.reduced[t] = red
+        return red
 
 
 def saturate(presentation, max_arity=3, max_vertices=4, max_rounds=200):
     """Bounded congruence closure of a presentation; see module docstring."""
     gens = presentation.generators
     terms = enumerate_terms(gens, max_arity, max_vertices, symmetric=True)
-    term_set = set(terms)
-    uf = UnionFind(terms)
+    index = {t: i for i, t in enumerate(terms)}
+    n_terms = len(terms)
+    sig = [term_signature(t) for t in terms]
+    vert = [term_vertices(t) for t in terms]
+    # terms are sorted, so ranking by (vertices, id) ranks by (vertices, term)
+    by_rank = sorted(range(n_terms), key=lambda i: (vert[i], i))
+    rank = [0] * n_terms
+    for r, i in enumerate(by_rank):
+        rank[i] = r
+    all_perms = {n: perms.all_perms(n) for n in range(max_arity + 1)}
 
-    canon_cache = {}
+    def canon_id(t):
+        return index.get(canonical_term(t, gens), -1)
 
-    def canon(t):
-        got = canon_cache.get(t)
-        if got is None:
-            got = canonical_term(t, gens)
-            canon_cache[t] = got
-        return got
-
-    vert = {t: term_vertices(t) for t in terms}
-    sig_of = {t: term_signature(t) for t in terms}
-
+    uf = UnionFind(range(n_terms))
     seed_escapes = 0
     for left, right in presentation.relations:
-        l, r = canon(left), canon(right)
-        if l in term_set and r in term_set:
+        l, r = canon_id(left), canon_id(right)
+        if l >= 0 and r >= 0:
             uf.union(l, r)
         else:
             seed_escapes += 1
 
-    def rep_map():
-        reps = {}
-        for root, members in uf.classes().items():
-            rep = min(members, key=_term_key)
-            for m in members:
-                reps[m] = rep
-        return reps
+    def class_reps():
+        roots = [uf.find(i) for i in range(n_terms)]
+        best = {}
+        for i, root in enumerate(roots):
+            b = best.get(root)
+            if b is None or rank[i] < rank[b]:
+                best[root] = i
+        return [best[root] for root in roots]
 
+    grafts = {}  # (x, slot, r) -> canonical id of graft(x, slot, r), or -1
+
+    def graft_id(x, slot, r):
+        key = (x, slot, r)
+        got = grafts.get(key)
+        if got is None:
+            got = grafts[key] = canon_id(graft(terms[x], slot, terms[r]))
+        return got
+
+    image = renumbering(terms, index, gens)
+
+    # the rewrite sites of every term, indexed by their standalone subtree
+    sites_of = {}
+    std_ids = {}
+    for u, t in enumerate(terms):
+        for path, node in subtree_sites(t):
+            std, mapping = extract_standalone(node)
+            c = std_ids.get(std)
+            if c is None:
+                c = std_ids[std] = canon_id(std)
+            if c >= 0:
+                sites_of.setdefault(c, []).append((u, path, mapping))
+
+    # Each move instance runs once: a term whose representative did not
+    # change since the last round would only repeat its unions.  Classes
+    # only grow, so representatives only fall in rank and a term that is
+    # not a representative never becomes one again.
     rounds = 0
     stabilized = False
-    graft_done = set()
-    sites = {t: tuple(subtree_sites(t)) for t in terms}
-    extracted = {}
-    for t in terms:
-        ex = []
-        for path, node in sites[t]:
-            std, mapping = extract_standalone(node)
-            ex.append((path, canon(std), tuple(mapping)))
-        extracted[t] = tuple(ex)
-
+    reps = list(range(n_terms))  # before the seeds, every term is its own
     while rounds < max_rounds:
         rounds += 1
-        reps = rep_map()
+        prev, reps = reps, class_reps()
+        moved = [u for u in range(n_terms) if reps[u] != prev[u]]
         merged = False
 
-        # rewrite subtrees to their representatives
-        for u in terms:
-            for path, std_c, mapping in extracted[u]:
-                rep = reps.get(std_c)
-                if rep is None or rep == std_c:
-                    continue
-                u2 = canon(replace_path(u, path,
-                                        embed_standalone(rep, list(mapping))))
-                if u2 in term_set:
+        # rewrite subtrees to their representatives, per (u, site, rep)
+        for c in moved:
+            rep = terms[reps[c]]
+            for u, path, mapping in sites_of.get(c, ()):
+                u2 = canon_id(replace_path(terms[u], path,
+                                           embed_standalone(rep, mapping)))
+                if u2 >= 0:
                     merged |= uf.union(u, u2)
 
-        # substitute representatives into the leaves of merged pairs;
-        # each (term, slot, argument) instance runs once over the whole run
+        # substitute representatives into the leaves of merged pairs; each
+        # (term, slot, argument) instance runs once, when the term first
+        # stops being a representative (later rounds' representatives are
+        # among this round's)
         by_color = {}
-        for rep in set(reps.values()):
-            by_color.setdefault(sig_of[rep][1], []).append(rep)
-        for u in terms:
-            ru = reps[u]
-            if ru == u:
+        for r in range(n_terms):
+            if reps[r] == r:
+                by_color.setdefault(sig[r][1], []).append(r)
+        for u in moved:
+            if prev[u] != u:
                 continue
-            s = sig_of[u]
-            for i, color in enumerate(s[0]):
+            ru = reps[u]
+            inputs = sig[u][0]
+            for i, color in enumerate(inputs):
                 for r in by_color.get(color, ()):
-                    key = (u, i, r)
-                    if key in graft_done:
-                        continue
-                    if (len(s[0]) + len(sig_of[r][0]) - 1 > max_arity
+                    if (len(inputs) + len(sig[r][0]) - 1 > max_arity
                             or vert[u] + vert[r] > max_vertices):
                         continue
-                    graft_done.add(key)
-                    w1 = canon(graft(u, i, r))
-                    w2 = canon(graft(ru, i, r))
-                    if w1 in term_set and w2 in term_set:
+                    w1, w2 = graft_id(u, i, r), graft_id(ru, i, r)
+                    if w1 >= 0 and w2 >= 0:
                         merged |= uf.union(w1, w2)
 
-        # close under the symmetric actions
-        for u in terms:
+        # close under the symmetric actions, once per (u, rep of u)
+        for u in moved:
             ru = reps[u]
-            if ru == u:
-                continue
-            n = term_arity(u)
-            for p in perms.all_perms(n):
-                merged |= uf.union(canon(renumber_term(u, p)),
-                                   canon(renumber_term(ru, p)))
+            for p in all_perms[len(sig[u][0])]:
+                merged |= uf.union(image(u, p), image(ru, p))
 
         if not merged:
             stabilized = True
             break
 
-    reps = rep_map()
+    reps = class_reps()
+    rep_of = {t: terms[reps[i]] for i, t in enumerate(terms)}
     sat = Saturation(
         table=None, report=None, presentation=presentation,
-        rep_of=reps, max_arity=max_arity, max_vertices=max_vertices)
+        rep_of=rep_of, max_arity=max_arity, max_vertices=max_vertices)
     elements = {}
-    for rep in sorted(set(reps.values()), key=_term_key):
-        elements.setdefault(term_signature(rep), []).append(rep)
+    for i in by_rank:
+        if reps[i] == i:
+            elements.setdefault(sig[i], []).append(terms[i])
+
+    def act(s, t, p):
+        return terms[reps[image(index[t], p)]]
+
+    def compose(s, t, slot, qs, q):
+        x, r = index[t], index[q]
+        if vert[x] + vert[r] <= max_vertices:
+            w = graft_id(x, slot, r)
+            if w >= 0:
+                return terms[reps[w]]
+        return sat.class_of(graft(t, slot, q))
+
     table, sat.structure, comp_escapes = tabulate(
         sorted(gens.colors), elements,
-        {c: reps[identity_term(c)] for c in gens.colors}, term_text,
-        lambda s, t, p: reps[canon(renumber_term(t, p))],
-        lambda s, t, slot, qs, q: sat.class_of(graft(t, slot, q)),
-        arity_cap=max_arity, name=presentation.name or "saturated")
+        {c: rep_of[identity_term(c)] for c in gens.colors}, term_text,
+        act, compose, arity_cap=max_arity,
+        name=presentation.name or "saturated")
     report = SaturationReport(
         stabilized=stabilized and seed_escapes == 0,
         rounds=rounds,
-        term_count=len(terms),
+        term_count=n_terms,
         class_counts={sig_key(s): len(v) for s, v in table.ops.items()},
         seed_escapes=seed_escapes,
         comp_escapes=comp_escapes,

@@ -127,19 +127,19 @@ def canonical_term(t, gens):
     At each vertex the generator may be replaced by any of its symmetric
     images with the children permuted accordingly; minimizing bottom-up
     over these local moves picks one representative per equivalence class.
+    The images of each generator come from the collection's table
+    (:meth:`FiniteCollection.images`).
     """
     if t[0] == "L":
         return t
-    children = tuple(canonical_term(c, gens) for c in t[3])
-    gsig, gid = t[1], t[2]
-    best = None
-    for p in perms.all_perms(len(children)):
-        new_sig, new_id = gens.act((gsig, gid), p)
-        cand = ("N", new_sig, new_id,
-                tuple(children[p[i]] for i in range(len(children))))
-        if best is None or cand < best:
-            best = cand
-    return best
+    children = tuple([c if c[0] == "L" else canonical_term(c, gens)
+                      for c in t[3]])
+    images = gens.images((t[1], t[2]))
+    if len(images) == 1:
+        return ("N", t[1], t[2], children)
+    pick = children.__getitem__
+    return min([("N", new_sig, new_id, tuple(map(pick, p)))
+                for p, new_sig, new_id in images])
 
 
 def term_text(t):
@@ -435,12 +435,75 @@ def enumerate_terms(gens, max_arity, max_vertices, symmetric):
         planar |= pool
     if not symmetric:
         return sorted(planar)
+    # the renumbering orbit of each new canonical form, walked along the
+    # adjacent transpositions (they generate the symmetric group)
     out = set()
     for t in planar:
-        n = term_arity(t)
-        for p in perms.all_perms(n):
-            out.add(canonical_term(renumber_term(t, p), gens))
+        c = canonical_term(t, gens)
+        if c in out:
+            continue
+        out.add(c)
+        moves = perms.adjacent_transpositions(term_arity(c))
+        frontier = [c]
+        while frontier:
+            x = frontier.pop()
+            for tau in moves:
+                y = canonical_term(renumber_term(x, tau), gens)
+                if y not in out:
+                    out.add(y)
+                    frontier.append(y)
     return sorted(out)
+
+
+def renumbering(terms, index, gens):
+    """The symmetric action on a symmetric term enumeration, by position:
+    ``image(x, p)`` is the position (``index``) in ``terms`` of
+    ``canonical_term(renumber_term(terms[x], p), gens)``, or -1 when that
+    term is not in ``terms``.
+
+    The images of one term are filled together, walking from the identity
+    along adjacent transpositions (``renumber_term(t, compose(s, tau))`` is
+    ``renumber_term(renumber_term(t, s), tau)``, and renumbering commutes
+    with the per-vertex actions), so each pair of a term and a
+    transposition is canonicalized at most once.
+    """
+    walks = {}  # arity -> (transpositions, {p: slot}, [(slot of s, k)])
+    moves = {}  # (position, k) -> position of the k-th transposition image
+    rows = {}  # position -> its images, by slot
+
+    def walk(n):
+        got = walks.get(n)
+        if got is None:
+            taus = perms.adjacent_transpositions(n)
+            order = [perms.identity(n)]
+            slot = {order[0]: 0}
+            steps = []
+            for s in order:
+                for k, tau in enumerate(taus):
+                    p = perms.compose(s, tau)
+                    if p not in slot:
+                        slot[p] = len(order)
+                        order.append(p)
+                        steps.append((slot[s], k))
+            got = walks[n] = (taus, slot, steps)
+        return got
+
+    def image(x, p):
+        taus, slot, steps = walk(len(p))
+        row = rows.get(x)
+        if row is None:
+            row = rows[x] = [x]
+            for src, k in steps:
+                y = row[src]
+                z = moves.get((y, k))
+                if z is None:
+                    z = moves[y, k] = -1 if y < 0 else index.get(
+                        canonical_term(renumber_term(terms[y], taus[k]),
+                                       gens), -1)
+                row.append(z)
+        return row[slot[p]]
+
+    return image
 
 
 def free_multicategory(gens, symmetric, max_arity=3, max_vertices=4,
@@ -458,11 +521,16 @@ def free_multicategory(gens, symmetric, max_arity=3, max_vertices=4,
     def canon(t):
         return canonical_term(t, gens) if symmetric else t
 
+    index = {t: i for i, t in enumerate(terms)}
+    image = renumbering(terms, index, gens)
+
     def act(s, t, p):
-        acted = canon(renumber_term(t, p))
-        if acted not in term_set:
+        if not symmetric:
+            return t
+        acted = image(index[t], p)
+        if acted < 0:
             raise StructuralError("renumbering left the term pool")
-        return acted
+        return terms[acted]
 
     def compose(s, t, slot, qs, q):
         w = canon(graft(t, slot, q))

@@ -175,6 +175,19 @@ class TestCli:
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
 
+    def test_partial_action_generator_is_a_diagnostic(self, tmp_path):
+        path = tmp_path / "partial.mcat"
+        path.write_text("multicategory Bad\n  color x\n"
+                        "  ops (x,x;x) = m n\n"
+                        "  act (x,x;x) m [2,1] = n\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "multicat.cli", "check", str(path)],
+            capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr + proc.stdout
+        assert "1:0: STRUCT: action generator (1, 0) at x,x;x has no " \
+            "entry for n" in proc.stderr + proc.stdout
+
     def test_missing_block_usage_error(self, docs_dir):
         assert run_cli("export", str(docs_dir / "i.mcat"),
                        "--name", "NoSuch") == 2

@@ -1,0 +1,403 @@
+"""Integer-coded saturation against the loops it replaced.
+
+`ref_saturate` is the earlier closure of `presents.saturate`: terms as
+nested tuples, all three moves re-run over every term in every round, and
+no memo in `class_of` (`RefSaturation`).  `ref_symmetric_terms` is the
+earlier symmetric branch of `trees.enumerate_terms` (every planar term
+under every permutation) and `ref_canonical_term` the earlier
+canonicalization that asks `FiniteCollection.act` per permutation and
+vertex.  Every field of the result is compared: the report with its
+`rounds`, `rep_of`, `structure` and the table's JSON.
+"""
+
+from dataclasses import dataclass, field
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from multicat import jsonio, perms
+from multicat.core import FiniteCollection, sig_key, tabulate
+from multicat.dsl import elaborate, parse
+from multicat.errors import StructuralError
+from multicat.homcalc import Multifunctor, identity_multifunctor
+from multicat.presents import (Presentation, SaturationReport, UnionFind,
+                               _tensor_generators, arrow_multicategory,
+                               coproduct,
+                               embed_standalone, extract_standalone,
+                               interchange_relations, pushout, replace_path,
+                               saturate, subtree_sites)
+from multicat.standard import (assoc_multicategory, comm_multicategory,
+                               unit_multicategory)
+from multicat.trees import (canonical_term, corolla, enumerate_terms, graft,
+                            identity_term, renumber_term, term_arity,
+                            term_signature, term_text, term_vertices)
+
+I = unit_multicategory()
+AS2 = assoc_multicategory(2)
+AS3 = assoc_multicategory(3)
+COM2 = comm_multicategory(2)
+
+
+# ---------------------------------------------------------------------------
+# reference copies
+
+
+def ref_canonical_term(t, gens):
+    if t[0] == "L":
+        return t
+    children = tuple(ref_canonical_term(c, gens) for c in t[3])
+    gsig, gid = t[1], t[2]
+    best = None
+    for p in perms.all_perms(len(children)):
+        new_sig, new_id = gens.act((gsig, gid), p)
+        cand = ("N", new_sig, new_id,
+                tuple(children[p[i]] for i in range(len(children))))
+        if best is None or cand < best:
+            best = cand
+    return best
+
+
+def ref_symmetric_terms(gens, max_arity, max_vertices):
+    planar = enumerate_terms(gens, max_arity, max_vertices, symmetric=False)
+    out = set()
+    for t in planar:
+        n = term_arity(t)
+        for p in perms.all_perms(n):
+            out.add(ref_canonical_term(renumber_term(t, p), gens))
+    return sorted(out)
+
+
+def _term_key(t):
+    return (term_vertices(t), t)
+
+
+@dataclass
+class RefSaturation:
+    table: object
+    report: SaturationReport
+    presentation: Presentation
+    rep_of: dict = field(repr=False, default_factory=dict)
+    structure: dict = field(repr=False, default_factory=dict)
+    max_arity: int = 3
+    max_vertices: int = 4
+
+    def class_of(self, term):
+        gens = self.presentation.generators
+        t = ref_canonical_term(term, gens)
+        if t in self.rep_of:
+            return self.rep_of[t]
+        if t[0] == "L":
+            return t
+        children = []
+        for child in t[3]:
+            if child[0] == "L":
+                children.append(child)
+                continue
+            std, mapping = extract_standalone(child)
+            red = self.class_of(std)
+            if red is None:
+                return None
+            children.append(embed_standalone(red, mapping))
+        t2 = ref_canonical_term(("N", t[1], t[2], tuple(children)), gens)
+        return self.rep_of.get(t2)
+
+
+def ref_saturate(presentation, max_arity=3, max_vertices=4, max_rounds=200):
+    gens = presentation.generators
+    terms = ref_symmetric_terms(gens, max_arity, max_vertices)
+    term_set = set(terms)
+    uf = UnionFind(terms)
+
+    canon_cache = {}
+
+    def canon(t):
+        got = canon_cache.get(t)
+        if got is None:
+            got = ref_canonical_term(t, gens)
+            canon_cache[t] = got
+        return got
+
+    vert = {t: term_vertices(t) for t in terms}
+    sig_of = {t: term_signature(t) for t in terms}
+
+    seed_escapes = 0
+    for left, right in presentation.relations:
+        l, r = canon(left), canon(right)
+        if l in term_set and r in term_set:
+            uf.union(l, r)
+        else:
+            seed_escapes += 1
+
+    def rep_map():
+        reps = {}
+        for root, members in uf.classes().items():
+            rep = min(members, key=_term_key)
+            for m in members:
+                reps[m] = rep
+        return reps
+
+    rounds = 0
+    stabilized = False
+    graft_done = set()
+    sites = {t: tuple(subtree_sites(t)) for t in terms}
+    extracted = {}
+    for t in terms:
+        ex = []
+        for path, node in sites[t]:
+            std, mapping = extract_standalone(node)
+            ex.append((path, canon(std), tuple(mapping)))
+        extracted[t] = tuple(ex)
+
+    while rounds < max_rounds:
+        rounds += 1
+        reps = rep_map()
+        merged = False
+
+        for u in terms:
+            for path, std_c, mapping in extracted[u]:
+                rep = reps.get(std_c)
+                if rep is None or rep == std_c:
+                    continue
+                u2 = canon(replace_path(u, path,
+                                        embed_standalone(rep, list(mapping))))
+                if u2 in term_set:
+                    merged |= uf.union(u, u2)
+
+        by_color = {}
+        for rep in set(reps.values()):
+            by_color.setdefault(sig_of[rep][1], []).append(rep)
+        for u in terms:
+            ru = reps[u]
+            if ru == u:
+                continue
+            s = sig_of[u]
+            for i, color in enumerate(s[0]):
+                for r in by_color.get(color, ()):
+                    key = (u, i, r)
+                    if key in graft_done:
+                        continue
+                    if (len(s[0]) + len(sig_of[r][0]) - 1 > max_arity
+                            or vert[u] + vert[r] > max_vertices):
+                        continue
+                    graft_done.add(key)
+                    w1 = canon(graft(u, i, r))
+                    w2 = canon(graft(ru, i, r))
+                    if w1 in term_set and w2 in term_set:
+                        merged |= uf.union(w1, w2)
+
+        for u in terms:
+            ru = reps[u]
+            if ru == u:
+                continue
+            n = term_arity(u)
+            for p in perms.all_perms(n):
+                merged |= uf.union(canon(renumber_term(u, p)),
+                                   canon(renumber_term(ru, p)))
+
+        if not merged:
+            stabilized = True
+            break
+
+    reps = rep_map()
+    sat = RefSaturation(
+        table=None, report=None, presentation=presentation,
+        rep_of=reps, max_arity=max_arity, max_vertices=max_vertices)
+    elements = {}
+    for rep in sorted(set(reps.values()), key=_term_key):
+        elements.setdefault(term_signature(rep), []).append(rep)
+    table, sat.structure, comp_escapes = tabulate(
+        sorted(gens.colors), elements,
+        {c: reps[identity_term(c)] for c in gens.colors}, term_text,
+        lambda s, t, p: reps[canon(renumber_term(t, p))],
+        lambda s, t, slot, qs, q: sat.class_of(graft(t, slot, q)),
+        arity_cap=max_arity, name=presentation.name or "saturated")
+    sat.report = SaturationReport(
+        stabilized=stabilized and seed_escapes == 0,
+        rounds=rounds,
+        term_count=len(terms),
+        class_counts={sig_key(s): len(v) for s, v in table.ops.items()},
+        seed_escapes=seed_escapes,
+        comp_escapes=comp_escapes,
+        caps=(max_arity, max_vertices))
+    sat.table = table
+    return sat
+
+
+# ---------------------------------------------------------------------------
+# inputs
+
+
+def magma():
+    text = (Path(__file__).parent.parent / "fixtures" / "magma.mcat")
+    objs, diags = elaborate(parse(text.read_text())[0])
+    assert not diags
+    return objs["Magma"]
+
+
+def tensor_presentation(P, Q):
+    """The presentation that `bv_tensor` saturates."""
+    pres = coproduct(P, Q)
+    rels = pres.relations + tuple(
+        interchange_relations(P, Q, pres.generators))
+    return Presentation(pres.generators, rels,
+                        name=f"{P.name or 'P'}(x){Q.name or 'Q'}")
+
+
+def arrow_pushout():
+    """The span of level-1 arrows of Com2 along the endpoint inclusions."""
+    A1 = arrow_multicategory(COM2, 1)
+    ends = [Multifunctor(source=COM2, target=A1, object_map={"x": c},
+                         op_maps={s: {op: op for op in COM2.ops_at(s)}
+                                  for s in COM2.signatures()})
+            for c in ("1", "0")]
+    return pushout(*ends)
+
+
+CASES = {
+    "magma-4-4": (magma, (4, 4)),
+    "magma-5-4": (magma, (5, 4)),
+    "com2-com2-4-3": (lambda: tensor_presentation(COM2, COM2), (4, 3)),
+    "com2-com2-4-4": (lambda: tensor_presentation(COM2, COM2), (4, 4)),
+    "i-as3-4-3": (lambda: tensor_presentation(I, AS3), (4, 3)),
+    "com2-as2-3-3": (lambda: tensor_presentation(COM2, AS2), (3, 3)),
+    "coproduct-as3-i": (lambda: coproduct(AS3, I), (3, 3)),
+    "pushout-identity": (
+        lambda: pushout(identity_multifunctor(COM2),
+                        identity_multifunctor(COM2)), (2, 3)),
+    "pushout-arrows": (arrow_pushout, (2, 3)),
+    "empty-com2-as2-3-3": (
+        lambda: Presentation(_tensor_generators(COM2, AS2), ()), (3, 3)),
+}
+
+
+def assert_same(sat, ref):
+    assert sat.report.to_json() == ref.report.to_json()
+    assert sat.rep_of == ref.rep_of
+    assert sat.structure == ref.structure
+    assert jsonio.dumps(sat.table) == jsonio.dumps(ref.table)
+
+
+# ---------------------------------------------------------------------------
+# differential tests
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_saturate_matches_reference(name):
+    build, caps = CASES[name]
+    pres = build()
+    sat, ref = saturate(pres, *caps), ref_saturate(pres, *caps)
+    assert_same(sat, ref)
+    if name == "com2-as2-3-3":
+        assert ref.report.seed_escapes and not ref.report.stabilized
+    if name.startswith("empty"):
+        assert ref.report.comp_escapes
+
+
+def test_tensor_stabilizes_below_eckmann_hilton():
+    # stabilized means the bounded closure reached a fixpoint, not that
+    # the quotient is the presented operad: Com2(x)Com2 has one class per
+    # arity, yet at caps (4, 3) the closure stops with 115 at arity 4
+    sat = saturate(tensor_presentation(COM2, COM2), 4, 3)
+    assert sat.report.stabilized
+    assert sat.report.class_counts["x.x,x.x,x.x,x.x;x.x"] == 115
+
+
+def test_class_of_memo_matches_unmemoized():
+    pres = Presentation(_tensor_generators(COM2, AS2), ())
+    sat = saturate(pres, 3, 3)
+    ref = RefSaturation(table=None, report=None, presentation=pres,
+                        rep_of=sat.rep_of, max_arity=3, max_vertices=3)
+    T = sat.table
+    cells = []
+    for (s, tid), t in sat.structure.items():
+        for slot, color in enumerate(s[0]):
+            for qs in T.signatures():
+                if qs[1] != color or len(s[0]) + len(qs[0]) - 1 > 3:
+                    continue
+                for qid in T.ops_at(qs):
+                    term = graft(t, slot, sat.structure[qs, qid])
+                    cells.append(((s, tid, slot, qs, qid), term))
+    want = [ref.class_of(term) for _, term in cells]
+    assert sum(w is None for w in want) == sat.report.comp_escapes > 0
+    # the table was filled through the memo; every cell agrees with the
+    # unmemoized reduction, and so does a second lookup that reads it
+    assert sat.reduced
+    for (key, term), w in zip(cells, want):
+        assert T.comp.get(key) == (None if w is None else term_text(w))
+        assert sat.class_of(term) == w
+
+
+GENERATORS = {
+    "binary": lambda: magma().generators,
+    "com2-as2": lambda: _tensor_generators(COM2, AS2),
+    "i-as3": lambda: _tensor_generators(I, AS3),
+    "com2-com2": lambda: _tensor_generators(COM2, COM2),
+}
+
+
+@pytest.mark.parametrize("name,caps", [
+    (name, caps) for name in sorted(GENERATORS)
+    for caps in [(3, 3), (4, 3), (5, 3)]
+    if (name, caps) != ("i-as3", (5, 3))])
+def test_symmetric_terms_match_reference(name, caps):
+    gens = GENERATORS[name]()
+    assert enumerate_terms(gens, *caps, symmetric=True) == (
+        ref_symmetric_terms(gens, *caps))
+
+
+def test_canonical_term_matches_reference():
+    gens = _tensor_generators(COM2, AS2)
+    for t in enumerate_terms(gens, 4, 3, symmetric=False):
+        for p in perms.all_perms(term_arity(t)):
+            moved = renumber_term(t, p)
+            assert canonical_term(moved, gens) == (
+                ref_canonical_term(moved, gens))
+
+
+def test_unknown_generator_raises_as_act_does():
+    s = (("x", "x"), "x")
+    gens = FiniteCollection(("x",), {s: ("m",)},
+                            {(s, p): {"m": "m"} for p in perms.all_perms(2)})
+    term = graft(corolla(s, "m"), 0, corolla(s, "k"))
+    with pytest.raises(StructuralError) as ref_err:
+        ref_canonical_term(term, gens)
+    for _ in range(2):  # a failed fill leaves no table entry behind
+        with pytest.raises(StructuralError) as err:
+            canonical_term(term, gens)
+        assert str(err.value) == str(ref_err.value)
+    # unary and nullary generators have only the identity image
+    u = (("x",), "x")
+    assert canonical_term(corolla(u, "k"), gens) == corolla(u, "k")
+
+
+# ---------------------------------------------------------------------------
+# fuzz: random relation sets
+
+
+MAGMA = magma()
+MAGMA_TERMS = [t for t in enumerate_terms(MAGMA.generators, 4, 3, True)
+               if t[0] == "N"]
+COMCOM = tensor_presentation(COM2, COM2)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(MAGMA_TERMS),
+                          st.sampled_from(MAGMA_TERMS)), max_size=4),
+       st.booleans(), st.sampled_from([(3, 3), (4, 3), (4, 2)]))
+def test_fuzz_magma_relations(pairs, with_assoc, caps):
+    rels = tuple((a, b) for a, b in pairs
+                 if term_signature(a) == term_signature(b))
+    rels += MAGMA.relations if with_assoc else ()
+    pres = Presentation(MAGMA.generators, rels, name="fuzz")
+    assert_same(saturate(pres, *caps), ref_saturate(pres, *caps))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sets(st.integers(0, len(COMCOM.relations) - 1)),
+       st.sampled_from([(3, 3), (4, 2), (3, 2)]))
+def test_fuzz_com2_com2_relations(chosen, caps):
+    rels = tuple(COMCOM.relations[i] for i in sorted(chosen))
+    pres = Presentation(COMCOM.generators, rels, name="fuzz")
+    assert_same(saturate(pres, *caps), ref_saturate(pres, *caps))
