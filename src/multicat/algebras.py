@@ -386,15 +386,9 @@ def _free_id(s, op, args):
 
 
 def _canon_free(P, s, op, args):
-    n = len(args)
-    best = None
-    for p in perms.all_perms(n):
-        s2, op2 = P.act((s, op), p)
-        args2 = tuple(args[p[i]] for i in range(n))
-        cand = _free_id(s2, op2, args2)
-        if best is None or cand < best:
-            best = cand
-    return best
+    pick = args.__getitem__
+    return min([_free_id(s2, op2, tuple(map(pick, p)))
+                for p, s2, op2 in P.collection.images((s, op))])
 
 
 def free_algebra(P, base, arity_cap=None):
@@ -699,9 +693,7 @@ def operad_to_op_algebra(P, op_table, op_structure, max_arity=3):
                     # the bare edge: value is the operad unit
                     out.append(P.unit_ref(color)[1])
                     continue
-                if idxs:
-                    ref = P.act(ref, perms.inverse(tuple(idxs)))
-                out.append(ref[1])
+                out.append(perms.unshuffle(P.act, ref, idxs)[1])
             table[tid] = tuple(out)
         action[s] = table
     return AlgebraStructure(multicategory=op_table, carrier=family,

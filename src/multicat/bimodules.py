@@ -299,6 +299,11 @@ class BarComplexTruncation:
         return self.simplicial.check_identities()
 
 
+def _block_order(blocks):
+    """The input positions of (positions, item) blocks in planar order."""
+    return tuple(x for S, _ in blocks for x in sorted(S))
+
+
 def _reposition(blocks):
     """Inline the sub-blocks of circle children using the enclosing block
     positions; order follows the merged root's input order."""
@@ -317,14 +322,10 @@ def bar_complex(X, P, Y, n_max=3, max_arity=2):
     product with n middle layers, faces act or compose adjacent layers,
     degeneracies insert units, and the augmentation is the coequalizer of
     the two faces off level 1."""
-    p_layer = base_layer(P.collection)
-    x_layer = base_layer(X.collection)
-    y_layer = base_layer(Y.collection)
-
-    towers = [y_layer]
+    towers = [base_layer(Y.collection)]
     for _ in range(n_max):
-        towers.append(circle_layer(p_layer, towers[-1], max_arity))
-    levels = [circle_layer(x_layer, towers[n], max_arity)
+        towers.append(circle_layer(P.collection, towers[-1], max_arity))
+    levels = [circle_layer(X.collection, towers[n], max_arity)
               for n in range(n_max + 1)]
 
     def x_act(root_elem, p_elems):
@@ -341,39 +342,34 @@ def bar_complex(X, P, Y, n_max=3, max_arity=2):
         # ('circ', p, blocks of bare Y) -> bare Y element, inputs
         # renumbered back to ascending position order
         _, root, blocks = elem
-        order = []
-        for S, _ in blocks:
-            order.extend(sorted(S))
-        rs, rop = Y.act_left((root[1], root[2]),
-                             [(c[1], c[2]) for _, c in blocks])
-        if order:
-            rho = perms.inverse(tuple(order))
-            if rho != perms.identity(len(rho)):
-                rs, rop = Y.act((rs, rop), rho)
+        rs, rop = perms.unshuffle(
+            Y.act, Y.act_left((root[1], root[2]),
+                              [(c[1], c[2]) for _, c in blocks]),
+            _block_order(blocks))
         return ("op", rs, rop)
 
-    def merge_head(elem, act, m_layer):
+    def merge_head(elem, act, coll):
         _, root, blocks = elem
         new_root = act(root, [child[1] for _, child in blocks])
-        return canonical_circle(new_root, _reposition(blocks), m_layer)
+        return canonical_circle(new_root, _reposition(blocks), coll)
 
     def face_at(elem, i, n):
         if i == 0:
-            return merge_head(elem, x_act, x_layer)
+            return merge_head(elem, x_act, X.collection)
 
         def descend(e, depth):
             # e's root is the middle layer numbered depth
             if depth == i:
                 if i == n:
                     return y_merge(e)
-                return merge_head(e, p_act, p_layer)
+                return merge_head(e, p_act, P.collection)
             _, r, bs = e
             new_bs = tuple((S, descend(child, depth + 1)) for S, child in bs)
-            return canonical_circle(r, new_bs, p_layer)
+            return canonical_circle(r, new_bs, P.collection)
 
         _, root, blocks = elem
         new_blocks = tuple((S, descend(child, 1)) for S, child in blocks)
-        return canonical_circle(root, new_blocks, x_layer)
+        return canonical_circle(root, new_blocks, X.collection)
 
     def elem_out(e):
         if e[0] == "op":
@@ -392,18 +388,18 @@ def bar_complex(X, P, Y, n_max=3, max_arity=2):
         return ("circ", ("op",) + unit, ((positions, e),))
 
     def degeneracy_at(elem, j, n):
-        def descend(e, depth, layer):
+        def descend(e, depth, coll):
             # wrap the children of the layer-j heads (depth counts the
             # middle layer of e's root; the outer root is depth 0)
             _, r, bs = e
             if depth == j:
                 new_bs = tuple((S, wrap_unit(child)) for S, child in bs)
             else:
-                new_bs = tuple((S, descend(child, depth + 1, p_layer))
+                new_bs = tuple((S, descend(child, depth + 1, P.collection))
                                for S, child in bs)
-            return canonical_circle(r, new_bs, layer)
+            return canonical_circle(r, new_bs, coll)
 
-        return descend(elem, 0, x_layer)
+        return descend(elem, 0, X.collection)
 
     level_elems = []
     for n in range(n_max + 1):
@@ -462,16 +458,10 @@ def hochschild_comparison(P, bar):
     out = {}
     for e in bar.simplicial.levels[0]:
         _, root, blocks = e
-        order = []
-        for S, _ in blocks:
-            order.extend(sorted(S))
-        ref = P.gamma((root[1], root[2]),
-                      [(c[1], c[2]) for _, c in blocks])
-        if order:
-            rho = perms.inverse(tuple(order))
-            if rho != perms.identity(len(rho)):
-                ref = P.act(ref, rho)
-        out[e] = ref
+        out[e] = perms.unshuffle(
+            P.act, P.gamma((root[1], root[2]),
+                           [(c[1], c[2]) for _, c in blocks]),
+            _block_order(blocks))
     return out
 
 
@@ -798,19 +788,13 @@ def analyze_pointed(M, arity_cap=None, budget=200000):
                                              max_arity).items():
                     for e in es:
                         _, blocks = e
-                        order = []
-                        for S, _ in blocks:
-                            order.extend(sorted(S))
                         val = M.try_act_left((qs, q),
                                              tuple(m for _, m in blocks))
                         if val is None:
                             ok = False
                             break
-                        if order:
-                            rho = perms.inverse(tuple(order))
-                            if rho != perms.identity(len(rho)):
-                                val = M.act(val, rho)
-                        h[s, e] = val
+                        h[s, e] = perms.unshuffle(M.act, val,
+                                                  _block_order(blocks))
                     if not ok:
                         break
                 if not ok:

@@ -289,16 +289,8 @@ def _collect_tables(block, diags, with_structure):
         if head == "color":
             colors.extend(tokens[1:])
         elif head == "ops":
-            s = parse_sig_token(tokens[1], lineno, diags)
-            if s is None or len(tokens) < 3 or tokens[2] != "=":
-                diags.append(Diagnostic(
-                    "SYNTAX", "ops row: ops (sig) = id...", lineno))
-                raise _Abort
-            ids = tokens[3:]
-            if len(set(ids)) != len(ids):
-                diags.append(Diagnostic(
-                    "STRUCT", f"duplicate op ids at {tokens[1]}", lineno))
-            ops[s] = tuple(sorted(ids))
+            s, ids = _ops_row(tokens, lineno, diags)
+            ops[s] = ids
         elif head == "unit" and with_structure:
             if len(tokens) != 4 or tokens[2] != "=":
                 diags.append(Diagnostic(
@@ -315,22 +307,11 @@ def _collect_tables(block, diags, with_structure):
             qsig = parse_sig_token(tokens[4], lineno, diags)
             if psig is None or qsig is None:
                 raise _Abort
-            try:
-                slot = int(tokens[3]) - 1
-            except ValueError:
-                diags.append(Diagnostic("SYNTAX", "bad slot", lineno))
-                raise _Abort
+            slot = _slot(tokens[3], lineno, diags)
             comp[psig, tokens[2], slot, qsig, tokens[5]] = tokens[7]
         elif head == "act":
-            if len(tokens) != 6 or tokens[4] != "=":
-                diags.append(Diagnostic(
-                    "SYNTAX", "act row: act (sig) id [perm] = id", lineno))
-                raise _Abort
-            s = parse_sig_token(tokens[1], lineno, diags)
-            p = parse_perm_token(tokens[3], lineno, diags)
-            if s is None or p is None:
-                raise _Abort
-            generators.setdefault((s, p), {})[tokens[2]] = tokens[5]
+            s, p, op, image = _act_row(tokens, lineno, diags)
+            generators.setdefault((s, p), {})[op] = image
         elif head in flags and len(tokens) == 1:
             flags[head] = True
         else:
@@ -338,6 +319,43 @@ def _collect_tables(block, diags, with_structure):
                 "SYNTAX", f"unknown row {head!r} in {block.kind}", lineno))
             raise _Abort
     return colors, ops, units, comp, generators, flags
+
+
+def _ops_row(tokens, lineno, diags):
+    """The signature and sorted ids of an ``ops (sig) = id...`` row."""
+    s = parse_sig_token(tokens[1], lineno, diags) if len(tokens) > 1 else None
+    if s is None or len(tokens) < 3 or tokens[2] != "=":
+        diags.append(Diagnostic(
+            "SYNTAX", "ops row: ops (sig) = id...", lineno))
+        raise _Abort
+    ids = tokens[3:]
+    if len(set(ids)) != len(ids):
+        diags.append(Diagnostic(
+            "STRUCT", f"duplicate op ids at {tokens[1]}", lineno))
+    return s, tuple(sorted(ids))
+
+
+def _act_row(tokens, lineno, diags):
+    """Signature, permutation, id and image of an ``act (sig) id [perm] =
+    id`` row."""
+    if len(tokens) != 6 or tokens[4] != "=":
+        diags.append(Diagnostic(
+            "SYNTAX", "act row: act (sig) id [perm] = id", lineno))
+        raise _Abort
+    s = parse_sig_token(tokens[1], lineno, diags)
+    p = parse_perm_token(tokens[3], lineno, diags)
+    if s is None or p is None:
+        raise _Abort
+    return s, p, tokens[2], tokens[5]
+
+
+def _slot(tok, lineno, diags):
+    """A 1-based slot token as a 0-based slot."""
+    try:
+        return int(tok) - 1
+    except ValueError:
+        diags.append(Diagnostic("SYNTAX", "bad slot", lineno))
+        raise _Abort
 
 
 def _resolve_ops(block, colors, ops, diags):
@@ -581,16 +599,11 @@ def _elab_bimodule(block, objects, diags):
     for lineno, tokens in block.entries:
         head = tokens[0]
         if head == "ops":
-            s = parse_sig_token(tokens[1], lineno, diags)
-            if s is None or tokens[2] != "=":
-                raise _Abort
-            ops[s] = tuple(sorted(tokens[3:]))
+            s, ids = _ops_row(tokens, lineno, diags)
+            ops[s] = ids
         elif head == "act":
-            s = parse_sig_token(tokens[1], lineno, diags)
-            p = parse_perm_token(tokens[3], lineno, diags)
-            if s is None or p is None or tokens[4] != "=":
-                raise _Abort
-            generators.setdefault((s, p), {})[tokens[2]] = tokens[5]
+            s, p, op, image = _act_row(tokens, lineno, diags)
+            generators.setdefault((s, p), {})[op] = image
         elif head == "ract":
             # ract (msig) m slot (qsig) q = (rsig) r
             if len(tokens) != 9 or tokens[6] != "=":
@@ -604,7 +617,7 @@ def _elab_bimodule(block, objects, diags):
             rs = parse_sig_token(tokens[7], lineno, diags)
             if None in (ms, qs, rs):
                 raise _Abort
-            slot = int(tokens[3]) - 1
+            slot = _slot(tokens[3], lineno, diags)
             right_table[((ms, tokens[2]), slot, (qs, tokens[5]))] = (
                 rs, tokens[8])
             saw_action_row = True

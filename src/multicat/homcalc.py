@@ -401,11 +401,7 @@ def evaluate_term(term, R, gen_image):
     def gen_image_color(color):
         return gen_image(None, color)
 
-    ref, idxs = planar(term)
-    if not idxs:
-        return ref
-    rho = perms.inverse(tuple(idxs))
-    return R.act(ref, rho)
+    return perms.unshuffle(R.act, *planar(term))
 
 
 def tensor_to_hom(H, P, Q, R, sat, hom):

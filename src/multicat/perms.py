@@ -151,3 +151,11 @@ def block_permutation(sigma, sizes):
         start = offsets[sigma[j]]
         out.extend(range(start, start + sizes[sigma[j]]))
     return tuple(out)
+
+
+def unshuffle(act, ref, order):
+    """An operation composed from blocks, whose input i is the input
+    numbered ``order[i]``, renumbered so that input j is the one numbered
+    j: ``act(ref, inverse(order))``, or ``ref`` when order is sorted."""
+    rho = inverse(order)
+    return ref if rho == identity(len(rho)) else act(ref, rho)

@@ -16,11 +16,19 @@ never escapes the caps.  The terms are numbered once, in sorted order, and
 the closure runs on those numbers.  Each instance of a move runs once: a
 rewrite per (term, subtree, representative of the subtree), a
 substitution per (term, slot, argument), and the symmetric move per
-(term, representative); the term images under grafting and renumbering
-are computed once and kept.  Since a union is never undone, a repeated
-instance could only repeat a union that is already made, so every
-round's merges, the round count and the quotient are those of re-running
-every move over every term.
+term; the term images under grafting and renumbering are computed once
+and kept.  Since a union is never undone, a repeated instance could only
+repeat a union that is already made, so every round's merges, the round
+count and the quotient are those of re-running every move over every
+term.
+
+The table is filled from the classes.  A composite over the vertex cap
+is reduced by rewriting its subtrees to representatives, unless no class
+holds a term with fewer vertices than another member: then reduction
+never changes a vertex count, and the composite escapes without being
+built.  The free symmetric multicategory is the saturation of the
+presentation with no relations, where every class is a single term
+(:func:`trees.free_multicategory`).
 
 The computed quotient is a sound lower bound for the presented
 congruence.  ``stabilized`` is reported when every relation seed fits
@@ -39,8 +47,9 @@ from .core import (FiniteCollection, TableMulticategory, composed_sig,
                    restrict_objects, sig_key, tabulate)
 from .errors import DomainError, PartialInputError, StructuralError
 from .trees import (canonical_term, corolla, enumerate_terms, graft,
-                    identity_term, renumber_term, renumbering,
-                    term_signature, term_text, term_vertices)
+                    identity_term, relabel_leaves, renumber_term,
+                    renumbering, term_leaves, term_signature, term_text,
+                    term_vertices)
 
 
 @dataclass(frozen=True)
@@ -119,32 +128,9 @@ def subtree_sites(t, path=()):
 def extract_standalone(node):
     """Rank-normalize the leaf numbers of a subtree; returns the standalone
     term and the rank -> original index mapping."""
-    indices = sorted(idx for _, _, idx in _leaves(node))
+    indices = sorted(idx for _, _, idx in term_leaves(node))
     rank = {g: r for r, g in enumerate(indices)}
-
-    def go(n):
-        if n[0] == "L":
-            return ("L", n[1], rank[n[2]])
-        return ("N", n[1], n[2], tuple(go(c) for c in n[3]))
-
-    return go(node), indices
-
-
-def _leaves(node):
-    if node[0] == "L":
-        yield node
-    else:
-        for c in node[3]:
-            yield from _leaves(c)
-
-
-def embed_standalone(node, mapping):
-    def go(n):
-        if n[0] == "L":
-            return ("L", n[1], mapping[n[2]])
-        return ("N", n[1], n[2], tuple(go(c) for c in n[3]))
-
-    return go(node)
+    return relabel_leaves(node, rank), indices
 
 
 def replace_path(t, path, new_node):
@@ -194,7 +180,7 @@ class Saturation:
             red = self.class_of(std)
             if red is None:
                 break
-            children.append(embed_standalone(red, mapping))
+            children.append(relabel_leaves(red, mapping))
         else:
             red = self.rep_of.get(
                 canonical_term(("N", t[1], t[2], tuple(children)), gens))
@@ -279,14 +265,15 @@ def saturate(presentation, max_arity=3, max_vertices=4, max_rounds=200):
             rep = terms[reps[c]]
             for u, path, mapping in sites_of.get(c, ()):
                 u2 = canon_id(replace_path(terms[u], path,
-                                           embed_standalone(rep, mapping)))
+                                           relabel_leaves(rep, mapping)))
                 if u2 >= 0:
                     merged |= uf.union(u, u2)
 
-        # substitute representatives into the leaves of merged pairs; each
-        # (term, slot, argument) instance runs once, when the term first
-        # stops being a representative (later rounds' representatives are
-        # among this round's)
+        # substitute representatives into the leaves of merged pairs and
+        # close under the symmetric actions, both when a term first stops
+        # being a representative: later rounds' representatives are among
+        # this round's, and when u's representative moves on from a to b,
+        # a moves to b in the same round, so a's unions carry u's
         by_color = {}
         for r in range(n_terms):
             if reps[r] == r:
@@ -304,11 +291,7 @@ def saturate(presentation, max_arity=3, max_vertices=4, max_rounds=200):
                     w1, w2 = graft_id(u, i, r), graft_id(ru, i, r)
                     if w1 >= 0 and w2 >= 0:
                         merged |= uf.union(w1, w2)
-
-        # close under the symmetric actions, once per (u, rep of u)
-        for u in moved:
-            ru = reps[u]
-            for p in all_perms[len(sig[u][0])]:
+            for p in all_perms[len(inputs)]:
                 merged |= uf.union(image(u, p), image(ru, p))
 
         if not merged:
@@ -325,8 +308,16 @@ def saturate(presentation, max_arity=3, max_vertices=4, max_rounds=200):
         if reps[i] == i:
             elements.setdefault(sig[i], []).append(terms[i])
 
+    # when no class holds a term smaller than its others, reducing a
+    # subtree never changes its vertex count, so a composite over the
+    # vertex cap stays over it and escapes
+    shrinks = any(vert[reps[i]] != vert[i] for i in range(n_terms))
+
     def act(s, t, p):
-        return terms[reps[image(index[t], p)]]
+        acted = image(index[t], p)
+        if acted < 0:
+            raise StructuralError("renumbering left the term pool")
+        return terms[reps[acted]]
 
     def compose(s, t, slot, qs, q):
         x, r = index[t], index[q]
@@ -334,6 +325,8 @@ def saturate(presentation, max_arity=3, max_vertices=4, max_rounds=200):
             w = graft_id(x, slot, r)
             if w >= 0:
                 return terms[reps[w]]
+        elif not shrinks:
+            return None
         return sat.class_of(graft(t, slot, q))
 
     table, sat.structure, comp_escapes = tabulate(

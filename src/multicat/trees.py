@@ -1,7 +1,7 @@
 """Planar rooted trees: grafting, the tree multicategory on arities, free
 multicategories, and the circle product of collections.
 
-Two tree encodings live here, both as nested tuples so that structural
+Three tree encodings live here, all as nested tuples so that structural
 equality is tuple equality:
 
 * generator terms (for free constructions):
@@ -16,6 +16,13 @@ equality is tuple equality:
   ``('L', index)`` a numbered input edge, ``('V', vnum, children)`` a
   vertex carrying its number.  The bare edge ``('L', 0)`` is the unique
   operation with no vertices and one input.
+
+* circle elements (elements of circle products and bar levels):
+  ``('op', signature, op_id)`` an operation of a base collection,
+  ``('circ', root, blocks)`` a root operation with one block
+  ``(positions, element)`` per input, the positions being the sorted
+  input numbers the block's element feeds; :func:`canonical_circle`
+  picks one representative per simultaneous block permutation.
 """
 
 from dataclasses import dataclass
@@ -109,16 +116,16 @@ def shift_leaves(t, offset):
     return ("N", t[1], t[2], tuple(shift_leaves(c, offset) for c in t[3]))
 
 
+def relabel_leaves(t, index):
+    """t with the input number i of each leaf replaced by index[i]."""
+    if t[0] == "L":
+        return ("L", t[1], index[t[2]])
+    return ("N", t[1], t[2], tuple(relabel_leaves(c, index) for c in t[3]))
+
+
 def renumber_term(t, sigma):
     """The symmetric action: input t of the result reads input sigma[t]."""
-    inv = perms.inverse(sigma)
-
-    def go(node):
-        if node[0] == "L":
-            return ("L", node[1], inv[node[2]])
-        return ("N", node[1], node[2], tuple(go(c) for c in node[3]))
-
-    return go(t)
+    return relabel_leaves(t, perms.inverse(sigma))
 
 
 def canonical_term(t, gens):
@@ -511,39 +518,40 @@ def free_multicategory(gens, symmetric, max_arity=3, max_vertices=4,
     """The free (symmetric) multicategory on a finite collection, within
     caps: terms as operations, grafting as composition, leaf renumbering
     as the symmetric action.  With require_complete, a composition that
-    escapes the vertex cap raises instead of marking the table partial."""
-    terms = enumerate_terms(gens, max_arity, max_vertices, symmetric)
-    term_set = set(terms)
-    elements = {}
-    for t in terms:
-        elements.setdefault(term_signature(t), []).append(t)
+    escapes the vertex cap raises instead of marking the table partial.
 
-    def canon(t):
-        return canonical_term(t, gens) if symmetric else t
+    The symmetric one is the quotient by no relations: the saturation of
+    the empty presentation (:func:`presents.saturate`), whose classes are
+    single terms, so a composite over the vertex cap escapes without being
+    grafted.  The planar one tabulates the planar terms directly."""
+    if symmetric:
+        from .presents import Presentation, saturate
 
-    index = {t: i for i, t in enumerate(terms)}
-    image = renumbering(terms, index, gens)
+        sat = saturate(Presentation(gens, (), name="free"), max_arity,
+                       max_vertices)
+        table, escapes = sat.table, sat.report.comp_escapes
+        term_count = sat.report.term_count
+    else:
+        terms = enumerate_terms(gens, max_arity, max_vertices, False)
+        term_set = set(terms)
+        elements = {}
+        for t in terms:
+            elements.setdefault(term_signature(t), []).append(t)
 
-    def act(s, t, p):
-        if not symmetric:
-            return t
-        acted = image(index[t], p)
-        if acted < 0:
-            raise StructuralError("renumbering left the term pool")
-        return terms[acted]
+        def compose(s, t, slot, qs, q):
+            w = graft(t, slot, q)
+            return w if w in term_set else None
 
-    def compose(s, t, slot, qs, q):
-        w = canon(graft(t, slot, q))
-        return w if w in term_set else None
-
-    table, _, escapes = tabulate(
-        sorted(gens.colors), elements,
-        {c: identity_term(c) for c in gens.colors}, term_text, act, compose,
-        arity_cap=max_arity, symmetric=symmetric, name="free")
+        table, _, escapes = tabulate(
+            sorted(gens.colors), elements,
+            {c: identity_term(c) for c in gens.colors}, term_text,
+            lambda s, t, p: t, compose, arity_cap=max_arity,
+            symmetric=False, name="free")
+        term_count = len(terms)
     if escapes and require_complete:
         raise TruncationError(
             f"{escapes} compositions escape the vertex cap {max_vertices}")
-    return table, FreeReport(escapes == 0, escapes, len(terms))
+    return table, FreeReport(escapes == 0, escapes, term_count)
 
 
 # ---------------------------------------------------------------------------
@@ -554,10 +562,9 @@ class LayeredSet:
     """A finite family of elements indexed by signature, with a symmetric
     action; the common interface of base collections and circle products."""
 
-    def __init__(self, by_sig, act_fn, name=""):
+    def __init__(self, by_sig, act_fn):
         self.by_sig = {s: tuple(sorted(v)) for s, v in by_sig.items() if v}
         self._act = act_fn
-        self.name = name
 
     def signatures(self):
         return sorted(self.by_sig, key=sig_key)
@@ -581,7 +588,7 @@ def base_layer(coll):
         ns, nop = coll.act((s, op), p)
         return ("op", ns, nop)
 
-    return LayeredSet(by_sig, act, name="base")
+    return LayeredSet(by_sig, act)
 
 
 def elem_signature(elem):
@@ -598,18 +605,17 @@ def elem_signature(elem):
     return (tuple(inputs), out)
 
 
-def canonical_circle(root_elem, blocks, m_layer):
+def canonical_circle(root_elem, blocks, coll):
     """Orbit-minimal form of (root, blocks) under permuting blocks
-    simultaneously with the action on the root."""
-    k = len(blocks)
-    best = None
-    for p in perms.all_perms(k):
-        r = m_layer.act(root_elem, p)
-        bs = tuple(blocks[p[j]] for j in range(k))
-        cand = ("circ", r, bs)
-        if best is None or cand < best:
-            best = cand
-    return best
+    simultaneously with the action on the root, an operation of the
+    collection ``coll``; the images come from its table
+    (:meth:`FiniteCollection.images`), as in :func:`canonical_term`."""
+    pick = blocks.__getitem__
+    s, op, bs = min([(s, op, tuple(map(pick, p)))
+                     for p, s, op in coll.images(root_elem[1:])])
+    # elements with an unmoved root share its tuple, as the levels are many
+    root = root_elem if (s, op) == root_elem[1:] else ("op", s, op)
+    return ("circ", root, bs)
 
 
 def shuffles(n, k):
@@ -632,21 +638,23 @@ def renumber_blocks(blocks, p):
         yield new_s, tuple(old_sorted.index(p[x]) for x in new_s), item
 
 
-def circle_layer(m_layer, n_layer, max_arity):
-    """The circle product: one m-element at the root, n-elements on its
-    inputs, modulo the simultaneous block permutation."""
+def circle_layer(m_coll, n_layer, max_arity):
+    """The circle product: one operation of the collection m_coll at the
+    root, n-elements on its inputs, modulo the simultaneous block
+    permutation."""
     by_sig = {}
-    for ms in m_layer.signatures():
+    for ms in m_coll.signatures():
         for n in range(max_arity + 1):
             for blocks_pos in shuffles(n, len(ms[0])):
                 pools = [[e for cs in n_layer.signatures()
                           if cs[1] == out and len(cs[0]) == len(S)
                           for e in n_layer.elements(cs)]
                          for S, out in zip(blocks_pos, ms[0])]
-                for root in m_layer.elements(ms):
+                for op in m_coll.ops_at(ms):
                     for combo in product(*pools):
                         e = canonical_circle(
-                            root, tuple(zip(blocks_pos, combo)), m_layer)
+                            ("op", ms, op), tuple(zip(blocks_pos, combo)),
+                            m_coll)
                         by_sig.setdefault(elem_signature(e), set()).add(e)
 
     def act(elem, p):
@@ -654,16 +662,15 @@ def circle_layer(m_layer, n_layer, max_arity):
         return canonical_circle(
             root, tuple((S, n_layer.act(child, rho))
                         for S, rho, child in renumber_blocks(blocks, p)),
-            m_layer)
+            m_coll)
 
-    return LayeredSet({s: sorted(v) for s, v in by_sig.items()}, act,
-                      name=f"{m_layer.name}∘{n_layer.name}")
+    return LayeredSet(by_sig, act)
 
 
 def circle_product(m_coll, n_coll, max_arity=3):
     """Circle product of two finite collections, as a collection whose
     operation ids encode the canonical two-level trees."""
-    layer = circle_layer(base_layer(m_coll), base_layer(n_coll), max_arity)
+    layer = circle_layer(m_coll, base_layer(n_coll), max_arity)
     return layered_to_collection(layer)
 
 

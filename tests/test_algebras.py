@@ -138,6 +138,25 @@ class TestFreeAlgebra:
                 one = fa.mu((s2, "m2"), (e1, e2))
                 assert one in fa.decode
 
+    @pytest.mark.parametrize("P", [AS3, COM3], ids=["assoc", "comm"])
+    def test_orbit_ids_match_reference(self, P):
+        # element ids are the minimum over the image table; the earlier
+        # loop took it over all_perms with one act per permutation
+        from multicat.algebras import _canon_free, _free_id
+
+        def ref_id(s, op, args):
+            return min(_free_id(*P.act((s, op), p),
+                                tuple(args[i] for i in p))
+                       for p in perms.all_perms(len(args)))
+
+        fa = free_algebra(P, A2)
+        assert len(fa.decode) >= 10
+        for eid, (s, op, args) in fa.decode.items():
+            for p, s2, op2 in P.collection.images((s, op)):
+                twisted = tuple(args[i] for i in p)
+                assert _canon_free(P, s2, op2, twisted) == (
+                    ref_id(s2, op2, twisted)) == eid
+
 
 class TestEndPairsAndMaps:
     def test_pair_cardinalities(self):

@@ -253,3 +253,32 @@ def test_search_outputs_unchanged(name, docs_dir, tmp_path):
     assert run_cli(command, str(docs_dir / document), *rest,
                    "--out", str(out)) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# one malformed row of fixtures/bimod.mcat each: (line, replacement)
+BIMODULE_MUTANTS = {
+    "ops-without-ids": (17, "  ops (x,x;x)"),
+    "act-without-perm": (19, "  act (x,x;x) w01"),
+    "act-without-equals": (20, "  act (x,x;x) w10 [2,1] w10 w10"),
+    "ract-slot-not-a-number": (
+        21, "  ract (x,x;x) w01 a (x;x) w0 = (x,x;x) w01"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BIMODULE_MUTANTS))
+def test_malformed_bimodule_row_is_a_diagnostic(name, docs_dir, tmp_path,
+                                                capsys):
+    lineno, row = BIMODULE_MUTANTS[name]
+    lines = (docs_dir / "bimod.mcat").read_text().splitlines()
+    assert lines[lineno - 1].split()[0] == row.split()[0]
+    lines[lineno - 1] = row
+    text = "\n".join(lines) + "\n"
+    ast, diags = dsl.parse(text)
+    assert ast is not None and not diags
+    objects, diags = dsl.elaborate(ast)
+    assert "Reg" not in objects and "As2pos" in objects
+    assert [(d.code, d.line) for d in diags] == [("SYNTAX", lineno)]
+    path = tmp_path / "mutant.mcat"
+    path.write_text(text)
+    assert run_cli("check", str(path)) == 1
+    assert f"{lineno}:0: SYNTAX" in capsys.readouterr().err

@@ -8,6 +8,11 @@ under every permutation) and `ref_canonical_term` the earlier
 canonicalization that asks `FiniteCollection.act` per permutation and
 vertex.  Every field of the result is compared: the report with its
 `rounds`, `rep_of`, `structure` and the table's JSON.
+
+`ref_free_multicategory` is the earlier symmetric branch of
+`trees.free_multicategory`, which tabulated the symmetric terms itself
+and grafted and canonicalized every composite; the free symmetric
+multicategory is now the saturation of the empty presentation.
 """
 
 from dataclasses import dataclass, field
@@ -20,19 +25,20 @@ from hypothesis import strategies as st
 from multicat import jsonio, perms
 from multicat.core import FiniteCollection, sig_key, tabulate
 from multicat.dsl import elaborate, parse
-from multicat.errors import StructuralError
+from multicat.errors import StructuralError, TruncationError
 from multicat.homcalc import Multifunctor, identity_multifunctor
 from multicat.presents import (Presentation, SaturationReport, UnionFind,
                                _tensor_generators, arrow_multicategory,
-                               coproduct,
-                               embed_standalone, extract_standalone,
+                               coproduct, extract_standalone,
                                interchange_relations, pushout, replace_path,
                                saturate, subtree_sites)
 from multicat.standard import (assoc_multicategory, comm_multicategory,
                                unit_multicategory)
-from multicat.trees import (canonical_term, corolla, enumerate_terms, graft,
-                            identity_term, renumber_term, term_arity,
-                            term_signature, term_text, term_vertices)
+from multicat.trees import (FreeReport, canonical_term, corolla,
+                            enumerate_terms, free_multicategory, graft,
+                            identity_term, relabel_leaves, renumber_term,
+                            renumbering, term_arity, term_signature,
+                            term_text, term_vertices)
 
 I = unit_multicategory()
 AS2 = assoc_multicategory(2)
@@ -99,7 +105,7 @@ class RefSaturation:
             red = self.class_of(std)
             if red is None:
                 return None
-            children.append(embed_standalone(red, mapping))
+            children.append(relabel_leaves(red, mapping))
         t2 = ref_canonical_term(("N", t[1], t[2], tuple(children)), gens)
         return self.rep_of.get(t2)
 
@@ -161,7 +167,7 @@ def ref_saturate(presentation, max_arity=3, max_vertices=4, max_rounds=200):
                 if rep is None or rep == std_c:
                     continue
                 u2 = canon(replace_path(u, path,
-                                        embed_standalone(rep, list(mapping))))
+                                        relabel_leaves(rep, list(mapping))))
                 if u2 in term_set:
                     merged |= uf.union(u, u2)
 
@@ -223,6 +229,32 @@ def ref_saturate(presentation, max_arity=3, max_vertices=4, max_rounds=200):
         caps=(max_arity, max_vertices))
     sat.table = table
     return sat
+
+
+def ref_free_multicategory(gens, max_arity, max_vertices):
+    terms = enumerate_terms(gens, max_arity, max_vertices, symmetric=True)
+    term_set = set(terms)
+    elements = {}
+    for t in terms:
+        elements.setdefault(term_signature(t), []).append(t)
+    index = {t: i for i, t in enumerate(terms)}
+    image = renumbering(terms, index, gens)
+
+    def act(s, t, p):
+        acted = image(index[t], p)
+        if acted < 0:
+            raise StructuralError("renumbering left the term pool")
+        return terms[acted]
+
+    def compose(s, t, slot, qs, q):
+        w = canonical_term(graft(t, slot, q), gens)
+        return w if w in term_set else None
+
+    table, _, escapes = tabulate(
+        sorted(gens.colors), elements,
+        {c: identity_term(c) for c in gens.colors}, term_text, act, compose,
+        arity_cap=max_arity, name="free")
+    return table, FreeReport(escapes == 0, escapes, len(terms))
 
 
 # ---------------------------------------------------------------------------
@@ -305,28 +337,32 @@ def test_tensor_stabilizes_below_eckmann_hilton():
 
 
 def test_class_of_memo_matches_unmemoized():
-    pres = Presentation(_tensor_generators(COM2, AS2), ())
-    sat = saturate(pres, 3, 3)
-    ref = RefSaturation(table=None, report=None, presentation=pres,
-                        rep_of=sat.rep_of, max_arity=3, max_vertices=3)
-    T = sat.table
-    cells = []
-    for (s, tid), t in sat.structure.items():
-        for slot, color in enumerate(s[0]):
-            for qs in T.signatures():
-                if qs[1] != color or len(s[0]) + len(qs[0]) - 1 > 3:
-                    continue
-                for qid in T.ops_at(qs):
-                    term = graft(t, slot, sat.structure[qs, qid])
-                    cells.append(((s, tid, slot, qs, qid), term))
-    want = [ref.class_of(term) for _, term in cells]
-    assert sum(w is None for w in want) == sat.report.comp_escapes > 0
-    # the table was filled through the memo; every cell agrees with the
-    # unmemoized reduction, and so does a second lookup that reads it
-    assert sat.reduced
-    for (key, term), w in zip(cells, want):
-        assert T.comp.get(key) == (None if w is None else term_text(w))
-        assert sat.class_of(term) == w
+    # With no relations no class shrinks, so an escaping composite is never
+    # reduced and the memo stays empty; the coproduct's relations shrink
+    # terms and fill it
+    empty = Presentation(_tensor_generators(COM2, AS2), ())
+    for pres, memo in [(empty, False), (coproduct(COM2, AS2), True)]:
+        sat = saturate(pres, 3, 3)
+        ref = RefSaturation(table=None, report=None, presentation=pres,
+                            rep_of=sat.rep_of, max_arity=3, max_vertices=3)
+        T = sat.table
+        cells = []
+        for (s, tid), t in sat.structure.items():
+            for slot, color in enumerate(s[0]):
+                for qs in T.signatures():
+                    if qs[1] != color or len(s[0]) + len(qs[0]) - 1 > 3:
+                        continue
+                    for qid in T.ops_at(qs):
+                        term = graft(t, slot, sat.structure[qs, qid])
+                        cells.append(((s, tid, slot, qs, qid), term))
+        want = [ref.class_of(term) for _, term in cells]
+        assert sum(w is None for w in want) == sat.report.comp_escapes > 0
+        # the table was filled through the memo; every cell agrees with the
+        # unmemoized reduction, and so does a second lookup that reads it
+        assert bool(sat.reduced) == memo
+        for (key, term), w in zip(cells, want):
+            assert T.comp.get(key) == (None if w is None else term_text(w))
+            assert sat.class_of(term) == w
 
 
 GENERATORS = {
@@ -345,6 +381,25 @@ def test_symmetric_terms_match_reference(name, caps):
     gens = GENERATORS[name]()
     assert enumerate_terms(gens, *caps, symmetric=True) == (
         ref_symmetric_terms(gens, *caps))
+
+
+@pytest.mark.parametrize("name,caps", [
+    pytest.param(name, caps, id=f"{name}-{caps[0]}-{caps[1]}")
+    for name, caps in [("binary", (5, 4)), ("binary", (4, 4)),
+                       ("binary", (4, 2))] + [
+        (name, caps) for name in ("com2-as2", "i-as3", "com2-com2")
+        for caps in [(3, 3), (4, 3)]]])
+def test_free_multicategory_matches_reference(name, caps):
+    gens = GENERATORS[name]()
+    table, report = free_multicategory(gens, True, *caps)
+    ref_table, ref_report = ref_free_multicategory(gens, *caps)
+    assert jsonio.dumps(table) == jsonio.dumps(ref_table)
+    assert report == ref_report
+    if ref_report.escapes:
+        with pytest.raises(TruncationError):
+            free_multicategory(gens, True, *caps, require_complete=True)
+    if name == "binary" and caps == (4, 2):
+        assert ref_report.escapes == 15
 
 
 def test_canonical_term_matches_reference():

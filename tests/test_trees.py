@@ -12,7 +12,8 @@ from multicat.errors import SubstitutionError, TruncationError
 from multicat.standard import assoc_multicategory, comm_multicategory, \
     unit_multicategory
 from multicat.trees import (BARE_EDGE, build_tree_multicategory,
-                            canonical_term, circle_product, corolla,
+                            canonical_circle, canonical_term,
+                            circle_product, corolla,
                             enumerate_terms, free_multicategory, graft,
                             identity_term, op_compose, op_hom_set,
                             op_identity, renumber_term, term_arity,
@@ -238,3 +239,24 @@ class TestCircle:
         sizes = [sum(n for s, n in s1.items() if len(s[0]) == k)
                  for k in range(3)]
         assert sizes == fx["as2pos_powers"][1][:3]
+
+    def test_canonical_circle_matches_reference(self):
+        # the orbit minimum read from the image table equals the earlier
+        # minimum over all_perms with one act per permutation, and every
+        # twist of an element canonicalizes back to it
+        def ref_canonical_circle(root, blocks, coll):
+            k = len(blocks)
+            return min(("circ", ("op",) + coll.act(root[1:], p),
+                        tuple(blocks[p[j]] for j in range(k)))
+                       for p in perms.all_perms(k))
+
+        for A, B in [(comm_multicategory(2), assoc_multicategory(2)),
+                     (assoc_multicategory(3), comm_multicategory(2))]:
+            _, decode = circle_product(A.collection, B.collection, 3)
+            for e in decode.values():
+                _, root, blocks = e
+                for p, s, op in A.collection.images(root[1:]):
+                    twisted = (("op", s, op),
+                               tuple(blocks[p[j]] for j in range(len(p))))
+                    assert canonical_circle(*twisted, A.collection) == (
+                        ref_canonical_circle(*twisted, A.collection)) == e
