@@ -7,9 +7,10 @@ into single inputs; the left action composes an operation onto a tuple of
 module elements.  The compatibility axiom relates the two whenever both
 sides are defined inside the declared support.
 
-Bar truncations are nested circle-product elements; face maps merge two
-adjacent layers (the module actions at the ends, composition in the
-middle), degeneracy maps insert a unit layer.
+Bar truncations are circle-product elements over numbered towers of
+layers; face maps merge two adjacent layers (the module actions at the
+ends, composition in the middle), degeneracy maps insert a unit layer,
+and both are computed once per tower element.
 """
 
 from dataclasses import dataclass, field
@@ -304,122 +305,113 @@ def _block_order(blocks):
     return tuple(x for S, _ in blocks for x in sorted(S))
 
 
-def _reposition(blocks):
-    """Inline the sub-blocks of circle children using the enclosing block
-    positions; order follows the merged root's input order."""
-    out = []
-    for S, child in blocks:
-        mapping = sorted(S)
-        _, _, subblocks = child
-        for S2, grand in subblocks:
-            out.append((tuple(mapping[t] for t in sorted(S2)), grand))
-    return tuple(out)
-
-
 def bar_complex(X, P, Y, n_max=3, max_arity=2):
     """Levels 0..n_max of the two-sided bar construction on a right module
     X, the multicategory P, and a left module Y: level n is the circle
     product with n middle layers, faces act or compose adjacent layers,
     degeneracies insert units, and the augmentation is the coequalizer of
-    the two faces off level 1."""
+    the two faces off level 1.
+
+    The middle layers form towers, numbered :class:`trees.Layer` s: the
+    tower of height h is P over the tower of height h - 1, the one of
+    height 0 is Y, and level n is X over the tower of height n.  Faces and
+    degeneracies are computed on element numbers, once per tower element:
+    below the root, a face or degeneracy maps the children and
+    re-canonicalizes, and its values are kept per (height, number,
+    index)."""
     towers = [base_layer(Y.collection)]
     for _ in range(n_max):
         towers.append(circle_layer(P.collection, towers[-1], max_arity))
     levels = [circle_layer(X.collection, towers[n], max_arity)
               for n in range(n_max + 1)]
 
-    def x_act(root_elem, p_elems):
-        rs, rop = X.act_right((root_elem[1], root_elem[2]),
-                              [(e[1], e[2]) for e in p_elems])
-        return ("op", rs, rop)
+    def merge_roots(elem, kids, act, coll, target):
+        # the root composed with its children's roots; the grandchildren
+        # take the positions of their parent's block (sorted tuples)
+        _, root, blocks = elem
+        children = [kids.elems[c] for _, c in blocks]
+        new_root = ("op",) + act(root[1:], [k[1][1:] for k in children])
+        inlined = tuple((tuple(S[t] for t in S2), g)
+                        for (S, _), k in zip(blocks, children)
+                        for S2, g in k[2])
+        return target.number[canonical_circle(new_root, inlined, coll)]
 
-    def p_act(root_elem, p_elems):
-        rs, rop = P.gamma((root_elem[1], root_elem[2]),
-                          [(e[1], e[2]) for e in p_elems])
-        return ("op", rs, rop)
+    def map_children(elem, f, coll, target):
+        _, root, blocks = elem
+        return target.number[canonical_circle(
+            root, tuple((S, f(c)) for S, c in blocks), coll)]
 
     def y_merge(elem):
-        # ('circ', p, blocks of bare Y) -> bare Y element, inputs
-        # renumbered back to ascending position order
+        # Y's left action, inputs renumbered back to ascending positions
         _, root, blocks = elem
-        rs, rop = perms.unshuffle(
-            Y.act, Y.act_left((root[1], root[2]),
-                              [(c[1], c[2]) for _, c in blocks]),
+        ref = perms.unshuffle(
+            Y.act, Y.act_left(root[1:], [towers[0].elems[c][1:]
+                                         for _, c in blocks]),
             _block_order(blocks))
-        return ("op", rs, rop)
+        return towers[0].number[("op",) + ref]
 
-    def merge_head(elem, act, coll):
-        _, root, blocks = elem
-        new_root = act(root, [child[1] for _, child in blocks])
-        return canonical_circle(new_root, _reposition(blocks), coll)
+    lowered, lifted = {}, {}
 
-    def face_at(elem, i, n):
-        if i == 0:
-            return merge_head(elem, x_act, X.collection)
-
-        def descend(e, depth):
-            # e's root is the middle layer numbered depth
-            if depth == i:
-                if i == n:
-                    return y_merge(e)
-                return merge_head(e, p_act, P.collection)
-            _, r, bs = e
-            new_bs = tuple((S, descend(child, depth + 1)) for S, child in bs)
-            return canonical_circle(r, new_bs, P.collection)
-
-        _, root, blocks = elem
-        new_blocks = tuple((S, descend(child, 1)) for S, child in blocks)
-        return canonical_circle(root, new_blocks, X.collection)
-
-    def elem_out(e):
-        if e[0] == "op":
-            return e[1][1]
-        return elem_out(e[1])
-
-    def elem_arity(e):
-        if e[0] == "op":
-            return len(e[1][0])
-        _, _, bs = e
-        return sum(len(S) for S, _ in bs)
-
-    def wrap_unit(e):
-        unit = P.unit_ref(elem_out(e))
-        positions = tuple(range(elem_arity(e)))
-        return ("circ", ("op",) + unit, ((positions, e),))
-
-    def degeneracy_at(elem, j, n):
-        def descend(e, depth, coll):
-            # wrap the children of the layer-j heads (depth counts the
-            # middle layer of e's root; the outer root is depth 0)
-            _, r, bs = e
-            if depth == j:
-                new_bs = tuple((S, wrap_unit(child)) for S, child in bs)
+    def lower(h, c, j):
+        # face j of element c of the tower of height h; 0 merges its root
+        got = lowered.get((h, c, j))
+        if got is None:
+            t = towers[h].elems[c]
+            if j:
+                got = map_children(t, lambda g: lower(h - 1, g, j - 1),
+                                   P.collection, towers[h - 1])
+            elif h > 1:
+                got = merge_roots(t, towers[h - 1], P.gamma, P.collection,
+                                  towers[h - 1])
             else:
-                new_bs = tuple((S, descend(child, depth + 1, P.collection))
-                               for S, child in bs)
-            return canonical_circle(r, new_bs, coll)
+                got = y_merge(t)
+            lowered[h, c, j] = got
+        return got
 
-        return descend(elem, 0, X.collection)
+    def lift(h, c, j):
+        # degeneracy j of element c of the tower of height h; -1 puts a
+        # unit on top of it
+        got = lifted.get((h, c, j))
+        if got is None:
+            if j < 0:
+                inputs, out = towers[h].sigs[c]
+                unit = ("op",) + P.unit_ref(out)
+                got = towers[h + 1].number[
+                    "circ", unit, ((tuple(range(len(inputs))), c),)]
+            else:
+                got = map_children(towers[h].elems[c],
+                                   lambda g: lift(h - 1, g, j - 1),
+                                   P.collection, towers[h + 1])
+            lifted[h, c, j] = got
+        return got
 
-    level_elems = []
-    for n in range(n_max + 1):
-        elems = []
-        for s in levels[n].signatures():
-            elems.extend(levels[n].elements(s))
-        level_elems.append(tuple(sorted(elems)))
+    def table(n, image, target):
+        return {x: target.nested[k] for x, k in zip(levels[n].nested, image)}
 
     faces = {}
     for n in range(1, n_max + 1):
-        for i in range(n + 1):
-            faces[n, i] = {e: face_at(e, i, n) for e in level_elems[n]}
+        down = levels[n - 1]
+        # d_0 first, in element order: the first missing action of X is
+        # met at the first element that needs it
+        faces[n, 0] = table(n, [
+            merge_roots(e, towers[n], X.act_right, X.collection, down)
+            for e in levels[n].elems], down)
+        for i in range(1, n + 1):
+            faces[n, i] = table(n, [
+                map_children(e, lambda c: lower(n, c, i - 1), X.collection,
+                             down)
+                for e in levels[n].elems], down)
     degeneracies = {}
     for n in range(n_max):
         for j in range(n + 1):
-            degeneracies[n, j] = {e: degeneracy_at(e, j, n)
-                                  for e in level_elems[n]}
+            degeneracies[n, j] = table(n, [
+                map_children(e, lambda c: lift(n, c, j - 1), X.collection,
+                             levels[n + 1])
+                for e in levels[n].elems], levels[n + 1])
 
+    level_elems = tuple(tuple(layer.nested) for layer in levels)
     simplicial = TruncatedSimplicialSet(
-        depth=n_max, levels=tuple(level_elems),
+        depth=n_max, levels=level_elems,
         faces=faces, degeneracies=degeneracies)
 
     uf = UnionFind(list(level_elems[0]))

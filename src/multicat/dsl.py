@@ -25,8 +25,8 @@ from . import perms
 from .algebras import AlgebraStructure, ObjectFamily
 from .bimodules import Bimodule
 from .core import (FiniteCollection, TableMulticategory, complete_actions,
-                   check_multicategory_laws, sig_key)
-from .errors import StructuralError
+                   check_multicategory_laws, composed_sig, sig_key)
+from .errors import CompositionError, StructuralError
 from .homcalc import Multifunctor, check_multifunctor
 from .presents import Presentation
 from .trees import identity_term, term_signature
@@ -283,6 +283,7 @@ def _collect_tables(block, diags, with_structure):
     units = {}
     comp = {}
     generators = {}
+    lines = {}  # a comp row's key, or ("unit", color) -> the row's line
     flags = {"partial": False, "planar": False}
     for lineno, tokens in block.entries:
         head = tokens[0]
@@ -297,6 +298,7 @@ def _collect_tables(block, diags, with_structure):
                     "SYNTAX", "unit row: unit color = id", lineno))
                 raise _Abort
             units[tokens[1]] = tokens[3]
+            lines["unit", tokens[1]] = lineno
         elif head == "comp" and with_structure:
             if len(tokens) != 8 or tokens[6] != "=":
                 diags.append(Diagnostic(
@@ -307,8 +309,10 @@ def _collect_tables(block, diags, with_structure):
             qsig = parse_sig_token(tokens[4], lineno, diags)
             if psig is None or qsig is None:
                 raise _Abort
-            slot = _slot(tokens[3], lineno, diags)
-            comp[psig, tokens[2], slot, qsig, tokens[5]] = tokens[7]
+            key = (psig, tokens[2], _slot(tokens[3], lineno, diags), qsig,
+                   tokens[5])
+            comp[key] = tokens[7]
+            lines[key] = lineno
         elif head == "act":
             s, p, op, image = _act_row(tokens, lineno, diags)
             generators.setdefault((s, p), {})[op] = image
@@ -318,7 +322,7 @@ def _collect_tables(block, diags, with_structure):
             diags.append(Diagnostic(
                 "SYNTAX", f"unknown row {head!r} in {block.kind}", lineno))
             raise _Abort
-    return colors, ops, units, comp, generators, flags
+    return colors, ops, units, comp, generators, flags, lines
 
 
 def _ops_row(tokens, lineno, diags):
@@ -346,7 +350,24 @@ def _act_row(tokens, lineno, diags):
     p = parse_perm_token(tokens[3], lineno, diags)
     if s is None or p is None:
         raise _Abort
+    if len(p) != len(s[0]):
+        _fail(f"permutation {tokens[3]} does not act on {tokens[1]}",
+              lineno, diags)
     return s, p, tokens[2], tokens[5]
+
+
+def _fail(message, lineno, diags):
+    """A STRUCT diagnostic for an input row that elaboration cannot use;
+    the block is dropped."""
+    diags.append(Diagnostic("STRUCT", message, lineno))
+    raise _Abort
+
+
+def _need(ops, ref, what, lineno, diags):
+    """Fail unless ``ref`` is an operation of the ``ops`` table."""
+    s, op = ref
+    if op not in ops.get(s, ()):
+        _fail(f"{what}: no {op} at ({sig_key(s)})", lineno, diags)
 
 
 def _slot(tok, lineno, diags):
@@ -384,7 +405,7 @@ def _finish_actions(block, ops, generators, diags, planar=False):
 
 
 def _elab_collection(block, diags):
-    colors, ops, _, _, generators, flags = _collect_tables(
+    colors, ops, _, _, generators, flags, _ = _collect_tables(
         block, diags, with_structure=False)
     _resolve_ops(block, colors, ops, diags)
     action = _finish_actions(block, ops, generators, diags)
@@ -392,7 +413,7 @@ def _elab_collection(block, diags):
 
 
 def _elab_multicategory(block, diags):
-    colors, ops, units, comp, generators, flags = _collect_tables(
+    colors, ops, units, comp, generators, flags, lines = _collect_tables(
         block, diags, with_structure=True)
     _resolve_ops(block, colors, ops, diags)
     action = _finish_actions(block, ops, generators, diags,
@@ -402,6 +423,17 @@ def _elab_multicategory(block, diags):
             diags.append(Diagnostic(
                 "STRUCT", f"color {c} has no unit row", block.line))
             raise _Abort
+    for c, u in units.items():
+        _need(ops, (((c,), c), u), f"unit {c}", lines["unit", c], diags)
+    for (psig, p, slot, qsig, q), r in comp.items():
+        line = lines[psig, p, slot, qsig, q]
+        try:
+            rsig = composed_sig(psig, slot, qsig)
+        except CompositionError:
+            _fail(f"comp row: slot {slot + 1} of ({sig_key(psig)}) does not "
+                  f"take ({sig_key(qsig)})", line, diags)
+        for ref in ((psig, p), (qsig, q), (rsig, r)):
+            _need(ops, ref, "comp row", line, diags)
     M = TableMulticategory(
         collection=FiniteCollection(tuple(sorted(colors)), ops, action),
         units=units, comp=comp, complete=not flags["partial"],
@@ -528,6 +560,10 @@ def _elab_multifunctor(block, objects, diags):
                 "SYNTAX", f"unknown row {tokens[0]!r} in multifunctor",
                 lineno))
             raise _Abort
+    for c in src.colors:
+        if object_map.get(c) not in dst.colors:
+            _fail(f"no obj row maps color {c} to a color of "
+                  f"{block.header[3]}", block.line, diags)
     F = Multifunctor(source=src, target=dst, object_map=object_map,
                      op_maps=op_maps, name=block.name)
     report = check_multifunctor(F)
@@ -550,6 +586,7 @@ def _elab_algebra(block, objects, diags):
         raise _Abort
     carriers = {}
     action = {}
+    act_lines = {}
     for lineno, tokens in block.entries:
         if tokens[0] == "carrier" and len(tokens) >= 3 and tokens[2] == "=":
             carriers[tokens[1]] = tuple(tokens[3:])
@@ -558,6 +595,7 @@ def _elab_algebra(block, objects, diags):
             if s is None:
                 raise _Abort
             action.setdefault(s, {})[tokens[2]] = tuple(tokens[4:])
+            act_lines[s, tokens[2]] = lineno
         else:
             diags.append(Diagnostic(
                 "SYNTAX", f"unknown row {tokens[0]!r} in algebra", lineno))
@@ -567,6 +605,11 @@ def _elab_algebra(block, objects, diags):
     except StructuralError as exc:
         diags.append(Diagnostic("STRUCT", str(exc), block.line))
         raise _Abort
+    for (s, op), line in act_lines.items():
+        for v in action[s][op]:
+            if v not in carriers.get(s[1], ()):
+                _fail(f"act row: {v} is not in the carrier of {s[1]}", line,
+                      diags)
     alg = AlgebraStructure(multicategory=M, carrier=family, action=action)
     from .algebras import check_algebra
 
@@ -660,6 +703,14 @@ def _elab_bimodule(block, objects, diags):
     action = _finish_actions(block, ops, generators, diags)
     colors = sorted({c for s in ops for c in s[0]} | {s[1] for s in ops})
     coll = FiniteCollection(tuple(colors), ops, action)
+    for (m, _, q), r in right_table.items():
+        _need(ops, m, "ract row", block.line, diags)
+        _need(R.ops, q, "ract row", block.line, diags)
+        _need(ops, r, "ract row", block.line, diags)
+    for (p, ms), r in left_table.items():
+        _need(L.ops, p, "lact row", block.line, diags)
+        for m in ms + (r,):
+            _need(ops, m, "lact row", block.line, diags)
     M = Bimodule(left=L, right=R, collection=coll,
                  left_table=left_table, right_table=right_table,
                  name=block.name)

@@ -303,37 +303,42 @@ def saturate(presentation, max_arity=3, max_vertices=4, max_rounds=200):
     sat = Saturation(
         table=None, report=None, presentation=presentation,
         rep_of=rep_of, max_arity=max_arity, max_vertices=max_vertices)
+    # the table is filled on term numbers; the op id of each class is
+    # written once
     elements = {}
+    text = {}
     for i in by_rank:
         if reps[i] == i:
-            elements.setdefault(sig[i], []).append(terms[i])
+            elements.setdefault(sig[i], []).append(i)
+            text[i] = term_text(terms[i])
 
     # when no class holds a term smaller than its others, reducing a
     # subtree never changes its vertex count, so a composite over the
     # vertex cap stays over it and escapes
     shrinks = any(vert[reps[i]] != vert[i] for i in range(n_terms))
 
-    def act(s, t, p):
-        acted = image(index[t], p)
+    def act(s, x, p):
+        acted = image(x, p)
         if acted < 0:
             raise StructuralError("renumbering left the term pool")
-        return terms[reps[acted]]
+        return reps[acted]
 
-    def compose(s, t, slot, qs, q):
-        x, r = index[t], index[q]
+    def compose(s, x, slot, qs, r):
         if vert[x] + vert[r] <= max_vertices:
             w = graft_id(x, slot, r)
             if w >= 0:
-                return terms[reps[w]]
+                return reps[w]
         elif not shrinks:
             return None
-        return sat.class_of(graft(t, slot, q))
+        got = sat.class_of(graft(terms[x], slot, terms[r]))
+        return None if got is None else index[got]
 
-    table, sat.structure, comp_escapes = tabulate(
+    table, structure, comp_escapes = tabulate(
         sorted(gens.colors), elements,
-        {c: rep_of[identity_term(c)] for c in gens.colors}, term_text,
-        act, compose, arity_cap=max_arity,
+        {c: reps[index[identity_term(c)]] for c in gens.colors},
+        text.__getitem__, act, compose, arity_cap=max_arity,
         name=presentation.name or "saturated")
+    sat.structure = {k: terms[i] for k, i in structure.items()}
     report = SaturationReport(
         stabilized=stabilized and seed_escapes == 0,
         rounds=rounds,

@@ -22,10 +22,15 @@ equality is tuple equality:
   ``('circ', root, blocks)`` a root operation with one block
   ``(positions, element)`` per input, the positions being the sorted
   input numbers the block's element feeds; :func:`canonical_circle`
-  picks one representative per simultaneous block permutation.
+  picks one representative per simultaneous block permutation.  They
+  live in numbered layers (:class:`Layer`): a layer numbers its elements
+  in sorted order, and a block names its element by its number in the
+  layer below, so that each element is stored once and the nested form
+  is written out only where it is read.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 from . import perms
@@ -558,51 +563,42 @@ def free_multicategory(gens, symmetric, max_arity=3, max_vertices=4,
 # circle product of collections
 
 
-class LayeredSet:
-    """A finite family of elements indexed by signature, with a symmetric
-    action; the common interface of base collections and circle products."""
+class Layer:
+    """The elements of a base collection or of a circle product, numbered
+    in sorted order.
 
-    def __init__(self, by_sig, act_fn):
-        self.by_sig = {s: tuple(sorted(v)) for s, v in by_sig.items() if v}
-        self._act = act_fn
+    A base element is ``('op', signature, op_id)``; a circle element is
+    ``('circ', root, blocks)`` whose blocks ``(positions, child)`` name the
+    child by its number in the layer ``below``.  Numbers follow the order
+    of the nested elements, so comparing two encoded elements compares
+    their nested forms: sorting a layer and the orbit minimum of
+    :func:`canonical_circle` are the same on either form.  ``sigs[i]`` is
+    the signature of element i, ``number`` maps an element to its number
+    and ``shapes`` an (output color, arity) pair to the numbers there;
+    ``nested`` writes the children out, sharing their tuples.
+    """
 
-    def signatures(self):
-        return sorted(self.by_sig, key=sig_key)
+    def __init__(self, sig_of, below=None):
+        self.below = below
+        self.elems = sorted(sig_of)
+        self.number = {e: i for i, e in enumerate(self.elems)}
+        self.sigs = [sig_of[e] for e in self.elems]
+        self.shapes = {}
+        for i, (inputs, out) in enumerate(self.sigs):
+            self.shapes.setdefault((out, len(inputs)), []).append(i)
 
-    def elements(self, s):
-        return self.by_sig.get(s, ())
-
-    def act(self, elem, p):
-        if p == perms.identity(len(p)):
-            return elem
-        return self._act(elem, p)
+    @cached_property
+    def nested(self):
+        if self.below is None:
+            return self.elems
+        kids = self.below.nested
+        return [("circ", root, tuple((S, kids[c]) for S, c in blocks))
+                for _, root, blocks in self.elems]
 
 
 def base_layer(coll):
-    """Wrap a FiniteCollection: elements are ('op', sig, id)."""
-    by_sig = {s: [("op", s, op) for op in coll.ops_at(s)]
-              for s in coll.signatures()}
-
-    def act(elem, p):
-        _, s, op = elem
-        ns, nop = coll.act((s, op), p)
-        return ("op", ns, nop)
-
-    return LayeredSet(by_sig, act)
-
-
-def elem_signature(elem):
-    if elem[0] == "op":
-        return elem[1]
-    _, root, blocks = elem
-    out = elem_signature(root)[1]
-    n = sum(len(S) for S, _ in blocks)
-    inputs = [None] * n
-    for (S, child) in blocks:
-        child_sig = elem_signature(child)
-        for local, pos in enumerate(sorted(S)):
-            inputs[pos] = child_sig[0][local]
-    return (tuple(inputs), out)
+    """The operations of a FiniteCollection as ('op', sig, id)."""
+    return Layer({("op", s, op): s for s, op in coll.refs()})
 
 
 def canonical_circle(root_elem, blocks, coll):
@@ -638,40 +634,28 @@ def renumber_blocks(blocks, p):
         yield new_s, tuple(old_sorted.index(p[x]) for x in new_s), item
 
 
-def circle_layer(m_coll, n_layer, max_arity):
+def circle_layer(m_coll, below, max_arity):
     """The circle product: one operation of the collection m_coll at the
-    root, n-elements on its inputs, modulo the simultaneous block
-    permutation."""
-    by_sig = {}
+    root, elements of the layer ``below`` on its inputs, modulo the
+    simultaneous block permutation; a :class:`Layer` over ``below``."""
+    sig_of = {}
     for ms in m_coll.signatures():
         for n in range(max_arity + 1):
             for blocks_pos in shuffles(n, len(ms[0])):
-                pools = [[e for cs in n_layer.signatures()
-                          if cs[1] == out and len(cs[0]) == len(S)
-                          for e in n_layer.elements(cs)]
+                pools = [below.shapes.get((out, len(S)), ())
                          for S, out in zip(blocks_pos, ms[0])]
                 for op in m_coll.ops_at(ms):
+                    root = ("op", ms, op)
                     for combo in product(*pools):
                         e = canonical_circle(
-                            ("op", ms, op), tuple(zip(blocks_pos, combo)),
-                            m_coll)
-                        by_sig.setdefault(elem_signature(e), set()).add(e)
-
-    def act(elem, p):
-        _, root, blocks = elem
-        return canonical_circle(
-            root, tuple((S, n_layer.act(child, rho))
-                        for S, rho, child in renumber_blocks(blocks, p)),
-            m_coll)
-
-    return LayeredSet(by_sig, act)
-
-
-def circle_product(m_coll, n_coll, max_arity=3):
-    """Circle product of two finite collections, as a collection whose
-    operation ids encode the canonical two-level trees."""
-    layer = circle_layer(m_coll, base_layer(n_coll), max_arity)
-    return layered_to_collection(layer)
+                            root, tuple(zip(blocks_pos, combo)), m_coll)
+                        if e not in sig_of:
+                            inputs = [None] * n
+                            for S, c in e[2]:
+                                for pos, color in zip(S, below.sigs[c][0]):
+                                    inputs[pos] = color
+                            sig_of[e] = (tuple(inputs), e[1][1][1])
+    return Layer(sig_of, below)
 
 
 def elem_text(e):
@@ -685,25 +669,32 @@ def elem_text(e):
     return "(" + elem_text(root) + ")[" + ";".join(parts) + "]"
 
 
-def layered_to_collection(layer):
-    """Present a layered set as a FiniteCollection with encoded ids."""
-    ops = {}
-    decode = {}
-    for s in layer.signatures():
-        ids = []
-        for e in layer.elements(s):
-            eid = elem_text(e)
-            ids.append(eid)
-            decode[s, eid] = e
-        ops[s] = tuple(sorted(ids))
-    colors = set()
+def circle_product(m_coll, n_coll, max_arity=3):
+    """Circle product of two finite collections, as a collection whose
+    operation ids encode the canonical two-level trees, and the map from
+    each ``(signature, id)`` to its nested element."""
+    below = base_layer(n_coll)
+    layer = circle_layer(m_coll, below, max_arity)
+    text = [elem_text(e) for e in layer.nested]
+    members = {}
+    for i, s in enumerate(layer.sigs):
+        members.setdefault(s, []).append(i)
+
+    def act(i, p):
+        _, root, blocks = layer.elems[i]
+        moved = tuple(
+            (S, below.number[("op",) + n_coll.act(below.elems[c][1:], rho)])
+            for S, rho, c in renumber_blocks(blocks, p))
+        return text[layer.number[canonical_circle(root, moved, m_coll)]]
+
+    ops, decode, action = {}, {}, {}
+    for s in sorted(members, key=sig_key):
+        for i in members[s]:
+            decode[s, text[i]] = layer.nested[i]
+        ops[s] = tuple(sorted(text[i] for i in members[s]))
     for s in ops:
-        colors |= set(s[0]) | {s[1]}
-    action = {}
-    for s in ops:
-        n = len(s[0])
-        for p in perms.all_perms(n):
-            action[s, p] = {
-                eid: elem_text(layer.act(decode[s, eid], p))
-                for eid in ops[s]}
+        by_text = sorted(members[s], key=text.__getitem__)
+        for p in perms.all_perms(len(s[0])):
+            action[s, p] = {text[i]: act(i, p) for i in by_text}
+    colors = {c for s in ops for c in s[0] + (s[1],)}
     return FiniteCollection(tuple(sorted(colors)), ops, action), decode

@@ -7,7 +7,7 @@ these functions produce are recorded in tests/fixtures/oracle_fixtures.json
 (see gen_fixtures.py); the package is then tested against the frozen file.
 """
 
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from math import comb, factorial
 
 
@@ -278,6 +278,26 @@ def labeled_magma_count(arity):
         return sum(shapes(i) * shapes(n - i) for i in range(1, n))
 
     return shapes(arity) * factorial(arity)
+
+
+def commutative_binary_count(arity):
+    """Operations of the free symmetric operad on one commutative binary
+    generator: unordered binary trees on `arity` numbered leaves, counted
+    by splitting the leaf set at the root; (2n-3)!! for n >= 2.  A tree
+    with n leaves has n - 1 vertices."""
+    def trees(leaves):
+        if len(leaves) == 1:
+            return 1
+        first, rest = leaves[0], leaves[1:]
+        total = 0
+        # the subtree holding the first leaf, then the other one
+        for k in range(len(rest)):
+            for others in combinations(rest, k):
+                right = tuple(x for x in rest if x not in others)
+                total += trees((first,) + others) * trees(right)
+        return total
+
+    return trees(tuple(range(arity)))
 
 
 def multiset_count(n, k):

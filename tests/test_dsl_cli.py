@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from multicat import dsl
 from multicat.cli import COMMAND_TABLE, SUBCOMMANDS, main
@@ -282,3 +283,83 @@ def test_malformed_bimodule_row_is_a_diagnostic(name, docs_dir, tmp_path,
     path.write_text(text)
     assert run_cli("check", str(path)) == 1
     assert f"{lineno}:0: SYNTAX" in capsys.readouterr().err
+
+
+# one row of a shipped fixture each that elaboration cannot use:
+# (file, row, replacement, block dropped, diagnostic on the row's line)
+ELABORATION_MUTANTS = {
+    "comp-result-not-an-op": (
+        "as3.mcat", "  comp (x,x,x;x) w021 2 (x;x) w0 = w021",
+        "  comp (x,x,x;x) w021 2 (x;x) w0 = [2,1,3]", "As3", True),
+    "unit-not-at-c-c": (
+        "as3.mcat", "  unit x = w0", "  unit x = w01", "As3", True),
+    "obj-misses-a-color": (
+        "twocolor.mcat", "  obj b = a", "  obj unit = a", "Collapse", False),
+    "algebra-value-off-carrier": (
+        "alg.mcat", "  act (x,x;x) w01 = e z z z",
+        "  act (x,x;x) w01 = e z z w0", "Mon2", True),
+    "ract-unknown-element": (
+        "bimod.mcat", "  ract (x,x;x) w10 1 (x;x) w0 = (x,x;x) w10",
+        "  ract (x,x;x) w11 1 (x;x) w0 = (x,x;x) w10", "Reg", False),
+    "act-perm-wrong-arity": (
+        "as3.mcat", "  act (x,x;x) w01 [2,1] = w10",
+        "  act (x,x;x) w01 [2,1,3] = w10", "As3", True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ELABORATION_MUTANTS))
+def test_unusable_row_is_a_diagnostic(name, docs_dir, tmp_path, capsys):
+    file, row, new, dropped, on_row = ELABORATION_MUTANTS[name]
+    lines = (docs_dir / file).read_text().splitlines()
+    at = lines.index(row)
+    lines[at] = new
+    block_line = max(i for i in range(at) if not lines[i].startswith(" "))
+    lineno = (at if on_row else block_line) + 1
+    text = "\n".join(lines) + "\n"
+    ast, diags = dsl.parse(text)
+    assert ast is not None and not diags
+    objects, diags = dsl.elaborate(ast)
+    assert dropped not in objects
+    assert [(d.code, d.line) for d in diags] == [("STRUCT", lineno)]
+    path = tmp_path / "mutant.mcat"
+    path.write_text(text)
+    assert run_cli("check", str(path)) == 1
+    err = capsys.readouterr().err
+    assert f"{lineno}:0: STRUCT" in err and "Traceback" not in err
+
+
+FIXTURE_TEXTS = sorted(
+    p.read_text()
+    for p in (Path(__file__).resolve().parent.parent / "fixtures").glob(
+        "*.mcat"))
+
+
+@st.composite
+def fixture_mutants(draw):
+    """A shipped document with one to three token replacements, deletions
+    or insertions, the new tokens drawn from the same document."""
+    lines = [line.split(" ")
+             for line in draw(st.sampled_from(FIXTURE_TEXTS)).split("\n")]
+    pool = sorted({t for line in lines for t in line if t})
+    for _ in range(draw(st.integers(1, 3))):
+        line = lines[draw(st.integers(0, len(lines) - 1))]
+        kind = draw(st.sampled_from("rdi"))
+        filled = [j for j, t in enumerate(line) if t]
+        if kind == "i" or not filled:
+            line.insert(draw(st.integers(0, len(line))),
+                        draw(st.sampled_from(pool)))
+        elif kind == "r":
+            line[draw(st.sampled_from(filled))] = draw(st.sampled_from(pool))
+        else:
+            del line[draw(st.sampled_from(filled))]
+    return "\n".join(" ".join(line) for line in lines)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(fixture_mutants())
+def test_mutated_fixtures_only_give_diagnostics(text):
+    ast, diags = dsl.parse(text)
+    assert all(isinstance(d, dsl.Diagnostic) for d in diags)
+    if ast is not None:
+        _, diags = dsl.elaborate(ast)
+        assert all(isinstance(d, dsl.Diagnostic) for d in diags)

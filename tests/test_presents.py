@@ -1,5 +1,6 @@
 """Saturation, coproducts, the tensor product, the arrow family, pushouts."""
 
+import oracles
 import pytest
 
 from multicat import perms
@@ -33,14 +34,17 @@ def binary_presentation(with_assoc=True):
 
 class TestSaturate:
     def test_no_relations_matches_free(self):
-        from multicat.trees import free_multicategory
-
+        # the free operad on a commutative binary generator, counted
+        # independently: every arity up to the caps fits the vertex cap
         pres = binary_presentation(with_assoc=False)
-        sat = saturate(pres, max_arity=3, max_vertices=2)
-        free, _ = free_multicategory(pres.generators, symmetric=True,
-                                     max_arity=3, max_vertices=2)
-        assert {s: len(sat.table.ops_at(s)) for s in sat.table.ops} == \
-            {s: len(free.ops_at(s)) for s in free.ops}
+        for max_arity, max_vertices in ((3, 2), (4, 3)):
+            sat = saturate(pres, max_arity, max_vertices)
+            assert {len(s[0]): len(sat.table.ops_at(s))
+                    for s in sat.table.ops} == {
+                n: oracles.commutative_binary_count(n)
+                for n in range(1, max_arity + 1)}
+        assert [oracles.commutative_binary_count(n)
+                for n in range(1, 6)] == [1, 1, 3, 15, 105]
 
     def test_associativity_single_class_per_arity(self):
         sat = saturate(binary_presentation(), max_arity=4, max_vertices=3)
