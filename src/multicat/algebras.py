@@ -28,10 +28,9 @@ from dataclasses import dataclass
 from itertools import product
 
 from . import perms
-from .core import (FiniteCollection, TableMulticategory,
+from .core import (FiniteCollection, TableMulticategory, _gamma_by_size,
                    check_multicategory_laws, composed_sig, sig_key, tabulate)
-from .errors import (BudgetExceededError, CompositionError, DomainError,
-                     StructuralError)
+from .errors import BudgetExceededError, DomainError, StructuralError
 from .homcalc import Multifunctor, check_multifunctor, enumerate_multifunctors
 
 
@@ -199,11 +198,10 @@ class EndView:
     def _gather(self, psig, slot, qsig):
         # position z of p o_slot q reads p at b + stride * (q at j): the
         # composite's inputs are p's prefix, q's inputs and p's suffix,
-        # in that lexicographic order
+        # in that lexicographic order; None for a composite over the cap
         rsig = composed_sig(psig, slot, qsig)
         if len(rsig[0]) > self.arity_cap:
-            raise StructuralError(
-                f"composite arity {len(rsig[0])} beyond the cap")
+            return None
         coords, _ = self._lex(psig[0])
         stride = coords[slot][1]
         block = stride * len(coords[slot][0])
@@ -214,12 +212,22 @@ class EndView:
         return rsig, stride, pairs
 
     def compose1(self, pref, slot, qref):
+        got = self.try_compose1(pref, slot, qref)
+        if got is None:
+            rsig = composed_sig(pref[0], slot, qref[0])
+            raise StructuralError(
+                f"composite arity {len(rsig[0])} beyond the cap")
+        return got
+
+    def try_compose1(self, pref, slot, qref):
         psig, p = pref
         qsig, q = qref
         key = (psig, slot, qsig)
-        gather = self._gathers.get(key)
-        if gather is None:
+        gather = self._gathers.get(key, False)
+        if gather is False:
             gather = self._gathers[key] = self._gather(psig, slot, qsig)
+        if gather is None:
+            return None
         rsig, stride, pairs = gather
         if not pairs:  # an empty domain: neither table is read
             return (rsig, "f:")
@@ -228,19 +236,7 @@ class EndView:
         qt = [stride * ix[v] for v in q[2:].split("|")]
         return (rsig, "f:" + "|".join([pt[b + qt[j]] for b, j in pairs]))
 
-    def try_compose1(self, pref, slot, qref):
-        try:
-            return self.compose1(pref, slot, qref)
-        except StructuralError:
-            return None
-
     def gamma(self, pref, qrefs):
-        from .core import _gamma_by_size
-
-        psig, _ = pref
-        if len(qrefs) != len(psig[0]):
-            raise CompositionError(
-                f"gamma needs {len(psig[0])} arguments, got {len(qrefs)}")
         return _gamma_by_size(self.compose1, pref, qrefs)
 
     def act(self, ref, p):
@@ -369,13 +365,10 @@ class FreeAlgebra:
             es, eop, eargs = self.decode[eid]
             qrefs.append((es, eop))
             args.extend(eargs)
-        try:
-            rs, rop = P.gamma(pref, qrefs)
-        except StructuralError:
+        got = _gamma_by_size(P.try_compose1, pref, qrefs)
+        if got is None or not P.has_sig(got[0]):
             return None
-        if not P.has_sig(rs):
-            return None
-        return _canon_free(P, rs, rop, tuple(args))
+        return _canon_free(P, *got, tuple(args))
 
 
 def _free_id(s, op, args):

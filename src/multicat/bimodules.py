@@ -18,8 +18,8 @@ from itertools import product
 
 from . import perms
 from .core import (FiniteCollection, LawReport, TableMulticategory,
-                   TruncatedSimplicialSet, backtrack, composed_sig, sig_key,
-                   tabulate)
+                   TruncatedSimplicialSet, _gamma_by_size, backtrack,
+                   check_slot_laws, composed_sig, sig_key, tabulate)
 from .errors import StructuralError
 from .homcalc import Multifunctor
 from .presents import UnionFind
@@ -46,38 +46,30 @@ class Bimodule:
         return self.collection.act(mref, p)
 
     def act_right1(self, mref, slot, qref):
-        if self.right.is_unit(qref):
-            return mref
-        got = self.right_table.get((mref, slot, qref))
+        got = self.try_act_right1(mref, slot, qref)
         if got is None:
             raise StructuralError(
                 f"missing right action {mref} o_{slot} {qref}")
         return got
 
     def try_act_right1(self, mref, slot, qref):
-        try:
-            return self.act_right1(mref, slot, qref)
-        except StructuralError:
-            return None
+        if self.right.is_unit(qref):
+            return mref
+        return self.right_table.get((mref, slot, qref))
 
     def act_right(self, mref, qrefs):
-        from .core import _gamma_by_size
-
         return _gamma_by_size(self.act_right1, mref, qrefs)
 
     def act_left(self, pref, mrefs):
-        if self.left.is_unit(pref):
-            return mrefs[0]
-        got = self.left_table.get((pref, tuple(mrefs)))
+        got = self.try_act_left(pref, mrefs)
         if got is None:
             raise StructuralError(f"missing left action {pref} on {mrefs}")
         return got
 
     def try_act_left(self, pref, mrefs):
-        try:
-            return self.act_left(pref, mrefs)
-        except StructuralError:
-            return None
+        if self.left.is_unit(pref):
+            return mrefs[0]
+        return self.left_table.get((pref, tuple(mrefs)))
 
 
 def module_from_multicategory(M, max_arity=None):
@@ -100,19 +92,27 @@ def module_from_multicategory(M, max_arity=None):
                       if m[0][1] == c and n + len(m[0][0]) <= cap]
         for p in M.ops_at(s):
             for mrefs, _ in tuples:
-                try:
-                    left_table[(s, p), mrefs] = M.gamma((s, p), list(mrefs))
-                except StructuralError:
-                    continue
+                got = _gamma_by_size(M.try_compose1, (s, p), mrefs)
+                if got is not None:
+                    left_table[(s, p), mrefs] = got
     return Bimodule(left=M, right=M, collection=coll,
                     left_table=left_table, right_table=right_table,
                     name=f"{M.name}-bimod")
 
 
 def check_bimodule(M, max_violations=25):
-    """Left laws, right laws, the symmetric-action laws, and the two-sided
-    compatibility axiom, exhaustively over the declared support; instances
-    whose intermediate values fall outside the support are skipped."""
+    """Every law of a bimodule, exhaustively over the declared support:
+
+    - ``action-total``: the symmetric action tables are total;
+    - ``right-unit``, then the right action as a slot action of
+      ``M.right`` (:func:`core.check_slot_laws`): ``right-assoc``,
+      ``right-parallel``, ``right-equivariance`` (outer) and
+      ``right-equivariance-inner``;
+    - ``left-assoc`` and ``left-equivariance`` of the left action;
+    - ``compatibility`` of the two actions.
+
+    Instances whose intermediate values fall outside the support are
+    skipped."""
     report = LawReport()
     coll = M.collection
 
@@ -127,79 +127,29 @@ def check_bimodule(M, max_violations=25):
         return report
 
     mrefs_all = list(coll.refs())
+    m_by_color, l_by_color, r_by_color = {}, {}, {}
+    for m in mrefs_all:
+        m_by_color.setdefault(m[0][1], []).append(m)
+    for by_color, Q in ((l_by_color, M.left), (r_by_color, M.right)):
+        for qs in Q.signatures():
+            by_color.setdefault(qs[1], []).extend(
+                (qs, q) for q in Q.ops_at(qs))
 
-    def q_ops(color):
-        for qs in M.right.signatures():
-            if qs[1] == color:
-                for q in M.right.ops_at(qs):
-                    yield (qs, q)
+    def m_tuples(colors):
+        return product(*[m_by_color.get(c, ()) for c in colors])
 
-    # right unit law
     for mref in mrefs_all:
-        s = mref[0]
-        for slot, color in enumerate(s[0]):
+        for slot, color in enumerate(mref[0][0]):
             got = M.try_act_right1(mref, slot, M.right.unit_ref(color))
             report.note("right-unit")
             if got is not None and got != mref:
                 report.fail("right-unit", f"{mref} slot {slot}")
 
-    # right associativity, both families
-    for mref in mrefs_all:
-        if len(report.violations) >= max_violations:
-            return report
-        s = mref[0]
-        for i, color in enumerate(s[0]):
-            for qref in q_ops(color):
-                mq = M.try_act_right1(mref, i, qref)
-                if mq is None:
-                    continue
-                k = len(qref[0][0])
-                for j, color2 in enumerate(qref[0][0]):
-                    for rref in q_ops(color2):
-                        qr = M.right.try_compose1(qref, j, rref)
-                        left = M.try_act_right1(mq, i + j, rref)
-                        right = (None if qr is None
-                                 else M.try_act_right1(mref, i, qr))
-                        report.note("right-assoc")
-                        if (left is not None and right is not None
-                                and left != right):
-                            report.fail("right-assoc",
-                                        f"{mref} o_{i} {qref} o_{j} {rref}")
-                for j, color2 in enumerate(s[0]):
-                    if j <= i:
-                        continue
-                    for rref in q_ops(color2):
-                        mr = M.try_act_right1(mref, j, rref)
-                        left = M.try_act_right1(mq, j + k - 1, rref)
-                        right = (None if mr is None
-                                 else M.try_act_right1(mr, i, qref))
-                        report.note("right-parallel")
-                        if (left is not None and right is not None
-                                and left != right):
-                            report.fail("right-parallel",
-                                        f"{mref} slots {i},{j}")
-
-    # right equivariance
-    for mref in mrefs_all:
-        s = mref[0]
-        n = len(s[0])
-        for sigma in perms.all_perms(n):
-            acted = M.act(mref, sigma)
-            for i in range(n):
-                for qref in q_ops(s[0][sigma[i]]):
-                    base = M.try_act_right1(mref, sigma[i], qref)
-                    left = M.try_act_right1(acted, i, qref)
-                    report.note("right-equivariance")
-                    if base is not None and left is not None:
-                        k = len(qref[0][0])
-                        want = M.act(base, perms.expand_outer(sigma, i, k))
-                        if left != want:
-                            report.fail("right-equivariance",
-                                        f"{mref} perm {sigma} slot {i}")
-
-    def m_tuples(colors):
-        pools = [[m for m in mrefs_all if m[0][1] == c] for c in colors]
-        yield from product(*pools)
+    check_slot_laws(report, mrefs_all, M.try_act_right1, M.right,
+                    M.right.try_compose1, M.act,
+                    ("right-assoc", "right-parallel", "right-equivariance",
+                     "right-equivariance-inner"),
+                    max_violations)
 
     # left associativity and equivariance
     for s in M.left.signatures():
@@ -213,30 +163,25 @@ def check_bimodule(M, max_violations=25):
                 if pm is None:
                     continue
                 for slot, color in enumerate(s[0]):
-                    for qs in M.left.signatures():
-                        if qs[1] != color:
+                    for qref in l_by_color.get(color, ()):
+                        pq = M.left.try_compose1(pref, slot, qref)
+                        if pq is None:
                             continue
-                        for q in M.left.ops_at(qs):
-                            pq = M.left.try_compose1(pref, slot, (qs, q))
-                            if pq is None:
+                        for inner in m_tuples(qref[0][0]):
+                            qm = M.try_act_left(qref, inner)
+                            if qm is None:
                                 continue
-                            for inner in m_tuples(qs[0]):
-                                qm = M.try_act_left((qs, q), inner)
-                                if qm is None:
-                                    continue
-                                nested = (mrefs[:slot] + (qm,)
-                                          + mrefs[slot + 1:])
-                                left_side = M.try_act_left(pref, nested)
-                                flat = (mrefs[:slot] + tuple(inner)
-                                        + mrefs[slot + 1:])
-                                right_side = M.try_act_left(pq, flat)
-                                report.note("left-assoc")
-                                if (left_side is not None
-                                        and right_side is not None
-                                        and left_side != right_side):
-                                    report.fail(
-                                        "left-assoc",
-                                        f"{pref} o_{slot} {(qs, q)}")
+                            nested = (mrefs[:slot] + (qm,)
+                                      + mrefs[slot + 1:])
+                            left_side = M.try_act_left(pref, nested)
+                            flat = mrefs[:slot] + inner + mrefs[slot + 1:]
+                            right_side = M.try_act_left(pq, flat)
+                            report.note("left-assoc")
+                            if (left_side is not None
+                                    and right_side is not None
+                                    and left_side != right_side):
+                                report.fail("left-assoc",
+                                            f"{pref} o_{slot} {qref}")
                 for sigma in perms.all_perms(n):
                     p2 = M.left.act(pref, sigma)
                     permuted = tuple(mrefs[sigma[t]] for t in range(n))
@@ -249,7 +194,19 @@ def check_bimodule(M, max_violations=25):
                             report.fail("left-equivariance",
                                         f"{pref} perm {sigma}")
 
-    # compatibility of the two actions
+    # compatibility of the two actions; each element's right actions on
+    # the blocks of its inputs are computed once
+    right_acted = {}
+
+    def blocks(m):
+        got = right_acted.get(m)
+        if got is None:
+            got = right_acted[m] = [
+                (block, _gamma_by_size(M.try_act_right1, m, block))
+                for block in product(*[r_by_color.get(c, ())
+                                       for c in m[0][0]])]
+        return got
+
     for s in M.left.signatures():
         if len(report.violations) >= max_violations:
             return report
@@ -259,24 +216,12 @@ def check_bimodule(M, max_violations=25):
                 pm = M.try_act_left(pref, mrefs)
                 if pm is None:
                     continue
-                pools = [list(product(*[list(q_ops(c)) for c in m[0][0]]))
-                         for m in mrefs]
-                for combo in product(*pools):
-                    flat = [q for block in combo for q in block]
-                    try:
-                        left_side = M.act_right(pm, flat)
-                    except StructuralError:
-                        left_side = None
-                    acted = []
-                    good = True
-                    for m, block in zip(mrefs, combo):
-                        try:
-                            acted.append(M.act_right(m, list(block)))
-                        except StructuralError:
-                            good = False
-                            break
-                    right_side = (M.try_act_left(pref, tuple(acted))
-                                  if good else None)
+                for combo in product(*[blocks(m) for m in mrefs]):
+                    flat = [q for block, _ in combo for q in block]
+                    left_side = _gamma_by_size(M.try_act_right1, pm, flat)
+                    acted = tuple(a for _, a in combo)
+                    right_side = (None if None in acted
+                                  else M.try_act_left(pref, acted))
                     report.note("compatibility")
                     if (left_side is not None and right_side is not None
                             and left_side != right_side):
@@ -469,19 +414,16 @@ class RightModule:
     name: str = ""
 
     def act1(self, mref, slot, qref):
-        if self.over.is_unit(qref):
-            return mref
-        got = self.table.get((mref, slot, qref))
+        got = self.try_act1(mref, slot, qref)
         if got is None:
             raise StructuralError(
                 f"missing right action {mref} o_{slot} {qref}")
         return got
 
     def try_act1(self, mref, slot, qref):
-        try:
-            return self.act1(mref, slot, qref)
-        except StructuralError:
-            return None
+        if self.over.is_unit(qref):
+            return mref
+        return self.table.get((mref, slot, qref))
 
     def act(self, mref, p):
         return self.collection.act(mref, p)

@@ -209,36 +209,29 @@ class TableMulticategory:
 
     def compose1(self, pref, slot, qref):
         """p o_slot q, raising if the entry is absent."""
+        got = self.try_compose1(pref, slot, qref)
+        if got is None:
+            raise StructuralError(
+                "missing composition cell "
+                f"({_ref_str(pref)}) o_{slot} ({_ref_str(qref)})")
+        return got
+
+    def try_compose1(self, pref, slot, qref):
+        """p o_slot q, or None if the entry is absent."""
         psig, p = pref
         qsig, q = qref
         rsig = composed_sig(psig, slot, qsig)
         entry = self.comp.get((psig, p, slot, qsig, q))
-        if entry is None:
-            if self.is_unit(qref):
-                return pref
-            if self.is_unit(pref):
-                return qref
-            raise StructuralError(
-                "missing composition cell "
-                f"({sig_key(psig)}:{p}) o_{slot} ({sig_key(qsig)}:{q})")
-        return (rsig, entry)
-
-    def try_compose1(self, pref, slot, qref):
-        try:
-            return self.compose1(pref, slot, qref)
-        except StructuralError:
-            return None
+        if entry is not None:
+            return (rsig, entry)
+        if self.is_unit(qref):
+            return pref
+        if self.is_unit(pref):
+            return qref
+        return None
 
     def gamma(self, pref, qrefs):
-        """Full composition p(q_1..q_n) by iterated slot composition.
-
-        Arguments are substituted smallest arity first so that, on a table
-        truncated by arity, intermediate composites stay inside the support
-        whenever the final signature does."""
-        psig, _ = pref
-        if len(qrefs) != len(psig[0]):
-            raise CompositionError(
-                f"gamma needs {len(psig[0])} arguments, got {len(qrefs)}")
+        """Full composition p(q_1..q_n) by iterated slot composition."""
         return _gamma_by_size(self.compose1, pref, qrefs)
 
     def has_sig(self, s):
@@ -246,12 +239,23 @@ class TableMulticategory:
 
 
 def _gamma_by_size(compose1, pref, qrefs):
+    """p(q_1..q_n) by ``compose1``, or None as soon as a step gives None.
+
+    Arguments are substituted smallest arity first so that, on a table
+    truncated by arity, intermediate composites stay inside the support
+    whenever the final signature does."""
+    psig, _ = pref
+    if len(qrefs) != len(psig[0]):
+        raise CompositionError(
+            f"gamma needs {len(psig[0])} arguments, got {len(qrefs)}")
     positions = list(range(len(qrefs)))
     order = sorted(range(len(qrefs)), key=lambda i: len(qrefs[i][0][0]))
     out = pref
     for i in order:
         k = len(qrefs[i][0][0])
         out = compose1(out, positions[i], qrefs[i])
+        if out is None:
+            return None
         for j in range(len(qrefs)):
             if positions[j] > positions[i]:
                 positions[j] += k - 1
@@ -406,7 +410,9 @@ def _ref_str(ref):
 
 
 def check_multicategory_laws(M, max_violations=25):
-    """Exhaustive law check over the declared support.
+    """Exhaustive law check over the declared support: units, the action
+    tables, then composition as a slot action of M on itself
+    (:func:`check_slot_laws`).
 
     For complete tables a composition cell that is absent although its
     result signature is in the support is reported once, as a
@@ -501,94 +507,97 @@ def check_multicategory_laws(M, max_violations=25):
                 "unit-left",
                 f"1_{psig[1]} o_0 {_ref_str(pref)} = {_ref_str(got)}")
 
-    def composables(pref):
-        psig, _ = pref
-        for slot, color in enumerate(psig[0]):
-            for qs in coll.signatures():
-                if qs[1] != color:
-                    continue
-                for q in coll.ops[qs]:
-                    yield slot, (qs, q)
-
-    # associativity, sequential and parallel
-    for pref in all_refs:
-        if len(report.violations) >= max_violations:
-            return report
-        for i, qref in composables(pref):
-            pq = comp(pref, i, qref)
-            if pq is None:
-                continue
-            qsig = qref[0]
-            k = len(qsig[0])
-            for j, rref in composables(qref):
-                qr = comp(qref, j, rref)
-                left = comp(pq, i + j, rref)
-                right = None if qr is None else comp(pref, i, qr)
-                report.note("assoc-sequential")
-                if left is not None and right is not None and left != right:
-                    report.fail(
-                        "assoc-sequential",
-                        f"({_ref_str(pref)} o_{i} {_ref_str(qref)}) o_{i+j} "
-                        f"{_ref_str(rref)}")
-            for j, rref in composables(pref):
-                if j <= i:
-                    continue
-                pr = comp(pref, j, rref)
-                left = comp(pq, j + k - 1, rref)
-                right = None if pr is None else comp(pr, i, qref)
-                report.note("assoc-parallel")
-                if left is not None and right is not None and left != right:
-                    report.fail(
-                        "assoc-parallel",
-                        f"slots {i},{j} of {_ref_str(pref)} with "
-                        f"{_ref_str(qref)},{_ref_str(rref)}")
-
-    # equivariance of composition with the actions
-    for pref in all_refs if M.symmetric else ():
-        if len(report.violations) >= max_violations:
-            return report
-        psig, _ = pref
-        n = len(psig[0])
-        for sigma in perms.all_perms(n):
-            p_acted = coll.act(pref, sigma)
-            for i in range(n):
-                color = psig[0][sigma[i]]
-                for qs in coll.signatures():
-                    if qs[1] != color:
-                        continue
-                    k = len(qs[0])
-                    for q in coll.ops[qs]:
-                        qref = (qs, q)
-                        base = comp(pref, sigma[i], qref)
-                        left = comp(p_acted, i, qref)
-                        report.note("equivariance-outer")
-                        if base is not None and left is not None:
-                            expected = coll.act(
-                                base, perms.expand_outer(sigma, i, k))
-                            if left != expected:
-                                report.fail(
-                                    "equivariance-outer",
-                                    f"{_ref_str(pref)} perm {sigma} slot {i} "
-                                    f"arg {_ref_str(qref)}")
-        for i, qref in composables(pref):
-            qs = qref[0]
-            k = len(qs[0])
-            base = comp(pref, i, qref)
-            if base is None:
-                continue
-            for tau in perms.all_perms(k):
-                q_acted = coll.act(qref, tau)
-                left = comp(pref, i, q_acted)
-                report.note("equivariance-inner")
-                if left is not None:
-                    expected = coll.act(base, perms.expand_inner(n, i, tau))
-                    if left != expected:
-                        report.fail(
-                            "equivariance-inner",
-                            f"{_ref_str(pref)} slot {i} arg {_ref_str(qref)} "
-                            f"perm {tau}")
-
+    check_slot_laws(report, all_refs, comp, M, comp,
+                    coll.act if M.symmetric else None,
+                    ("assoc-sequential", "assoc-parallel",
+                     "equivariance-outer", "equivariance-inner"),
+                    max_violations)
     return report
+
+
+def check_slot_laws(report, elems, act1, Q, compose1, act, names,
+                    max_violations):
+    """The laws of a slot action ``act1(m, i, q)`` of the multicategory Q
+    on the references ``elems``, noted in ``report``: sequential and
+    parallel associativity (against Q's ``compose1``), then equivariance
+    with the symmetric actions outside (``act`` on elems) and inside
+    (``Q.act``) the slot.  ``names`` gives the four law names in that
+    order.  Both lookups give None where they have no value, and such an
+    instance is counted but not compared.  With ``act`` None the elements
+    carry no symmetric action and no equivariance is checked; inner
+    equivariance also needs Q symmetric.  An element is started only
+    while fewer than ``max_violations`` are reported."""
+    seq, par, outer, inner = names
+    by_color = {}
+    for qs in Q.signatures():
+        by_color.setdefault(qs[1], []).extend((qs, q) for q in Q.ops_at(qs))
+
+    for m in elems:
+        if len(report.violations) >= max_violations:
+            return
+        ins = m[0][0]
+        for i, color in enumerate(ins):
+            for q in by_color.get(color, ()):
+                mq = act1(m, i, q)
+                if mq is None:
+                    continue
+                for j, color2 in enumerate(q[0][0]):
+                    for r in by_color.get(color2, ()):
+                        qr = compose1(q, j, r)
+                        left = act1(mq, i + j, r)
+                        right = None if qr is None else act1(m, i, qr)
+                        report.note(seq)
+                        if (left is not None and right is not None
+                                and left != right):
+                            report.fail(
+                                seq, f"({_ref_str(m)} o_{i} {_ref_str(q)}) "
+                                f"o_{i+j} {_ref_str(r)}")
+                k = len(q[0][0])
+                for j in range(i + 1, len(ins)):
+                    for r in by_color.get(ins[j], ()):
+                        mr = act1(m, j, r)
+                        left = act1(mq, j + k - 1, r)
+                        right = None if mr is None else act1(mr, i, q)
+                        report.note(par)
+                        if (left is not None and right is not None
+                                and left != right):
+                            report.fail(
+                                par, f"slots {i},{j} of {_ref_str(m)} with "
+                                f"{_ref_str(q)},{_ref_str(r)}")
+
+    for m in elems if act is not None else ():
+        if len(report.violations) >= max_violations:
+            return
+        ins = m[0][0]
+        n = len(ins)
+        for sigma in perms.all_perms(n):
+            acted = act(m, sigma)
+            for i in range(n):
+                for q in by_color.get(ins[sigma[i]], ()):
+                    base = act1(m, sigma[i], q)
+                    left = act1(acted, i, q)
+                    report.note(outer)
+                    if base is not None and left is not None:
+                        want = act(base,
+                                   perms.expand_outer(sigma, i, len(q[0][0])))
+                        if left != want:
+                            report.fail(
+                                outer, f"{_ref_str(m)} perm {sigma} slot {i} "
+                                f"arg {_ref_str(q)}")
+        for i, color in enumerate(ins if Q.symmetric else ()):
+            for q in by_color.get(color, ()):
+                base = act1(m, i, q)
+                if base is None:
+                    continue
+                for tau in perms.all_perms(len(q[0][0])):
+                    left = act1(m, i, Q.act(q, tau))
+                    report.note(inner)
+                    if left is not None:
+                        want = act(base, perms.expand_inner(n, i, tau))
+                        if left != want:
+                            report.fail(
+                                inner, f"{_ref_str(m)} slot {i} arg "
+                                f"{_ref_str(q)} perm {tau}")
 
 
 # ---------------------------------------------------------------------------

@@ -370,6 +370,13 @@ def _need(ops, ref, what, lineno, diags):
         _fail(f"{what}: no {op} at ({sig_key(s)})", lineno, diags)
 
 
+def _law_diags(report, block, diags):
+    """A LAW diagnostic at the block's line for each violation."""
+    for law, witness in report.violations:
+        diags.append(Diagnostic(
+            "LAW", f"{block.name}: {law} violated at {witness}", block.line))
+
+
 def _slot(tok, lineno, diags):
     """A 1-based slot token as a 0-based slot."""
     try:
@@ -438,10 +445,7 @@ def _elab_multicategory(block, diags):
         collection=FiniteCollection(tuple(sorted(colors)), ops, action),
         units=units, comp=comp, complete=not flags["partial"],
         symmetric=not flags["planar"], name=block.name)
-    report = check_multicategory_laws(M)
-    for law, witness in report.violations:
-        diags.append(Diagnostic(
-            "LAW", f"{block.name}: {law} violated at {witness}", block.line))
+    _law_diags(check_multicategory_laws(M), block, diags)
     return M
 
 
@@ -566,10 +570,7 @@ def _elab_multifunctor(block, objects, diags):
                   f"{block.header[3]}", block.line, diags)
     F = Multifunctor(source=src, target=dst, object_map=object_map,
                      op_maps=op_maps, name=block.name)
-    report = check_multifunctor(F)
-    for law, witness in report.violations:
-        diags.append(Diagnostic(
-            "LAW", f"{block.name}: {law} violated at {witness}", block.line))
+    _law_diags(check_multifunctor(F), block, diags)
     return F
 
 
@@ -613,10 +614,7 @@ def _elab_algebra(block, objects, diags):
     alg = AlgebraStructure(multicategory=M, carrier=family, action=action)
     from .algebras import check_algebra
 
-    report = check_algebra(alg)
-    for law, witness in report.violations:
-        diags.append(Diagnostic(
-            "LAW", f"{block.name}: {law} violated at {witness}", block.line))
+    _law_diags(check_algebra(alg), block, diags)
     return alg
 
 
@@ -716,10 +714,7 @@ def _elab_bimodule(block, objects, diags):
                  name=block.name)
     from .bimodules import check_bimodule
 
-    report = check_bimodule(M)
-    for law, witness in report.violations:
-        diags.append(Diagnostic(
-            "LAW", f"{block.name}: {law} violated at {witness}", block.line))
+    _law_diags(check_bimodule(M), block, diags)
     return M
 
 

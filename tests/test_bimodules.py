@@ -11,7 +11,7 @@ from multicat.bimodules import (Bimodule, analyze_pointed, bar_complex,
 from multicat.core import FiniteCollection, check_multicategory_laws
 from multicat.homcalc import Multifunctor, identity_multifunctor
 from multicat.standard import (assoc_multicategory, comm_multicategory,
-                               unit_multicategory)
+                               unit_multicategory, word_id)
 
 I = unit_multicategory()
 AS2P = assoc_multicategory(2, include_nullary=False)
@@ -152,6 +152,25 @@ class TestLaws:
         assert not report.ok
         laws = {law for law, _ in report.violations}
         assert laws & {"compatibility", "right-assoc", "right-equivariance"}
+
+    def test_right_action_must_be_equivariant_in_its_argument(self):
+        # As3 acting on its regular module along the collapse of each word
+        # to the identity word of its arity: associative, unital and
+        # equivariant in the module element, but not in the argument
+        as3 = assoc_multicategory(3)
+        mod = module_from_multicategory(as3)
+        collapsed = {(m, i, q): mod.right_table.get(
+                         (m, i, (q[0], word_id(range(len(q[0][0]))))), r)
+                     for (m, i, q), r in mod.right_table.items()}
+        bad = Bimodule(left=as3, right=as3, collection=mod.collection,
+                       left_table=mod.left_table, right_table=collapsed)
+        report = check_bimodule(bad, max_violations=10 ** 6)
+        assert {law for law, _ in report.violations} == {
+            "right-equivariance-inner"}
+        assert len(report.violations) == 40
+        assert report.violations[0] == (
+            "right-equivariance-inner",
+            "x,x;x:w01 slot 0 arg x,x;x:w01 perm (1, 0)")
 
 
 class TestBar:
