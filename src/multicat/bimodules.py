@@ -330,47 +330,40 @@ def bar_complex(X, P, Y, n_max=3, max_arity=2):
             lifted[h, c, j] = got
         return got
 
-    def table(n, image, target):
-        return {x: target.nested[k] for x, k in zip(levels[n].nested, image)}
-
     faces = {}
     for n in range(1, n_max + 1):
         down = levels[n - 1]
         # d_0 first, in element order: the first missing action of X is
         # met at the first element that needs it
-        faces[n, 0] = table(n, [
+        faces[n, 0] = tuple(
             merge_roots(e, towers[n], X.act_right, X.collection, down)
-            for e in levels[n].elems], down)
+            for e in levels[n].elems)
         for i in range(1, n + 1):
-            faces[n, i] = table(n, [
+            faces[n, i] = tuple(
                 map_children(e, lambda c: lower(n, c, i - 1), X.collection,
                              down)
-                for e in levels[n].elems], down)
+                for e in levels[n].elems)
     degeneracies = {}
     for n in range(n_max):
         for j in range(n + 1):
-            degeneracies[n, j] = table(n, [
+            degeneracies[n, j] = tuple(
                 map_children(e, lambda c: lift(n, c, j - 1), X.collection,
                              levels[n + 1])
-                for e in levels[n].elems], levels[n + 1])
+                for e in levels[n].elems)
 
     level_elems = tuple(tuple(layer.nested) for layer in levels)
-    simplicial = TruncatedSimplicialSet(
-        depth=n_max, levels=level_elems,
-        faces=faces, degeneracies=degeneracies)
+    # the coequalizer on positions: a class's first member is its least
+    level0 = level_elems[0]
+    uf = UnionFind(range(len(level0)))
+    for a, b in zip(faces.get((1, 0), ()), faces.get((1, 1), ())):
+        uf.union(a, b)
+    augmentation = {level0[m]: level0[members[0]]
+                    for members in uf.classes().values() for m in members}
 
-    uf = UnionFind(list(level_elems[0]))
-    if n_max >= 1:
-        for e in level_elems[1]:
-            uf.union(faces[1, 0][e], faces[1, 1][e])
-    augmentation = {}
-    for root, members in uf.classes().items():
-        rep = min(members)
-        for m in members:
-            augmentation[m] = rep
-
-    return BarComplexTruncation(simplicial=simplicial,
-                                augmentation=augmentation)
+    return BarComplexTruncation(
+        simplicial=TruncatedSimplicialSet(n_max, level_elems, faces,
+                                          degeneracies),
+        augmentation=augmentation)
 
 
 def hochschild(P, n_max=3, max_arity=2):
@@ -378,13 +371,13 @@ def hochschild(P, n_max=3, max_arity=2):
     from level 0 into every computed level."""
     mod = module_from_multicategory(P, max_arity=max_arity)
     bar = bar_complex(mod, P, mod, n_max=n_max, max_arity=max_arity)
+    levels, s = bar.simplicial.levels, bar.simplicial.degeneracies
     basepoint = {}
-    for e in bar.simplicial.levels[0]:
-        cur = e
-        basepoint[0, e] = cur
+    for cur, e in enumerate(levels[0]):
+        basepoint[0, e] = e
         for n in range(n_max):
-            cur = bar.simplicial.degeneracies[n, 0][cur]
-            basepoint[n + 1, e] = cur
+            cur = s[n, 0][cur]
+            basepoint[n + 1, e] = levels[n + 1][cur]
     bar.basepoint = basepoint
     return bar
 

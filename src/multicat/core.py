@@ -684,44 +684,53 @@ def underlying_category(M):
 
 @dataclass(frozen=True)
 class TruncatedSimplicialSet:
-    """Finite simplex sets in levels 0..depth with face/degeneracy tables."""
+    """Finite simplex sets in levels 0..depth, each sorted, with face and
+    degeneracy tables that hold positions into the adjacent level."""
 
     depth: int
-    levels: tuple  # tuple of tuples of simplex ids
-    faces: dict  # (k, i) -> {simplex: simplex at level k-1}
-    degeneracies: dict  # (k, j) -> {simplex: simplex at level k+1}
+    levels: tuple  # tuple of sorted tuples of simplex labels
+    faces: dict  # (k, i) -> tuple: position of d_i x in levels[k - 1]
+    degeneracies: dict  # (k, j) -> tuple: position of s_j x in levels[k + 1]
 
     def check_identities(self):
         report = LawReport()
-        d, s = self.faces, self.degeneracies
+        d, s, levels = self.faces, self.degeneracies, self.levels
+
+        def compare(law, k, what, got, want):
+            if levels[k]:
+                report.note(law, len(levels[k]))
+            if got != want:
+                for n, (g, w) in enumerate(zip(got, want)):
+                    if g != w:
+                        report.fail(law, f"level {k} {what} at {levels[k][n]}")
+
+        def then(first, second):
+            return [second[m] for m in first]
+
         for k in range(2, self.depth + 1):
             for j in range(k + 1):
                 for i in range(j):
-                    for x in self.levels[k]:
-                        report.note("dd")
-                        if d[k - 1, i][d[k, j][x]] != d[k - 1, j - 1][d[k, i][x]]:
-                            report.fail("dd", f"level {k} d_{i} d_{j} at {x}")
+                    compare("dd", k, f"d_{i} d_{j}",
+                            then(d[k, j], d[k - 1, i]),
+                            then(d[k, i], d[k - 1, j - 1]))
         for k in range(self.depth - 1):
             for i in range(k + 1):
                 for j in range(i, k + 1):
-                    for x in self.levels[k]:
-                        report.note("ss")
-                        if s[k + 1, i][s[k, j][x]] != s[k + 1, j + 1][s[k, i][x]]:
-                            report.fail("ss", f"level {k} s_{i} s_{j} at {x}")
+                    compare("ss", k, f"s_{i} s_{j}",
+                            then(s[k, j], s[k + 1, i]),
+                            then(s[k, i], s[k + 1, j + 1]))
         for k in range(1, self.depth):
+            same = list(range(len(levels[k])))
             for j in range(k + 1):
                 for i in range(k + 2):
-                    for x in self.levels[k]:
-                        report.note("ds")
-                        got = d[k + 1, i][s[k, j][x]]
-                        if i < j:
-                            want = s[k - 1, j - 1][d[k, i][x]]
-                        elif i in (j, j + 1):
-                            want = x
-                        else:
-                            want = s[k - 1, j][d[k, i - 1][x]]
-                        if got != want:
-                            report.fail("ds", f"level {k} d_{i} s_{j} at {x}")
+                    if i < j:
+                        want = then(d[k, i], s[k - 1, j - 1])
+                    elif i in (j, j + 1):
+                        want = same
+                    else:
+                        want = then(d[k, i - 1], s[k - 1, j])
+                    compare("ds", k, f"d_{i} s_{j}",
+                            then(s[k, j], d[k + 1, i]), want)
         return report
 
 
@@ -737,32 +746,29 @@ def nerve(C, depth):
     for k in range(2, depth + 1):
         chains = [c + (m,) for c in chains for m in mors if c[-1][1] == m[0]]
         levels.append(tuple(sorted(chains)))
-    faces = {}
-    degeneracies = {}
+    index = [{x: n for n, x in enumerate(level)} for level in levels]
+    faces, degeneracies = {}, {}
     for k in range(1, depth + 1):
         for i in range(k + 1):
-            table = {}
-            for x in levels[k]:
-                if k == 1:
-                    table[x] = x[0][1] if i == 0 else x[0][0]
-                elif i == 0:
-                    table[x] = x[1:]
-                elif i == k:
-                    table[x] = x[:-1]
-                else:
-                    table[x] = x[:i - 1] + (C.then(x[i - 1], x[i]),) + x[i + 1:]
-            faces[k, i] = table
+            if k == 1:
+                images = [x[0][1] if i == 0 else x[0][0] for x in levels[k]]
+            elif i == 0:
+                images = [x[1:] for x in levels[k]]
+            elif i == k:
+                images = [x[:-1] for x in levels[k]]
+            else:
+                images = [x[:i - 1] + (C.then(x[i - 1], x[i]),) + x[i + 1:]
+                          for x in levels[k]]
+            faces[k, i] = tuple(map(index[k - 1].__getitem__, images))
     for k in range(depth):
         for j in range(k + 1):
-            table = {}
-            for x in levels[k]:
-                if k == 0:
-                    table[x] = (C.identity(x),)
-                else:
-                    obj = x[j][0] if j < k else x[j - 1][1]
-                    ident = (C.identity(obj),)
-                    table[x] = x[:j] + ident + x[j:]
-            degeneracies[k, j] = table
+            if k == 0:
+                images = [(C.identity(x),) for x in levels[k]]
+            else:
+                images = [x[:j] + (C.identity(x[j][0] if j < k
+                                              else x[j - 1][1]),) + x[j:]
+                          for x in levels[k]]
+            degeneracies[k, j] = tuple(map(index[k + 1].__getitem__, images))
     return TruncatedSimplicialSet(
         depth=depth, levels=tuple(levels), faces=faces,
         degeneracies=degeneracies)

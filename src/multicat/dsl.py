@@ -370,6 +370,13 @@ def _need(ops, ref, what, lineno, diags):
         _fail(f"{what}: no {op} at ({sig_key(s)})", lineno, diags)
 
 
+def _at(sig, want, what, lineno, diags):
+    """Fail unless an action row's result sits at the composed signature."""
+    if sig != want:
+        _fail(f"{what}: result at ({sig_key(sig)}), not at the composed "
+              f"({sig_key(want)})", lineno, diags)
+
+
 def _law_diags(report, block, diags):
     """A LAW diagnostic at the block's line for each violation."""
     for law, witness in report.violations:
@@ -659,6 +666,12 @@ def _elab_bimodule(block, objects, diags):
             if None in (ms, qs, rs):
                 raise _Abort
             slot = _slot(tokens[3], lineno, diags)
+            try:
+                want = composed_sig(ms, slot, qs)
+            except CompositionError:
+                _fail(f"ract row: slot {slot + 1} of ({sig_key(ms)}) does "
+                      f"not take ({sig_key(qs)})", lineno, diags)
+            _at(rs, want, "ract row", lineno, diags)
             right_table[((ms, tokens[2]), slot, (qs, tokens[5]))] = (
                 rs, tokens[8])
             saw_action_row = True
@@ -688,6 +701,12 @@ def _elab_bimodule(block, objects, diags):
             rs = parse_sig_token(tokens[ei + 1], lineno, diags)
             if rs is None:
                 raise _Abort
+            if tuple(m[0][1] for m in mrefs) != ps[0]:
+                _fail(f"lact row: ({sig_key(ps)}) does not take "
+                      f"{' '.join(f'({sig_key(m[0])})' for m in mrefs)}",
+                      lineno, diags)
+            _at(rs, (sum((m[0][0] for m in mrefs), ()), ps[1]), "lact row",
+                lineno, diags)
             left_table[(ps, tokens[2]), tuple(mrefs)] = (rs, tokens[ei + 2])
             saw_action_row = True
         else:

@@ -58,18 +58,19 @@ def category_json(C):
 
 
 def simplicial_json(S):
+    L = S.levels
     return {
         "schema": SCHEMA,
         "kind": "simplicial",
         "depth": S.depth,
-        "levels": [sorted(str(x) for x in level) for level in S.levels],
+        "levels": [sorted(str(x) for x in level) for level in L],
         "faces": {
-            f"d_{i}@{k}": {str(x): str(y) for x, y in sorted(
-                table.items(), key=lambda kv: str(kv[0]))}
+            f"d_{i}@{k}": dict(sorted((str(x), str(L[k - 1][m]))
+                                      for x, m in zip(L[k], table)))
             for (k, i), table in sorted(S.faces.items())},
         "degeneracies": {
-            f"s_{j}@{k}": {str(x): str(y) for x, y in sorted(
-                table.items(), key=lambda kv: str(kv[0]))}
+            f"s_{j}@{k}": dict(sorted((str(x), str(L[k + 1][m]))
+                                      for x, m in zip(L[k], table)))
             for (k, j), table in sorted(S.degeneracies.items())},
     }
 

@@ -1,21 +1,25 @@
 """Numbered circle layers and the bar levels built on them, against the
-nested-tuple route they replaced.
+nested-tuple route they replaced, and the simplicial identities checked on
+positions against the check on labels.
 
 The reference below is the earlier code, kept whole: circle layers held
-nested ``('circ', root, blocks)`` tuples, and every face and degeneracy
-re-walked the level element from its root."""
+nested ``('circ', root, blocks)`` tuples, every face and degeneracy
+re-walked the level element from its root, and the face and degeneracy
+tables were dicts keyed by the simplices themselves."""
 
+import json
+from dataclasses import dataclass, field, replace
 from itertools import product
 from pathlib import Path
 
 import pytest
 
 from multicat import dsl, jsonio, perms
-from multicat.bimodules import (BarComplexTruncation, Bimodule,
-                                _block_order, bar_complex, hochschild,
-                                hochschild_comparison,
+from multicat.bimodules import (Bimodule, _block_order, bar_complex,
+                                hochschild, hochschild_comparison,
                                 module_from_multicategory)
-from multicat.core import FiniteCollection, TruncatedSimplicialSet, sig_key
+from multicat.core import (FiniteCollection, LawReport, nerve, sig_key,
+                           underlying_category)
 from multicat.errors import StructuralError
 from multicat.presents import UnionFind
 from multicat.standard import (assoc_multicategory, comm_multicategory,
@@ -139,6 +143,88 @@ def ref_reposition(blocks):
     return tuple(out)
 
 
+@dataclass(frozen=True)
+class RefSimplicial:
+    """Simplices as labels, face and degeneracy tables as dicts keyed by
+    them: (k, i) -> {simplex: its image in the adjacent level}."""
+
+    depth: int
+    levels: tuple
+    faces: dict
+    degeneracies: dict
+
+    def check_identities(self):
+        report = LawReport()
+        d, s = self.faces, self.degeneracies
+        for k in range(2, self.depth + 1):
+            for j in range(k + 1):
+                for i in range(j):
+                    for x in self.levels[k]:
+                        report.note("dd")
+                        if d[k - 1, i][d[k, j][x]] != d[k - 1, j - 1][d[k, i][x]]:
+                            report.fail("dd", f"level {k} d_{i} d_{j} at {x}")
+        for k in range(self.depth - 1):
+            for i in range(k + 1):
+                for j in range(i, k + 1):
+                    for x in self.levels[k]:
+                        report.note("ss")
+                        if s[k + 1, i][s[k, j][x]] != s[k + 1, j + 1][s[k, i][x]]:
+                            report.fail("ss", f"level {k} s_{i} s_{j} at {x}")
+        for k in range(1, self.depth):
+            for j in range(k + 1):
+                for i in range(k + 2):
+                    for x in self.levels[k]:
+                        report.note("ds")
+                        got = d[k + 1, i][s[k, j][x]]
+                        if i < j:
+                            want = s[k - 1, j - 1][d[k, i][x]]
+                        elif i in (j, j + 1):
+                            want = x
+                        else:
+                            want = s[k - 1, j][d[k, i - 1][x]]
+                        if got != want:
+                            report.fail("ds", f"level {k} d_{i} s_{j} at {x}")
+        return report
+
+
+def ref_simplicial_json(S):
+    return {
+        "schema": jsonio.SCHEMA,
+        "kind": "simplicial",
+        "depth": S.depth,
+        "levels": [sorted(str(x) for x in level) for level in S.levels],
+        "faces": {
+            f"d_{i}@{k}": {str(x): str(y) for x, y in sorted(
+                table.items(), key=lambda kv: str(kv[0]))}
+            for (k, i), table in sorted(S.faces.items())},
+        "degeneracies": {
+            f"s_{j}@{k}": {str(x): str(y) for x, y in sorted(
+                table.items(), key=lambda kv: str(kv[0]))}
+            for (k, j), table in sorted(S.degeneracies.items())},
+    }
+
+
+@dataclass
+class RefBar:
+    simplicial: RefSimplicial
+    augmentation: dict
+    basepoint: dict = field(default_factory=dict)
+
+    def check_identities(self):
+        return self.simplicial.check_identities()
+
+
+def decoded(S):
+    """The position tables of S written out as label dicts."""
+    L = S.levels
+    return RefSimplicial(
+        depth=S.depth, levels=L,
+        faces={(k, i): {x: L[k - 1][m] for x, m in zip(L[k], t)}
+               for (k, i), t in S.faces.items()},
+        degeneracies={(k, j): {x: L[k + 1][m] for x, m in zip(L[k], t)}
+                      for (k, j), t in S.degeneracies.items()})
+
+
 def ref_bar_complex(X, P, Y, n_max=3, max_arity=2):
     towers = [ref_base_layer(Y.collection)]
     for _ in range(n_max):
@@ -231,7 +317,7 @@ def ref_bar_complex(X, P, Y, n_max=3, max_arity=2):
             degeneracies[n, j] = {e: degeneracy_at(e, j, n)
                                   for e in level_elems[n]}
 
-    simplicial = TruncatedSimplicialSet(
+    simplicial = RefSimplicial(
         depth=n_max, levels=tuple(level_elems),
         faces=faces, degeneracies=degeneracies)
 
@@ -245,8 +331,7 @@ def ref_bar_complex(X, P, Y, n_max=3, max_arity=2):
         for m in members:
             augmentation[m] = rep
 
-    return BarComplexTruncation(simplicial=simplicial,
-                                augmentation=augmentation)
+    return RefBar(simplicial=simplicial, augmentation=augmentation)
 
 
 def ref_hochschild(P, n_max=3, max_arity=2):
@@ -296,18 +381,33 @@ def collapsed_left_module(P, max_arity):
                     name="collapsed")
 
 
-def assert_same_bar(new, ref):
-    S, R = new.simplicial, ref.simplicial
+def assert_same_report(new, ref):
+    assert new.violations == ref.violations
+    assert list(new.checked.items()) == list(ref.checked.items())
+    assert new.to_json() == ref.to_json()
+
+
+def assert_same_simplicial(S, R):
+    """Positions S against label dicts R: levels, every table with its key
+    order, the identities report and the JSON, with their orders."""
     assert S.depth == R.depth
     assert S.levels == R.levels
-    assert list(S.faces.items()) == list(R.faces.items())
-    assert list(S.degeneracies.items()) == list(R.degeneracies.items())
+    for table in (*S.faces.values(), *S.degeneracies.values()):
+        assert type(table) is tuple
+        assert all(type(m) is int for m in table)
+    D = decoded(S)
+    for got, want in ((D.faces, R.faces), (D.degeneracies, R.degeneracies)):
+        assert ([(key, list(t.items())) for key, t in got.items()]
+                == [(key, list(t.items())) for key, t in want.items()])
+    assert_same_report(S.check_identities(), R.check_identities())
+    assert (json.dumps(jsonio.simplicial_json(S))
+            == json.dumps(ref_simplicial_json(R)))
+
+
+def assert_same_bar(new, ref):
+    assert_same_simplicial(new.simplicial, ref.simplicial)
     assert list(new.augmentation.items()) == list(ref.augmentation.items())
     assert list(new.basepoint.items()) == list(ref.basepoint.items())
-    assert (new.check_identities().to_json()
-            == ref.check_identities().to_json())
-    assert (jsonio.dumps(jsonio.simplicial_json(S))
-            == jsonio.dumps(jsonio.simplicial_json(R)))
 
 
 # ---------------------------------------------------------------------------
@@ -325,8 +425,7 @@ def test_hochschild_matches_reference(key):
 def test_bar_on_dsl_bimodule_matches_reference():
     objs = load("bimod.mcat")
     X, P = objs["Reg"], objs["As2pos"]
-    assert_same_bar(bar_complex(X, P, X, 3, 2),
-                    ref_bar_complex(X, P, X, 3, 2))
+    assert_same_bar(bar_on_reg(), ref_bar_complex(X, P, X, 3, 2))
 
 
 def test_bar_with_foreign_left_action_matches_reference():
@@ -389,3 +488,52 @@ def test_layers_are_sorted_and_numbered():
         for (out, n), nums in layer.shapes.items():
             assert all(layer.sigs[i][1] == out and len(layer.sigs[i][0]) == n
                        for i in nums)
+
+
+# ---------------------------------------------------------------------------
+# the identities check on positions against the check on labels
+
+def bar_on_reg():
+    objs = load("bimod.mcat")
+    return bar_complex(objs["Reg"], objs["As2pos"], objs["Reg"], 3, 2)
+
+
+CHECK_INPUTS = {
+    "hochschild-as3pos-5-3": lambda: hochschild(AS3P, 5, 3).simplicial,
+    "hochschild-as2pos-6-2": lambda: hochschild(AS2P, 6, 2).simplicial,
+    "hochschild-i-3-2": lambda: hochschild(I, 3, 2).simplicial,
+    "bar-reg-3-2": lambda: bar_on_reg().simplicial,
+    "nerve-pair-3": lambda: nerve(
+        underlying_category(load("twocolor.mcat")["Pair"]), 3),
+}
+
+
+@pytest.mark.parametrize("key", sorted(CHECK_INPUTS))
+def test_check_on_positions_matches_label_check(key):
+    S = CHECK_INPUTS[key]()
+    assert S.check_identities().ok
+    assert_same_simplicial(S, decoded(S))
+
+
+def redirected(S, tables, key, n):
+    """S with entry n of one table moved to the next simplex of its
+    level."""
+    table = getattr(S, tables)[key]
+    k = key[0] - 1 if tables == "faces" else key[0] + 1
+    moved = table[:n] + ((table[n] + 1) % len(S.levels[k]),) + table[n + 1:]
+    return replace(S, **{tables: {**getattr(S, tables), key: moved}})
+
+
+@pytest.mark.parametrize("key", ["hochschild-as2pos-6-2", "nerve-pair-3"])
+def test_corrupted_tables_give_the_label_violations(key):
+    S = CHECK_INPUTS[key]()
+    laws = set()
+    for bad in (redirected(S, "faces", (2, 1), 0),
+                redirected(S, "degeneracies", (1, 0), 0)):
+        report = bad.check_identities()
+        assert not report.ok
+        assert_same_report(report, decoded(bad).check_identities())
+        assert (json.dumps(jsonio.simplicial_json(bad))
+                == json.dumps(ref_simplicial_json(decoded(bad))))
+        laws |= {law for law, _ in report.violations}
+    assert laws == {"dd", "ss", "ds"}

@@ -212,11 +212,11 @@ class TestBar:
         # same operation: eta o s_0 agrees with the composition map
         h = hochschild(AS2P, n_max=2, max_arity=2)
         comp = hochschild_comparison(AS2P, h)
-        d = h.simplicial.faces
-        for e in h.simplicial.levels[0]:
-            up = h.basepoint[1, e]
-            down0 = d[1, 0][up]
-            down1 = d[1, 1][up]
+        L, d = h.simplicial.levels, h.simplicial.faces
+        for e in L[0]:
+            up = L[1].index(h.basepoint[1, e])
+            down0 = L[0][d[1, 0][up]]
+            down1 = L[0][d[1, 1][up]]
             assert comp[down0] == comp[e]
             assert comp[down1] == comp[e]
 
@@ -227,7 +227,7 @@ class TestBar:
         s0 = h.simplicial.degeneracies[0, 0]
         # the degeneracy is a bijection onto its image and commutes with
         # the simplicial faces by the identities; spot-check injectivity
-        image = set(s0.values())
+        image = set(s0)
         assert len(image) == len(h.simplicial.levels[0])
 
 

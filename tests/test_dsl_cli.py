@@ -256,6 +256,45 @@ def test_search_outputs_unchanged(name, docs_dir, tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+# sha256 of the exit code, stdout and stderr of the simplicial
+# subcommands, taken while the face and degeneracy tables were dicts keyed
+# by the simplices
+SIMPLICIAL_DIGESTS = {
+    "nerve-pair": (
+        ("nerve", "twocolor.mcat", "--name", "Pair", "--depth", "3"),
+        "25ae89006f7a073b850001bb75971e21d92f35f4149f29b9b52884197794337b"),
+    "bar-reg": (
+        ("bar", "bimod.mcat", "--x", "Reg", "--p", "As2pos", "--y", "Reg",
+         "--cap-arity", "2"),
+        "b94774a13cd9d0d314190fc2c08271fec01acd7fd1146a270b8d331da71f5a9b"),
+    "hochschild-as2pos": (
+        ("hochschild", "bimod.mcat", "--name", "As2pos", "--levels", "4",
+         "--cap-arity", "2"),
+        "3a6ef7dc51f258fcd69e22efbe5db9b440f0137bbf510e63803a371d12dfaff5"),
+    "hochschild-as2-level1": (
+        ("hochschild", "as2.mcat", "--name", "As2", "--levels", "1",
+         "--cap-arity", "2"),
+        "d6d859f32861eaadc9069e8a67092d22c8eb94f3fb88ecc1087376c85ecfd6e1"),
+    "hochschild-com2-level1": (
+        ("hochschild", "com2.mcat", "--name", "Com2", "--levels", "1",
+         "--cap-arity", "2"),
+        "5cffc02f80618fbf416bb77333b51fa9e02340c5e05545fea04f9deef45f8c87"),
+    "hochschild-as3-level1": (
+        ("hochschild", "as3.mcat", "--name", "As3", "--levels", "1",
+         "--cap-arity", "2"),
+        "ede7749acd0e0646d40eeb79cbc8d663c6fe375742d99947c5643e527a9779b8"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIMPLICIAL_DIGESTS))
+def test_simplicial_outputs_unchanged(name, docs_dir, capsys):
+    (command, document, *rest), digest = SIMPLICIAL_DIGESTS[name]
+    code = run_cli(command, str(docs_dir / document), *rest)
+    got = capsys.readouterr()
+    text = f"{code}\n{got.out}\0{got.err}"
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 # one malformed row of fixtures/bimod.mcat each: (line, replacement)
 BIMODULE_MUTANTS = {
     "ops-without-ids": (17, "  ops (x,x;x)"),
@@ -304,6 +343,12 @@ ELABORATION_MUTANTS = {
     "act-perm-wrong-arity": (
         "as3.mcat", "  act (x,x;x) w01 [2,1] = w10",
         "  act (x,x;x) w01 [2,1,3] = w10", "As3", True),
+    "ract-result-off-signature": (
+        "bimod.mcat", "  ract (x;x) w0 1 (x,x;x) w01 = (x,x;x) w01",
+        "  ract (x;x) w0 1 (x,x;x) w01 = (x;x) w0", "Reg", True),
+    "lact-result-off-signature": (
+        "bimod.mcat", "  lact (x,x;x) w01 : (x;x) w0 (x;x) w0 = (x,x;x) w01",
+        "  lact (x,x;x) w01 : (x;x) w0 (x;x) w0 = (x;x) w0", "Reg", True),
 }
 
 
