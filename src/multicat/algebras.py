@@ -644,34 +644,18 @@ def operad_to_op_algebra(P, op_table, op_structure, max_arity=3):
         for n in range(max_arity + 1)})
 
     def planar_eval(node, args):
-        # returns (ref, leaf indices in planar order); vertex children are
-        # composed smallest-arity-first so intermediates stay inside the
-        # truncated support
+        # returns (ref, leaf indices in planar order): an input edge is the
+        # unit, a vertex the composite of its operation with its children
         if node[0] == "L":
-            return None, [node[1]]
+            return P.unit_ref(color), [node[1]]
         _, vnum, children = node
-        n = len(children)
-        ref = (((color,) * n, color), args[vnum])
-        idxs = []
-        pending = []
-        positions = {}
-        for slot, child in enumerate(children):
-            if child[0] == "L":
-                idxs.append(child[1])
-            else:
-                cref, cidx = planar_eval(child, args)
-                idxs.extend(cidx)
-                positions[slot] = slot
-                pending.append((slot, cref))
-        pending.sort(key=lambda item: len(item[1][0][0]))
-        for slot, cref in pending:
-            pos = positions[slot]
-            k = len(cref[0][0])
-            ref = P.compose1(ref, pos, cref)
-            for other in positions:
-                if positions[other] > pos:
-                    positions[other] += k - 1
-        return ref, idxs
+        ref = (((color,) * len(children), color), args[vnum])
+        refs, idxs = [], []
+        for child in children:
+            cref, cidx = planar_eval(child, args)
+            refs.append(cref)
+            idxs.extend(cidx)
+        return P.gamma(ref, refs), idxs
 
     action = {}
     for s in op_table.signatures():
@@ -679,15 +663,9 @@ def operad_to_op_algebra(P, op_table, op_structure, max_arity=3):
         for tid in op_table.ops_at(s):
             tree = op_structure[s, tid]
             domains = [family.carrier(c) for c in s[0]]
-            out = []
-            for args in product(*domains):
-                ref, idxs = planar_eval(tree, args)
-                if ref is None:
-                    # the bare edge: value is the operad unit
-                    out.append(P.unit_ref(color)[1])
-                    continue
-                out.append(perms.unshuffle(P.act, ref, idxs)[1])
-            table[tid] = tuple(out)
+            table[tid] = tuple(
+                perms.unshuffle(P.act, *planar_eval(tree, args))[1]
+                for args in product(*domains))
         action[s] = table
     return AlgebraStructure(multicategory=op_table, carrier=family,
                             action=action)

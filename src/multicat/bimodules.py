@@ -671,26 +671,22 @@ def analyze_pointed(M, arity_cap=None, budget=200000):
     acting multicategories coincide, evaluate the quasi-free comparison
     from the right-acting multicategory to the module endomorphisms."""
     Q = M.right
-    basepoints = []
-    unary = {}
-    for a in Q.colors:
-        unary[a] = [(s, m) for s in M.collection.ops
-                    for m in M.collection.ops_at(s) if s[0] == (a,)]
-    pools = [unary[a] for a in sorted(Q.colors)]
-    for combo in product(*pools):
-        family = dict(zip(sorted(Q.colors), combo))
-        o = {a: family[a][0][1] for a in family}
-        ok = True
-        for qs in Q.signatures():
-            for q in Q.ops_at(qs):
-                img = M.try_act_right1(family[qs[1]], 0, (qs, q))
-                if img is None or img[0][1] != o[qs[1]]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            basepoints.append(dict(family))
+    colors = sorted(Q.colors)
+
+    def keeps_color(mref, qref):
+        img = M.try_act_right1(mref, 0, qref)
+        return img is not None and img[0][1] == mref[0][1]
+
+    # a unary element at a is a basepoint component when every q with
+    # output a acts on it in slot 0 and keeps its output color
+    pools = []
+    for a in colors:
+        qrefs = [(qs, q) for qs in Q.signatures() if qs[1] == a
+                 for q in Q.ops_at(qs)]
+        pools.append([(s, m) for s in M.collection.ops if s[0] == (a,)
+                      for m in M.collection.ops_at(s)
+                      if all(keeps_color((s, m), qref) for qref in qrefs)])
+    basepoints = [dict(zip(colors, combo)) for combo in product(*pools)]
     pointed = bool(basepoints)
 
     quasi_free = None

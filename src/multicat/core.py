@@ -330,7 +330,8 @@ def backtrack(order, candidates, derive, start, budget, what, counts=None):
 
     ``derive(key, value, assign)`` yields the ``(key, value)`` pairs forced
     by one assigned key given the others; a forced value that differs from
-    an assigned one prunes the branch.  The first unassigned key of
+    an assigned one prunes the branch, so a derive states a constraint by
+    forcing two values onto one key.  The first unassigned key of
     ``order`` branches over ``candidates(key)``, in its order.  Every
     candidate tried counts against ``budget``; past it BudgetExceededError
     is raised with the message ``what`` and the number of assignments

@@ -643,6 +643,7 @@ def _elab_bimodule(block, objects, diags):
     generators = {}
     right_table = {}
     left_table = {}
+    row_line = {}  # action table key -> the line of its row
     saw_action_row = False
     for lineno, tokens in block.entries:
         head = tokens[0]
@@ -672,8 +673,9 @@ def _elab_bimodule(block, objects, diags):
                 _fail(f"ract row: slot {slot + 1} of ({sig_key(ms)}) does "
                       f"not take ({sig_key(qs)})", lineno, diags)
             _at(rs, want, "ract row", lineno, diags)
-            right_table[((ms, tokens[2]), slot, (qs, tokens[5]))] = (
-                rs, tokens[8])
+            key = ((ms, tokens[2]), slot, (qs, tokens[5]))
+            right_table[key] = (rs, tokens[8])
+            row_line[key] = lineno
             saw_action_row = True
         elif head == "lact":
             # lact (psig) p : (sig) m ... = (sig) m'
@@ -707,7 +709,9 @@ def _elab_bimodule(block, objects, diags):
                       lineno, diags)
             _at(rs, (sum((m[0][0] for m in mrefs), ()), ps[1]), "lact row",
                 lineno, diags)
-            left_table[(ps, tokens[2]), tuple(mrefs)] = (rs, tokens[ei + 2])
+            key = ((ps, tokens[2]), tuple(mrefs))
+            left_table[key] = (rs, tokens[ei + 2])
+            row_line[key] = lineno
             saw_action_row = True
         else:
             diags.append(Diagnostic(
@@ -720,14 +724,16 @@ def _elab_bimodule(block, objects, diags):
     action = _finish_actions(block, ops, generators, diags)
     colors = sorted({c for s in ops for c in s[0]} | {s[1] for s in ops})
     coll = FiniteCollection(tuple(colors), ops, action)
-    for (m, _, q), r in right_table.items():
-        _need(ops, m, "ract row", block.line, diags)
-        _need(R.ops, q, "ract row", block.line, diags)
-        _need(ops, r, "ract row", block.line, diags)
+    for (m, slot, q), r in right_table.items():
+        lineno = row_line[m, slot, q]
+        _need(ops, m, "ract row", lineno, diags)
+        _need(R.ops, q, "ract row", lineno, diags)
+        _need(ops, r, "ract row", lineno, diags)
     for (p, ms), r in left_table.items():
-        _need(L.ops, p, "lact row", block.line, diags)
+        lineno = row_line[p, ms]
+        _need(L.ops, p, "lact row", lineno, diags)
         for m in ms + (r,):
-            _need(ops, m, "lact row", block.line, diags)
+            _need(ops, m, "lact row", lineno, diags)
     M = Bimodule(left=L, right=R, collection=coll,
                  left_table=left_table, right_table=right_table,
                  name=block.name)

@@ -16,8 +16,7 @@ from itertools import product
 from . import perms
 from .core import (LawReport, TableMulticategory, backtrack, composed_sig,
                    sig_key, tabulate)
-from .errors import (BudgetExceededError, DomainError, PartialInputError,
-                     StructuralError)
+from .errors import DomainError, PartialInputError, StructuralError
 from .presents import bv_tensor, pair_color, tensor_generator
 
 
@@ -182,22 +181,20 @@ class KNatTransformation:
         return (s, self.components[a])
 
 
-def _naturality_square(xi, Q, pref):
-    """Both routes of the naturality square at a source operation, or None
-    when the composites fall outside the target's declared support (a
-    truncated target leaves such instances undefined)."""
+def _naturality_square(Q, sources, G, component_ref, pref):
+    """Both routes of the naturality square at a source operation, where
+    ``component_ref(a)`` is the component at color a, or None when the
+    composites fall outside the target's declared support (a truncated
+    target leaves such instances undefined)."""
     (inputs, out), _ = pref
-    m = len(inputs)
-    k = len(xi.sources)
-    G = xi.target
     try:
-        left = Q.gamma(G.map_ref(pref),
-                       [xi.component_ref(a) for a in inputs])
-        right_pre = Q.gamma(xi.component_ref(out),
-                            [F.map_ref(pref) for F in xi.sources])
+        left = Q.gamma(G.map_ref(pref), [component_ref(a) for a in inputs])
+        right_pre = Q.gamma(component_ref(out),
+                            [F.map_ref(pref) for F in sources])
     except StructuralError:
         return None
-    right = Q.act(right_pre, perms.transpose_shuffle(m, k))
+    right = Q.act(right_pre, perms.transpose_shuffle(len(inputs),
+                                                      len(sources)))
     return left, right
 
 
@@ -214,7 +211,8 @@ def is_k_natural(xi, ops=None):
     witnesses = []
     refs = ops if ops is not None else list(P.refs())
     for pref in refs:
-        square = _naturality_square(xi, Q, pref)
+        square = _naturality_square(Q, xi.sources, xi.target,
+                                    xi.component_ref, pref)
         if square is None:
             continue
         left, right = square
@@ -285,43 +283,58 @@ class HomResult:
 
 def internal_hom(P, Q, arity_cap=3, budget=10 ** 6):
     """Objects: multifunctors P -> Q.  k-ary operations: the natural
-    transformations, for k <= arity_cap, composed and acted on through Q."""
+    transformations, for k <= arity_cap, composed and acted on through Q.
+
+    The transformations of each (sources, target) signature come from one
+    `core.backtrack` over the colors of P, sorted, with the naturality
+    squares as the derive.  `budget` bounds the components tried, partial
+    assignments included, over all signatures together.
+    """
     functors = enumerate_multifunctors(P, Q, budget=budget)
     ids = {i: F for i, F in enumerate(functors)}
     color_of = {i: f"F{i}" for i in ids}
 
-    elements = {}
-    tried = 0
     colors_sorted = sorted(P.colors)
+    # color -> the source operations it takes part in, with their colors
+    touching = {a: [] for a in colors_sorted}
+    for pref in P.refs():
+        (inputs, out), _ = pref
+        colors = {*inputs, out}
+        for a in colors:
+            touching[a].append((pref, colors))
+    counts = {"tried": 0, "found": 0}
+    elements = {}
     for k in range(arity_cap + 1):
         for combo in product(range(len(functors)), repeat=k):
             for gi in range(len(functors)):
                 sources = tuple(ids[i] for i in combo)
                 G = ids[gi]
-                pools = []
-                feasible = True
-                for a in colors_sorted:
-                    s = (tuple(F.object_map[a] for F in sources),
-                         G.object_map[a])
-                    pool = Q.ops_at(s)
-                    if not pool:
-                        feasible = False
-                        break
-                    pools.append(pool)
-                if not feasible:
-                    continue
+                comp_sig = {a: (tuple(F.object_map[a] for F in sources),
+                                G.object_map[a]) for a in colors_sorted}
+
+                def candidates(a):
+                    return Q.ops_at(comp_sig[a])
+
+                def derive(key, value, assign):
+                    # a square with every component chosen must commute:
+                    # both routes are forced onto one key
+                    for pref, colors in touching.get(key, ()):
+                        if not colors <= assign.keys():
+                            continue
+                        square = _naturality_square(
+                            Q, sources, G,
+                            lambda a: (comp_sig[a], assign[a]), pref)
+                        if square is not None:
+                            yield ("square", pref), square[0]
+                            yield ("square", pref), square[1]
+
                 sig = (tuple(color_of[i] for i in combo), color_of[gi])
-                for assignment in product(*pools):
-                    tried += 1
-                    if tried > budget:
-                        raise BudgetExceededError(
-                            "transformation search exceeded budget",
-                            count=sum(len(v) for v in elements.values()))
-                    xi = KNatTransformation(
+                for assign in backtrack(
+                        colors_sorted, candidates, derive, {}, budget,
+                        "transformation search exceeded budget", counts):
+                    elements.setdefault(sig, []).append(KNatTransformation(
                         sources=sources, target=G,
-                        components=dict(zip(colors_sorted, assignment)))
-                    if is_k_natural(xi)[0]:
-                        elements.setdefault(sig, []).append(xi)
+                        components={a: assign[a] for a in colors_sorted}))
 
     def oid_of(xi):
         return "{" + ",".join(

@@ -224,6 +224,8 @@ class TestCommandTable:
 
 # sha256 of the JSON artifacts of the search-backed subcommands, taken
 # before the multifunctor and module-homomorphism searches were merged
+# (the two-colored hom: before the transformation search moved onto
+# core.backtrack)
 SEARCH_DIGESTS = {
     "hom": (
         ("hom", "com2.mcat", "Com2", "Com2", "--cap-arity", "2"),
@@ -231,6 +233,9 @@ SEARCH_DIGESTS = {
     "hom-objects-only": (
         ("hom", "com2.mcat", "Com2", "Com2", "--objects-only"),
         "847ae2273b47c42c354a033047eefb1c52a171338c5c6798d1cc1cbff3550633"),
+    "hom-two-colors": (
+        ("hom", "twocolor.mcat", "Pair", "Pair", "--cap-arity", "2"),
+        "102b4be2688a90b4f25fbb595f5d47fe3ed2e7387171816db4fdbb463aa7a4b4"),
     "algebras": (
         ("algebras", "as3.mcat", "--name", "As3", "--carrier", "x=a,b"),
         "a37c1f4368be8d034ec226eae315beeca5c6415e4b1114ef2da776a9ed2f56ed"),
@@ -339,7 +344,10 @@ ELABORATION_MUTANTS = {
         "  act (x,x;x) w01 = e z z w0", "Mon2", True),
     "ract-unknown-element": (
         "bimod.mcat", "  ract (x,x;x) w10 1 (x;x) w0 = (x,x;x) w10",
-        "  ract (x,x;x) w11 1 (x;x) w0 = (x,x;x) w10", "Reg", False),
+        "  ract (x,x;x) w11 1 (x;x) w0 = (x,x;x) w10", "Reg", True),
+    "lact-unknown-element": (
+        "bimod.mcat", "  lact (x,x;x) w01 : (x;x) w0 (x;x) w0 = (x,x;x) w01",
+        "  lact (x,x;x) w01 : (x;x) w0 (x;x) w0 = (x,x;x) w11", "Reg", True),
     "act-perm-wrong-arity": (
         "as3.mcat", "  act (x,x;x) w01 [2,1] = w10",
         "  act (x,x;x) w01 [2,1,3] = w10", "As3", True),

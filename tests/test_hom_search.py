@@ -1,0 +1,232 @@
+"""`internal_hom`'s transformation search on `core.backtrack` against the
+product loop it replaced.
+
+`ref_internal_hom` is the earlier `internal_hom` whole: a `product` over
+the component pools of every (sources, target) signature, a private
+candidate counter, and a full naturality check per candidate
+(`ref_is_k_natural`, with the square it read, kept here as well).
+"""
+
+import hashlib
+import json
+from itertools import product
+from pathlib import Path
+
+import pytest
+
+from multicat import homcalc, perms
+from multicat.algebras import EndView, ObjectFamily
+from multicat.core import sig_key, tabulate
+from multicat.dsl import elaborate, parse
+from multicat.errors import BudgetExceededError, StructuralError
+from multicat.homcalc import (HomResult, KNatTransformation,
+                              adjunction_check, enumerate_multifunctors,
+                              internal_hom)
+from multicat.jsonio import multicategory_json
+from multicat.standard import (assoc_multicategory, comm_multicategory,
+                               discrete_pair, indiscrete_pair,
+                               unit_multicategory)
+
+A2 = ObjectFamily({"x": ("a", "b")})
+
+
+def ref_naturality_square(xi, Q, pref):
+    (inputs, out), _ = pref
+    m = len(inputs)
+    k = len(xi.sources)
+    G = xi.target
+    try:
+        left = Q.gamma(G.map_ref(pref),
+                       [xi.component_ref(a) for a in inputs])
+        right_pre = Q.gamma(xi.component_ref(out),
+                            [F.map_ref(pref) for F in xi.sources])
+    except StructuralError:
+        return None
+    right = Q.act(right_pre, perms.transpose_shuffle(m, k))
+    return left, right
+
+
+def ref_is_k_natural(xi, ops=None):
+    P = xi.target.source
+    Q = xi.target.target
+    for a in P.colors:
+        s, op = xi.component_ref(a)
+        if op not in Q.ops_at(s):
+            raise StructuralError(
+                f"component at {a} is not an operation at {sig_key(s)}")
+    witnesses = []
+    refs = ops if ops is not None else list(P.refs())
+    for pref in refs:
+        square = ref_naturality_square(xi, Q, pref)
+        if square is None:
+            continue
+        left, right = square
+        if left != right:
+            witnesses.append(f"{sig_key(pref[0])}:{pref[1]}")
+    return not witnesses, witnesses
+
+
+def ref_internal_hom(P, Q, arity_cap=3, budget=10 ** 6):
+    functors = enumerate_multifunctors(P, Q, budget=budget)
+    ids = {i: F for i, F in enumerate(functors)}
+    color_of = {i: f"F{i}" for i in ids}
+
+    elements = {}
+    tried = 0
+    colors_sorted = sorted(P.colors)
+    for k in range(arity_cap + 1):
+        for combo in product(range(len(functors)), repeat=k):
+            for gi in range(len(functors)):
+                sources = tuple(ids[i] for i in combo)
+                G = ids[gi]
+                pools = []
+                feasible = True
+                for a in colors_sorted:
+                    s = (tuple(F.object_map[a] for F in sources),
+                         G.object_map[a])
+                    pool = Q.ops_at(s)
+                    if not pool:
+                        feasible = False
+                        break
+                    pools.append(pool)
+                if not feasible:
+                    continue
+                sig = (tuple(color_of[i] for i in combo), color_of[gi])
+                for assignment in product(*pools):
+                    tried += 1
+                    if tried > budget:
+                        raise BudgetExceededError(
+                            "transformation search exceeded budget",
+                            count=sum(len(v) for v in elements.values()))
+                    xi = KNatTransformation(
+                        sources=sources, target=G,
+                        components=dict(zip(colors_sorted, assignment)))
+                    if ref_is_k_natural(xi)[0]:
+                        elements.setdefault(sig, []).append(xi)
+
+    def oid_of(xi):
+        return "{" + ",".join(
+            f"{a}:{xi.components[a]}" for a in colors_sorted) + "}"
+
+    def act(s, xi, p):
+        return KNatTransformation(
+            sources=tuple(xi.sources[i] for i in p), target=xi.target,
+            components={a: Q.act(xi.component_ref(a), p)[1]
+                        for a in colors_sorted})
+
+    def compose(s, xi, slot, qs, eta):
+        return KNatTransformation(
+            xi.sources[:slot] + eta.sources + xi.sources[slot + 1:],
+            xi.target,
+            {a: Q.compose1(xi.component_ref(a), slot,
+                           eta.component_ref(a))[1] for a in colors_sorted})
+
+    units = {color_of[i]: KNatTransformation(
+        (F,), F, {a: Q.unit_ref(F.object_map[a])[1] for a in colors_sorted})
+        for i, F in ids.items()}
+    table, knats, _ = tabulate(
+        [color_of[i] for i in sorted(ids)], elements, units, oid_of, act,
+        compose, arity_cap=arity_cap, name=f"Hom({P.name},{Q.name})")
+    return HomResult(table=table,
+                     functors={color_of[i]: ids[i] for i in ids},
+                     knats=knats)
+
+
+def _pair():
+    text = (Path(__file__).parent.parent / "fixtures" / "twocolor.mcat"
+            ).read_text()
+    return elaborate(parse(text)[0])[0]["Pair"]
+
+
+HOM_CASES = {
+    "As3->End(A2)": lambda: (assoc_multicategory(3),
+                             EndView(A2, arity_cap=3), 2),
+    "Com3->End(A2)": lambda: (comm_multicategory(3),
+                              EndView(A2, arity_cap=3), 2),
+    "As2->Com2": lambda: (assoc_multicategory(2), comm_multicategory(2), 2),
+    "indiscrete->indiscrete": lambda: (indiscrete_pair(), indiscrete_pair(),
+                                       2),
+    "discrete->indiscrete": lambda: (discrete_pair(), indiscrete_pair(), 2),
+    "Pair->Pair": lambda: (_pair(), _pair(), 2),
+    "Pair->End": lambda: (
+        _pair(), EndView(ObjectFamily({"a": ("p", "q"), "b": ("r",)}),
+                         arity_cap=2), 1),
+}
+
+
+def _raised(fn, *args, **kwargs):
+    with pytest.raises(BudgetExceededError) as info:
+        fn(*args, **kwargs)
+    return str(info.value), info.value.count
+
+
+def _digest(table):
+    text = json.dumps(multicategory_json(table), sort_keys=True, indent=2)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(HOM_CASES))
+def test_hom_matches_product_loop(case):
+    P, Q, cap = HOM_CASES[case]()
+    want = ref_internal_hom(P, Q, arity_cap=cap)
+    got = internal_hom(P, Q, arity_cap=cap)
+    # the transformations of each signature, in the order they were found
+    assert list(got.knats) == list(want.knats)
+    for key, xi in want.knats.items():
+        assert list(got.knats[key].components.items()) == list(
+            xi.components.items())
+        assert got.knats[key].sources == xi.sources
+        assert got.knats[key].target == xi.target
+    assert list(got.functors) == list(want.functors)
+    assert [F.key() for F in got.functors.values()] == [
+        F.key() for F in want.functors.values()]
+    assert _digest(got.table) == _digest(want.table)
+
+
+# (P, Q, R, arity cap, vertex cap).  I, As2, As2 runs at arity cap 2: at 4
+# the tensor side already raises a missing-cell StructuralError out of
+# enumerate_multifunctors into the truncated As2, before any hom is built
+ADJUNCTION_CASES = {
+    "I,As2,As2": lambda: (unit_multicategory(), assoc_multicategory(2),
+                          assoc_multicategory(2), 2, 4),
+    "I,Com2,End(A2)": lambda: (unit_multicategory(), comm_multicategory(2),
+                               EndView(A2, arity_cap=3), 2, 3),
+    "Com2,Com2,End(A2)": lambda: (comm_multicategory(2),
+                                  comm_multicategory(2),
+                                  EndView(A2, arity_cap=4), 4, 4),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ADJUNCTION_CASES))
+def test_adjunction_matches_product_loop(case, monkeypatch):
+    P, Q, R, arity, vertices = ADJUNCTION_CASES[case]()
+    got = adjunction_check(P, Q, R, arity, vertices).to_json()
+    monkeypatch.setattr(homcalc, "internal_hom", ref_internal_hom)
+    want = adjunction_check(P, Q, R, arity, vertices).to_json()
+    assert got == want
+    assert got["bijective"] and got["round_trips_ok"]
+
+
+def test_single_colored_budget_is_the_candidate_count():
+    # one color: every candidate is a full assignment, as in the loop
+    P, Q = assoc_multicategory(3), EndView(A2, arity_cap=3)
+    assert _digest(internal_hom(P, Q, 2, budget=1096).table) == _digest(
+        ref_internal_hom(P, Q, 2).table)
+    want = ("transformation search exceeded budget", 539)
+    assert _raised(internal_hom, P, Q, 2, budget=1095) == want
+    assert _raised(ref_internal_hom, P, Q, 2, budget=1095) == want
+
+
+@pytest.mark.parametrize("case,threshold,loop_threshold,count", [
+    ("Pair->Pair", 32, 16, 15), ("Pair->End", 112, 84, 27)])
+def test_multicolored_budget_counts_partial_candidates(
+        case, threshold, loop_threshold, count):
+    # several colors: the partial assignments tried count as well, so the
+    # threshold lies above the loop's count of full candidates
+    P, Q, cap = HOM_CASES[case]()
+    want = ("transformation search exceeded budget", count)
+    internal_hom(P, Q, cap, budget=threshold)
+    assert _raised(internal_hom, P, Q, cap, budget=threshold - 1) == want
+    ref_internal_hom(P, Q, cap, budget=loop_threshold)
+    assert _raised(ref_internal_hom, P, Q, cap,
+                   budget=loop_threshold - 1)[0] == want[0]
