@@ -28,8 +28,8 @@ from dataclasses import dataclass
 from itertools import product
 
 from . import perms
-from .core import (FiniteCollection, TableMulticategory, _gamma_by_size,
-                   check_multicategory_laws, composed_sig, sig_key, tabulate)
+from .core import (_gamma_by_size, check_multicategory_laws, composed_sig,
+                   sig_key, tabulate)
 from .errors import BudgetExceededError, DomainError, StructuralError
 from .homcalc import Multifunctor, check_multifunctor, enumerate_multifunctors
 
@@ -143,7 +143,6 @@ class EndView:
         self.limit = limit
         self.colors = family.colors
         self.name = name or "End"
-        self.comp = {}  # no tabulated entries; everything is computed
         self._index = _element_index(family)
         self._coords = {}  # inputs -> (per input (index map, stride), size)
         self._gathers = {}  # (psig, slot, qsig) -> (rsig, stride, pairs)
@@ -582,53 +581,31 @@ def _corolla_tree(n, numbering):
 
 def op_algebra_to_operad(alg, max_arity=3):
     """Read a single-colored operad off an algebra over the tree
-    multicategory: carriers become the operation sets, slot composition
-    comes from the two-vertex trees, the symmetric actions from the
-    numbered corollas; the result is law-checked."""
+    multicategory through `core.tabulate`: carriers become the operation
+    sets, the numbered corollas act, the two-vertex trees compose; the
+    result is law-checked."""
     from .trees import op_text
 
-    family = alg.carrier
-    colors = ("x",)
-    ops = {}
-    for n in range(max_arity + 1):
-        if family.carrier(str(n)):
-            ops[(("x",) * n, "x")] = tuple(family.carrier(str(n)))
+    def leaves(node):
+        return 1 if node[0] == "L" else sum(leaves(c) for c in node[2])
 
-    def act_tree(tree, in_colors, args):
-        s = (tuple(in_colors), str_leafcount(tree))
-        opid = op_text(tree)
-        return alg.apply((s, opid), args)
+    def evaluate(tree, arities, args):
+        s = (tuple(str(n) for n in arities), str(leaves(tree)))
+        return alg.apply((s, op_text(tree)), args)
 
-    def str_leafcount(tree):
-        def count(node):
-            return 1 if node[0] == "L" else sum(count(c) for c in node[2])
-        return str(count(tree))
+    def act(s, el, p):
+        return evaluate(_corolla_tree(len(p), perms.inverse(p)),
+                        (len(p),), (el,))
 
-    units = {"x": act_tree(("L", 0), (), ())}
+    def compose(s, p, slot, qs, q):
+        return evaluate(_slot_tree(len(s[0]), slot, len(qs[0])),
+                        (len(s[0]), len(qs[0])), (p, q))
 
-    comp = {}
-    for n in range(1, max_arity + 1):
-        for k in range(max_arity + 1):
-            if n + k - 1 > max_arity:
-                continue
-            for i in range(n):
-                tree = _slot_tree(n, i, k)
-                for p in family.carrier(str(n)):
-                    for q in family.carrier(str(k)):
-                        r = act_tree(tree, (str(n), str(k)), (p, q))
-                        comp[(("x",) * n, "x"), p, i,
-                             (("x",) * k, "x"), q] = r
-    action = {}
-    for n in range(max_arity + 1):
-        s = (("x",) * n, "x")
-        for p in perms.all_perms(n):
-            tree = _corolla_tree(n, perms.inverse(p))
-            action[s, p] = {
-                el: act_tree(tree, (str(n),), (el,))
-                for el in family.carrier(str(n))}
-    table = TableMulticategory(
-        collection=FiniteCollection(colors, ops, action),
-        units=units, comp=comp, name="read-off")
+    table, _, _ = tabulate(
+        ("x",), {(("x",) * n, "x"): alg.carrier.carrier(str(n))
+                 for n in range(max_arity + 1)},
+        {"x": evaluate(("L", 0), (), ())}, lambda el: el, act, compose,
+        arity_cap=max_arity, name="read-off")
     return table, check_multicategory_laws(table)
 
 

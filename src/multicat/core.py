@@ -8,8 +8,12 @@ the right symmetric actions.  Everything is explicit and finite: a
 undeclared signatures are empty.
 
 Operations are opaque identifiers; equality is identifier equality
-within a signature.  An operation is referenced as a pair
-``(signature, op_id)`` throughout.
+within a signature.  Where data enters or leaves (the constructors, the
+DSL, JSON and witness text) an operation is the pair ``(signature,
+op_id)``.  Inside, the tables work on numbers: a collection numbers its
+operations once (:class:`Numbering`), a table keeps its composition as
+``(p, slot, q) -> r`` and its units on those numbers, and the law checks
+turn a number back into text only to write a witness.
 """
 
 from dataclasses import dataclass, field
@@ -71,9 +75,6 @@ class FiniteCollection:
     def ops_at(self, s):
         return self.ops.get(s, ())
 
-    def arities(self):
-        return sorted({len(s[0]) for s in self.ops})
-
     def act(self, ref, p):
         s, op = ref
         if p == perms.identity(len(s[0])):
@@ -85,24 +86,60 @@ class FiniteCollection:
         return ((perms.permute(s[0], p), s[1]), table[op])
 
     @cached_property
-    def _images(self):
-        return {}
+    def numbering(self):
+        return Numbering(self)
 
     def images(self, ref):
         """Every symmetric image of an operation as ``(p, signature, id)``,
-        in the order of ``perms.all_perms``; filled once per operation and
-        raising as :meth:`act` does on a missing action entry."""
-        got = self._images.get(ref)
+        in the order of ``perms.all_perms``; kept per number and raising as
+        :meth:`act` does on a missing action entry."""
+        num = self.numbering
+        m = num.number(ref)
+        got = num.shown.get(m)
         if got is None:
-            got = tuple((p, *self.act(ref, p))
-                        for p in perms.all_perms(len(ref[0][0])))
-            self._images[ref] = got
+            got = num.shown[m] = tuple(
+                (p, *num.refs[num.image(m, p)])
+                for p in perms.all_perms(len(ref[0][0])))
         return got
 
     def refs(self):
         for s in self.signatures():
             for op in self.ops[s]:
                 yield (s, op)
+
+
+class Numbering:
+    """The references of a collection numbered once (hash-consing): its
+    operations first, in ``refs()`` order, then every other reference met
+    (a composite or an image outside the operations), in the order met.
+
+    ``ops`` lists the numbers of the operations in ``refs()`` order,
+    ``refs`` and ``sigs`` give each number's reference and signature, and
+    :meth:`image` the number of its image under a permutation, kept once
+    asked for."""
+
+    def __init__(self, coll):
+        self.coll = coll
+        self.refs, self.sigs, self.index = [], [], {}
+        self.acted = {}  # (number, permutation) -> number of the image
+        self.shown = {}  # number -> its images() tuple
+        self.ops = [self.number(ref) for ref in coll.refs()]
+
+    def number(self, ref):
+        got = self.index.get(ref)
+        if got is None:
+            got = self.index[ref] = len(self.refs)
+            self.refs.append(ref)
+            self.sigs.append(ref[0])
+        return got
+
+    def image(self, m, p):
+        """The number of m acted on by p, raising as ``act`` does."""
+        got = self.acted.get((m, p))
+        if got is None:
+            got = self.acted[m, p] = self.number(
+                self.coll.act(self.refs[m], p))
+        return got
 
 
 def complete_actions(ops, generators):
@@ -161,8 +198,12 @@ class TableMulticategory:
     """A finite colored operad given by explicit tables.
 
     ``comp`` maps ``(psig, p, slot, qsig, q) -> result op id`` with the
-    result living at ``composed_sig(psig, slot, qsig)``.  ``complete`` is
-    True when every composable pair whose result signature is inside the
+    result living at ``composed_sig(psig, slot, qsig)``; it is constructor
+    input, read once into a table on the collection's numbers, with a
+    result outside the operations numbered after them.  :meth:`cell` looks
+    a composite up on numbers, :meth:`try_compose1` on references, and
+    :meth:`cells` lists the tabulated composites.  ``complete`` is True
+    when every composable pair whose result signature is inside the
     declared support has an entry; constructions that truncate (free
     multicategories under caps, the arity-indexed tree multicategory)
     mark their output partial instead.
@@ -207,6 +248,35 @@ class TableMulticategory:
     def act(self, ref, p):
         return self.collection.act(ref, p)
 
+    @cached_property
+    def _cells(self):
+        number = self.collection.numbering.number
+        return {(number((psig, p)), slot, number((qsig, q))):
+                number((composed_sig(psig, slot, qsig), r))
+                for (psig, p, slot, qsig, q), r in self.comp.items()}
+
+    @cached_property
+    def unit_numbers(self):
+        number = self.collection.numbering.number
+        return frozenset(number(self.unit_ref(c)) for c in self.units)
+
+    def cell(self, p, slot, q):
+        """p o_slot q on numbers, or None if the entry is absent."""
+        got = self._cells.get((p, slot, q))
+        if got is None:
+            if q in self.unit_numbers:
+                return p
+            if p in self.unit_numbers:
+                return q
+        return got
+
+    def cells(self):
+        """Every tabulated composite as ``(pref, slot, qref, rref)``, in
+        the order of ``comp``."""
+        refs = self.collection.numbering.refs
+        for (p, slot, q), r in self._cells.items():
+            yield refs[p], slot, refs[q], refs[r]
+
     def compose1(self, pref, slot, qref):
         """p o_slot q, raising if the entry is absent."""
         got = self.try_compose1(pref, slot, qref)
@@ -218,17 +288,12 @@ class TableMulticategory:
 
     def try_compose1(self, pref, slot, qref):
         """p o_slot q, or None if the entry is absent."""
-        psig, p = pref
-        qsig, q = qref
-        rsig = composed_sig(psig, slot, qsig)
-        entry = self.comp.get((psig, p, slot, qsig, q))
-        if entry is not None:
-            return (rsig, entry)
-        if self.is_unit(qref):
-            return pref
-        if self.is_unit(pref):
-            return qref
-        return None
+        num = self.collection.numbering
+        p, q = num.number(pref), num.number(qref)
+        if (p, slot, q) not in self._cells:  # a wrong slot or color raises
+            composed_sig(pref[0], slot, qref[0])
+        got = self.cell(p, slot, q)
+        return None if got is None else num.refs[got]
 
     def gamma(self, pref, qrefs):
         """Full composition p(q_1..q_n) by iterated slot composition."""
@@ -382,6 +447,11 @@ def backtrack(order, candidates, derive, start, budget, what, counts=None):
 
 @dataclass
 class LawReport:
+    """Violations as ``(law, witness)`` pairs and instance counts per law.
+
+    A checker with a ``max_violations`` cap compares it between elements,
+    never inside one, so a report can hold more violations than the cap."""
+
     violations: list = field(default_factory=list)
     checked: dict = field(default_factory=dict)
 
@@ -413,37 +483,18 @@ def _ref_str(ref):
 def check_multicategory_laws(M, max_violations=25):
     """Exhaustive law check over the declared support: units, the action
     tables, then composition as a slot action of M on itself
-    (:func:`check_slot_laws`).
+    (:func:`check_slot_laws`), on the numbers of the operations.
 
     For complete tables a composition cell that is absent although its
     result signature is in the support is reported once, as a
     ``missing-cell`` violation whose witness names the cell, and the
     instances that need it are skipped.  For tables marked partial the
     laws are verified on all instances whose every intermediate composite
-    is present.
+    is present.  ``max_violations`` is compared between elements, so the
+    report can hold more violations than that.
     """
     report = LawReport()
     coll = M.collection
-    missing = set()
-
-    def comp(pref, slot, qref):
-        psig, p = pref
-        qsig, q = qref
-        rsig = composed_sig(psig, slot, qsig)
-        entry = M.comp.get((psig, p, slot, qsig, q))
-        if entry is not None:
-            return (rsig, entry)
-        if M.is_unit(qref):
-            return pref
-        if M.is_unit(pref):
-            return qref
-        if rsig in M.ops and M.complete:
-            cell = (psig, p, slot, qsig, q)
-            if cell not in missing:
-                missing.add(cell)
-                report.fail("missing-cell",
-                            f"({_ref_str(pref)}) o_{slot} ({_ref_str(qref)})")
-        return None
 
     # units present and well placed
     for c in coll.colors:
@@ -472,88 +523,102 @@ def check_multicategory_laws(M, max_violations=25):
     if report.violations:
         return report
 
+    num = coll.numbering
+    refs, sigs, image = num.refs, num.sigs, num.image
     for s in coll.signatures():
         if not M.symmetric:
             break
         n = len(s[0])
+        ms = [num.number((s, op)) for op in coll.ops[s]]
         for p_ in perms.all_perms(n):
             for q_ in perms.all_perms(n):
                 pq = perms.compose(p_, q_)
-                for op in coll.ops[s]:
-                    one = coll.act(coll.act((s, op), p_), q_)
-                    two = coll.act((s, op), pq)
+                for m in ms:
                     report.note("action-contravariant")
-                    if one != two:
+                    if image(image(m, p_), q_) != image(m, pq):
                         report.fail(
                             "action-contravariant",
-                            f"{sig_key(s)}:{op} perms {p_},{q_}")
+                            f"{_ref_str(refs[m])} perms {p_},{q_}")
 
-    all_refs = list(coll.refs())
+    missed = set()
+
+    def comp(p, slot, q):
+        # the table's lookup, recording each absent cell of the support
+        got = M.cell(p, slot, q)
+        if got is None and M.complete and (p, slot, q) not in missed:
+            missed.add((p, slot, q))
+            if composed_sig(sigs[p], slot, sigs[q]) in M.ops:
+                report.fail("missing-cell", f"({_ref_str(refs[p])}) o_{slot} "
+                            f"({_ref_str(refs[q])})")
+        return got
 
     # unit laws
-    for pref in all_refs:
-        psig, _ = pref
-        for slot, color in enumerate(psig[0]):
-            got = comp(pref, slot, M.unit_ref(color))
+    unit = {c: num.number(M.unit_ref(c)) for c in coll.colors}
+    for m in num.ops:
+        ins, out = sigs[m]
+        for slot, color in enumerate(ins):
+            got = comp(m, slot, unit[color])
             report.note("unit-right")
-            if got is not None and got != pref:
-                report.fail(
-                    "unit-right",
-                    f"{_ref_str(pref)} o_{slot} 1_{color} = {_ref_str(got)}")
-        u = M.unit_ref(psig[1])
-        got = comp(u, 0, pref)
+            if got is not None and got != m:
+                report.fail("unit-right", f"{_ref_str(refs[m])} o_{slot} "
+                            f"1_{color} = {_ref_str(refs[got])}")
+        got = comp(unit[out], 0, m)
         report.note("unit-left")
-        if got is not None and got != pref:
-            report.fail(
-                "unit-left",
-                f"1_{psig[1]} o_0 {_ref_str(pref)} = {_ref_str(got)}")
+        if got is not None and got != m:
+            report.fail("unit-left", f"1_{out} o_0 {_ref_str(refs[m])} = "
+                        f"{_ref_str(refs[got])}")
 
-    check_slot_laws(report, all_refs, comp, M, comp,
-                    coll.act if M.symmetric else None,
+    check_slot_laws(report, coll, comp, M, comp, M.symmetric,
                     ("assoc-sequential", "assoc-parallel",
                      "equivariance-outer", "equivariance-inner"),
                     max_violations)
     return report
 
 
-def check_slot_laws(report, elems, act1, Q, compose1, act, names,
+def check_slot_laws(report, E, act1, Q, compose, symmetric, names,
                     max_violations):
     """The laws of a slot action ``act1(m, i, q)`` of the multicategory Q
-    on the references ``elems``, noted in ``report``: sequential and
-    parallel associativity (against Q's ``compose1``), then equivariance
-    with the symmetric actions outside (``act`` on elems) and inside
-    (``Q.act``) the slot.  ``names`` gives the four law names in that
+    on the operations of the collection E, noted in ``report``: sequential
+    and parallel associativity (against Q's ``compose``), then
+    equivariance with the symmetric actions outside (E's) and inside
+    (Q's) the slot.  Elements and operations are numbers
+    (:attr:`FiniteCollection.numbering`): ``act1`` takes and gives E's
+    and ``compose`` Q's.  ``names`` gives the four law names in that
     order.  Both lookups give None where they have no value, and such an
-    instance is counted but not compared.  With ``act`` None the elements
-    carry no symmetric action and no equivariance is checked; inner
-    equivariance also needs Q symmetric.  An element is started only
-    while fewer than ``max_violations`` are reported."""
+    instance is counted but not compared.  Without ``symmetric`` the
+    elements carry no symmetric action and no equivariance is checked;
+    inner equivariance also needs Q symmetric.  An element is started
+    only while fewer than ``max_violations`` are reported, so the report
+    can hold more violations than that."""
     seq, par, outer, inner = names
+    num, qnum = E.numbering, Q.collection.numbering
+    refs, sigs, qrefs, qsigs = num.refs, num.sigs, qnum.refs, qnum.sigs
     by_color = {}
-    for qs in Q.signatures():
-        by_color.setdefault(qs[1], []).extend((qs, q) for q in Q.ops_at(qs))
+    for q in qnum.ops:
+        by_color.setdefault(qsigs[q][1], []).append(q)
 
-    for m in elems:
+    for m in num.ops:
         if len(report.violations) >= max_violations:
             return
-        ins = m[0][0]
+        ins = sigs[m][0]
         for i, color in enumerate(ins):
             for q in by_color.get(color, ()):
                 mq = act1(m, i, q)
                 if mq is None:
                     continue
-                for j, color2 in enumerate(q[0][0]):
+                for j, color2 in enumerate(qsigs[q][0]):
                     for r in by_color.get(color2, ()):
-                        qr = compose1(q, j, r)
+                        qr = compose(q, j, r)
                         left = act1(mq, i + j, r)
                         right = None if qr is None else act1(m, i, qr)
                         report.note(seq)
                         if (left is not None and right is not None
                                 and left != right):
                             report.fail(
-                                seq, f"({_ref_str(m)} o_{i} {_ref_str(q)}) "
-                                f"o_{i+j} {_ref_str(r)}")
-                k = len(q[0][0])
+                                seq, f"({_ref_str(refs[m])} o_{i} "
+                                f"{_ref_str(qrefs[q])}) o_{i+j} "
+                                f"{_ref_str(qrefs[r])}")
+                k = len(qsigs[q][0])
                 for j in range(i + 1, len(ins)):
                     for r in by_color.get(ins[j], ()):
                         mr = act1(m, j, r)
@@ -563,42 +628,43 @@ def check_slot_laws(report, elems, act1, Q, compose1, act, names,
                         if (left is not None and right is not None
                                 and left != right):
                             report.fail(
-                                par, f"slots {i},{j} of {_ref_str(m)} with "
-                                f"{_ref_str(q)},{_ref_str(r)}")
+                                par, f"slots {i},{j} of {_ref_str(refs[m])} "
+                                f"with {_ref_str(qrefs[q])},"
+                                f"{_ref_str(qrefs[r])}")
 
-    for m in elems if act is not None else ():
+    for m in num.ops if symmetric else ():
         if len(report.violations) >= max_violations:
             return
-        ins = m[0][0]
+        ins = sigs[m][0]
         n = len(ins)
         for sigma in perms.all_perms(n):
-            acted = act(m, sigma)
+            acted = num.image(m, sigma)
             for i in range(n):
                 for q in by_color.get(ins[sigma[i]], ()):
                     base = act1(m, sigma[i], q)
                     left = act1(acted, i, q)
                     report.note(outer)
                     if base is not None and left is not None:
-                        want = act(base,
-                                   perms.expand_outer(sigma, i, len(q[0][0])))
+                        want = num.image(base, perms.expand_outer(
+                            sigma, i, len(qsigs[q][0])))
                         if left != want:
                             report.fail(
-                                outer, f"{_ref_str(m)} perm {sigma} slot {i} "
-                                f"arg {_ref_str(q)}")
+                                outer, f"{_ref_str(refs[m])} perm {sigma} "
+                                f"slot {i} arg {_ref_str(qrefs[q])}")
         for i, color in enumerate(ins if Q.symmetric else ()):
             for q in by_color.get(color, ()):
                 base = act1(m, i, q)
                 if base is None:
                     continue
-                for tau in perms.all_perms(len(q[0][0])):
-                    left = act1(m, i, Q.act(q, tau))
+                for tau in perms.all_perms(len(qsigs[q][0])):
+                    left = act1(m, i, qnum.image(q, tau))
                     report.note(inner)
                     if left is not None:
-                        want = act(base, perms.expand_inner(n, i, tau))
+                        want = num.image(base, perms.expand_inner(n, i, tau))
                         if left != want:
                             report.fail(
-                                inner, f"{_ref_str(m)} slot {i} arg "
-                                f"{_ref_str(q)} perm {tau}")
+                                inner, f"{_ref_str(refs[m])} slot {i} arg "
+                                f"{_ref_str(qrefs[q])} perm {tau}")
 
 
 # ---------------------------------------------------------------------------
@@ -878,7 +944,7 @@ def restrict_objects(M, object_map, new_colors=None):
     for d in new_colors:
         units[d] = M.units[object_map[d]]
     comp = {}
-    for (psig, p, slot, qsig, q), r in M.comp.items():
+    for (psig, p), slot, (qsig, q), (_, r) in M.cells():
         p_fib = [fibers[c] for c in psig[0]] + [fibers[psig[1]]]
         for combo in product(*p_fib):
             new_p = (tuple(combo[:-1]), combo[-1])
@@ -919,7 +985,7 @@ def extend_objects_injective(M, alpha, new_colors):
             action[fwd(s), p] = dict(M.collection.action[s, p])
     units = {alpha[c]: u for c, u in M.units.items()}
     comp = {}
-    for (psig, p, slot, qsig, q), r in M.comp.items():
+    for (psig, p), slot, (qsig, q), (_, r) in M.cells():
         comp[fwd(psig), p, slot, fwd(qsig), q] = r
     for d in fresh:
         ops[((d,), d)] = ("1",)

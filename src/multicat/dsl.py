@@ -233,12 +233,6 @@ def parse_term(tok, gen_lookup, lineno, diags):
     return t
 
 
-def term_to_text(t):
-    from .trees import term_text
-
-    return term_text(t)
-
-
 # ---------------------------------------------------------------------------
 # elaboration
 
@@ -789,10 +783,9 @@ def multicategory_block(M, name=None):
                     lines.append(
                         f"  act {_sig_token(s)} {op} {_perm_token(t)} "
                         f"= {table[op]}")
-    for (psig, p, slot, qsig, q), r in sorted(
-            M.comp.items(), key=lambda kv: (sig_key(kv[0][0]), kv[0][1],
-                                            kv[0][2], sig_key(kv[0][3]),
-                                            kv[0][4])):
+    for (psig, p), slot, (qsig, q), (_, r) in sorted(
+            M.cells(), key=lambda c: (sig_key(c[0][0]), c[0][1], c[1],
+                                      sig_key(c[2][0]), c[2][1])):
         lines.append(
             f"  comp {_sig_token(psig)} {p} {slot + 1} {_sig_token(qsig)} "
             f"{q} = {r}")
@@ -813,37 +806,4 @@ def collection_block(G, name):
                 lines.append(
                     f"  act {_sig_token(s)} {op} {_perm_token(t)} "
                     f"= {table[op]}")
-    return "\n".join(lines)
-
-
-def presentation_block(P, name, gens_name):
-    lines = [f"presentation {name} over {gens_name}"]
-    for left, right in P.relations:
-        s = term_signature(left)
-        lines.append(
-            f"  rel {_sig_token(s)} {term_to_text(left)} "
-            f"= {term_to_text(right)}")
-    return "\n".join(lines)
-
-
-def multifunctor_block(F, name, src_name, dst_name):
-    lines = [f"multifunctor {name} : {src_name} -> {dst_name}"]
-    for c in sorted(F.object_map):
-        lines.append(f"  obj {c} = {F.object_map[c]}")
-    for s in sorted(F.op_maps, key=sig_key):
-        for op in sorted(F.op_maps[s]):
-            lines.append(
-                f"  map {_sig_token(s)} {op} = {F.op_maps[s][op]}")
-    return "\n".join(lines)
-
-
-def algebra_block(alg, name, m_name):
-    lines = [f"algebra {name} over {m_name}"]
-    for c in alg.carrier.colors:
-        lines.append(f"  carrier {c} = " + " ".join(alg.carrier.carrier(c)))
-    for s in sorted(alg.action, key=sig_key):
-        for op in sorted(alg.action[s]):
-            lines.append(
-                f"  act {_sig_token(s)} {op} = "
-                + " ".join(alg.action[s][op]))
     return "\n".join(lines)

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 from itertools import product
 
 from . import perms
-from .core import (LawReport, TableMulticategory, backtrack, composed_sig,
-                   sig_key, tabulate)
+from .core import (LawReport, TableMulticategory, _ref_str, backtrack,
+                   composed_sig, sig_key, tabulate)
 from .errors import DomainError, PartialInputError, StructuralError
 from .presents import bv_tensor, pair_color, tensor_generator
 
@@ -97,14 +97,13 @@ def check_multifunctor(F):
                             F.map_ref((s, op)), p):
                         report.fail("equivariance",
                                     f"{sig_key(s)}:{op} perm {p}")
-    for (psig, p, slot, qsig, q), r in P.comp.items():
-        rsig = composed_sig(psig, slot, qsig)
+    for pref, slot, qref, rref in P.cells():
         report.note("compositions")
-        got = Q.compose1(F.map_ref((psig, p)), slot, F.map_ref((qsig, q)))
-        if got != F.map_ref((rsig, r)):
+        got = Q.compose1(F.map_ref(pref), slot, F.map_ref(qref))
+        if got != F.map_ref(rref):
             report.fail(
                 "compositions",
-                f"({sig_key(psig)}:{p}) o_{slot} ({sig_key(qsig)}:{q})")
+                f"({_ref_str(pref)}) o_{slot} ({_ref_str(qref)})")
     return report
 
 
@@ -114,15 +113,19 @@ def enumerate_multifunctors(P, Q, budget=10 ** 6, fix_objects=None):
     actions and the tabulated compositions derived eagerly.  `budget`
     bounds the candidate images tried over all object maps before
     BudgetExceededError.
+
+    The symmetric images are derived along adjacent transpositions only:
+    the closure derives again from every image it assigns, so the whole
+    orbit is reached.  A composite of images that Q lacks prunes the
+    branch when its signature lies outside Q's support, as the composite
+    P-operation then has no candidate; inside the support it cannot be
+    checked, and PartialInputError names Q.
     """
     if not P.complete:
         raise PartialInputError("source must be complete")
     # op -> the compositions it takes part in, as (p, slot, q, result)
     comp_index = {}
-    for key, r in P.comp.items():
-        psig, p, slot, qsig, q = key
-        entry = ((psig, p), slot, (qsig, q),
-                 (composed_sig(psig, slot, qsig), r))
+    for entry in P.cells():
         comp_index.setdefault(entry[0], []).append(entry)
         comp_index.setdefault(entry[2], []).append(entry)
 
@@ -132,11 +135,23 @@ def enumerate_multifunctors(P, Q, budget=10 ** 6, fix_objects=None):
 
     def derive(ref, image, assign):
         if P.symmetric:
-            for sp in perms.all_perms(len(ref[0][0])):
-                yield P.act(ref, sp), Q.act(image, sp)
+            for t in perms.adjacent_transpositions(len(ref[0][0])):
+                yield P.act(ref, t), Q.act(image, t)
         for pref, slot, qref, rref in comp_index.get(ref, ()):
             if pref in assign and qref in assign:
-                yield rref, Q.compose1(assign[pref], slot, assign[qref])
+                got = Q.try_compose1(assign[pref], slot, assign[qref])
+                if got is not None:
+                    yield rref, got
+                elif Q.has_sig(composed_sig(assign[pref][0], slot,
+                                            assign[qref][0])):
+                    raise PartialInputError(
+                        f"{Q.name or 'the target'} lacks the composite "
+                        f"({_ref_str(assign[pref])}) o_{slot} "
+                        f"({_ref_str(assign[qref])}) inside its support")
+                else:
+                    # two values on one key: the branch dies
+                    yield ("outside", rref), False
+                    yield ("outside", rref), True
 
     if fix_objects is not None:
         object_maps = [dict(fix_objects)]
@@ -498,6 +513,12 @@ def hom_to_tensor(K, P, Q, R, sat, hom):
     op_maps = {}
     T = sat.table
     for s in T.signatures():
+        ms = (tuple(object_map[c] for c in s[0]), object_map[s[1]])
+        if not R.has_sig(ms):
+            raise PartialInputError(
+                f"{R.name or 'the target'} is truncated: it has no "
+                f"operations at ({sig_key(ms)}), where the tensor's "
+                f"({sig_key(s)}) must go")
         table = {}
         for tid in T.ops_at(s):
             term = sat_structure_term(sat, s, tid)

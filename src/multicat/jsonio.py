@@ -28,9 +28,9 @@ def multicategory_json(M):
         "units": dict(sorted(M.units.items())),
         "comp": sorted(
             [{
-                "at": sig_key(psig), "op": p, "slot": slot,
-                "arg_at": sig_key(qsig), "arg": q, "result": r,
-            } for (psig, p, slot, qsig, q), r in M.comp.items()],
+                "at": sig_key(pref[0]), "op": pref[1], "slot": slot,
+                "arg_at": sig_key(qref[0]), "arg": qref[1], "result": rref[1],
+            } for pref, slot, qref, rref in M.cells()],
             key=lambda row: json.dumps(row, sort_keys=True)),
         "action": sorted(
             [{

@@ -22,6 +22,7 @@ Conventions used everywhere in this package (all 0-based):
   pinned by semantic tests against functions on finite sets.
 """
 
+from functools import cache
 from itertools import permutations as _permutations
 
 
@@ -46,8 +47,11 @@ def permute(xs, p):
     return tuple(xs[p[i]] for i in range(len(p)))
 
 
+@cache
 def all_perms(n):
-    return sorted(_permutations(range(n)))
+    """The permutations of n letters in lexicographic order, as one tuple
+    per n shared by every caller."""
+    return tuple(_permutations(range(n)))
 
 
 def adjacent_transpositions(n):

@@ -43,8 +43,8 @@ where Eckmann-Hilton forces one (caps (4, 4) give one).
 from dataclasses import dataclass, field
 
 from . import perms
-from .core import (FiniteCollection, TableMulticategory, composed_sig,
-                   restrict_objects, sig_key, tabulate)
+from .core import (FiniteCollection, TableMulticategory, restrict_objects,
+                   sig_key, tabulate)
 from .errors import DomainError, PartialInputError, StructuralError
 from .trees import (canonical_term, corolla, enumerate_terms, graft,
                     identity_term, relabel_leaves, renumber_term,
@@ -360,22 +360,14 @@ def pair_color(a, b):
     return f"{a}.{b}"
 
 
-def _left_id(pid, b):
-    return f"p:{pid}:{b}"
-
-
-def _right_id(a, qid):
-    return f"q:{a}:{qid}"
-
-
 def tensor_generator(s, op, c, left):
     """Signature and id of the tensor generator for the operation ``op`` at
     ``s`` of the left factor (or the right one) at the other's color c."""
     if left:
         return ((tuple(pair_color(x, c) for x in s[0]), pair_color(s[1], c)),
-                _left_id(op, c))
+                f"p:{op}:{c}")
     return ((tuple(pair_color(c, x) for x in s[0]), pair_color(c, s[1])),
-            _right_id(c, op))
+            f"q:{c}:{op}")
 
 
 def _require_complete(M):
@@ -387,48 +379,26 @@ def _require_complete(M):
 def _tensor_generators(P, Q):
     """Generator collection on paired colors: every non-unit operation of P
     at a fixed color of Q and vice versa, actions inherited."""
-    ops = {}
-    action = {}
-
-    def add_side(M, other_colors, fixed_right):
+    ops, action = {}, {}
+    for M, others, left in ((P, Q.colors, True), (Q, P.colors, False)):
         for s in M.signatures():
-            for op in M.ops_at(s):
-                if M.is_unit((s, op)):
-                    continue
-                for c in other_colors:
-                    gsig, gid = tensor_generator(s, op, c, fixed_right)
-                    ops.setdefault(gsig, []).append(gid)
-
-    add_side(P, Q.colors, True)
-    add_side(Q, P.colors, False)
-    ops = {s: tuple(sorted(v)) for s, v in ops.items()}
-
-    def act_tables(M, other_colors, fixed_right):
-        for s in M.signatures():
-            n = len(s[0])
-            for p in perms.all_perms(n):
-                base = M.collection.action[s, p]
-                for c in other_colors:
-                    if fixed_right:
-                        gsig = (tuple(pair_color(x, c) for x in s[0]),
-                                pair_color(s[1], c))
-                        table = {_left_id(op, c): _left_id(im, c)
-                                 for op, im in base.items()
-                                 if not M.is_unit((s, op))}
-                    else:
-                        gsig = (tuple(pair_color(c, x) for x in s[0]),
-                                pair_color(c, s[1]))
-                        table = {_right_id(c, op): _right_id(c, im)
-                                 for op, im in base.items()
-                                 if not M.is_unit((s, op))}
-                    if gsig in ops:
-                        action.setdefault((gsig, p), {}).update(table)
-
-    act_tables(P, Q.colors, True)
-    act_tables(Q, P.colors, False)
+            ids = [op for op in M.ops_at(s) if not M.is_unit((s, op))]
+            if not ids:
+                continue
+            for c in others:
+                gsig = tensor_generator(s, ids[0], c, left)[0]
+                ops.setdefault(gsig, []).extend(
+                    tensor_generator(s, op, c, left)[1] for op in ids)
+                for p in perms.all_perms(len(s[0])):
+                    action.setdefault((gsig, p), {}).update(
+                        (tensor_generator(s, op, c, left)[1],
+                         tensor_generator(s, im, c, left)[1])
+                        for op, im in M.collection.action[s, p].items()
+                        if not M.is_unit((s, op)))
     colors = tuple(sorted(
         pair_color(a, b) for a in P.colors for b in Q.colors))
-    return FiniteCollection(colors, ops, action)
+    return FiniteCollection(
+        colors, {s: tuple(sorted(v)) for s, v in ops.items()}, action)
 
 
 def _side_relations(M, other_colors, fixed_right, gens):
@@ -443,13 +413,12 @@ def _side_relations(M, other_colors, fixed_right, gens):
             return identity_term(color)
         return corolla(*tensor_generator(s, op, c, fixed_right))
 
-    for (psig, p, slot, qsig, q), r in M.comp.items():
-        rsig = composed_sig(psig, slot, qsig)
-        if M.is_unit((psig, p)) or M.is_unit((qsig, q)):
+    for pref, slot, qref, rref in M.cells():
+        if M.is_unit(pref) or M.is_unit(qref):
             continue
         for c in other_colors:
-            left = graft(gref(psig, p, c), slot, gref(qsig, q, c))
-            right = gref(rsig, r, c)
+            left = graft(gref(*pref, c), slot, gref(*qref, c))
+            right = gref(*rref, c)
             rels.append((canonical_term(left, gens),
                          canonical_term(right, gens)))
     return rels
@@ -483,27 +452,16 @@ def interchange_relations(P, Q, gens):
                 for psi in Q.ops_at(qs):
                     if Q.is_unit((qs, psi)):
                         continue
-                    a, b = ps[1], qs[1]
                     # root a x psi with phi x b_j grafted on each slot
-                    root_r = (tuple(pair_color(a, y) for y in qs[0]),
-                              pair_color(a, b))
-                    left = corolla(root_r, _right_id(a, psi))
+                    left = corolla(*tensor_generator(qs, psi, ps[1], False))
                     for j in reversed(range(n)):
-                        arg_sig = (tuple(pair_color(x, qs[0][j])
-                                         for x in ps[0]),
-                                   pair_color(a, qs[0][j]))
-                        left = graft(left, j,
-                                     corolla(arg_sig, _left_id(phi, qs[0][j])))
+                        left = graft(left, j, corolla(
+                            *tensor_generator(ps, phi, qs[0][j], True)))
                     # root phi x b with a_i x psi grafted on each slot
-                    root_l = (tuple(pair_color(x, b) for x in ps[0]),
-                              pair_color(a, b))
-                    right = corolla(root_l, _left_id(phi, b))
+                    right = corolla(*tensor_generator(ps, phi, qs[1], True))
                     for i in reversed(range(m)):
-                        arg_sig = (tuple(pair_color(ps[0][i], y)
-                                         for y in qs[0]),
-                                   pair_color(ps[0][i], b))
-                        right = graft(right, i,
-                                      corolla(arg_sig, _right_id(ps[0][i], psi)))
+                        right = graft(right, i, corolla(
+                            *tensor_generator(qs, psi, ps[0][i], False)))
                     shuffled = renumber_term(
                         right, perms.transpose_shuffle(n, m))
                     rels.append((canonical_term(left, gens),
@@ -545,8 +503,9 @@ def arrow_multicategory(P, n):
 
     action = {(s, p): t for (s, p), t in full.collection.action.items()
               if allowed(s)}
-    comp = {key: r for key, r in full.comp.items()
-            if allowed(key[0]) and allowed(key[3])}
+    comp = {(*pref, slot, *qref): rref[1]
+            for pref, slot, qref, rref in full.cells()
+            if allowed(pref[0]) and allowed(qref[0])}
     return TableMulticategory(
         collection=FiniteCollection(
             colors, {s: v for s, v in full.ops.items() if allowed(s)},
@@ -618,22 +577,18 @@ def pushout(F, G, allow_partial=False):
 
     rels = []
     for side, M in (("b", B), ("c", C)):
-        for (psig, p, slot, qsig, q), r in M.comp.items():
-            if M.is_unit((psig, p)) or M.is_unit((qsig, q)):
+        for pref, slot, qref, rref in M.cells():
+            if M.is_unit(pref) or M.is_unit(qref):
                 continue
-            rsig = composed_sig(psig, slot, qsig)
-            left = graft(gref(side, M, psig, p), slot, gref(side, M, qsig, q))
+            left = graft(gref(side, M, *pref), slot, gref(side, M, *qref))
             rels.append((canonical_term(left, gens),
-                         canonical_term(gref(side, M, rsig, r), gens)))
+                         canonical_term(gref(side, M, *rref), gens)))
     for s in A.signatures():
         for op in A.ops_at(s):
             fs = (tuple(F.object_map[c] for c in s[0]), F.object_map[s[1]])
             gs = (tuple(G.object_map[c] for c in s[0]), G.object_map[s[1]])
-            fop = F.op_maps[s][op] if not A.is_unit((s, op)) else None
-            if A.is_unit((s, op)):
-                continue
-            gop = G.op_maps[s][op]
-            rels.append((
-                canonical_term(gref("b", B, fs, fop), gens),
-                canonical_term(gref("c", C, gs, gop), gens)))
+            if not A.is_unit((s, op)):
+                rels.append((
+                    canonical_term(gref("b", B, fs, F.op_maps[s][op]), gens),
+                    canonical_term(gref("c", C, gs, G.op_maps[s][op]), gens)))
     return Presentation(gens, tuple(rels), name="pushout")

@@ -171,6 +171,9 @@ class TestLaws:
         assert report.violations[0] == (
             "right-equivariance-inner",
             "x,x;x:w01 slot 0 arg x,x;x:w01 perm (1, 0)")
+        # the cap is compared between elements, and the violations all
+        # come with the first elements: the default cap of 25 keeps 40
+        assert check_bimodule(bad).violations == report.violations
 
 
 class TestBar:

@@ -165,6 +165,19 @@ class TestCli:
         assert doc["bijective"] and doc["round_trips_ok"]
         assert doc["tensor_side"] == doc["hom_side"] == 4
 
+    def test_adjunction_into_truncated_target_is_refused(self, docs_dir,
+                                                         capsys):
+        # the tensor I(x)As2 at caps (4, 4) has operations up to arity 4;
+        # As2 stops at arity 2, so the hom side cannot be evaluated in it
+        code = run_cli("adjunction", str(docs_dir / "adjunction.mcat"),
+                       "I", "As2", "As2", "--cap-arity", "4",
+                       "--cap-vertices", "4")
+        got = capsys.readouterr()
+        assert code == 1 and got.out == ""
+        assert got.err == (
+            "error: As2 is truncated: it has no operations at (x,x,x,x;x), "
+            "where the tensor's (u.x,u.x,u.x,u.x;u.x) must go\n")
+
     def test_multifunctor_budget_message(self, docs_dir):
         proc = subprocess.run(
             [sys.executable, "-m", "multicat.cli", "hom",

@@ -2,7 +2,7 @@
 finite sets: these tests are what make every block-permutation formula in
 the package trustworthy."""
 
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -115,3 +115,11 @@ def test_block_permutation():
     p = perms.block_permutation(sigma, sizes)
     items = ["a0", "a1", "b0", "c0", "c1", "c2"]
     assert perms.permute(items, p) == ("b0", "a0", "a1", "c0", "c1", "c2")
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_all_perms_is_one_sorted_tuple_per_n(n):
+    got = perms.all_perms(n)
+    assert perms.all_perms(n) is got
+    assert isinstance(got, tuple) and list(got) == sorted(got)
+    assert len(set(got)) == len(got) == len(list(permutations(range(n))))

@@ -8,6 +8,7 @@ results and the number of candidates it tried, which is the smallest
 budget under which it finishes.
 """
 
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -19,9 +20,10 @@ from multicat.bimodules import (enumerate_module_homs,
                                 tensor_act_right)
 from multicat.core import backtrack, composed_sig, sig_key
 from multicat.dsl import elaborate, parse
-from multicat.errors import BudgetExceededError, PartialInputError
+from multicat.errors import (BudgetExceededError, PartialInputError,
+                             StructuralError)
 from multicat.homcalc import Multifunctor, enumerate_multifunctors
-from multicat.presents import arrow_multicategory
+from multicat.presents import arrow_multicategory, bv_tensor
 from multicat.standard import (assoc_multicategory, comm_multicategory,
                                indiscrete_pair, unit_multicategory)
 
@@ -324,6 +326,22 @@ def test_several_object_maps_share_one_budget():
     for budget in range(tried):
         assert (_raised(enumerate_multifunctors, P, Q, budget=budget)
                 == _raised(ref_multifunctors, P, Q, budget=budget))
+
+
+def test_truncated_target_prunes_outside_its_support():
+    # I(x)As2 at caps (4, 4) has operations of arity 3 and 4, which As2
+    # lacks: a composite there prunes the branch, where the reference
+    # loop raised on the missing cell
+    T = bv_tensor(I, AS2, 4, 4).table
+    with pytest.raises(StructuralError, match="missing composition cell"):
+        ref_multifunctors(T, AS2)
+    assert enumerate_multifunctors(T, AS2) == []
+    # a cell missing inside the support cannot be checked
+    cell = next(k for k in COM3.comp if len(k[0][0]) == len(k[3][0]) == 2)
+    comp = dict(COM3.comp)
+    del comp[cell]
+    with pytest.raises(PartialInputError, match="inside its support"):
+        enumerate_multifunctors(COM3, replace(COM3, comp=comp))
 
 
 @pytest.mark.parametrize("module", sorted(MODULES))
