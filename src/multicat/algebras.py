@@ -18,14 +18,18 @@ stride sum.
 `EndView` exposes the endomorphism multicategory lazily so that large
 carriers never materialize full tables; per signature it keeps the
 strides, per slot composition of signatures a gather map and per
-symmetric action an index permutation.  `end_multicategory`
+symmetric action an index permutation.  Its values in the value
+interface of `core` are ``(signature, index tuple)`` pairs, the tuple
+listing the codomain index of each output; the searches and checks of
+`homcalc` run on them, and `act`, `compose1` and `try_compose1` parse
+text, run the same kernel and print text.  `end_multicategory`
 materializes a table when the total size is within a configured limit,
 and `end_of_map` tabulates the pairs intertwined by a map, with
 projections to the two views.
 """
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import product, repeat
 
 from . import perms
 from .core import (_gamma_by_size, check_multicategory_laws, composed_sig,
@@ -107,15 +111,23 @@ class _EndOps:
     def __bool__(self):
         return self.size > 0
 
-    def __iter__(self):
+    def _tables(self, entries):
+        # every output tuple over the entries, in lexicographic order
         yielded = 0
-        for outputs in product(self.codomain, repeat=self.dom_size):
+        for outputs in product(entries, repeat=self.dom_size):
             yielded += 1
             if yielded > self.limit:
                 raise BudgetExceededError(
                     f"enumeration at {sig_key(self.s)} exceeded the limit "
                     f"{self.limit} (set size {self.size})")
-            yield fn_id(outputs)
+            yield outputs
+
+    def values(self):
+        """The operations as values, in the order of the ids."""
+        return zip(repeat(self.s), self._tables(range(len(self.codomain))))
+
+    def __iter__(self):
+        return map(fn_id, self._tables(self.codomain))
 
     def __contains__(self, opid):
         if not isinstance(opid, str) or not opid.startswith("f:"):
@@ -128,11 +140,15 @@ class _EndOps:
 class EndView:
     """The endomorphism multicategory of a family, computed on demand.
 
-    Operation ids are function tables; composition and the actions
-    rearrange positions of those tables through maps that the view builds
-    on first use and keeps: the lexicographic coordinates of each input
-    list, a gather map for each (psig, slot, qsig) and an index
-    permutation for each (signature, permutation)."""
+    Operation ids are function tables.  In the value interface of `core`
+    an operation is ``(signature, outputs)``, the outputs as codomain
+    indices; :meth:`cell` and :meth:`image` compose and act on those
+    tuples through maps that the view builds on first use and keeps: the
+    lexicographic coordinates of each input list, a gather map for each
+    (psig, slot, qsig) and an index permutation for each (signature,
+    permutation).  Values compare by value, so none is numbered.
+    :meth:`compose1`, :meth:`try_compose1` and :meth:`act` take and give
+    ids, through :meth:`value` and :meth:`ref_of`."""
 
     complete = True
     symmetric = True
@@ -146,7 +162,7 @@ class EndView:
         self._index = _element_index(family)
         self._coords = {}  # inputs -> (per input (index map, stride), size)
         self._gathers = {}  # (psig, slot, qsig) -> (rsig, stride, pairs)
-        self._perms = {}  # (sig, perm) -> source position of each entry
+        self._perms = {}  # (sig, perm) -> (acted sig, source of each entry)
 
     def _lex(self, inputs):
         got = self._coords.get(inputs)
@@ -180,6 +196,28 @@ class EndView:
             return
         yield from ops
 
+    # the value interface
+
+    def value(self, ref):
+        s, opid = ref
+        ix = self._index[s[1]]
+        return s, tuple([ix[v] for v in fn_table(opid)])
+
+    def ref_of(self, v):
+        s, outputs = v
+        cod = self.family.carrier(s[1])
+        return s, "f:" + "|".join([cod[i] for i in outputs])
+
+    def sig_of(self, v):
+        return v[0]
+
+    def values_at(self, s):
+        ops = self.ops_at(s)
+        return () if ops == () else ops.values()
+
+    def unit_value(self, color):
+        return ((color,), color), tuple(range(len(self.family.carrier(color))))
+
     def has_sig(self, s):
         return len(s[0]) <= self.arity_cap and bool(self.ops_at(s))
 
@@ -210,6 +248,36 @@ class EndView:
                       for j in range(n_q) for suf in range(stride))
         return rsig, stride, pairs
 
+    def cell(self, v, slot, w):
+        """v o_slot w on values, or None for a composite over the cap."""
+        psig, pt = v
+        qsig, q = w
+        key = (psig, slot, qsig)
+        gather = self._gathers.get(key, False)
+        if gather is False:
+            gather = self._gathers[key] = self._gather(psig, slot, qsig)
+        if gather is None:
+            return None
+        rsig, stride, pairs = gather
+        qt = [stride * j for j in q]
+        return rsig, tuple([pt[b + qt[j]] for b, j in pairs])
+
+    def image(self, v, p):
+        """v acted on by p, on values."""
+        if p == perms.identity(len(p)):
+            return v
+        s, table = v
+        key = (s, p)
+        got = self._perms.get(key)
+        if got is None:
+            coords, size = self._lex(s[0])
+            sizes = tuple(len(ix) for ix, _ in coords)
+            got = self._perms[key] = (
+                (perms.permute(s[0], p), s[1]),
+                perms.act_on_function(range(size), p, sizes))
+        acted, src = got
+        return acted, tuple([table[i] for i in src])
+
     def compose1(self, pref, slot, qref):
         got = self.try_compose1(pref, slot, qref)
         if got is None:
@@ -219,39 +287,14 @@ class EndView:
         return got
 
     def try_compose1(self, pref, slot, qref):
-        psig, p = pref
-        qsig, q = qref
-        key = (psig, slot, qsig)
-        gather = self._gathers.get(key, False)
-        if gather is False:
-            gather = self._gathers[key] = self._gather(psig, slot, qsig)
-        if gather is None:
-            return None
-        rsig, stride, pairs = gather
-        if not pairs:  # an empty domain: neither table is read
-            return (rsig, "f:")
-        pt = p[2:].split("|")
-        ix = self._index[qsig[1]]
-        qt = [stride * ix[v] for v in q[2:].split("|")]
-        return (rsig, "f:" + "|".join([pt[b + qt[j]] for b, j in pairs]))
+        got = self.cell(self.value(pref), slot, self.value(qref))
+        return None if got is None else self.ref_of(got)
 
     def gamma(self, pref, qrefs):
         return _gamma_by_size(self.compose1, pref, qrefs)
 
     def act(self, ref, p):
-        s, opid = ref
-        if p == perms.identity(len(p)):
-            return ref
-        key = (s, p)
-        src = self._perms.get(key)
-        if src is None:
-            coords, size = self._lex(s[0])
-            sizes = tuple(len(ix) for ix, _ in coords)
-            src = self._perms[key] = perms.act_on_function(
-                range(size), p, sizes)
-        table = opid[2:].split("|")
-        return ((perms.permute(s[0], p), s[1]),
-                "f:" + "|".join([table[i] for i in src]))
+        return self.ref_of(self.image(self.value(ref), p))
 
 
 def _signatures_within(view, limit):
@@ -271,10 +314,10 @@ def end_multicategory(A, arity_cap=2, limit=200000):
     view = EndView(A, arity_cap=arity_cap, limit=limit)
     sigs = _signatures_within(view, limit)
     table, _, _ = tabulate(
-        view.colors, {s: view.ops_at(s) for s in sigs},
-        {c: view.unit_ref(c)[1] for c in view.colors}, str,
-        lambda s, op, p: view.act((s, op), p)[1],
-        lambda s, p, slot, qs, q: view.compose1((s, p), slot, (qs, q))[1],
+        view.colors, {s: view.values_at(s) for s in sigs},
+        {c: view.unit_value(c) for c in view.colors},
+        lambda v: view.ref_of(v)[1], lambda s, v, p: view.image(v, p),
+        lambda s, v, slot, qs, w: view.cell(v, slot, w),
         arity_cap=arity_cap, name=f"End({','.join(view.colors)})")
     return table
 
@@ -477,16 +520,17 @@ def end_module(A, B, arity_cap=2):
 
 
 def _intertwined_pairs(f, viewA, viewB, s):
-    """The pairs (phi, psi) at s with f . phi = psi . f^n: psi is fixed on
-    the image of f^n and free elsewhere, and phi has a partner exactly
-    when the values it forces agree."""
+    """The pairs (phi, psi) at s with f . phi = psi . f^n, as values of
+    the two views: psi is fixed on the image of f^n and free elsewhere,
+    and phi has a partner exactly when the values it forces agree."""
     inputs, out = s
     image = _image_positions(f, viewA.family, viewB._index, inputs)
     _, size_b = viewB._lex(inputs)
     free = sorted(set(range(size_b)) - set(image))
-    f_out = f[out]
-    cod_b = viewB.family.carrier(out)
-    for phi in product(viewA.family.carrier(out), repeat=len(image)):
+    index_b = viewB._index[out]
+    f_out = [index_b[f[out][v]] for v in viewA.family.carrier(out)]
+    cod_b = range(len(index_b))
+    for phi in product(range(len(f_out)), repeat=len(image)):
         psi = [None] * size_b
         for j, v in zip(image, phi):
             w = f_out[v]
@@ -495,11 +539,10 @@ def _intertwined_pairs(f, viewA, viewB, s):
             elif psi[j] != w:
                 break
         else:
-            phi_id = fn_id(phi)
             for choice in product(cod_b, repeat=len(free)):
                 for j, w in zip(free, choice):
                     psi[j] = w
-                yield phi_id, fn_id(psi)
+                yield (s, phi), (s, tuple(psi))
 
 
 def end_of_map(f, A, B, arity_cap=2, limit=200000):
@@ -518,25 +561,26 @@ def end_of_map(f, A, B, arity_cap=2, limit=200000):
     _signatures_within(viewB, limit)
 
     def pair_id(pair):
-        return f"<{pair[0]},{pair[1]}>"
+        return f"<{viewA.ref_of(pair[0])[1]},{viewB.ref_of(pair[1])[1]}>"
 
     def act(s, pair, p):
-        return (viewA.act((s, pair[0]), p)[1], viewB.act((s, pair[1]), p)[1])
+        return viewA.image(pair[0], p), viewB.image(pair[1], p)
 
     def compose(s, pair, slot, qs, arg):
-        return (viewA.compose1((s, pair[0]), slot, (qs, arg[0]))[1],
-                viewB.compose1((s, pair[1]), slot, (qs, arg[1]))[1])
+        return (viewA.cell(pair[0], slot, arg[0]),
+                viewB.cell(pair[1], slot, arg[1]))
 
     table, pairs, _ = tabulate(
         A.colors,
         {s: list(_intertwined_pairs(f, viewA, viewB, s)) for s in sigs},
-        {c: (viewA.unit_ref(c)[1], viewB.unit_ref(c)[1]) for c in A.colors},
+        {c: (viewA.unit_value(c), viewB.unit_value(c)) for c in A.colors},
         pair_id, act, compose, arity_cap=arity_cap, name="End(f)")
 
     def projection(i, view):
         return Multifunctor(
             source=table, target=view, object_map={c: c for c in A.colors},
-            op_maps={s: {pid: pairs[s, pid][i] for pid in ids}
+            op_maps={s: {pid: view.ref_of(pairs[s, pid][i])[1]
+                         for pid in ids}
                      for s, ids in table.ops.items()})
 
     return table, projection(0, viewA), projection(1, viewB)

@@ -14,11 +14,21 @@ op_id)``.  Inside, the tables work on numbers: a collection numbers its
 operations once (:class:`Numbering`), a table keeps its composition as
 ``(p, slot, q) -> r`` and its units on those numbers, and the law checks
 turn a number back into text only to write a witness.
+
+A multicategory that serves as the target of a search or a check offers
+one value interface: ``value(ref)`` and ``ref_of(v)`` convert between
+references and values, ``sig_of(v)`` is a value's signature,
+``values_at(s)`` lists the operations at s as values in ``ops_at`` order,
+``unit_value(c)`` is the unit, ``image(v, p)`` the symmetric action and
+``cell(v, slot, w)`` the composite, or None where there is none.  A
+:class:`TableMulticategory`'s values are its numbers;
+``algebras.EndView`` gives the other kind.
 """
 
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
+from operator import itemgetter
 
 from . import perms
 from .errors import (BudgetExceededError, CompositionError, DomainError,
@@ -200,9 +210,12 @@ class TableMulticategory:
     ``comp`` maps ``(psig, p, slot, qsig, q) -> result op id`` with the
     result living at ``composed_sig(psig, slot, qsig)``; it is constructor
     input, read once into a table on the collection's numbers, with a
-    result outside the operations numbered after them.  :meth:`cell` looks
-    a composite up on numbers, :meth:`try_compose1` on references, and
-    :meth:`cells` lists the tabulated composites.  ``complete`` is True
+    result outside the operations numbered after them.  Its values in the
+    value interface (see the module docstring) are those numbers:
+    :meth:`cell` looks a composite up on them and :meth:`image` acts on
+    them.  :meth:`try_compose1` looks a composite up on references, and
+    :meth:`cells` and :meth:`numbered_cells` list the tabulated
+    composites.  ``complete`` is True
     when every composable pair whose result signature is inside the
     declared support has an entry; constructions that truncate (free
     multicategories under caps, the arity-indexed tree multicategory)
@@ -270,12 +283,45 @@ class TableMulticategory:
                 return q
         return got
 
+    def numbered_cells(self):
+        """Every tabulated composite as ``((p, slot, q), r)`` on numbers,
+        in the order of ``comp``."""
+        return self._cells.items()
+
     def cells(self):
         """Every tabulated composite as ``(pref, slot, qref, rref)``, in
         the order of ``comp``."""
         refs = self.collection.numbering.refs
         for (p, slot, q), r in self._cells.items():
             yield refs[p], slot, refs[q], refs[r]
+
+    # the value interface: values are the collection's numbers
+
+    def value(self, ref):
+        return self.collection.numbering.number(ref)
+
+    def ref_of(self, m):
+        return self.collection.numbering.refs[m]
+
+    def sig_of(self, m):
+        return self.collection.numbering.sigs[m]
+
+    @cached_property
+    def _numbers_at(self):
+        num = self.collection.numbering
+        out = {}
+        for m in num.ops:
+            out.setdefault(num.sigs[m], []).append(m)
+        return out
+
+    def values_at(self, s):
+        return self._numbers_at.get(s, ())
+
+    def unit_value(self, color):
+        return self.value(self.unit_ref(color))
+
+    def image(self, m, p):
+        return self.collection.numbering.image(m, p)
 
     def compose1(self, pref, slot, qref):
         """p o_slot q, raising if the entry is absent."""
@@ -303,21 +349,24 @@ class TableMulticategory:
         return s in self.ops
 
 
-def _gamma_by_size(compose1, pref, qrefs):
-    """p(q_1..q_n) by ``compose1``, or None as soon as a step gives None.
+def _gamma_by_size(compose1, pref, qrefs, sig_of=itemgetter(0)):
+    """p(q_1..q_n) by ``compose1``, or None as soon as a step gives None;
+    ``sig_of`` gives an operation's signature (a reference's by default,
+    a value's when composing values).
 
     Arguments are substituted smallest arity first so that, on a table
     truncated by arity, intermediate composites stay inside the support
     whenever the final signature does."""
-    psig, _ = pref
-    if len(qrefs) != len(psig[0]):
+    n = len(sig_of(pref)[0])
+    if len(qrefs) != n:
         raise CompositionError(
-            f"gamma needs {len(psig[0])} arguments, got {len(qrefs)}")
+            f"gamma needs {n} arguments, got {len(qrefs)}")
+    arity = [len(sig_of(q)[0]) for q in qrefs]
     positions = list(range(len(qrefs)))
-    order = sorted(range(len(qrefs)), key=lambda i: len(qrefs[i][0][0]))
+    order = sorted(range(len(qrefs)), key=arity.__getitem__)
     out = pref
     for i in order:
-        k = len(qrefs[i][0][0])
+        k = arity[i]
         out = compose1(out, positions[i], qrefs[i])
         if out is None:
             return None
@@ -587,9 +636,11 @@ def check_slot_laws(report, E, act1, Q, compose, symmetric, names,
     order.  Both lookups give None where they have no value, and such an
     instance is counted but not compared.  Without ``symmetric`` the
     elements carry no symmetric action and no equivariance is checked;
-    inner equivariance also needs Q symmetric.  An element is started
-    only while fewer than ``max_violations`` are reported, so the report
-    can hold more violations than that."""
+    inner equivariance also needs Q symmetric.  Instances are counted per
+    element and noted once per (element, law), in the order each law was
+    first met.  An element is started only while fewer than
+    ``max_violations`` are reported, so the report can hold more
+    violations than that."""
     seq, par, outer, inner = names
     num, qnum = E.numbering, Q.collection.numbering
     refs, sigs, qrefs, qsigs = num.refs, num.sigs, qnum.refs, qnum.sigs
@@ -601,6 +652,8 @@ def check_slot_laws(report, E, act1, Q, compose, symmetric, names,
         if len(report.violations) >= max_violations:
             return
         ins = sigs[m][0]
+        n_seq = n_par = 0
+        first = None  # the law of the element's first instance
         for i, color in enumerate(ins):
             for q in by_color.get(color, ()):
                 mq = act1(m, i, q)
@@ -611,7 +664,7 @@ def check_slot_laws(report, E, act1, Q, compose, symmetric, names,
                         qr = compose(q, j, r)
                         left = act1(mq, i + j, r)
                         right = None if qr is None else act1(m, i, qr)
-                        report.note(seq)
+                        n_seq += 1
                         if (left is not None and right is not None
                                 and left != right):
                             report.fail(
@@ -624,26 +677,33 @@ def check_slot_laws(report, E, act1, Q, compose, symmetric, names,
                         mr = act1(m, j, r)
                         left = act1(mq, j + k - 1, r)
                         right = None if mr is None else act1(mr, i, q)
-                        report.note(par)
+                        n_par += 1
                         if (left is not None and right is not None
                                 and left != right):
                             report.fail(
                                 par, f"slots {i},{j} of {_ref_str(refs[m])} "
                                 f"with {_ref_str(qrefs[q])},"
                                 f"{_ref_str(qrefs[r])}")
+                if first is None and (n_seq or n_par):
+                    first = seq if n_seq else par
+        counts = ((seq, n_seq), (par, n_par))
+        for law, count in counts if first == seq else counts[::-1]:
+            if count:
+                report.note(law, count)
 
     for m in num.ops if symmetric else ():
         if len(report.violations) >= max_violations:
             return
         ins = sigs[m][0]
         n = len(ins)
+        n_outer = n_inner = 0
         for sigma in perms.all_perms(n):
             acted = num.image(m, sigma)
             for i in range(n):
                 for q in by_color.get(ins[sigma[i]], ()):
                     base = act1(m, sigma[i], q)
                     left = act1(acted, i, q)
-                    report.note(outer)
+                    n_outer += 1
                     if base is not None and left is not None:
                         want = num.image(base, perms.expand_outer(
                             sigma, i, len(qsigs[q][0])))
@@ -658,13 +718,17 @@ def check_slot_laws(report, E, act1, Q, compose, symmetric, names,
                     continue
                 for tau in perms.all_perms(len(qsigs[q][0])):
                     left = act1(m, i, qnum.image(q, tau))
-                    report.note(inner)
+                    n_inner += 1
                     if left is not None:
                         want = num.image(base, perms.expand_inner(n, i, tau))
                         if left != want:
                             report.fail(
                                 inner, f"{_ref_str(refs[m])} slot {i} arg "
                                 f"{_ref_str(qrefs[q])} perm {tau}")
+        if n_outer:
+            report.note(outer, n_outer)
+        if n_inner:
+            report.note(inner, n_inner)
 
 
 # ---------------------------------------------------------------------------

@@ -8,14 +8,21 @@ m blocks of k inputs into k blocks of m) with composing the images under
 the F_j into the component at the output color.  These transformations
 are the operations of the hom multicategory, with composition and
 symmetric actions inherited from the target.
+
+The multifunctor search, its check and the naturality squares run on the
+source's numbers and the target's values (the value interface of `core`:
+a table's numbers, an ``EndView``'s index tuples).  Text ids are made
+only where a result leaves: `Multifunctor.op_maps`,
+`KNatTransformation.components`, the op ids of the hom table and the
+witnesses.
 """
 
 from dataclasses import dataclass, field
 from itertools import product
 
 from . import perms
-from .core import (LawReport, TableMulticategory, _ref_str, backtrack,
-                   composed_sig, sig_key, tabulate)
+from .core import (LawReport, TableMulticategory, _gamma_by_size, _ref_str,
+                   backtrack, composed_sig, sig_key, tabulate)
 from .errors import DomainError, PartialInputError, StructuralError
 from .presents import bv_tensor, pair_color, tensor_generator
 
@@ -67,9 +74,38 @@ def compose_multifunctors(F, G):
         op_maps=op_maps, name=f"{G.name}.{F.name}")
 
 
+class _Images:
+    """The images of a multifunctor on the source's numbers, as values of
+    the target Q, read off ``op_maps`` once asked for; None where there
+    is no image."""
+
+    def __init__(self, F, Q):
+        self.F, self.Q = F, Q
+        self.refs = F.source.collection.numbering.refs
+        self.got = {}
+
+    def __call__(self, m):
+        got = self.got.get(m, False)
+        if got is False:
+            s, op = self.refs[m]
+            table = self.F.op_maps.get(s)
+            got = self.got[m] = None if table is None or op not in table \
+                else self.Q.value((self.F.map_sig(s), table[op]))
+        return got
+
+
+def _compose(Q, v, slot, w):
+    """v o_slot w on Q's values, raising as ``Q.compose1`` does."""
+    got = Q.cell(v, slot, w)
+    if got is None:
+        Q.compose1(Q.ref_of(v), slot, Q.ref_of(w))
+    return got
+
+
 def check_multifunctor(F):
     """Totality, unit preservation, equivariance, and compatibility with
-    every tabulated composition of the source."""
+    every tabulated composition of the source, on the source's numbers
+    and the target's values."""
     P, Q = F.source, F.target
     report = LawReport()
     for s in P.signatures():
@@ -83,27 +119,37 @@ def check_multifunctor(F):
                 report.fail("lands-in-target", f"{sig_key(s)}:{op}")
     if report.violations:
         return report
+    num = P.collection.numbering
+    images = _Images(F, Q)
+
+    def image(m):
+        got = images(m)
+        if got is None:
+            F.map_ref(num.refs[m])  # raises: no image
+        return got
+
     for c in P.colors:
         report.note("units")
-        if F.map_ref(P.unit_ref(c)) != Q.unit_ref(F.object_map[c]):
+        if image(num.number(P.unit_ref(c))) != Q.unit_value(
+                F.object_map[c]):
             report.fail("units", f"color {c}")
     if P.symmetric:
         for s in P.signatures():
             n = len(s[0])
+            ms = P.values_at(s)
             for p in perms.all_perms(n):
-                for op in P.ops_at(s):
+                for m in ms:
                     report.note("equivariance")
-                    if F.map_ref(P.act((s, op), p)) != Q.act(
-                            F.map_ref((s, op)), p):
+                    if image(num.image(m, p)) != Q.image(image(m), p):
                         report.fail("equivariance",
-                                    f"{sig_key(s)}:{op} perm {p}")
-    for pref, slot, qref, rref in P.cells():
+                                    f"{_ref_str(num.refs[m])} perm {p}")
+    for (p, slot, q), r in P.numbered_cells():
         report.note("compositions")
-        got = Q.compose1(F.map_ref(pref), slot, F.map_ref(qref))
-        if got != F.map_ref(rref):
+        if _compose(Q, image(p), slot, image(q)) != image(r):
             report.fail(
                 "compositions",
-                f"({_ref_str(pref)}) o_{slot} ({_ref_str(qref)})")
+                f"({_ref_str(num.refs[p])}) o_{slot} "
+                f"({_ref_str(num.refs[q])})")
     return report
 
 
@@ -114,6 +160,9 @@ def enumerate_multifunctors(P, Q, budget=10 ** 6, fix_objects=None):
     bounds the candidate images tried over all object maps before
     BudgetExceededError.
 
+    The search assigns Q's values (the value interface of `core`) to P's
+    numbers, the candidates coming from ``Q.values_at`` in ``ops_at``
+    order; ``op_maps`` are written as text once an assignment is found.
     The symmetric images are derived along adjacent transpositions only:
     the closure derives again from every image it assigns, so the whole
     orbit is reached.  A composite of images that Q lacks prunes the
@@ -123,35 +172,38 @@ def enumerate_multifunctors(P, Q, budget=10 ** 6, fix_objects=None):
     """
     if not P.complete:
         raise PartialInputError("source must be complete")
-    # op -> the compositions it takes part in, as (p, slot, q, result)
+    num = P.collection.numbering
+    refs, sigs, image = num.refs, num.sigs, num.image
+    # number -> the compositions it takes part in, as (p, slot, q, result)
     comp_index = {}
-    for entry in P.cells():
-        comp_index.setdefault(entry[0], []).append(entry)
-        comp_index.setdefault(entry[2], []).append(entry)
+    for (p, slot, q), r in P.numbered_cells():
+        entry = (p, slot, q, r)
+        comp_index.setdefault(p, []).append(entry)
+        comp_index.setdefault(q, []).append(entry)
 
-    op_order = [(s, op) for s in P.signatures() for op in P.ops_at(s)]
-    op_order.sort(key=lambda ref: (len(ref[0][0]), sig_key(ref[0]), ref[1]))
-    ops_of = getattr(Q, "iter_ops", Q.ops_at)
+    op_order = sorted(num.ops, key=lambda m: (len(sigs[m][0]),
+                                              sig_key(sigs[m]), refs[m][1]))
+    moves = perms.adjacent_transpositions if P.symmetric else (lambda n: ())
 
-    def derive(ref, image, assign):
-        if P.symmetric:
-            for t in perms.adjacent_transpositions(len(ref[0][0])):
-                yield P.act(ref, t), Q.act(image, t)
-        for pref, slot, qref, rref in comp_index.get(ref, ()):
-            if pref in assign and qref in assign:
-                got = Q.try_compose1(assign[pref], slot, assign[qref])
+    def derive(m, v, assign):
+        for t in moves(len(sigs[m][0])):
+            yield image(m, t), Q.image(v, t)
+        for p, slot, q, r in comp_index.get(m, ()):
+            if p in assign and q in assign:
+                got = Q.cell(assign[p], slot, assign[q])
                 if got is not None:
-                    yield rref, got
-                elif Q.has_sig(composed_sig(assign[pref][0], slot,
-                                            assign[qref][0])):
+                    yield r, got
+                elif Q.has_sig(composed_sig(Q.sig_of(assign[p]), slot,
+                                            Q.sig_of(assign[q]))):
                     raise PartialInputError(
                         f"{Q.name or 'the target'} lacks the composite "
-                        f"({_ref_str(assign[pref])}) o_{slot} "
-                        f"({_ref_str(assign[qref])}) inside its support")
+                        f"({_ref_str(Q.ref_of(assign[p]))}) o_{slot} "
+                        f"({_ref_str(Q.ref_of(assign[q]))}) inside its "
+                        "support")
                 else:
                     # two values on one key: the branch dies
-                    yield ("outside", rref), False
-                    yield ("outside", rref), True
+                    yield ("outside", r), False
+                    yield ("outside", r), True
 
     if fix_objects is not None:
         object_maps = [dict(fix_objects)]
@@ -161,18 +213,20 @@ def enumerate_multifunctors(P, Q, budget=10 ** 6, fix_objects=None):
     counts = {"tried": 0, "found": 0}
     results = []
     for object_map in object_maps:
-        def candidates(ref):
-            ms = (tuple(object_map[c] for c in ref[0][0]),
-                  object_map[ref[0][1]])
-            return ((ms, cand) for cand in ops_of(ms))
+        def candidates(m):
+            s = sigs[m]
+            return Q.values_at((tuple(object_map[c] for c in s[0]),
+                                object_map[s[1]]))
 
-        start = {P.unit_ref(c): Q.unit_ref(object_map[c]) for c in P.colors}
+        start = {num.number(P.unit_ref(c)): Q.unit_value(object_map[c])
+                 for c in P.colors}
         for assign in backtrack(
                 op_order, candidates, derive, start, budget,
                 f"multifunctor search exceeded {budget} candidates", counts):
             op_maps = {}
-            for (s, op), (ms, im) in assign.items():
-                op_maps.setdefault(s, {})[op] = im
+            for m, v in assign.items():
+                s, op = refs[m]
+                op_maps.setdefault(s, {})[op] = Q.ref_of(v)[1]
             results.append(Multifunctor(source=P, target=Q,
                                         object_map=dict(object_map),
                                         op_maps=op_maps))
@@ -196,20 +250,27 @@ class KNatTransformation:
         return (s, self.components[a])
 
 
-def _naturality_square(Q, sources, G, component_ref, pref):
-    """Both routes of the naturality square at a source operation, where
-    ``component_ref(a)`` is the component at color a, or None when the
-    composites fall outside the target's declared support (a truncated
-    target leaves such instances undefined)."""
-    (inputs, out), _ = pref
-    try:
-        left = Q.gamma(G.map_ref(pref), [component_ref(a) for a in inputs])
-        right_pre = Q.gamma(component_ref(out),
-                            [F.map_ref(pref) for F in sources])
-    except StructuralError:
+def _naturality_square(Q, sources, target, component, m, sig):
+    """Both routes of the naturality square at the source operation
+    numbered m, with signature sig, as Q's values: ``sources`` and
+    ``target`` give the images of a number under the F_j and under G
+    (None where there is none) and ``component(a)`` the component at
+    color a.  None when an image is missing or the composites fall
+    outside the target's declared support (a truncated target leaves such
+    instances undefined)."""
+    inputs, out = sig
+    g = target(m)
+    fs = [F(m) for F in sources]
+    if g is None or None in fs:
         return None
-    right = Q.act(right_pre, perms.transpose_shuffle(len(inputs),
-                                                      len(sources)))
+    left = _gamma_by_size(Q.cell, g, [component(a) for a in inputs],
+                          Q.sig_of)
+    right_pre = None if left is None else _gamma_by_size(
+        Q.cell, component(out), fs, Q.sig_of)
+    if right_pre is None:
+        return None
+    right = Q.image(right_pre, perms.transpose_shuffle(len(inputs),
+                                                       len(sources)))
     return left, right
 
 
@@ -223,11 +284,15 @@ def is_k_natural(xi, ops=None):
         if op not in Q.ops_at(s):
             raise StructuralError(
                 f"component at {a} is not an operation at {sig_key(s)}")
+    num = P.collection.numbering
+    components = {a: Q.value(xi.component_ref(a)) for a in P.colors}
+    sources = [_Images(F, Q) for F in xi.sources]
+    target = _Images(xi.target, Q)
     witnesses = []
     refs = ops if ops is not None else list(P.refs())
     for pref in refs:
-        square = _naturality_square(Q, xi.sources, xi.target,
-                                    xi.component_ref, pref)
+        square = _naturality_square(Q, sources, target, components.get,
+                                    num.number(pref), pref[0])
         if square is None:
             continue
         left, right = square
@@ -238,31 +303,32 @@ def is_k_natural(xi, ops=None):
 
 def generated_ops(P, gen_refs):
     """Closure of a set of operations under units, slot composition, and
-    the symmetric actions: the sub-multicategory they generate."""
-    have = set(gen_refs)
+    the symmetric actions: the sub-multicategory they generate, closed on
+    P's numbers."""
+    num = P.collection.numbering
+    sigs = num.sigs
+    have = {num.number(ref) for ref in gen_refs}
     for c in P.colors:
-        have.add(P.unit_ref(c))
+        have.add(num.number(P.unit_ref(c)))
     changed = True
     while changed:
         changed = False
-        for ref in list(have):
-            s = ref[0]
-            for p in perms.all_perms(len(s[0])):
-                acted = P.act(ref, p)
+        for m in list(have):
+            for p in perms.all_perms(len(sigs[m][0])):
+                acted = num.image(m, p)
                 if acted not in have:
                     have.add(acted)
                     changed = True
-        for ref in list(have):
-            s = ref[0]
-            for slot, color in enumerate(s[0]):
+        for m in list(have):
+            for slot, color in enumerate(sigs[m][0]):
                 for other in list(have):
-                    if other[0][1] != color:
+                    if sigs[other][1] != color:
                         continue
-                    got = P.try_compose1(ref, slot, other)
+                    got = P.cell(m, slot, other)
                     if got is not None and got not in have:
                         have.add(got)
                         changed = True
-    return have
+    return {num.refs[m] for m in have}
 
 
 def naturality_on_generators(xi, gen_refs):
@@ -303,80 +369,86 @@ def internal_hom(P, Q, arity_cap=3, budget=10 ** 6):
     The transformations of each (sources, target) signature come from one
     `core.backtrack` over the colors of P, sorted, with the naturality
     squares as the derive.  `budget` bounds the components tried, partial
-    assignments included, over all signatures together.
+    assignments included, over all signatures together.  The search and
+    the tables run on Q's values; the op ids and the components of
+    ``knats`` are text.
     """
     functors = enumerate_multifunctors(P, Q, budget=budget)
     ids = {i: F for i, F in enumerate(functors)}
     color_of = {i: f"F{i}" for i in ids}
+    images = [_Images(F, Q) for F in functors]
 
     colors_sorted = sorted(P.colors)
-    # color -> the source operations it takes part in, with their colors
+    num = P.collection.numbering
+    # color -> the source operations it takes part in: their number,
+    # signature and colors
     touching = {a: [] for a in colors_sorted}
-    for pref in P.refs():
-        (inputs, out), _ = pref
+    for m in num.ops:
+        inputs, out = sig = num.sigs[m]
         colors = {*inputs, out}
         for a in colors:
-            touching[a].append((pref, colors))
+            touching[a].append((m, sig, colors))
     counts = {"tried": 0, "found": 0}
+    # an element is (sources, target, component values in colors_sorted
+    # order)
     elements = {}
     for k in range(arity_cap + 1):
         for combo in product(range(len(functors)), repeat=k):
             for gi in range(len(functors)):
                 sources = tuple(ids[i] for i in combo)
-                G = ids[gi]
+                source_images = [images[i] for i in combo]
                 comp_sig = {a: (tuple(F.object_map[a] for F in sources),
-                                G.object_map[a]) for a in colors_sorted}
+                                ids[gi].object_map[a]) for a in colors_sorted}
 
                 def candidates(a):
-                    return Q.ops_at(comp_sig[a])
+                    return Q.values_at(comp_sig[a])
 
                 def derive(key, value, assign):
                     # a square with every component chosen must commute:
                     # both routes are forced onto one key
-                    for pref, colors in touching.get(key, ()):
+                    for m, sig, colors in touching.get(key, ()):
                         if not colors <= assign.keys():
                             continue
                         square = _naturality_square(
-                            Q, sources, G,
-                            lambda a: (comp_sig[a], assign[a]), pref)
+                            Q, source_images, images[gi], assign.__getitem__,
+                            m, sig)
                         if square is not None:
-                            yield ("square", pref), square[0]
-                            yield ("square", pref), square[1]
+                            yield ("square", m), square[0]
+                            yield ("square", m), square[1]
 
                 sig = (tuple(color_of[i] for i in combo), color_of[gi])
                 for assign in backtrack(
                         colors_sorted, candidates, derive, {}, budget,
                         "transformation search exceeded budget", counts):
-                    elements.setdefault(sig, []).append(KNatTransformation(
-                        sources=sources, target=G,
-                        components={a: assign[a] for a in colors_sorted}))
+                    elements.setdefault(sig, []).append((
+                        sources, ids[gi],
+                        tuple(assign[a] for a in colors_sorted)))
+
+    def components(xi):
+        return {a: Q.ref_of(v)[1] for a, v in zip(colors_sorted, xi[2])}
 
     def oid_of(xi):
         return "{" + ",".join(
-            f"{a}:{xi.components[a]}" for a in colors_sorted) + "}"
+            f"{a}:{op}" for a, op in components(xi).items()) + "}"
 
     def act(s, xi, p):
-        return KNatTransformation(
-            sources=tuple(xi.sources[i] for i in p), target=xi.target,
-            components={a: Q.act(xi.component_ref(a), p)[1]
-                        for a in colors_sorted})
+        return (tuple(xi[0][i] for i in p), xi[1],
+                tuple(Q.image(v, p) for v in xi[2]))
 
     def compose(s, xi, slot, qs, eta):
-        return KNatTransformation(
-            xi.sources[:slot] + eta.sources + xi.sources[slot + 1:],
-            xi.target,
-            {a: Q.compose1(xi.component_ref(a), slot,
-                           eta.component_ref(a))[1] for a in colors_sorted})
+        return (xi[0][:slot] + eta[0] + xi[0][slot + 1:], xi[1],
+                tuple(_compose(Q, v, slot, w) for v, w in zip(xi[2], eta[2])))
 
-    units = {color_of[i]: KNatTransformation(
-        (F,), F, {a: Q.unit_ref(F.object_map[a])[1] for a in colors_sorted})
-        for i, F in ids.items()}
-    table, knats, _ = tabulate(
+    units = {color_of[i]: ((F,), F, tuple(Q.unit_value(F.object_map[a])
+                                          for a in colors_sorted))
+             for i, F in ids.items()}
+    table, structure, _ = tabulate(
         [color_of[i] for i in sorted(ids)], elements, units, oid_of, act,
         compose, arity_cap=arity_cap, name=f"Hom({P.name},{Q.name})")
-    return HomResult(table=table,
-                     functors={color_of[i]: ids[i] for i in ids},
-                     knats=knats)
+    return HomResult(
+        table=table, functors={color_of[i]: ids[i] for i in ids},
+        knats={key: KNatTransformation(xi[0], xi[1], components(xi))
+               for key, xi in structure.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ byte-identical documents; every document carries a versioned schema tag.
 """
 
 import json
+from json.encoder import encode_basestring_ascii as _quoted
 
 from .core import (EquivalenceReport, FiniteCategory, LawReport,
                    TableMulticategory, TruncatedSimplicialSet, sig_key)
@@ -14,6 +15,15 @@ SCHEMA = "multicat/1"
 
 def _perm_key(p):
     return "[" + ",".join(str(i + 1) for i in p) + "]"
+
+
+def _comp_row_key(row):
+    """``json.dumps(row, sort_keys=True)`` of a ``comp`` row, written out
+    for its six fields without the general encoder."""
+    return (f'{{"arg": {_quoted(row["arg"])}, '
+            f'"arg_at": {_quoted(row["arg_at"])}, "at": {_quoted(row["at"])}, '
+            f'"op": {_quoted(row["op"])}, "result": {_quoted(row["result"])}, '
+            f'"slot": {row["slot"]}}}')
 
 
 def multicategory_json(M):
@@ -31,7 +41,7 @@ def multicategory_json(M):
                 "at": sig_key(pref[0]), "op": pref[1], "slot": slot,
                 "arg_at": sig_key(qref[0]), "arg": qref[1], "result": rref[1],
             } for pref, slot, qref, rref in M.cells()],
-            key=lambda row: json.dumps(row, sort_keys=True)),
+            key=_comp_row_key),
         "action": sorted(
             [{
                 "at": sig_key(s), "perm": _perm_key(p),

@@ -26,7 +26,9 @@ from functools import cache
 from itertools import permutations as _permutations
 
 
+@cache
 def identity(n):
+    """The identity permutation of n letters, one tuple per n."""
     return tuple(range(n))
 
 
@@ -54,13 +56,16 @@ def all_perms(n):
     return tuple(_permutations(range(n)))
 
 
+@cache
 def adjacent_transpositions(n):
+    """The transpositions (i, i+1) of n letters in order of i, as one
+    tuple per n."""
     out = []
     for i in range(n - 1):
         t = list(range(n))
         t[i], t[i + 1] = t[i + 1], t[i]
         out.append(tuple(t))
-    return out
+    return tuple(out)
 
 
 def act_on_function(table, p, in_sizes):
@@ -96,6 +101,7 @@ def _lex_index(tup, sizes):
     return idx
 
 
+@cache
 def transpose_shuffle(m, k):
     """The permutation with p[i*k + j] = j*m + i  (i < m, j < k).
 

@@ -218,3 +218,138 @@ class TestAdjunction:
                                    I, COM2, COM2, sat, hom_r2)
             assert K is not None and direct is not None
             assert hom_push(K).key() == direct.key()
+
+
+# ---------------------------------------------------------------------------
+# check_multifunctor against the check on text it replaced
+
+
+def ref_check_multifunctor(F):
+    """The earlier `check_multifunctor`, kept whole: every image is a
+    ``(signature, op id)`` reference and the target acts and composes on
+    text."""
+    from multicat import perms
+    from multicat.core import LawReport, _ref_str, sig_key
+
+    P, Q = F.source, F.target
+    report = LawReport()
+    for s in P.signatures():
+        table = F.op_maps.get(s, {})
+        ms = F.map_sig(s)
+        for op in P.ops_at(s):
+            report.note("total")
+            if op not in table:
+                report.fail("total", f"{sig_key(s)}:{op}")
+            elif table[op] not in Q.ops_at(ms):
+                report.fail("lands-in-target", f"{sig_key(s)}:{op}")
+    if report.violations:
+        return report
+    for c in P.colors:
+        report.note("units")
+        if F.map_ref(P.unit_ref(c)) != Q.unit_ref(F.object_map[c]):
+            report.fail("units", f"color {c}")
+    if P.symmetric:
+        for s in P.signatures():
+            n = len(s[0])
+            for p in perms.all_perms(n):
+                for op in P.ops_at(s):
+                    report.note("equivariance")
+                    if F.map_ref(P.act((s, op), p)) != Q.act(
+                            F.map_ref((s, op)), p):
+                        report.fail("equivariance",
+                                    f"{sig_key(s)}:{op} perm {p}")
+    for pref, slot, qref, rref in P.cells():
+        report.note("compositions")
+        got = Q.compose1(F.map_ref(pref), slot, F.map_ref(qref))
+        if got != F.map_ref(rref):
+            report.fail(
+                "compositions",
+                f"({_ref_str(pref)}) o_{slot} ({_ref_str(qref)})")
+    return report
+
+
+def _fixture_functors():
+    from pathlib import Path
+
+    from multicat.algebras import AlgebraStructure
+    from multicat.dsl import elaborate, parse
+
+    out = {}
+    for path in sorted((Path(__file__).parent.parent / "fixtures"
+                        ).glob("*.mcat")):
+        objects, _ = elaborate(parse(path.read_text())[0])
+        for name, obj in objects.items():
+            if isinstance(obj, Multifunctor):
+                out[name] = obj
+            elif isinstance(obj, AlgebraStructure):
+                out[name] = obj.to_multifunctor()
+    return out
+
+
+def _identity_into_as3():
+    return identity_multifunctor(AS3)
+
+
+def _missing_image():
+    F = _identity_into_as3()
+    del F.op_maps[(("x", "x"), "x")]["w10"]
+    return F
+
+
+def _not_equivariant():
+    F = _identity_into_as3()
+    F.op_maps[(("x", "x"), "x")] = {"w01": "w01", "w10": "w01"}
+    return F
+
+
+def _wrong_composite():
+    # the ternary images all go to one constant function, which every
+    # permutation fixes: equivariant, but not the composite of the
+    # binary images
+    from multicat.algebras import enumerate_algebras
+
+    F = enumerate_algebras(AS3, A2)[0].to_multifunctor()
+    s3 = (("x",) * 3, "x")
+    F.op_maps[s3] = {op: "f:a|a|a|a|a|a|a|a" for op in F.op_maps[s3]}
+    return F
+
+
+BROKEN = {"missing-image": _missing_image,
+          "not-equivariant": _not_equivariant,
+          "wrong-composite": _wrong_composite}
+
+
+def _censuses():
+    from multicat.algebras import enumerate_algebras
+
+    A3 = ObjectFamily({"x": ("a", "b", "c")})
+    return ([A.to_multifunctor() for A in enumerate_algebras(COM3, A3)]
+            + [A.to_multifunctor() for A in enumerate_algebras(AS3, A2)])
+
+
+def assert_same_report(F):
+    new, ref = check_multifunctor(F), ref_check_multifunctor(F)
+    assert new.violations == ref.violations
+    assert list(new.checked.items()) == list(ref.checked.items())
+    assert new.to_json() == ref.to_json()
+    return new
+
+
+@pytest.mark.parametrize("name", sorted(_fixture_functors()))
+def test_check_matches_text_reference_on_fixtures(name):
+    assert assert_same_report(_fixture_functors()[name]).ok
+
+
+def test_check_matches_text_reference_on_censuses():
+    functors = _censuses()
+    assert len(functors) == 27 + 4
+    for F in functors:
+        assert assert_same_report(F).ok
+
+
+@pytest.mark.parametrize("name", sorted(BROKEN))
+def test_check_matches_text_reference_on_broken_functors(name):
+    report = assert_same_report(BROKEN[name]())
+    law = {"missing-image": "total", "not-equivariant": "equivariance",
+           "wrong-composite": "compositions"}[name]
+    assert law in {law for law, _ in report.violations}

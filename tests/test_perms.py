@@ -123,3 +123,13 @@ def test_all_perms_is_one_sorted_tuple_per_n(n):
     assert perms.all_perms(n) is got
     assert isinstance(got, tuple) and list(got) == sorted(got)
     assert len(set(got)) == len(got) == len(list(permutations(range(n))))
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_adjacent_transpositions_and_identity_are_one_tuple_per_n(n):
+    got = perms.adjacent_transpositions(n)
+    assert perms.adjacent_transpositions(n) is got
+    assert got == tuple((*range(i), i + 1, i, *range(i + 2, n))
+                        for i in range(n - 1))
+    assert perms.identity(n) is perms.identity(n) == tuple(range(n))
+

@@ -22,7 +22,8 @@ from multicat.core import backtrack, composed_sig, sig_key
 from multicat.dsl import elaborate, parse
 from multicat.errors import (BudgetExceededError, PartialInputError,
                              StructuralError)
-from multicat.homcalc import Multifunctor, enumerate_multifunctors
+from multicat.homcalc import (Multifunctor, enumerate_multifunctors,
+                              internal_hom)
 from multicat.presents import arrow_multicategory, bv_tensor
 from multicat.standard import (assoc_multicategory, comm_multicategory,
                                indiscrete_pair, unit_multicategory)
@@ -277,6 +278,11 @@ MULTIFUNCTOR_CASES = {
                                        None),
     "Com2^1->Com2^1": lambda: (arrow_multicategory(COM2, 1),
                                arrow_multicategory(COM2, 1), None),
+    # a hom table as the target, a tensor as the source
+    "As2->Hom(As2,End(A2))": lambda: (
+        AS2, internal_hom(AS2, EndView(A2, arity_cap=2), 2).table, None),
+    "I(x)As2->End(A2)": lambda: (bv_tensor(I, AS2, 3, 3).table,
+                                 EndView(A2, arity_cap=3), None),
 }
 
 

@@ -191,3 +191,18 @@ def test_planar_tables_carry_only_identities():
         lambda s, w, p: w[::-1], lambda *args: None, symmetric=False)
     assert set(table.collection.action) == {((("x", "x"), "x"), (0, 1))}
     assert not table.symmetric
+
+
+def test_comp_rows_sort_as_their_json_text():
+    # the export sorts composition rows by their JSON text; the key is
+    # written out by hand, so it is checked against json.dumps on ids
+    # that need escaping and on slots whose text orders 10 before 1
+    import json
+
+    ids = ["w", 'q"1', "a\\b", "é", "f:a|b", ""]
+    rows = [{"at": at, "op": op, "slot": slot, "arg_at": "x;x",
+             "arg": arg, "result": op}
+            for at in ("x,x;x", "x;x") for op in ids for arg in ids[:3]
+            for slot in (0, 1, 10, 2)]
+    assert [jsonio._comp_row_key(row) for row in rows] == [
+        json.dumps(row, sort_keys=True) for row in rows]
