@@ -28,7 +28,7 @@ and `end_of_map` tabulates the pairs intertwined by a map, with
 projections to the two views.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product, repeat
 
 from . import perms
@@ -331,11 +331,16 @@ class AlgebraStructure:
     multicategory: object
     carrier: ObjectFamily
     action: dict  # source signature -> {op id: function table tuple}
+    # the EndView of the multifunctor it was read off, reused while the
+    # cap and limit agree so its gather and permutation maps are built once
+    view: object = field(default=None, compare=False, repr=False)
 
     def to_multifunctor(self, arity_cap=None, limit=10 ** 6):
         P = self.multicategory
         cap = arity_cap if arity_cap is not None else max(P.max_arity(), 1)
-        view = EndView(self.carrier, arity_cap=cap, limit=limit)
+        view = self.view
+        if view is None or (view.arity_cap, view.limit) != (cap, limit):
+            view = EndView(self.carrier, arity_cap=cap, limit=limit)
         op_maps = {s: {op: fn_id(t) for op, t in table.items()}
                    for s, table in self.action.items()}
         return Multifunctor(
@@ -359,7 +364,8 @@ def algebra_from_multifunctor(F):
     for s, table in F.op_maps.items():
         action[s] = {op: fn_table(im) for op, im in table.items()}
     return AlgebraStructure(
-        multicategory=F.source, carrier=F.target.family, action=action)
+        multicategory=F.source, carrier=F.target.family, action=action,
+        view=F.target)
 
 
 def check_algebra(A):

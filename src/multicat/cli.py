@@ -7,8 +7,8 @@ Exit status: 0 on success, 1 when a law check or verification fails,
 """
 
 import argparse
-import json
 import sys
+from contextlib import contextmanager
 
 from . import dsl, jsonio
 from .core import (check_multicategory_laws, is_equivalence, nerve,
@@ -80,6 +80,23 @@ def _load(path):
     return ast, objects, diags + ediags
 
 
+@contextmanager
+def _parsing(option, value):
+    """Report a missing value of ``option``, or one that does not parse
+    (a ``ValueError`` inside the block), as a usage error."""
+    if value is None:
+        raise _Usage(f"{option} is required here")
+    try:
+        yield
+    except ValueError:
+        raise _Usage(f"malformed {option} value {value!r}") from None
+
+
+def _mapping(spec):
+    """``a:b,c:d`` as ``{"a": "b", "c": "d"}``."""
+    return dict(pair.split(":") for pair in spec.split(","))
+
+
 def _need(objects, name, kinds=None):
     if name not in objects:
         raise _Usage(f"no block named {name!r} in the document")
@@ -90,7 +107,7 @@ def _need(objects, name, kinds=None):
 
 
 def _emit(args, doc):
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    text = jsonio.encode(doc)
     if getattr(args, "out", None):
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -138,9 +155,11 @@ def cmd_free(args):
     from .trees import free_multicategory, op_hom_set, op_text
 
     if args.tree_homs:
-        vals, _, n = args.tree_homs.partition(";")
-        valences = [int(v) for v in vals.split(",") if v]
-        trees = op_hom_set(valences, int(n), cap=args.budget)
+        with _parsing("--tree-homs", args.tree_homs):
+            vals, _, n = args.tree_homs.partition(";")
+            valences = [int(v) for v in vals.split(",") if v]
+            n = int(n)
+        trees = op_hom_set(valences, n, cap=args.budget)
         _emit(args, {"schema": jsonio.SCHEMA, "kind": "tree-homs",
                      "count": len(trees),
                      "trees": [op_text(t) for t in trees]})
@@ -167,10 +186,12 @@ def cmd_saturate(args):
     if _print_diags(diags):
         return 1
     if args.coproduct:
-        a, b = args.coproduct.split(",")
+        with _parsing("--coproduct", args.coproduct):
+            a, b = args.coproduct.split(",")
         pres = coproduct(_need(objects, a), _need(objects, b))
     elif args.pushout:
-        f, g = args.pushout.split(",")
+        with _parsing("--pushout", args.pushout):
+            f, g = args.pushout.split(",")
         pres = pushout(_need(objects, f), _need(objects, g))
     else:
         pres = _need(objects, args.name, Presentation)
@@ -237,13 +258,14 @@ def cmd_adjunction(args):
     return 0 if rep.ok else 1
 
 
-def _carrier_from(spec):
+def _carrier_from(spec, option="--carrier"):
     from .algebras import ObjectFamily
 
     carriers = {}
-    for part in spec.split(";"):
-        color, _, elems = part.partition("=")
-        carriers[color] = tuple(elems.split(",")) if elems else ()
+    with _parsing(option, spec):
+        for part in spec.split(";"):
+            color, _, elems = part.partition("=")
+            carriers[color] = tuple(elems.split(",")) if elems else ()
     return ObjectFamily(carriers)
 
 
@@ -256,7 +278,9 @@ def cmd_algebras(args):
         return 1
     P = _need(objects, args.name, TableMulticategory)
     if args.p1:
-        a0, a1 = (_carrier_from(x) for x in args.p1.split("|"))
+        with _parsing("--p1", args.p1):
+            a0, a1 = args.p1.split("|")
+        a0, a1 = _carrier_from(a0, "--p1"), _carrier_from(a1, "--p1")
         rep = p1_algebras_as_triples(P, a0, a1, budget=args.budget)
         _emit(args, {"schema": jsonio.SCHEMA, "kind": "arrow-algebras", **rep})
         return 0 if rep["bijective"] else 1
@@ -304,17 +328,18 @@ def cmd_end(args):
         return 0
     family = _carrier_from(args.carrier)
     if args.map:
-        target = _carrier_from(args.target_carrier)
+        target = _carrier_from(args.target_carrier, "--target-carrier")
         fmap = {}
-        for part in args.map.split(";"):
-            color, _, pairs = part.partition("=")
-            fmap[color] = dict(pair.split(":") for pair in pairs.split(","))
+        with _parsing("--map", args.map):
+            for part in args.map.split(";"):
+                color, _, pairs = part.partition("=")
+                fmap[color] = _mapping(pairs)
         table, _, _ = end_of_map(fmap, family, target,
                                  arity_cap=args.cap_arity, limit=args.budget)
         _emit(args, jsonio.multicategory_json(table))
         return 0
     if args.pair_target:
-        target = _carrier_from(args.pair_target)
+        target = _carrier_from(args.pair_target, "--pair-target")
         mod = end_module(family, target, arity_cap=args.cap_arity)
         sizes = {jsonio.sig_key(s): len(mod.ops_at(s))
                  for s in mod.signatures()}
@@ -336,7 +361,8 @@ def cmd_bar(args):
     if _print_diags(diags):
         return 1
     if args.circle:
-        a, b = args.circle.split(",")
+        with _parsing("--circle", args.circle):
+            a, b = args.circle.split(",")
         A = _need(objects, a, TableMulticategory)
         B = _need(objects, b, TableMulticategory)
         coll, _ = circle_product(A.collection, B.collection,
@@ -348,7 +374,8 @@ def cmd_bar(args):
         })
         return 0
     if args.restrict:
-        module_name, functor = args.restrict.split(",")
+        with _parsing("--restrict", args.restrict):
+            module_name, functor = args.restrict.split(",")
         N = right_module_from(_need(objects, module_name))
         psi = _need(objects, functor)
         out = restrict_module(N, psi)
@@ -421,11 +448,13 @@ def cmd_export(args):
         return 1
     M = _need(objects, args.name, TableMulticategory)
     if args.restrict_map:
-        mapping = dict(pair.split(":") for pair in args.restrict_map.split(","))
+        with _parsing("--restrict-map", args.restrict_map):
+            mapping = _mapping(args.restrict_map)
         M = restrict_objects(M, mapping)
     if args.extend_map:
         spec, _, colors = args.extend_map.partition("|")
-        mapping = dict(pair.split(":") for pair in spec.split(","))
+        with _parsing("--extend-map", args.extend_map):
+            mapping = _mapping(spec)
         M = extend_objects_injective(M, mapping, colors.split(","))
     _emit(args, jsonio.multicategory_json(M))
     return 0

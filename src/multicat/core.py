@@ -269,6 +269,12 @@ class TableMulticategory:
                 for (psig, p, slot, qsig, q), r in self.comp.items()}
 
     @cached_property
+    def closures(self):
+        """``homcalc.generated_ops`` results: frozen generator set ->
+        frozen closure."""
+        return {}
+
+    @cached_property
     def unit_numbers(self):
         number = self.collection.numbering.number
         return frozenset(number(self.unit_ref(c)) for c in self.units)

@@ -304,10 +304,14 @@ def is_k_natural(xi, ops=None):
 def generated_ops(P, gen_refs):
     """Closure of a set of operations under units, slot composition, and
     the symmetric actions: the sub-multicategory they generate, closed on
-    P's numbers."""
+    P's numbers.  Kept on the table per frozen generator set."""
+    key = frozenset(gen_refs)
+    got = P.closures.get(key)
+    if got is not None:
+        return got
     num = P.collection.numbering
     sigs = num.sigs
-    have = {num.number(ref) for ref in gen_refs}
+    have = {num.number(ref) for ref in key}
     for c in P.colors:
         have.add(num.number(P.unit_ref(c)))
     changed = True
@@ -328,7 +332,8 @@ def generated_ops(P, gen_refs):
                     if got is not None and got not in have:
                         have.add(got)
                         changed = True
-    return {num.refs[m] for m in have}
+    got = P.closures[key] = frozenset(num.refs[m] for m in have)
+    return got
 
 
 def naturality_on_generators(xi, gen_refs):

@@ -1,6 +1,7 @@
 """End structures, algebra censuses, free algebras, the map classifier,
 the tree-multicategory correspondence, the arrow-construction censuses."""
 
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -74,6 +75,24 @@ class TestCensus:
     def test_counts_match_table_search(self, P, key, fx):
         assert len(enumerate_algebras(P, A2)) == fx[key]["2"]
         assert len(enumerate_algebras(P, A3)) == fx[key]["3"]
+
+    def test_check_reuses_the_census_view(self):
+        algs = enumerate_algebras(COM3, A3) + enumerate_algebras(AS3, A2)
+        s3 = (("x",) * 3, "x")
+        broken = algs[-1].action[s3]
+        algs.append(replace(algs[-1], action={
+            **algs[-1].action, s3: {op: ("a",) * 8 for op in broken}}))
+        for A in algs:
+            assert A.view is not None
+            assert A.to_multifunctor().target is A.view
+            got = check_algebra(A)
+            fresh = check_multifunctor(replace(A, view=None).to_multifunctor())
+            assert got.violations == fresh.violations
+            assert list(got.checked.items()) == list(fresh.checked.items())
+            assert got.to_json() == fresh.to_json()
+        assert not got.ok
+        assert algs[0].to_multifunctor(arity_cap=4).target is not algs[0].view
+        assert algs[0].to_multifunctor(limit=10).target is not algs[0].view
 
     def test_encodings_interconvert(self):
         for alg in enumerate_algebras(AS3, A2):

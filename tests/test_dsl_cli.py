@@ -313,6 +313,53 @@ def test_simplicial_outputs_unchanged(name, docs_dir, capsys):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+# a malformed or missing option value, one per option: (argv, stderr)
+MALFORMED_OPTIONS = {
+    "export-restrict-map": (
+        ("export", "as2.mcat", "--name", "As2", "--restrict-map", "x"),
+        "usage error: malformed --restrict-map value 'x'"),
+    "export-extend-map": (
+        ("export", "as2.mcat", "--name", "As2", "--extend-map", "x"),
+        "usage error: malformed --extend-map value 'x'"),
+    "saturate-coproduct": (
+        ("saturate", "as2.mcat", "--coproduct", "As2"),
+        "usage error: malformed --coproduct value 'As2'"),
+    "saturate-pushout": (
+        ("saturate", "as2.mcat", "--pushout", "As2"),
+        "usage error: malformed --pushout value 'As2'"),
+    "bar-circle": (
+        ("bar", "as2.mcat", "--circle", "As2"),
+        "usage error: malformed --circle value 'As2'"),
+    "bar-restrict": (
+        ("bar", "as2.mcat", "--restrict", "As2"),
+        "usage error: malformed --restrict value 'As2'"),
+    "end-map": (
+        ("end", "as2.mcat", "--carrier", "x=a,b", "--map", "x=a",
+         "--target-carrier", "x=a,b"),
+        "usage error: malformed --map value 'x=a'"),
+    "end-map-without-target": (
+        ("end", "as2.mcat", "--carrier", "x=a,b", "--map", "x=a:b,b:a"),
+        "usage error: --target-carrier is required here"),
+    "free-tree-homs": (
+        ("free", "as2.mcat", "--tree-homs", "a;2"),
+        "usage error: malformed --tree-homs value 'a;2'"),
+    "algebras-p1": (
+        ("algebras", "as2.mcat", "--name", "As2", "--p1", "x=a"),
+        "usage error: malformed --p1 value 'x=a'"),
+    "algebras-without-carrier": (
+        ("algebras", "as2.mcat", "--name", "As2"),
+        "usage error: --carrier is required here"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_OPTIONS))
+def test_malformed_option_is_a_usage_error(name, docs_dir, capsys):
+    (command, document, *rest), message = MALFORMED_OPTIONS[name]
+    assert run_cli(command, str(docs_dir / document), *rest) == 2
+    got = capsys.readouterr()
+    assert (got.out, got.err) == ("", message + "\n")
+
+
 # one malformed row of fixtures/bimod.mcat each: (line, replacement)
 BIMODULE_MUTANTS = {
     "ops-without-ids": (17, "  ops (x,x;x)"),

@@ -122,6 +122,29 @@ class TestNaturality:
         with pytest.raises(DomainError):
             naturality_on_generators(xi, S)
 
+    def test_generator_closure_is_kept_on_the_table(self):
+        P = assoc_multicategory(3)
+        S = [(((), "x"), "w")] + [((("x", "x"), "x"), w)
+                                  for w in P.ops_at((("x", "x"), "x"))]
+        got = generated_ops(P, S)
+        assert got == set(P.refs())
+        assert generated_ops(P, S[::-1]) is got
+        assert generated_ops(assoc_multicategory(3), S) == got
+        F = identity_multifunctor(P)
+        xi = KNatTransformation((F,), F, {"x": P.units["x"]})
+        # the same error, missing list included, whether kept or not
+        for gens, missing in [
+                ([(((), "x"), "w")],
+                 "['x,x,x;x:w012', 'x,x,x;x:w021', 'x,x,x;x:w102', "
+                 "'x,x,x;x:w120', 'x,x,x;x:w201']"),
+                ([((("x", "x"), "x"), "w01")], "[';x:w']")]:
+            for _ in range(2):
+                with pytest.raises(DomainError) as info:
+                    naturality_on_generators(xi, gens)
+                assert str(info.value) == (
+                    f"the given set does not generate; missing {missing}")
+        assert len(P.closures) == 3
+
 
 class TestInternalHom:
     def test_hom_from_unit_is_target(self):
