@@ -557,8 +557,10 @@ def end_of_map(f, A, B, arity_cap=2, limit=200000):
     the endomorphism views of A and B are returned.  The limit bounds
     each endomorphism multicategory as in `end_multicategory`."""
     for c in A.colors:
-        if set(f[c]) != set(A.carrier(c)):
+        if c not in f or set(f[c]) != set(A.carrier(c)):
             raise DomainError(f"map not total on carrier {c}")
+        if c not in B.carriers:
+            raise DomainError(f"the target has no carrier {c}")
         if any(v not in B.carrier(c) for v in f[c].values()):
             raise DomainError(f"map leaves carrier {c} of the target")
     viewA = EndView(A, arity_cap=arity_cap, limit=limit)

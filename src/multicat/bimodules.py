@@ -20,7 +20,7 @@ from . import perms
 from .core import (FiniteCollection, LawReport, TableMulticategory,
                    TruncatedSimplicialSet, _gamma_by_size, backtrack,
                    check_slot_laws, composed_sig, sig_key, tabulate)
-from .errors import StructuralError
+from .errors import DomainError, StructuralError
 from .homcalc import Multifunctor
 from .presents import UnionFind
 from .trees import (base_layer, canonical_circle, circle_layer,
@@ -273,6 +273,8 @@ def bar_complex(X, P, Y, n_max=3, max_arity=2):
     below the root, a face or degeneracy maps the children and
     re-canonicalizes, and its values are kept per (height, number,
     index)."""
+    if min(n_max, max_arity) < 0:
+        raise DomainError("levels and the arity cap must be >= 0")
     towers = [base_layer(Y.collection)]
     for _ in range(n_max):
         towers.append(circle_layer(P.collection, towers[-1], max_arity))

@@ -97,7 +97,9 @@ def _mapping(spec):
     return dict(pair.split(":") for pair in spec.split(","))
 
 
-def _need(objects, name, kinds=None):
+def _need(objects, name, kinds=None, option="--name"):
+    if name is None:
+        raise _Usage(f"{option} is required here")
     if name not in objects:
         raise _Usage(f"no block named {name!r} in the document")
     obj = objects[name]
@@ -385,9 +387,9 @@ def cmd_bar(args):
                       for s in out.collection.signatures()},
         })
         return 0
-    X = _need(objects, args.x)
-    P = _need(objects, args.p, TableMulticategory)
-    Y = _need(objects, args.y)
+    X = _need(objects, args.x, option="--x")
+    P = _need(objects, args.p, TableMulticategory, option="--p")
+    Y = _need(objects, args.y, option="--y")
     if isinstance(X, TableMulticategory):
         X = module_from_multicategory(X, max_arity=args.cap_arity)
     if isinstance(Y, TableMulticategory):

@@ -22,6 +22,14 @@ repeat a union that is already made, so every round's merges, the round
 count and the quotient are those of re-running every move over every
 term.
 
+The substitution move reads its arguments from buckets of the round's
+representatives keyed by (output color, arity, vertex count), only those
+whose graft fits the caps.  Each instance reads the representatives fixed
+at the round's start, so the set of pairs a round unions, and with it the
+partition, the merged flag and the round count, does not depend on the
+order of the unions.  Grafts and rewrites are canonicalized only along
+the changed path (:func:`trees.vertex_minimum`).
+
 The table is filled from the classes.  A composite over the vertex cap
 is reduced by rewriting its subtrees to representatives, unless no class
 holds a term with fewer vertices than another member: then reduction
@@ -46,10 +54,10 @@ from . import perms
 from .core import (FiniteCollection, TableMulticategory, restrict_objects,
                    sig_key, tabulate)
 from .errors import DomainError, PartialInputError, StructuralError
-from .trees import (canonical_term, corolla, enumerate_terms, graft,
-                    identity_term, relabel_leaves, renumber_term,
-                    renumbering, term_leaves, term_signature, term_text,
-                    term_vertices)
+from .trees import (canonical_graft, canonical_replace, canonical_term,
+                    corolla, enumerate_terms, graft, identity_term,
+                    relabel_leaves, renumber_term, renumbering, term_leaves,
+                    term_signature, term_text, term_vertices)
 
 
 @dataclass(frozen=True)
@@ -133,15 +141,6 @@ def extract_standalone(node):
     return relabel_leaves(node, rank), indices
 
 
-def replace_path(t, path, new_node):
-    if not path:
-        return new_node
-    i = path[0]
-    children = list(t[3])
-    children[i] = replace_path(children[i], path[1:], new_node)
-    return ("N", t[1], t[2], tuple(children))
-
-
 @dataclass
 class Saturation:
     """A saturated presentation: the quotient table plus class lookup."""
@@ -201,7 +200,6 @@ def saturate(presentation, max_arity=3, max_vertices=4, max_rounds=200):
     rank = [0] * n_terms
     for r, i in enumerate(by_rank):
         rank[i] = r
-    all_perms = {n: perms.all_perms(n) for n in range(max_arity + 1)}
 
     def canon_id(t):
         return index.get(canonical_term(t, gens), -1)
@@ -230,10 +228,11 @@ def saturate(presentation, max_arity=3, max_vertices=4, max_rounds=200):
         key = (x, slot, r)
         got = grafts.get(key)
         if got is None:
-            got = grafts[key] = canon_id(graft(terms[x], slot, terms[r]))
+            got = grafts[key] = index.get(
+                canonical_graft(terms[x], slot, terms[r], gens), -1)
         return got
 
-    image = renumbering(terms, index, gens)
+    image, image_row = renumbering(terms)
 
     # the rewrite sites of every term, indexed by their standalone subtree
     sites_of = {}
@@ -264,8 +263,8 @@ def saturate(presentation, max_arity=3, max_vertices=4, max_rounds=200):
         for c in moved:
             rep = terms[reps[c]]
             for u, path, mapping in sites_of.get(c, ()):
-                u2 = canon_id(replace_path(terms[u], path,
-                                           relabel_leaves(rep, mapping)))
+                u2 = index.get(canonical_replace(
+                    terms[u], path, relabel_leaves(rep, mapping), gens), -1)
                 if u2 >= 0:
                     merged |= uf.union(u, u2)
 
@@ -274,25 +273,26 @@ def saturate(presentation, max_arity=3, max_vertices=4, max_rounds=200):
         # being a representative: later rounds' representatives are among
         # this round's, and when u's representative moves on from a to b,
         # a moves to b in the same round, so a's unions carry u's
-        by_color = {}
+        buckets = {}  # (output color, arity, vertices) -> representatives
         for r in range(n_terms):
             if reps[r] == r:
-                by_color.setdefault(sig[r][1], []).append(r)
+                buckets.setdefault((sig[r][1], len(sig[r][0]), vert[r]),
+                                   []).append(r)
         for u in moved:
             if prev[u] != u:
                 continue
             ru = reps[u]
             inputs = sig[u][0]
+            room = [(a, v) for a in range(max_arity - len(inputs) + 2)
+                    for v in range(max_vertices - vert[u] + 1)]
             for i, color in enumerate(inputs):
-                for r in by_color.get(color, ()):
-                    if (len(inputs) + len(sig[r][0]) - 1 > max_arity
-                            or vert[u] + vert[r] > max_vertices):
-                        continue
-                    w1, w2 = graft_id(u, i, r), graft_id(ru, i, r)
-                    if w1 >= 0 and w2 >= 0:
-                        merged |= uf.union(w1, w2)
-            for p in all_perms[len(inputs)]:
-                merged |= uf.union(image(u, p), image(ru, p))
+                for a, v in room:
+                    for r in buckets.get((color, a, v), ()):
+                        w1, w2 = graft_id(u, i, r), graft_id(ru, i, r)
+                        if w1 >= 0 and w2 >= 0:
+                            merged |= uf.union(w1, w2)
+            for a, b in zip(image_row(u), image_row(ru)):
+                merged |= uf.union(a, b)
 
         if not merged:
             stabilized = True
@@ -317,12 +317,6 @@ def saturate(presentation, max_arity=3, max_vertices=4, max_rounds=200):
     # vertex cap stays over it and escapes
     shrinks = any(vert[reps[i]] != vert[i] for i in range(n_terms))
 
-    def act(s, x, p):
-        acted = image(x, p)
-        if acted < 0:
-            raise StructuralError("renumbering left the term pool")
-        return reps[acted]
-
     def compose(s, x, slot, qs, r):
         if vert[x] + vert[r] <= max_vertices:
             w = graft_id(x, slot, r)
@@ -336,7 +330,8 @@ def saturate(presentation, max_arity=3, max_vertices=4, max_rounds=200):
     table, structure, comp_escapes = tabulate(
         sorted(gens.colors), elements,
         {c: reps[index[identity_term(c)]] for c in gens.colors},
-        text.__getitem__, act, compose, arity_cap=max_arity,
+        text.__getitem__, lambda s, x, p: reps[image(x, p)], compose,
+        arity_cap=max_arity,
         name=presentation.name or "saturated")
     sat.structure = {k: terms[i] for k, i in structure.items()}
     report = SaturationReport(

@@ -35,8 +35,8 @@ from itertools import product
 
 from . import perms
 from .core import FiniteCollection, composed_sig, sig_key, tabulate
-from .errors import (CompositionError, StructuralError, SubstitutionError,
-                     TruncationError)
+from .errors import (CompositionError, DomainError, StructuralError,
+                     SubstitutionError, TruncationError)
 
 
 # ---------------------------------------------------------------------------
@@ -109,8 +109,7 @@ def graft(t, index, s):
             return node
         return ("N", node[1], node[2], tuple(go(c) for c in node[3]))
 
-    found = any(idx == index for _, _, idx in term_leaves(t))
-    if not found:
+    if not any(idx == index for _, _, idx in term_leaves(t)):
         raise SubstitutionError(f"no leaf numbered {index}")
     return go(t)
 
@@ -144,14 +143,62 @@ def canonical_term(t, gens):
     """
     if t[0] == "L":
         return t
-    children = tuple([c if c[0] == "L" else canonical_term(c, gens)
-                      for c in t[3]])
-    images = gens.images((t[1], t[2]))
+    return vertex_minimum(t[1], t[2], tuple(
+        [c if c[0] == "L" else canonical_term(c, gens) for c in t[3]]), gens)
+
+
+def vertex_minimum(gsig, gid, children, gens):
+    """The least image of the vertex ``(gsig, gid)`` over canonical
+    children: the one local step of :func:`canonical_term`.
+
+    Terms compare as nested tuples, a leaf before a vertex (``'L' < 'N'``),
+    leaves by color, then input number.  So a strictly increasing map on
+    the leaf numbers keeps every comparison, and a canonical term stays
+    canonical.  Put a canonical term in place of a leaf or subtree of a
+    canonical term, moving the other leaves by such a map: every subtree
+    off that path stays canonical, and this minimum taken again along the
+    path, bottom up, gives :func:`canonical_term` of the result."""
+    images = gens.images((gsig, gid))
     if len(images) == 1:
-        return ("N", t[1], t[2], children)
+        return ("N", gsig, gid, children)
     pick = children.__getitem__
     return min([("N", new_sig, new_id, tuple(map(pick, p)))
                 for p, new_sig, new_id in images])
+
+
+def canonical_graft(t, index, s, gens):
+    """``canonical_term(graft(t, index, s), gens)`` for canonical t and s
+    of matching colors: leaves keep their order, so only the vertices above
+    the grafted leaf take their minimum again (:func:`vertex_minimum`)."""
+    m = term_arity(s)
+
+    def go(node):
+        # the grafted node, and whether it holds s
+        if node[0] == "L":
+            i = node[2]
+            if i == index:
+                return shift_leaves(s, index), True
+            return (node if i < index else ("L", node[1], i + m - 1)), False
+        pairs = [go(c) for c in node[3]]
+        children = tuple([c for c, _ in pairs])
+        if any([h for _, h in pairs]):
+            return vertex_minimum(node[1], node[2], children, gens), True
+        return ("N", node[1], node[2], children), False
+
+    return go(t)[0]
+
+
+def canonical_replace(t, path, node, gens):
+    """``canonical_term`` of t with its subtree at ``path`` (child indices
+    from the root) replaced by node, for canonical t and node whose leaves
+    are those of the subtree it replaces: only the vertices on the path
+    take their minimum again (:func:`vertex_minimum`)."""
+    if not path:
+        return node
+    children = list(t[3])
+    children[path[0]] = canonical_replace(children[path[0]], path[1:], node,
+                                          gens)
+    return vertex_minimum(t[1], t[2], tuple(children), gens)
 
 
 def term_text(t):
@@ -399,123 +446,115 @@ class FreeReport:
     term_count: int
 
 
+class TermPool(list):
+    """Sorted symmetric terms, with their transposition table:
+    ``moves[x][k]`` is the position of ``canonical_term(renumber_term(
+    self[x], perms.adjacent_transpositions(arity of x)[k]), gens)``."""
+
+
 def enumerate_terms(gens, max_arity, max_vertices, symmetric):
     """All well-typed generator terms within the caps, canonical forms.
 
     Non-symmetric terms carry the planar leaf numbering; symmetric terms
-    are closed under renumbering and reduced modulo per-vertex actions.
+    are closed under renumbering and reduced modulo per-vertex actions,
+    and come as a :class:`TermPool`.
     """
-    by_shape = {}  # (vertices, out_color) -> set of planar-numbered terms
+    if min(max_arity, max_vertices) < 0:
+        raise DomainError("the arity and vertex caps must be >= 0")
+    by_shape = {}  # (vertices, out_color) -> {planar-numbered term: arity}
 
     for c in gens.colors:
-        by_shape.setdefault((0, c), set()).add(identity_term(c))
-
-    def with_planar_numbering(gsig, gid, children):
-        # children come with local numberings; re-offset left to right
-        offset = 0
-        fixed = []
-        for ch in children:
-            fixed.append(shift_leaves(ch, offset))
-            offset += term_arity(ch)
-        return ("N", gsig, gid, tuple(fixed))
-
-    def compositions(total, k):
-        if k == 0:
-            if total == 0:
-                yield ()
-            return
-        for first in range(total + 1):
-            for rest in compositions(total - first, k - 1):
-                yield (first,) + rest
+        by_shape.setdefault((0, c), {})[identity_term(c)] = 1
 
     for v in range(1, max_vertices + 1):
         for s in gens.signatures():
             k = len(s[0])
             for gid in gens.ops_at(s):
-                for split in compositions(v - 1, k):
-                    pools = []
-                    for childv, color in zip(split, s[0]):
-                        pool = [t for t in by_shape.get((childv, color), ())]
-                        pools.append(pool)
+                for split in product(range(v), repeat=k):
+                    if sum(split) != v - 1:
+                        continue
+                    pools = [by_shape.get((childv, color), {}).items()
+                             for childv, color in zip(split, s[0])]
                     for combo in product(*pools):
-                        t = with_planar_numbering(s, gid, combo)
-                        if term_arity(t) <= max_arity:
-                            by_shape.setdefault((v, s[1]), set()).add(t)
+                        if sum([m for _, m in combo]) > max_arity:
+                            continue
+                        # re-offset the children's leaves left to right
+                        offset = 0
+                        fixed = []
+                        for ch, m in combo:
+                            fixed.append(shift_leaves(ch, offset))
+                            offset += m
+                        by_shape.setdefault((v, s[1]), {})[
+                            ("N", s, gid, tuple(fixed))] = offset
 
-    planar = set()
-    for pool in by_shape.values():
-        planar |= pool
+    planar = {t: n for pool in by_shape.values() for t, n in pool.items()}
     if not symmetric:
         return sorted(planar)
     # the renumbering orbit of each new canonical form, walked along the
-    # adjacent transpositions (they generate the symmetric group)
-    out = set()
-    for t in planar:
+    # adjacent transpositions (they generate the symmetric group); the
+    # images are kept by number of discovery, then by sorted position
+    found = {}  # canonical term -> number of discovery
+    steps = {}  # number -> numbers of its transposition images
+    for t, n in planar.items():
         c = canonical_term(t, gens)
-        if c in out:
+        if c in found:
             continue
-        out.add(c)
-        moves = perms.adjacent_transpositions(term_arity(c))
+        found[c] = len(found)
+        taus = perms.adjacent_transpositions(n)
         frontier = [c]
         while frontier:
             x = frontier.pop()
-            for tau in moves:
+            row = steps[found[x]] = []
+            for tau in taus:
                 y = canonical_term(renumber_term(x, tau), gens)
-                if y not in out:
-                    out.add(y)
+                if y not in found:
+                    found[y] = len(found)
                     frontier.append(y)
-    return sorted(out)
+                row.append(found[y])
+    pool = TermPool(sorted(found))
+    where = {found[t]: i for i, t in enumerate(pool)}
+    pool.moves = [tuple([where[j] for j in steps[found[t]]]) for t in pool]
+    return pool
 
 
-def renumbering(terms, index, gens):
-    """The symmetric action on a symmetric term enumeration, by position:
-    ``image(x, p)`` is the position (``index``) in ``terms`` of
-    ``canonical_term(renumber_term(terms[x], p), gens)``, or -1 when that
-    term is not in ``terms``.
-
-    The images of one term are filled together, walking from the identity
-    along adjacent transpositions (``renumber_term(t, compose(s, tau))`` is
-    ``renumber_term(renumber_term(t, s), tau)``, and renumbering commutes
-    with the per-vertex actions), so each pair of a term and a
-    transposition is canonicalized at most once.
-    """
-    walks = {}  # arity -> (transpositions, {p: slot}, [(slot of s, k)])
-    moves = {}  # (position, k) -> position of the k-th transposition image
+def renumbering(pool):
+    """The symmetric action on a :class:`TermPool`, by position:
+    ``image(x, p)`` is the position of ``canonical_term(renumber_term(
+    pool[x], p), gens)``; ``row(x)`` lists them in ``perms.all_perms``
+    order.  A permutation p past the identity, with first descent k, is
+    ``compose(s, tau)`` for tau = (k k+1) and the earlier s = p with k and
+    k + 1 swapped, and ``renumber_term(t, compose(s, tau))`` is
+    ``renumber_term(renumber_term(t, s), tau)``; renumbering commutes with
+    the per-vertex actions, so each image is one table step from an earlier
+    one.  A term with k table steps has arity k + 1 (or 0, with one image)."""
+    moves = pool.moves
+    walks = {}  # arity -> ({p: slot}, [(slot of s, k)])
     rows = {}  # position -> its images, by slot
 
     def walk(n):
         got = walks.get(n)
         if got is None:
-            taus = perms.adjacent_transpositions(n)
-            order = [perms.identity(n)]
-            slot = {order[0]: 0}
+            order = perms.all_perms(n)
+            slot = {p: i for i, p in enumerate(order)}
             steps = []
-            for s in order:
-                for k, tau in enumerate(taus):
-                    p = perms.compose(s, tau)
-                    if p not in slot:
-                        slot[p] = len(order)
-                        order.append(p)
-                        steps.append((slot[s], k))
-            got = walks[n] = (taus, slot, steps)
+            for p in order[1:]:
+                k = next(k for k in range(n - 1) if p[k] > p[k + 1])
+                steps.append((slot[p[:k] + (p[k + 1], p[k]) + p[k + 2:]], k))
+            got = walks[n] = (slot, steps)
+        return got
+
+    def row(x):
+        got = rows.get(x)
+        if got is None:
+            got = rows[x] = [x]
+            for src, k in walk(len(moves[x]) + 1)[1]:
+                got.append(moves[got[src]][k])
         return got
 
     def image(x, p):
-        taus, slot, steps = walk(len(p))
-        row = rows.get(x)
-        if row is None:
-            row = rows[x] = [x]
-            for src, k in steps:
-                y = row[src]
-                z = moves.get((y, k))
-                if z is None:
-                    z = moves[y, k] = -1 if y < 0 else index.get(
-                        canonical_term(renumber_term(terms[y], taus[k]),
-                                       gens), -1)
-                row.append(z)
-        return row[slot[p]]
+        return row(x)[walk(len(p))[0][p]]
 
-    return image
+    return image, row
 
 
 def free_multicategory(gens, symmetric, max_arity=3, max_vertices=4,

@@ -14,7 +14,7 @@ from multicat.algebras import (AlgebraStructure, EndView, ObjectFamily,
                                is_algebra_hom, op_algebra_to_operad,
                                operad_to_op_algebra, p1_algebras_as_triples)
 from multicat.core import check_multicategory_laws
-from multicat.errors import BudgetExceededError
+from multicat.errors import BudgetExceededError, DomainError
 from multicat.homcalc import check_multifunctor
 from multicat.standard import (assoc_multicategory, comm_multicategory,
                                unit_multicategory)
@@ -178,6 +178,18 @@ class TestFreeAlgebra:
 
 
 class TestEndPairsAndMaps:
+    @pytest.mark.parametrize("f,target,message", [
+        ({"y": {"a": "b"}}, A2, "map not total on carrier x"),
+        ({"x": {"a": "b"}}, A2, "map not total on carrier x"),
+        ({"x": {"a": "b", "b": "a"}}, ObjectFamily({"y": ("a", "b")}),
+         "the target has no carrier x"),
+        ({"x": {"a": "c", "b": "a"}}, A2, "map leaves carrier x"),
+    ])
+    def test_map_off_the_carriers_is_a_domain_error(self, f, target,
+                                                    message):
+        with pytest.raises(DomainError, match=message):
+            end_of_map(f, A2, target, arity_cap=1)
+
     def test_pair_cardinalities(self):
         B = ObjectFamily({"x": ("p", "q", "r")})
         mod = end_module(A2, B, arity_cap=2)

@@ -9,6 +9,7 @@ from multicat.bimodules import (Bimodule, analyze_pointed, bar_complex,
                                 module_from_multicategory, restrict_module,
                                 right_module_from, tensor_elements)
 from multicat.core import FiniteCollection, check_multicategory_laws
+from multicat.errors import DomainError
 from multicat.homcalc import Multifunctor, identity_multifunctor
 from multicat.standard import (assoc_multicategory, comm_multicategory,
                                unit_multicategory, word_id)
@@ -182,6 +183,15 @@ class TestBar:
         bar = bar_complex(mod, I, mod, n_max=3, max_arity=2)
         assert [len(l) for l in bar.simplicial.levels] == [1, 1, 1, 1]
         assert bar.check_identities().ok
+
+    @pytest.mark.parametrize("n_max,max_arity", [(-1, 2), (2, -1)])
+    def test_negative_level_or_cap_is_a_domain_error(self, n_max, max_arity):
+        mod = module_from_multicategory(AS2P)
+        for build in (lambda: bar_complex(mod, AS2P, mod, n_max, max_arity),
+                      lambda: hochschild(AS2P, n_max, max_arity)):
+            with pytest.raises(DomainError,
+                               match="levels and the arity cap must be"):
+                build()
 
     def test_level_zero_is_two_level_product(self, fx):
         mod = module_from_multicategory(AS2P)

@@ -349,7 +349,53 @@ MALFORMED_OPTIONS = {
     "algebras-without-carrier": (
         ("algebras", "as2.mcat", "--name", "As2"),
         "usage error: --carrier is required here"),
+    "saturate-without-name": (
+        ("saturate", "magma.mcat"), "usage error: --name is required here"),
+    "free-without-name": (
+        ("free", "magma.mcat"), "usage error: --name is required here"),
+    "bar-without-x": (
+        ("bar", "bimod.mcat"), "usage error: --x is required here"),
+    "bar-without-p": (
+        ("bar", "bimod.mcat", "--x", "Reg"),
+        "usage error: --p is required here"),
 }
+
+
+# a value out of an operation's domain: (argv, stderr); exit code 1
+DOMAIN_ERRORS = {
+    "free-negative-arity": (
+        ("free", "magma.mcat", "--name", "Binary", "--cap-arity", "-1"),
+        "error: the arity and vertex caps must be >= 0"),
+    "free-negative-vertices": (
+        ("free", "magma.mcat", "--name", "Binary", "--cap-vertices", "-1"),
+        "error: the arity and vertex caps must be >= 0"),
+    "saturate-negative-arity": (
+        ("saturate", "magma.mcat", "--name", "Magma", "--cap-arity", "-1"),
+        "error: the arity and vertex caps must be >= 0"),
+    "hochschild-negative-levels": (
+        ("hochschild", "as2pos.mcat", "--name", "As2pos", "--levels", "-1"),
+        "error: levels and the arity cap must be >= 0"),
+    "end-partial-map": (
+        ("end", "as2.mcat", "--carrier", "x=a,b", "--map", "y=a:b",
+         "--target-carrier", "x=a,b"),
+        "error: map not total on carrier x"),
+    "end-target-without-color": (
+        ("end", "as2.mcat", "--carrier", "x=a,b", "--map", "x=a:b,b:a",
+         "--target-carrier", "y=a,b"),
+        "error: the target has no carrier x"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DOMAIN_ERRORS))
+def test_out_of_domain_value_is_a_domain_error(name, docs_dir, capsys,
+                                               tmp_path):
+    (command, document, *rest), message = DOMAIN_ERRORS[name]
+    out = tmp_path / "artifact.json"
+    code = run_cli(command, str(docs_dir / document), *rest,
+                   "--out", str(out))
+    got = capsys.readouterr()
+    assert (code, got.out, got.err) == (1, "", message + "\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED_OPTIONS))

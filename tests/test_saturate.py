@@ -13,6 +13,13 @@ vertex.  Every field of the result is compared: the report with its
 `trees.free_multicategory`, which tabulated the symmetric terms itself
 and grafted and canonicalized every composite; the free symmetric
 multicategory is now the saturation of the empty presentation.
+`ref_renumbering` is the earlier `trees.renumbering`, which canonicalized
+every transposition image again, and `replace_path` the earlier rewrite
+step, canonicalized whole afterwards.  The kernel pieces that take the
+per-vertex minimum only along a changed path (`trees.canonical_graft`,
+`trees.canonical_replace`) and the transposition table kept by the
+enumeration are checked against full canonicalization on the symmetric
+pools of `GENERATORS`.
 """
 
 from dataclasses import dataclass, field
@@ -25,20 +32,21 @@ from hypothesis import strategies as st
 from multicat import jsonio, perms
 from multicat.core import FiniteCollection, sig_key, tabulate
 from multicat.dsl import elaborate, parse
-from multicat.errors import StructuralError, TruncationError
+from multicat.errors import DomainError, StructuralError, TruncationError
 from multicat.homcalc import Multifunctor, identity_multifunctor
 from multicat.presents import (Presentation, SaturationReport, UnionFind,
                                _tensor_generators, arrow_multicategory,
                                coproduct, extract_standalone,
-                               interchange_relations, pushout, replace_path,
-                               saturate, subtree_sites)
+                               interchange_relations, pushout, saturate,
+                               subtree_sites)
 from multicat.standard import (assoc_multicategory, comm_multicategory,
                                unit_multicategory)
-from multicat.trees import (FreeReport, canonical_term, corolla,
+from multicat.trees import (FreeReport, canonical_graft,
+                            canonical_replace, canonical_term, corolla,
                             enumerate_terms, free_multicategory, graft,
                             identity_term, relabel_leaves, renumber_term,
-                            renumbering, term_arity, term_signature,
-                            term_text, term_vertices)
+                            renumbering, term_arity, term_out_color,
+                            term_signature, term_text, term_vertices)
 
 I = unit_multicategory()
 AS2 = assoc_multicategory(2)
@@ -73,6 +81,17 @@ def ref_symmetric_terms(gens, max_arity, max_vertices):
         for p in perms.all_perms(n):
             out.add(ref_canonical_term(renumber_term(t, p), gens))
     return sorted(out)
+
+
+def replace_path(t, path, new_node):
+    """The earlier rewrite step of `presents.saturate`, which canonicalized
+    the whole rewritten term afterwards."""
+    if not path:
+        return new_node
+    i = path[0]
+    children = list(t[3])
+    children[i] = replace_path(children[i], path[1:], new_node)
+    return ("N", t[1], t[2], tuple(children))
 
 
 def _term_key(t):
@@ -231,6 +250,48 @@ def ref_saturate(presentation, max_arity=3, max_vertices=4, max_rounds=200):
     return sat
 
 
+def ref_renumbering(terms, index, gens):
+    """The earlier `trees.renumbering`: each image canonicalized again,
+    by walking from the identity along adjacent transpositions."""
+    walks = {}  # arity -> (transpositions, {p: slot}, [(slot of s, k)])
+    moves = {}  # (position, k) -> position of the k-th transposition image
+    rows = {}  # position -> its images, by slot
+
+    def walk(n):
+        got = walks.get(n)
+        if got is None:
+            taus = perms.adjacent_transpositions(n)
+            order = [perms.identity(n)]
+            slot = {order[0]: 0}
+            steps = []
+            for s in order:
+                for k, tau in enumerate(taus):
+                    p = perms.compose(s, tau)
+                    if p not in slot:
+                        slot[p] = len(order)
+                        order.append(p)
+                        steps.append((slot[s], k))
+            got = walks[n] = (taus, slot, steps)
+        return got
+
+    def image(x, p):
+        taus, slot, steps = walk(len(p))
+        row = rows.get(x)
+        if row is None:
+            row = rows[x] = [x]
+            for src, k in steps:
+                y = row[src]
+                z = moves.get((y, k))
+                if z is None:
+                    z = moves[y, k] = -1 if y < 0 else index.get(
+                        canonical_term(renumber_term(terms[y], taus[k]),
+                                       gens), -1)
+                row.append(z)
+        return row[slot[p]]
+
+    return image
+
+
 def ref_free_multicategory(gens, max_arity, max_vertices):
     terms = enumerate_terms(gens, max_arity, max_vertices, symmetric=True)
     term_set = set(terms)
@@ -238,7 +299,7 @@ def ref_free_multicategory(gens, max_arity, max_vertices):
     for t in terms:
         elements.setdefault(term_signature(t), []).append(t)
     index = {t: i for i, t in enumerate(terms)}
-    image = renumbering(terms, index, gens)
+    image = ref_renumbering(terms, index, gens)
 
     def act(s, t, p):
         acted = image(index[t], p)
@@ -400,6 +461,80 @@ def test_free_multicategory_matches_reference(name, caps):
             free_multicategory(gens, True, *caps, require_complete=True)
     if name == "binary" and caps == (4, 2):
         assert ref_report.escapes == 15
+
+
+POOLS = {}
+
+
+def symmetric_pool(name, caps):
+    """The generators, symmetric term pool and its index, built once."""
+    key = (name, caps)
+    if key not in POOLS:
+        gens = GENERATORS[name]()
+        terms = enumerate_terms(gens, *caps, symmetric=True)
+        POOLS[key] = gens, terms, {t: i for i, t in enumerate(terms)}
+    return POOLS[key]
+
+
+# (4, 4) holds vertices with two vertex children below the root, where a
+# rewrite can reorder children away from the root
+POOL_KEYS = st.tuples(st.sampled_from(sorted(GENERATORS)),
+                      st.sampled_from([(3, 3), (4, 3), (4, 4)]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(POOL_KEYS, st.integers(0), st.integers(0))
+def test_path_graft_matches_full_canonicalization(key, a, b):
+    # the minimum is taken again only above the grafted leaf; it must be
+    # the canonical form of the whole graft, in every slot of its color
+    gens, terms, _ = symmetric_pool(*key)
+    x, r = terms[a % len(terms)], terms[b % len(terms)]
+    for i, color in enumerate(term_signature(x)[0]):
+        if color == term_out_color(r):
+            assert canonical_graft(x, i, r, gens) == (
+                canonical_term(graft(x, i, r), gens))
+
+
+@settings(max_examples=300, deadline=None)
+@given(POOL_KEYS, st.integers(0), st.integers(0))
+def test_path_rewrite_matches_full_canonicalization(key, a, b):
+    # the rewrite move: a subtree replaced by a pool term of its standalone
+    # signature, relabeled onto the subtree's leaves
+    gens, terms, _ = symmetric_pool(*key)
+    x = terms[a % len(terms)]
+    for path, node in subtree_sites(x):
+        std, mapping = extract_standalone(node)
+        same = [t for t in terms
+                if term_signature(t) == term_signature(std)]
+        new = relabel_leaves(same[b % len(same)], mapping)
+        assert canonical_replace(x, path, new, gens) == (
+            canonical_term(replace_path(x, path, new), gens))
+
+
+@settings(max_examples=300, deadline=None)
+@given(POOL_KEYS, st.integers(0))
+def test_transposition_table_matches_canonicalization(key, a):
+    gens, terms, index = symmetric_pool(*key)
+    x = a % len(terms)
+    n = term_arity(terms[x])
+    assert [terms[y] for y in terms.moves[x]] == [
+        canonical_term(renumber_term(terms[x], tau), gens)
+        for tau in perms.adjacent_transpositions(n)]
+    image, row = renumbering(terms)
+    ref = ref_renumbering(terms, index, gens)
+    want = [ref(x, p) for p in perms.all_perms(n)]
+    assert [image(x, p) for p in perms.all_perms(n)] == row(x) == want
+
+
+@pytest.mark.parametrize("caps", [(-1, 3), (3, -1)])
+def test_negative_cap_is_a_domain_error(caps):
+    gens = GENERATORS["binary"]()
+    for build in (lambda: saturate(magma(), *caps),
+                  lambda: free_multicategory(gens, True, *caps),
+                  lambda: free_multicategory(gens, False, *caps),
+                  lambda: enumerate_terms(gens, *caps, symmetric=True)):
+        with pytest.raises(DomainError, match="caps must be >= 0"):
+            build()
 
 
 def test_canonical_term_matches_reference():
