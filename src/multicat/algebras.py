@@ -154,6 +154,8 @@ class EndView:
     symmetric = True
 
     def __init__(self, family, arity_cap=3, limit=10 ** 6, name=""):
+        if arity_cap < 0:
+            raise DomainError("the arity cap must be >= 0")
         self.family = family
         self.arity_cap = arity_cap
         self.limit = limit
@@ -522,6 +524,8 @@ class EndModule:
 
 
 def end_module(A, B, arity_cap=2):
+    if arity_cap < 0:
+        raise DomainError("the arity cap must be >= 0")
     return EndModule(source=A, target=B, arity_cap=arity_cap)
 
 

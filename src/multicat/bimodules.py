@@ -5,7 +5,12 @@ A bimodule has inputs colored by the right-acting multicategory and
 outputs by the left-acting one.  The right action substitutes operations
 into single inputs; the left action composes an operation onto a tuple of
 module elements.  The compatibility axiom relates the two whenever both
-sides are defined inside the declared support.
+sides are defined inside the declared support.  A right module is a
+bimodule without a left action (``left`` is None).
+
+Every action lookup follows the rule of
+:meth:`core.TableMulticategory.cell`: the table entry first, and only
+where the table has none does a unit act as the identity.
 
 Bar truncations are circle-product elements over numbered towers of
 layers; face maps merge two adjacent layers (the module actions at the
@@ -14,12 +19,14 @@ and both are computed once per tower element.
 """
 
 from dataclasses import dataclass, field
+from functools import cache, cached_property
 from itertools import product
 
 from . import perms
 from .core import (FiniteCollection, LawReport, TableMulticategory,
                    TruncatedSimplicialSet, _gamma_by_size, backtrack,
-                   check_slot_laws, composed_sig, sig_key, tabulate)
+                   check_slot_laws, composed_sig, is_equivalence, sig_key,
+                   tabulate)
 from .errors import DomainError, StructuralError
 from .homcalc import Multifunctor
 from .presents import UnionFind
@@ -29,6 +36,14 @@ from .trees import (base_layer, canonical_circle, circle_layer,
 
 @dataclass
 class Bimodule:
+    """A collection with a right action of ``right`` and a left action of
+    ``left`` (None for a right module).  ``right_table`` maps ``(element,
+    slot, operation)`` and ``left_table`` ``(operation, elements)`` to an
+    element, as references; both are read once into tables on the numbers
+    of the elements and of the operations.  :meth:`right_cell` and
+    :meth:`left_cell` look an action up on numbers, the ``act_*`` methods
+    on references, all by the rule in the module docstring."""
+
     left: TableMulticategory
     right: TableMulticategory
     collection: FiniteCollection
@@ -45,6 +60,32 @@ class Bimodule:
     def act(self, mref, p):
         return self.collection.act(mref, p)
 
+    @cached_property
+    def _right_cells(self):
+        number, value = self.collection.numbering.number, self.right.value
+        return {(number(m), slot, value(q)): number(r)
+                for (m, slot, q), r in self.right_table.items()}
+
+    @cached_property
+    def _left_cells(self):
+        number, value = self.collection.numbering.number, self.left.value
+        return {(value(p), tuple(map(number, ms))): number(r)
+                for (p, ms), r in self.left_table.items()}
+
+    def right_cell(self, m, slot, q):
+        """m acted on by q in its input slot, on numbers, or None."""
+        got = self._right_cells.get((m, slot, q))
+        if got is None and q in self.right.unit_numbers:
+            return m
+        return got
+
+    def left_cell(self, p, ms):
+        """p acting on the tuple of elements ms, on numbers, or None."""
+        got = self._left_cells.get((p, ms))
+        if got is None and p in self.left.unit_numbers:
+            return ms[0]
+        return got
+
     def act_right1(self, mref, slot, qref):
         got = self.try_act_right1(mref, slot, qref)
         if got is None:
@@ -53,9 +94,9 @@ class Bimodule:
         return got
 
     def try_act_right1(self, mref, slot, qref):
-        if self.right.is_unit(qref):
-            return mref
-        return self.right_table.get((mref, slot, qref))
+        num = self.collection.numbering
+        got = self.right_cell(num.number(mref), slot, self.right.value(qref))
+        return None if got is None else num.refs[got]
 
     def act_right(self, mref, qrefs):
         return _gamma_by_size(self.act_right1, mref, qrefs)
@@ -67,9 +108,10 @@ class Bimodule:
         return got
 
     def try_act_left(self, pref, mrefs):
-        if self.left.is_unit(pref):
-            return mrefs[0]
-        return self.left_table.get((pref, tuple(mrefs)))
+        num = self.collection.numbering
+        got = self.left_cell(self.left.value(pref),
+                             tuple(map(num.number, mrefs)))
+        return None if got is None else num.refs[got]
 
 
 def module_from_multicategory(M, max_arity=None):
@@ -99,7 +141,8 @@ def module_from_multicategory(M, max_arity=None):
 
 
 def check_bimodule(M, max_violations=25):
-    """Every law of a bimodule, exhaustively over the declared support:
+    """Every law of a bimodule, exhaustively over the declared support; M
+    needs a left action:
 
     - ``action-total``: the symmetric action tables are total;
     - ``right-unit``, then the right action as a slot action of
@@ -109,10 +152,13 @@ def check_bimodule(M, max_violations=25):
     - ``left-assoc`` and ``left-equivariance`` of the left action;
     - ``compatibility`` of the two actions.
 
-    Instances whose intermediate values fall outside the support are
-    skipped.  The right action is read once into a table on the numbers
-    of the elements and of ``M.right``.  ``max_violations`` is compared
-    between elements, so the report can hold more violations than that."""
+    Every law runs on the numbers of the elements and operations, through
+    :meth:`Bimodule.right_cell` and :meth:`Bimodule.left_cell`; text is
+    written only into witnesses.  Instances whose intermediate values fall
+    outside the support are skipped.  ``max_violations`` is compared
+    between elements for the right laws, between signatures of ``M.left``
+    for the left laws, and after each compatibility violation, so the
+    report can hold more violations than that."""
     report = LawReport()
     coll = M.collection
 
@@ -126,115 +172,104 @@ def check_bimodule(M, max_violations=25):
     if report.violations:
         return report
 
-    mrefs_all = list(coll.refs())
+    num = coll.numbering
+    L, lnum = M.left, M.left.collection.numbering
+    rnum = M.right.collection.numbering
+    refs, sigs = num.refs, num.sigs
+    right_cell, left_cell = M.right_cell, M.left_cell
     m_by_color, l_by_color, r_by_color = {}, {}, {}
-    for m in mrefs_all:
-        m_by_color.setdefault(m[0][1], []).append(m)
-    for by_color, Q in ((l_by_color, M.left), (r_by_color, M.right)):
-        for qs in Q.signatures():
-            by_color.setdefault(qs[1], []).extend(
-                (qs, q) for q in Q.ops_at(qs))
+    for by_color, numbering in ((m_by_color, num), (l_by_color, lnum),
+                                (r_by_color, rnum)):
+        for m in numbering.ops:
+            by_color.setdefault(numbering.sigs[m][1], []).append(m)
 
     def m_tuples(colors):
         return product(*[m_by_color.get(c, ()) for c in colors])
 
-    for mref in mrefs_all:
-        for slot, color in enumerate(mref[0][0]):
-            got = M.try_act_right1(mref, slot, M.right.unit_ref(color))
+    for m in num.ops:
+        for slot, color in enumerate(sigs[m][0]):
+            got = right_cell(m, slot, M.right.unit_value(color))
             report.note("right-unit")
-            if got is not None and got != mref:
-                report.fail("right-unit", f"{mref} slot {slot}")
+            if got is not None and got != m:
+                report.fail("right-unit", f"{refs[m]} slot {slot}")
 
-    # the right action once on numbers, for the slot laws
-    number = coll.numbering.number
-    qnumber = M.right.collection.numbering.number
-    right = {(number(m), slot, qnumber(q)): number(r)
-             for (m, slot, q), r in M.right_table.items()}
-    right_units = M.right.unit_numbers
-
-    def act1(m, slot, q):
-        return m if q in right_units else right.get((m, slot, q))
-
-    check_slot_laws(report, coll, act1, M.right, M.right.cell, True,
+    check_slot_laws(report, coll, right_cell, M.right, M.right.cell, True,
                     ("right-assoc", "right-parallel", "right-equivariance",
                      "right-equivariance-inner"),
                     max_violations)
 
     # left associativity and equivariance
-    for s in M.left.signatures():
+    for s in L.signatures():
         if len(report.violations) >= max_violations:
             return report
-        n = len(s[0])
-        for p in M.left.ops_at(s):
-            pref = (s, p)
-            for mrefs in m_tuples(s[0]):
-                pm = M.try_act_left(pref, mrefs)
+        for p in L.values_at(s):
+            for ms in m_tuples(s[0]):
+                pm = left_cell(p, ms)
                 if pm is None:
                     continue
                 for slot, color in enumerate(s[0]):
-                    for qref in l_by_color.get(color, ()):
-                        pq = M.left.try_compose1(pref, slot, qref)
+                    for q in l_by_color.get(color, ()):
+                        pq = L.cell(p, slot, q)
                         if pq is None:
                             continue
-                        for inner in m_tuples(qref[0][0]):
-                            qm = M.try_act_left(qref, inner)
+                        for inner in m_tuples(lnum.sigs[q][0]):
+                            qm = left_cell(q, inner)
                             if qm is None:
                                 continue
-                            nested = (mrefs[:slot] + (qm,)
-                                      + mrefs[slot + 1:])
-                            left_side = M.try_act_left(pref, nested)
-                            flat = mrefs[:slot] + inner + mrefs[slot + 1:]
-                            right_side = M.try_act_left(pq, flat)
+                            left_side = left_cell(
+                                p, ms[:slot] + (qm,) + ms[slot + 1:])
+                            right_side = left_cell(
+                                pq, ms[:slot] + inner + ms[slot + 1:])
                             report.note("left-assoc")
                             if (left_side is not None
                                     and right_side is not None
                                     and left_side != right_side):
                                 report.fail("left-assoc",
-                                            f"{pref} o_{slot} {qref}")
-                for sigma in perms.all_perms(n):
-                    p2 = M.left.act(pref, sigma)
-                    permuted = tuple(mrefs[sigma[t]] for t in range(n))
-                    left_side = M.try_act_left(p2, permuted)
+                                            f"{lnum.refs[p]} o_{slot} "
+                                            f"{lnum.refs[q]}")
+                for sigma in perms.all_perms(len(s[0])):
+                    left_side = left_cell(L.image(p, sigma),
+                                         tuple(ms[t] for t in sigma))
                     report.note("left-equivariance")
                     if left_side is not None:
-                        sizes = [len(m[0][0]) for m in mrefs]
-                        want = M.act(pm, perms.block_permutation(sigma, sizes))
+                        sizes = [len(sigs[m][0]) for m in ms]
+                        want = num.image(
+                            pm, perms.block_permutation(sigma, sizes))
                         if left_side != want:
                             report.fail("left-equivariance",
-                                        f"{pref} perm {sigma}")
+                                        f"{lnum.refs[p]} perm {sigma}")
 
     # compatibility of the two actions; each element's right actions on
     # the blocks of its inputs are computed once
-    right_acted = {}
+    def act_right(m, qs):
+        return _gamma_by_size(right_cell, m, qs, sigs.__getitem__,
+                              rnum.sigs.__getitem__)
 
+    @cache
     def blocks(m):
-        got = right_acted.get(m)
-        if got is None:
-            got = right_acted[m] = [
-                (block, _gamma_by_size(M.try_act_right1, m, block))
+        return [(block, act_right(m, block))
                 for block in product(*[r_by_color.get(c, ())
-                                       for c in m[0][0]])]
-        return got
+                                       for c in sigs[m][0]])]
 
-    for s in M.left.signatures():
+    for s in L.signatures():
         if len(report.violations) >= max_violations:
             return report
-        for p in M.left.ops_at(s):
-            pref = (s, p)
-            for mrefs in m_tuples(s[0]):
-                pm = M.try_act_left(pref, mrefs)
+        for p in L.values_at(s):
+            for ms in m_tuples(s[0]):
+                pm = left_cell(p, ms)
                 if pm is None:
                     continue
-                for combo in product(*[blocks(m) for m in mrefs]):
+                for combo in product(*[blocks(m) for m in ms]):
                     flat = [q for block, _ in combo for q in block]
-                    left_side = _gamma_by_size(M.try_act_right1, pm, flat)
+                    left_side = act_right(pm, flat)
                     acted = tuple(a for _, a in combo)
                     right_side = (None if None in acted
-                                  else M.try_act_left(pref, acted))
+                                  else left_cell(p, acted))
                     report.note("compatibility")
                     if (left_side is not None and right_side is not None
                             and left_side != right_side):
-                        report.fail("compatibility", f"{pref} on {mrefs}")
+                        report.fail("compatibility", f"{lnum.refs[p]} on "
+                                    f"{tuple(refs[m] for m in ms)}")
                         if len(report.violations) >= max_violations:
                             return report
     return report
@@ -410,50 +445,19 @@ def hochschild_comparison(P, bar):
 # right modules, restriction
 
 
-@dataclass
-class RightModule:
-    over: TableMulticategory
-    collection: FiniteCollection
-    table: dict = field(repr=False, default_factory=dict)
-    name: str = ""
-
-    def act1(self, mref, slot, qref):
-        got = self.try_act1(mref, slot, qref)
-        if got is None:
-            raise StructuralError(
-                f"missing right action {mref} o_{slot} {qref}")
-        return got
-
-    def try_act1(self, mref, slot, qref):
-        if self.over.is_unit(qref):
-            return mref
-        return self.table.get((mref, slot, qref))
-
-    def act(self, mref, p):
-        return self.collection.act(mref, p)
-
-    def refs(self):
-        return self.collection.refs()
-
-    def out_colors(self):
-        return tuple(sorted({s[1] for s in self.collection.ops}))
-
-
 def right_module_from(M):
-    if isinstance(M, RightModule):
-        return M
+    """M itself if it is a bimodule, else the regular module of the
+    multicategory M."""
     if isinstance(M, Bimodule):
-        return RightModule(over=M.right, collection=M.collection,
-                           table=M.right_table, name=M.name)
-    mod = module_from_multicategory(M)
-    return RightModule(over=M, collection=M.collection,
-                       table=mod.right_table, name=M.name)
+        return M
+    return module_from_multicategory(M)
 
 
 def restrict_module(N, psi):
-    """Reindex a right module along a multifunctor into its acting
-    multicategory: same elements, inputs recolored through the object map,
-    action through the operation maps."""
+    """Reindex the right action of a bimodule along a multifunctor into
+    its acting multicategory: same elements, inputs recolored through the
+    object map, action through the operation maps.  The result is a right
+    module, a :class:`Bimodule` with no left action."""
     R = psi.source
     S = psi.target
     fibers = {c: [d for d in R.colors if psi.object_map[d] == c]
@@ -482,14 +486,14 @@ def restrict_module(N, psi):
                     if qs[1] != color:
                         continue
                     for q in R.ops_at(qs):
-                        base = N.try_act1((origin[s], m), slot,
-                                          psi.map_ref((qs, q)))
+                        base = N.try_act_right1((origin[s], m), slot,
+                                                psi.map_ref((qs, q)))
                         if base is None:
                             continue
                         rsig = composed_sig(s, slot, qs)
                         table[((s, m), slot, (qs, q))] = (rsig, base[1])
-    return RightModule(over=R, collection=coll, table=table,
-                       name=f"restrict({N.name})")
+    return Bimodule(left=None, right=R, collection=coll, right_table=table,
+                    name=f"restrict({N.name})")
 
 
 # ---------------------------------------------------------------------------
@@ -531,7 +535,7 @@ def tensor_act_right(N, elem, slot, qref):
     for S, mref in blocks:
         if slot in S:
             local = sorted(S).index(slot)
-            acted = N.try_act1(mref, local, qref)
+            acted = N.try_act_right1(mref, local, qref)
             if acted is None:
                 return None
             newS = []
@@ -570,14 +574,14 @@ def enumerate_module_homs(N, factors, target, max_arity, budget=200000):
             if e2 in elem_sets.get(s2, ()):
                 yield (s2, e2), N.act(value, p)
         for slot, color in enumerate(s[0]):
-            for qs in N.over.signatures():
+            for qs in N.right.signatures():
                 if qs[1] != color or len(s[0]) + len(qs[0]) - 1 > max_arity:
                     continue
-                for q in N.over.ops_at(qs):
+                for q in N.right.ops_at(qs):
                     e2 = tensor_act_right(N, e, slot, (qs, q))
                     if e2 is None:
                         continue
-                    v2 = N.try_act1(value, slot, (qs, q))
+                    v2 = N.try_act_right1(value, slot, (qs, q))
                     if v2 is None:
                         continue
                     s2 = (composed_sig((s[0], "*"), slot, qs)[0], s[1])
@@ -615,7 +619,7 @@ def end_right_module(M, arity_cap=None, budget=200000):
     the default arity cap is that same maximum, which keeps the canonical
     comparison meaningful for arity-truncated modules."""
     N = right_module_from(M)
-    out_colors = N.out_colors()
+    out_colors = tuple(sorted({s[1] for s in N.collection.ops}))
     max_arity = max((len(s[0]) for s in N.collection.ops), default=0)
     if arity_cap is None:
         arity_cap = max_arity
@@ -703,46 +707,31 @@ def analyze_pointed(M, arity_cap=None, budget=200000):
     quasi_free = None
     witness = None
     if pointed and M.left is M.right:
-        N = right_module_from(M)
-        max_arity = max((len(s[0]) for s in N.collection.ops), default=0)
+        max_arity = max((len(s[0]) for s in M.collection.ops), default=0)
         if arity_cap is None:
             arity_cap = max(max_arity, Q.max_arity())
         table, _homs = end_right_module(M, arity_cap=arity_cap,
                                         budget=budget)
-        op_maps = {}
-        ok = True
-        for qs in Q.signatures():
-            if len(qs[0]) > arity_cap:
-                continue
-            table_q = {}
-            for q in Q.ops_at(qs):
-                h = {}
-                factors = tuple(qs[0])
-                for s, es in tensor_elements(N, list(factors),
-                                             max_arity).items():
-                    for e in es:
-                        _, blocks = e
-                        val = M.try_act_left((qs, q),
-                                             tuple(m for _, m in blocks))
-                        if val is None:
-                            ok = False
-                            break
-                        h[s, e] = perms.unshuffle(M.act, val,
-                                                  _block_order(blocks))
-                    if not ok:
-                        break
-                if not ok:
-                    break
-                table_q[q] = _hom_id(h)
-            if not ok:
-                break
-            op_maps[qs] = table_q
-        if ok:
+
+        def comparison(qs, q):
+            # the left action of q as a module map, or None where the
+            # action is undefined
+            h = {}
+            for s, es in tensor_elements(M, list(qs[0]), max_arity).items():
+                for _, blocks in es:
+                    val = M.try_act_left((qs, q), tuple(m for _, m in blocks))
+                    if val is None:
+                        return None
+                    h[s, ("tens", blocks)] = perms.unshuffle(
+                        M.act, val, _block_order(blocks))
+            return _hom_id(h)
+
+        op_maps = {qs: {q: comparison(qs, q) for q in Q.ops_at(qs)}
+                   for qs in Q.signatures() if len(qs[0]) <= arity_cap}
+        if all(None not in table_q.values() for table_q in op_maps.values()):
             chi = Multifunctor(source=Q, target=table,
                                object_map={a: a for a in Q.colors},
                                op_maps=op_maps)
-            from .core import is_equivalence
-
             rep = is_equivalence(chi)
             quasi_free = rep.is_equivalence
             witness = rep.witnesses[:3]

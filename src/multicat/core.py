@@ -355,10 +355,12 @@ class TableMulticategory:
         return s in self.ops
 
 
-def _gamma_by_size(compose1, pref, qrefs, sig_of=itemgetter(0)):
+def _gamma_by_size(compose1, pref, qrefs, sig_of=itemgetter(0),
+                   arg_sig_of=None):
     """p(q_1..q_n) by ``compose1``, or None as soon as a step gives None;
     ``sig_of`` gives an operation's signature (a reference's by default,
-    a value's when composing values).
+    a value's when composing values) and ``arg_sig_of`` an argument's,
+    where the arguments are numbered apart (``sig_of`` by default).
 
     Arguments are substituted smallest arity first so that, on a table
     truncated by arity, intermediate composites stay inside the support
@@ -367,7 +369,7 @@ def _gamma_by_size(compose1, pref, qrefs, sig_of=itemgetter(0)):
     if len(qrefs) != n:
         raise CompositionError(
             f"gamma needs {n} arguments, got {len(qrefs)}")
-    arity = [len(sig_of(q)[0]) for q in qrefs]
+    arity = [len((arg_sig_of or sig_of)(q)[0]) for q in qrefs]
     positions = list(range(len(qrefs)))
     order = sorted(range(len(qrefs)), key=arity.__getitem__)
     out = pref

@@ -378,6 +378,8 @@ def internal_hom(P, Q, arity_cap=3, budget=10 ** 6):
     the tables run on Q's values; the op ids and the components of
     ``knats`` are text.
     """
+    if arity_cap < 0:
+        raise DomainError("the arity cap must be >= 0")
     functors = enumerate_multifunctors(P, Q, budget=budget)
     ids = {i: F for i, F in enumerate(functors)}
     color_of = {i: f"F{i}" for i in ids}

@@ -419,12 +419,11 @@ def _side_relations(M, other_colors, fixed_right, gens):
     return rels
 
 
-def coproduct(P, Q, allow_partial=False):
+def coproduct(P, Q):
     """The presentation whose saturation is the coproduct: slices of P and
     Q at each other's colors, with no interchange relations."""
-    if not allow_partial:
-        _require_complete(P)
-        _require_complete(Q)
+    _require_complete(P)
+    _require_complete(Q)
     gens = _tensor_generators(P, Q)
     rels = []
     rels += _side_relations(P, Q.colors, True, gens)
@@ -464,10 +463,10 @@ def interchange_relations(P, Q, gens):
     return rels
 
 
-def bv_tensor(P, Q, max_arity=3, max_vertices=4, allow_partial=False):
+def bv_tensor(P, Q, max_arity=3, max_vertices=4):
     """The universal bilinear target: the coproduct presentation extended
     by the interchange relations, saturated within caps."""
-    pres = coproduct(P, Q, allow_partial=allow_partial)
+    pres = coproduct(P, Q)
     rels = list(pres.relations)
     rels += interchange_relations(P, Q, pres.generators)
     full = Presentation(pres.generators, tuple(rels),
@@ -513,16 +512,15 @@ def arrow_multicategory(P, n):
 # pushouts of multifunctor spans
 
 
-def pushout(F, G, allow_partial=False):
+def pushout(F, G):
     """Presentation of the pushout of B <- A -> C along multifunctors F, G:
     generators from B and C, their composition relations, and one relation
     identifying the two images of every operation of A."""
     A, B, C = F.source, F.target, G.target
     if G.source is not A:
         raise DomainError("the span must share its source")
-    if not allow_partial:
-        for M in (A, B, C):
-            _require_complete(M)
+    for M in (A, B, C):
+        _require_complete(M)
 
     # colors: quotient of the disjoint union by F(a) ~ G(a)
     items = [("b", c) for c in B.colors] + [("c", c) for c in C.colors]

@@ -712,6 +712,8 @@ def circle_product(m_coll, n_coll, max_arity=3):
     """Circle product of two finite collections, as a collection whose
     operation ids encode the canonical two-level trees, and the map from
     each ``(signature, id)`` to its nested element."""
+    if max_arity < 0:
+        raise DomainError("the arity cap must be >= 0")
     below = base_layer(n_coll)
     layer = circle_layer(m_coll, below, max_arity)
     text = [elem_text(e) for e in layer.nested]

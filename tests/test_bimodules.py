@@ -154,6 +154,37 @@ class TestLaws:
         laws = {law for law, _ in report.violations}
         assert laws & {"compatibility", "right-assoc", "right-equivariance"}
 
+    def test_wrong_unit_right_row_is_a_right_unit_violation(self):
+        # a table entry is read before the unit: a unit row that moves its
+        # element is a violation, not a row the lookup skips
+        as2 = assoc_multicategory(2)
+        mod = module_from_multicategory(as2)
+        s1, s2 = (("x",), "x"), (("x", "x"), "x")
+        bad_right = dict(mod.right_table)
+        key = ((s2, "w01"), 0, (s1, "w0"))
+        assert bad_right[key] == (s2, "w01")
+        bad_right[key] = (s2, "w10")
+        bad = Bimodule(left=as2, right=as2, collection=mod.collection,
+                       left_table=mod.left_table, right_table=bad_right)
+        assert bad.try_act_right1(*key) == (s2, "w10")
+        report = check_bimodule(bad)
+        assert report.violations[0] == (
+            "right-unit", "((('x', 'x'), 'x'), 'w01') slot 0")
+
+    def test_wrong_unit_left_row_is_a_left_assoc_violation(self):
+        as2 = assoc_multicategory(2)
+        mod = module_from_multicategory(as2)
+        s1, s2 = (("x",), "x"), (("x", "x"), "x")
+        bad_left = dict(mod.left_table)
+        key = ((s1, "w0"), ((s2, "w01"),))
+        assert bad_left[key] == (s2, "w01")
+        bad_left[key] = (s2, "w10")
+        bad = Bimodule(left=as2, right=as2, collection=mod.collection,
+                       left_table=bad_left, right_table=mod.right_table)
+        assert bad.try_act_left(*key) == (s2, "w10")
+        report = check_bimodule(bad)
+        assert "left-assoc" in {law for law, _ in report.violations}
+
     def test_right_action_must_be_equivariant_in_its_argument(self):
         # As3 acting on its regular module along the collapse of each word
         # to the identity word of its arity: associative, unital and
@@ -291,7 +322,7 @@ class TestEndRightModule:
                             continue
                         for q in AS2P.ops_at(qs):
                             e2 = tensor_act_right(N, e, slot, (qs, q))
-                            v2 = N.try_act1(v, slot, (qs, q))
+                            v2 = N.try_act_right1(v, slot, (qs, q))
                             if e2 is None or v2 is None:
                                 continue
                             s2 = ((s[0][:slot] + qs[0] + s[0][slot + 1:]),
@@ -364,9 +395,9 @@ class TestRestriction:
             op_maps={((("u",), "u")): {"1": "w0"}})
         N = right_module_from(AS2P)
         out = restrict_module(N, incl)
-        for (mref, slot, qref), val in out.table.items():
+        for (mref, slot, qref), val in out.right_table.items():
             # compatibility: the restricted action agrees with acting in
             # the original module through the functor
-            orig = N.act1((((("x",) * len(mref[0][0])), "x"), mref[1]),
-                          slot, incl.map_ref(qref))
+            orig = N.act_right1((((("x",) * len(mref[0][0])), "x"), mref[1]),
+                                slot, incl.map_ref(qref))
             assert val[1] == orig[1]

@@ -383,6 +383,23 @@ DOMAIN_ERRORS = {
         ("end", "as2.mcat", "--carrier", "x=a,b", "--map", "x=a:b,b:a",
          "--target-carrier", "y=a,b"),
         "error: the target has no carrier x"),
+    "hom-negative-arity": (
+        ("hom", "as2.mcat", "As2", "As2", "--cap-arity", "-1"),
+        "error: the arity cap must be >= 0"),
+    "end-negative-arity": (
+        ("end", "as2.mcat", "--carrier", "x=a,b", "--cap-arity", "-1"),
+        "error: the arity cap must be >= 0"),
+    "end-map-negative-arity": (
+        ("end", "as2.mcat", "--carrier", "x=a,b", "--map", "x=a:b,b:a",
+         "--target-carrier", "x=a,b", "--cap-arity", "-1"),
+        "error: the arity cap must be >= 0"),
+    "end-pair-negative-arity": (
+        ("end", "as2.mcat", "--carrier", "x=a,b", "--pair-target", "x=a,b",
+         "--cap-arity", "-1"),
+        "error: the arity cap must be >= 0"),
+    "circle-negative-arity": (
+        ("bar", "as2.mcat", "--circle", "As2,As2", "--cap-arity", "-1"),
+        "error: the arity cap must be >= 0"),
 }
 
 
@@ -487,6 +504,19 @@ def test_unusable_row_is_a_diagnostic(name, docs_dir, tmp_path, capsys):
     assert f"{lineno}:0: STRUCT" in err and "Traceback" not in err
 
 
+def test_wrong_unit_ract_row_is_a_law_diagnostic(docs_dir, tmp_path, capsys):
+    # the row is read before the unit, so the check sees it
+    row = "  ract (x,x;x) w01 1 (x;x) w0 = (x,x;x) w01"
+    text = (docs_dir / "bimod.mcat").read_text()
+    assert text.count(row + "\n") == 1
+    path = tmp_path / "mutant.mcat"
+    path.write_text(text.replace(row, row[:-3] + "w10"))
+    assert run_cli("check", str(path)) == 1
+    assert capsys.readouterr().err.splitlines()[0] == (
+        "16:0: LAW: Reg: right-unit violated at "
+        "((('x', 'x'), 'x'), 'w01') slot 0")
+
+
 FIXTURE_TEXTS = sorted(
     p.read_text()
     for p in (Path(__file__).resolve().parent.parent / "fixtures").glob(
@@ -522,3 +552,17 @@ def test_mutated_fixtures_only_give_diagnostics(text):
     if ast is not None:
         _, diags = dsl.elaborate(ast)
         assert all(isinstance(d, dsl.Diagnostic) for d in diags)
+
+
+def test_fixture_generator_reproduces_the_fixtures(docs_dir, tmp_path,
+                                                   monkeypatch):
+    import gen_docs
+
+    monkeypatch.setattr(gen_docs, "OUT", tmp_path)
+    gen_docs.main()
+    written = sorted(p.name for p in tmp_path.iterdir())
+    assert written == sorted(p.name for p in docs_dir.glob("*.mcat"))
+    assert len(written) == 12
+    for name in written:
+        assert (tmp_path / name).read_bytes() == (
+            docs_dir / name).read_bytes(), name

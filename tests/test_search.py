@@ -214,17 +214,17 @@ def ref_module_homs(N, factors, target, max_arity, budget=200000):
                     assign[k2] = v2
                     queue.append(k2)
             for slot, color in enumerate(s[0]):
-                for qs in N.over.signatures():
+                for qs in N.right.signatures():
                     if qs[1] != color:
                         continue
                     if len(s[0]) + len(qs[0]) - 1 > max_arity:
                         continue
-                    for q in N.over.ops_at(qs):
+                    for q in N.right.ops_at(qs):
                         qref = (qs, q)
                         e2 = tensor_act_right(N, e, slot, qref)
                         if e2 is None:
                             continue
-                        v2 = N.try_act1(value, slot, qref)
+                        v2 = N.try_act_right1(value, slot, qref)
                         if v2 is None:
                             continue
                         s2 = (composed_sig((s[0], "*"), slot, qs)[0], s[1])

@@ -6,6 +6,8 @@ The references below are the earlier ``check_multicategory_laws`` and
 of its slot action itself, and the bimodule one never checked that the
 right action is equivariant in its argument."""
 
+import hashlib
+import json
 from dataclasses import replace
 from itertools import product
 from pathlib import Path
@@ -15,7 +17,7 @@ import pytest
 from multicat import dsl, perms
 from multicat.algebras import EndView, ObjectFamily, end_of_map
 from multicat.bimodules import (Bimodule, check_bimodule,
-                                module_from_multicategory, right_module_from)
+                                module_from_multicategory)
 from multicat.core import (LawReport, TableMulticategory,
                            check_multicategory_laws, composed_sig, sig_key)
 from multicat.errors import StructuralError
@@ -483,6 +485,19 @@ def seeded_bimodule():
                     left_table=mod.left_table, right_table=bad_right)
 
 
+def seeded_left_bimodule():
+    # As3's regular bimodule with one non-unit left action row changed
+    mod = module_from_multicategory(AS3)
+    s1 = (("x",), "x")
+    s2 = (("x", "x"), "x")
+    bad_left = dict(mod.left_table)
+    key = (s2, "w01"), ((s1, "w0"), (s1, "w0"))
+    assert bad_left[key] == (s2, "w01")
+    bad_left[key] = (s2, "w10")
+    return Bimodule(left=AS3, right=AS3, collection=mod.collection,
+                    left_table=bad_left, right_table=mod.right_table)
+
+
 BIMODULES = {
     "I": lambda: module_from_multicategory(I),
     "As2": lambda: module_from_multicategory(AS2),
@@ -491,6 +506,7 @@ BIMODULES = {
     "As3pos": lambda: module_from_multicategory(AS3P),
     "Reg": lambda: fixture_objects()["bimod:Reg"],
     "seeded-compatibility": seeded_bimodule,
+    "seeded-left": seeded_left_bimodule,
 }
 UNCAPPED = 10 ** 9
 RIGHT_SLOT_LAWS = {"right-assoc", "right-parallel", "right-equivariance"}
@@ -546,6 +562,38 @@ def test_bimodule_laws_match_reference(name):
     assert ([v for v in new.violations if v[0] not in RIGHT_SLOT_LAWS
              and v[0] != "right-equivariance-inner"]
             == [v for v in ref.violations if v[0] not in RIGHT_SLOT_LAWS])
+
+
+# sha256 of the capped reports of the seeded bimodules, as JSON together
+# with the order of ``checked``, taken while the left laws and the
+# compatibility law looked the actions up on references: (name, cap) ->
+# (violations, digest)
+CAPPED_REPORTS = {
+    ("seeded-compatibility", 1): (
+        1,
+        "ecd5b568b5dda30e7396ebaa2b227162ef2beb7ed3990ca6c8140031eec45f3d"),
+    ("seeded-compatibility", 25): (
+        25,
+        "1a118bf53035f42f449d8470ea75c03f1afdddfeddb1a504528166c3d56527ae"),
+    ("seeded-left", 1): (
+        18,
+        "edd4775aef7541a2fe220c2f7fd9a9d2ddba9f76aaab085b8187d61e60345420"),
+    ("seeded-left", 25): (
+        108,
+        "a63f7ea30ca45a68ed9f32658785a517687a467d46c36f6378059c13f097ad00"),
+}
+
+
+@pytest.mark.parametrize("name,cap", sorted(CAPPED_REPORTS))
+def test_bimodule_law_check_stops_where_it_did(name, cap):
+    # the cap is compared between elements for the slot laws, between
+    # signatures of the left multicategory for the left laws, and after
+    # each compatibility violation
+    report = check_bimodule(BIMODULES[name](), max_violations=cap)
+    doc = json.dumps([report.to_json(), list(report.checked)])
+    assert (len(report.violations),
+            hashlib.sha256(doc.encode()).hexdigest()) == CAPPED_REPORTS[
+                name, cap]
 
 
 # ---------------------------------------------------------------------------
@@ -604,15 +652,12 @@ def test_end_view_compose_lookup():
 def test_module_action_lookups(name):
     M = TABLES[name]()
     mod = module_from_multicategory(M, max_arity=2)
-    right = right_module_from(mod)
     refs = list(mod.refs())
     absent = []
     for m, slot, q in slot_instances(refs, M):
         message = f"missing right action {m} o_{slot} {q}"
         absent.append(assert_lookup_pair(
             mod.try_act_right1, mod.act_right1, (m, slot, q), message))
-        assert assert_lookup_pair(
-            right.try_act1, right.act1, (m, slot, q), message) == absent[-1]
     assert any(absent) and not all(absent)
     absent = []
     for p in refs:
