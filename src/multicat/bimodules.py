@@ -23,10 +23,10 @@ from functools import cache, cached_property
 from itertools import product
 
 from . import perms
-from .core import (FiniteCollection, LawReport, TableMulticategory,
-                   TruncatedSimplicialSet, _gamma_by_size, backtrack,
-                   check_slot_laws, composed_sig, is_equivalence, sig_key,
-                   tabulate)
+from .core import (CellLookup, FiniteCollection, LawReport,
+                   TableMulticategory, TruncatedSimplicialSet, _gamma_by_size,
+                   backtrack, check_slot_laws, composed_sig, is_equivalence,
+                   sig_key, tabulate)
 from .errors import DomainError, StructuralError
 from .homcalc import Multifunctor
 from .presents import UnionFind
@@ -152,13 +152,17 @@ def check_bimodule(M, max_violations=25):
     - ``left-assoc`` and ``left-equivariance`` of the left action;
     - ``compatibility`` of the two actions.
 
-    Every law runs on the numbers of the elements and operations, through
-    :meth:`Bimodule.right_cell` and :meth:`Bimodule.left_cell`; text is
-    written only into witnesses.  Instances whose intermediate values fall
-    outside the support are skipped.  ``max_violations`` is compared
-    between elements for the right laws, between signatures of ``M.left``
-    for the left laws, and after each compatibility violation, so the
-    report can hold more violations than that."""
+    Every law runs on the numbers of the elements and operations; text is
+    written only into witnesses.  The right slot laws index lookups
+    (:class:`core.CellLookup`) of the right action and of ``M.right``.
+    A left action ``p(ms)`` off the composed signature raises
+    StructuralError, so the inputs of ``p(ms)`` are those of ``ms`` in
+    turn and ``compatibility`` reads its left side off their right
+    actions.  Instances whose intermediate values fall outside the
+    support are skipped.  ``max_violations`` is compared between elements
+    for the right laws, between signatures of ``M.left`` for the left
+    laws, and after each compatibility violation, so the report can hold
+    more than that."""
     report = LawReport()
     coll = M.collection
 
@@ -186,6 +190,23 @@ def check_bimodule(M, max_violations=25):
     def m_tuples(colors):
         return product(*[m_by_color.get(c, ()) for c in colors])
 
+    def left_acted():
+        # (p, ms, p(ms)) where defined, stopping between signatures at cap
+        for s in L.signatures():
+            if len(report.violations) >= max_violations:
+                return
+            for p in L.values_at(s):
+                for ms in m_tuples(s[0]):
+                    pm = left_cell(p, ms)
+                    if pm is None:
+                        continue
+                    if sigs[pm][0] != sum((sigs[m][0] for m in ms), ()):
+                        raise StructuralError(
+                            f"left action {lnum.refs[p]} on "
+                            f"{tuple(refs[m] for m in ms)} gives {refs[pm]}, "
+                            "off the composed signature")
+                    yield p, ms, pm
+
     for m in num.ops:
         for slot, color in enumerate(sigs[m][0]):
             got = right_cell(m, slot, M.right.unit_value(color))
@@ -193,85 +214,62 @@ def check_bimodule(M, max_violations=25):
             if got is not None and got != m:
                 report.fail("right-unit", f"{refs[m]} slot {slot}")
 
-    check_slot_laws(report, coll, right_cell, M.right, M.right.cell, True,
+    right = CellLookup(M._right_cells, right_cell, num, M.right, False)
+    Q = CellLookup(M.right.numbered_cells(), M.right.cell, rnum, M.right)
+    check_slot_laws(report, coll, right, M.right, Q, True,
                     ("right-assoc", "right-parallel", "right-equivariance",
                      "right-equivariance-inner"),
                     max_violations)
 
     # left associativity and equivariance
-    for s in L.signatures():
-        if len(report.violations) >= max_violations:
-            return report
-        for p in L.values_at(s):
-            for ms in m_tuples(s[0]):
-                pm = left_cell(p, ms)
-                if pm is None:
+    for p, ms, pm in left_acted():
+        for slot, color in enumerate(lnum.sigs[p][0]):
+            for q in l_by_color.get(color, ()):
+                pq = L.cell(p, slot, q)
+                if pq is None:
                     continue
-                for slot, color in enumerate(s[0]):
-                    for q in l_by_color.get(color, ()):
-                        pq = L.cell(p, slot, q)
-                        if pq is None:
-                            continue
-                        for inner in m_tuples(lnum.sigs[q][0]):
-                            qm = left_cell(q, inner)
-                            if qm is None:
-                                continue
-                            left_side = left_cell(
-                                p, ms[:slot] + (qm,) + ms[slot + 1:])
-                            right_side = left_cell(
-                                pq, ms[:slot] + inner + ms[slot + 1:])
-                            report.note("left-assoc")
-                            if (left_side is not None
-                                    and right_side is not None
-                                    and left_side != right_side):
-                                report.fail("left-assoc",
-                                            f"{lnum.refs[p]} o_{slot} "
-                                            f"{lnum.refs[q]}")
-                for sigma in perms.all_perms(len(s[0])):
-                    left_side = left_cell(L.image(p, sigma),
-                                         tuple(ms[t] for t in sigma))
-                    report.note("left-equivariance")
-                    if left_side is not None:
-                        sizes = [len(sigs[m][0]) for m in ms]
-                        want = num.image(
-                            pm, perms.block_permutation(sigma, sizes))
-                        if left_side != want:
-                            report.fail("left-equivariance",
-                                        f"{lnum.refs[p]} perm {sigma}")
+                for inner in m_tuples(lnum.sigs[q][0]):
+                    qm = left_cell(q, inner)
+                    if qm is None:
+                        continue
+                    left_side = left_cell(p, ms[:slot] + (qm,) + ms[slot + 1:])
+                    right_side = left_cell(pq,
+                                           ms[:slot] + inner + ms[slot + 1:])
+                    report.note("left-assoc")
+                    if (left_side is not None and right_side is not None
+                            and left_side != right_side):
+                        report.fail("left-assoc", f"{lnum.refs[p]} o_{slot} "
+                                    f"{lnum.refs[q]}")
+        for sigma in perms.all_perms(len(ms)):
+            left_side = left_cell(L.image(p, sigma),
+                                 tuple(ms[t] for t in sigma))
+            report.note("left-equivariance")
+            if left_side is not None:
+                sizes = [len(sigs[m][0]) for m in ms]
+                want = num.image(pm, perms.block_permutation(sigma, sizes))
+                if left_side != want:
+                    report.fail("left-equivariance",
+                                f"{lnum.refs[p]} perm {sigma}")
 
-    # compatibility of the two actions; each element's right actions on
-    # the blocks of its inputs are computed once
-    def act_right(m, qs):
-        return _gamma_by_size(right_cell, m, qs, sigs.__getitem__,
-                              rnum.sigs.__getitem__)
-
+    # compatibility: pm's inputs are those of ms in turn, so its right
+    # actions in product order pair off with the products of theirs
     @cache
-    def blocks(m):
-        return [(block, act_right(m, block))
+    def acted_on(m):
+        return [_gamma_by_size(right_cell, m, block, sigs.__getitem__,
+                               rnum.sigs.__getitem__)
                 for block in product(*[r_by_color.get(c, ())
                                        for c in sigs[m][0]])]
 
-    for s in L.signatures():
-        if len(report.violations) >= max_violations:
-            return report
-        for p in L.values_at(s):
-            for ms in m_tuples(s[0]):
-                pm = left_cell(p, ms)
-                if pm is None:
-                    continue
-                for combo in product(*[blocks(m) for m in ms]):
-                    flat = [q for block, _ in combo for q in block]
-                    left_side = act_right(pm, flat)
-                    acted = tuple(a for _, a in combo)
-                    right_side = (None if None in acted
-                                  else left_cell(p, acted))
-                    report.note("compatibility")
-                    if (left_side is not None and right_side is not None
-                            and left_side != right_side):
-                        report.fail("compatibility", f"{lnum.refs[p]} on "
-                                    f"{tuple(refs[m] for m in ms)}")
-                        if len(report.violations) >= max_violations:
-                            return report
+    for p, ms, pm in left_acted():
+        for left_side, acted in zip(acted_on(pm), product(*map(acted_on, ms))):
+            right_side = None if None in acted else left_cell(p, acted)
+            report.note("compatibility")
+            if (left_side is not None and right_side is not None
+                    and left_side != right_side):
+                report.fail("compatibility", f"{lnum.refs[p]} on "
+                            f"{tuple(refs[m] for m in ms)}")
+                if len(report.violations) >= max_violations:
+                    return report
     return report
 
 

@@ -14,7 +14,7 @@ from . import dsl, jsonio
 from .core import (check_multicategory_laws, is_equivalence, nerve,
                    restrict_objects, extend_objects_injective,
                    underlying_category, TableMulticategory)
-from .errors import MulticatError
+from .errors import DomainError, MulticatError
 
 # operation -> owning subcommand; the coverage test keys off this table
 COMMAND_TABLE = {
@@ -278,6 +278,8 @@ def cmd_algebras(args):
     _, objects, diags = _load(args.file)
     if _print_diags(diags):
         return 1
+    if min(args.cap_arity, args.cap_vertices) < 0:  # though no mode reads them
+        raise DomainError("the arity and vertex caps must be >= 0")
     P = _need(objects, args.name, TableMulticategory)
     if args.p1:
         with _parsing("--p1", args.p1):

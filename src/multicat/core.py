@@ -355,6 +355,28 @@ class TableMulticategory:
         return s in self.ops
 
 
+class CellLookup(dict):
+    """A slot table ``(p, slot, q) -> r`` on numbers for the law checks to
+    index: ``cells`` first, then where it has none the unit rows ``(m,
+    slot, 1) -> m`` and, with ``left_units``, ``(1, 0, m) -> m``, for the
+    operations m of ``num`` and the units 1 of ``Q``.  Any other key is
+    answered once by ``rule(p, slot, q)``, and the answer is kept."""
+
+    def __init__(self, cells, rule, num, Q, left_units=True):
+        super().__init__(cells)
+        self.rule = rule
+        for m in num.ops:
+            ins, out = num.sigs[m]
+            for slot, color in enumerate(ins):
+                self.setdefault((m, slot, Q.unit_value(color)), m)
+            if left_units:
+                self.setdefault((Q.unit_value(out), 0, m), m)
+
+    def __missing__(self, key):
+        got = self[key] = self.rule(*key)
+        return got
+
+
 def _gamma_by_size(compose1, pref, qrefs, sig_of=itemgetter(0),
                    arg_sig_of=None):
     """p(q_1..q_n) by ``compose1``, or None as soon as a step gives None;
@@ -542,13 +564,14 @@ def check_multicategory_laws(M, max_violations=25):
     tables, then composition as a slot action of M on itself
     (:func:`check_slot_laws`), on the numbers of the operations.
 
-    For complete tables a composition cell that is absent although its
-    result signature is in the support is reported once, as a
-    ``missing-cell`` violation whose witness names the cell, and the
-    instances that need it are skipped.  For tables marked partial the
-    laws are verified on all instances whose every intermediate composite
-    is present.  ``max_violations`` is compared between elements, so the
-    report can hold more violations than that.
+    Composites come from one :class:`CellLookup`: the table entry first,
+    the unit rows filled in, and a miss answered once by :meth:`cell`; for
+    complete tables that answer reports a cell absent although its result
+    signature is in the support as a ``missing-cell`` violation naming
+    it, and the instances that need it are skipped.  For tables marked
+    partial the laws are verified on all instances whose every
+    intermediate composite is present.  ``max_violations`` is compared
+    between elements, so the report can hold more violations than that.
     """
     report = LawReport()
     coll = M.collection
@@ -582,44 +605,41 @@ def check_multicategory_laws(M, max_violations=25):
 
     num = coll.numbering
     refs, sigs, image = num.refs, num.sigs, num.image
-    for s in coll.signatures():
-        if not M.symmetric:
-            break
-        n = len(s[0])
+    # a row of images per operation, read through the products in S_n
+    rows = {m: [image(m, p) for p in perms.all_perms(len(sigs[m][0]))]
+            for m in num.ops} if M.symmetric else {}
+    for s in coll.signatures() if M.symmetric else ():
+        ps, times = perms.all_perms(len(s[0])), perms.products(len(s[0]))
         ms = [num.number((s, op)) for op in coll.ops[s]]
-        for p_ in perms.all_perms(n):
-            for q_ in perms.all_perms(n):
-                pq = perms.compose(p_, q_)
-                for m in ms:
-                    report.note("action-contravariant")
-                    if image(image(m, p_), q_) != image(m, pq):
-                        report.fail(
-                            "action-contravariant",
-                            f"{_ref_str(refs[m])} perms {p_},{q_}")
+        for (a, p_), (b, q_) in product(enumerate(ps), repeat=2):
+            for m in ms:
+                if rows[rows[m][a]][b] != rows[m][times[a][b]]:
+                    report.fail("action-contravariant",
+                                f"{_ref_str(refs[m])} perms {p_},{q_}")
+        if ms:
+            report.note("action-contravariant", len(ps) ** 2 * len(ms))
 
-    missed = set()
-
-    def comp(p, slot, q):
-        # the table's lookup, recording each absent cell of the support
+    def missing(p, slot, q):
         got = M.cell(p, slot, q)
-        if got is None and M.complete and (p, slot, q) not in missed:
-            missed.add((p, slot, q))
-            if composed_sig(sigs[p], slot, sigs[q]) in M.ops:
-                report.fail("missing-cell", f"({_ref_str(refs[p])}) o_{slot} "
-                            f"({_ref_str(refs[q])})")
+        if (got is None and M.complete
+                and composed_sig(sigs[p], slot, sigs[q]) in M.ops):
+            report.fail("missing-cell", f"({_ref_str(refs[p])}) o_{slot} "
+                        f"({_ref_str(refs[q])})")
         return got
+
+    comp = CellLookup(M.numbered_cells(), missing, num, M)
 
     # unit laws
     unit = {c: num.number(M.unit_ref(c)) for c in coll.colors}
     for m in num.ops:
         ins, out = sigs[m]
         for slot, color in enumerate(ins):
-            got = comp(m, slot, unit[color])
+            got = comp[m, slot, unit[color]]
             report.note("unit-right")
             if got is not None and got != m:
                 report.fail("unit-right", f"{_ref_str(refs[m])} o_{slot} "
                             f"1_{color} = {_ref_str(refs[got])}")
-        got = comp(unit[out], 0, m)
+        got = comp[unit[out], 0, m]
         report.note("unit-left")
         if got is not None and got != m:
             report.fail("unit-left", f"1_{out} o_0 {_ref_str(refs[m])} = "
@@ -634,14 +654,15 @@ def check_multicategory_laws(M, max_violations=25):
 
 def check_slot_laws(report, E, act1, Q, compose, symmetric, names,
                     max_violations):
-    """The laws of a slot action ``act1(m, i, q)`` of the multicategory Q
+    """The laws of a slot action ``act1[m, i, q]`` of the multicategory Q
     on the operations of the collection E, noted in ``report``: sequential
     and parallel associativity (against Q's ``compose``), then
     equivariance with the symmetric actions outside (E's) and inside
     (Q's) the slot.  Elements and operations are numbers
     (:attr:`FiniteCollection.numbering`): ``act1`` takes and gives E's
-    and ``compose`` Q's.  ``names`` gives the four law names in that
-    order.  Both lookups give None where they have no value, and such an
+    and ``compose`` Q's, both indexed by ``(p, slot, q)`` as
+    :class:`CellLookup` is.  ``names`` gives the four law names in that
+    order.  A lookup gives None where it has no value, and such an
     instance is counted but not compared.  Without ``symmetric`` the
     elements carry no symmetric action and no equivariance is checked;
     inner equivariance also needs Q symmetric.  Instances are counted per
@@ -664,14 +685,14 @@ def check_slot_laws(report, E, act1, Q, compose, symmetric, names,
         first = None  # the law of the element's first instance
         for i, color in enumerate(ins):
             for q in by_color.get(color, ()):
-                mq = act1(m, i, q)
+                mq = act1[m, i, q]
                 if mq is None:
                     continue
                 for j, color2 in enumerate(qsigs[q][0]):
                     for r in by_color.get(color2, ()):
-                        qr = compose(q, j, r)
-                        left = act1(mq, i + j, r)
-                        right = None if qr is None else act1(m, i, qr)
+                        qr = compose[q, j, r]
+                        left = act1[mq, i + j, r]
+                        right = None if qr is None else act1[m, i, qr]
                         n_seq += 1
                         if (left is not None and right is not None
                                 and left != right):
@@ -682,9 +703,9 @@ def check_slot_laws(report, E, act1, Q, compose, symmetric, names,
                 k = len(qsigs[q][0])
                 for j in range(i + 1, len(ins)):
                     for r in by_color.get(ins[j], ()):
-                        mr = act1(m, j, r)
-                        left = act1(mq, j + k - 1, r)
-                        right = None if mr is None else act1(mr, i, q)
+                        mr = act1[m, j, r]
+                        left = act1[mq, j + k - 1, r]
+                        right = None if mr is None else act1[mr, i, q]
                         n_par += 1
                         if (left is not None and right is not None
                                 and left != right):
@@ -709,8 +730,8 @@ def check_slot_laws(report, E, act1, Q, compose, symmetric, names,
             acted = num.image(m, sigma)
             for i in range(n):
                 for q in by_color.get(ins[sigma[i]], ()):
-                    base = act1(m, sigma[i], q)
-                    left = act1(acted, i, q)
+                    base = act1[m, sigma[i], q]
+                    left = act1[acted, i, q]
                     n_outer += 1
                     if base is not None and left is not None:
                         want = num.image(base, perms.expand_outer(
@@ -721,11 +742,11 @@ def check_slot_laws(report, E, act1, Q, compose, symmetric, names,
                                 f"slot {i} arg {_ref_str(qrefs[q])}")
         for i, color in enumerate(ins if Q.symmetric else ()):
             for q in by_color.get(color, ()):
-                base = act1(m, i, q)
+                base = act1[m, i, q]
                 if base is None:
                     continue
                 for tau in perms.all_perms(len(qsigs[q][0])):
-                    left = act1(m, i, qnum.image(q, tau))
+                    left = act1[m, i, qnum.image(q, tau)]
                     n_inner += 1
                     if left is not None:
                         want = num.image(base, perms.expand_inner(n, i, tau))

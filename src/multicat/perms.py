@@ -57,6 +57,15 @@ def all_perms(n):
 
 
 @cache
+def products(n):
+    """``[a][b]``: the position of ``compose(ps[a], ps[b])`` in ``ps``,
+    where ``ps = all_perms(n)``."""
+    ps = all_perms(n)
+    index = {p: a for a, p in enumerate(ps)}
+    return tuple(tuple(index[compose(p, q)] for q in ps) for p in ps)
+
+
+@cache
 def adjacent_transpositions(n):
     """The transpositions (i, i+1) of n letters in order of i, as one
     tuple per n."""

@@ -372,6 +372,14 @@ DOMAIN_ERRORS = {
     "saturate-negative-arity": (
         ("saturate", "magma.mcat", "--name", "Magma", "--cap-arity", "-1"),
         "error: the arity and vertex caps must be >= 0"),
+    "algebras-negative-arity": (
+        ("algebras", "as2.mcat", "--name", "As2", "--carrier", "x=a",
+         "--cap-arity", "-1"),
+        "error: the arity and vertex caps must be >= 0"),
+    "algebras-negative-vertices": (
+        ("algebras", "as2.mcat", "--name", "As2", "--carrier", "x=a",
+         "--cap-vertices", "-1"),
+        "error: the arity and vertex caps must be >= 0"),
     "hochschild-negative-levels": (
         ("hochschild", "as2pos.mcat", "--name", "As2pos", "--levels", "-1"),
         "error: levels and the arity cap must be >= 0"),

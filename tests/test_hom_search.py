@@ -184,8 +184,9 @@ def test_hom_matches_product_loop(case):
 
 
 # (P, Q, R, arity cap, vertex cap).  I, As2, As2 runs at arity cap 2: at 4
-# the tensor side already raises a missing-cell StructuralError out of
-# enumerate_multifunctors into the truncated As2, before any hom is built
+# hom_to_tensor refuses the truncated As2 with a PartialInputError, since
+# As2 has no operations at (x,x,x,x;x), where the tensor's arity-4
+# operations must go
 ADJUNCTION_CASES = {
     "I,As2,As2": lambda: (unit_multicategory(), assoc_multicategory(2),
                           assoc_multicategory(2), 2, 4),

@@ -18,13 +18,14 @@ from multicat import dsl, perms
 from multicat.algebras import EndView, ObjectFamily, end_of_map
 from multicat.bimodules import (Bimodule, check_bimodule,
                                 module_from_multicategory)
-from multicat.core import (LawReport, TableMulticategory,
+from multicat.core import (CellLookup, LawReport, TableMulticategory,
                            check_multicategory_laws, composed_sig, sig_key)
-from multicat.errors import StructuralError
+from multicat.errors import MulticatError, StructuralError
 from multicat.homcalc import internal_hom
 from multicat.presents import bv_tensor, saturate
 from multicat.standard import (assoc_multicategory, comm_multicategory,
-                               corrupt_unit, unit_multicategory)
+                               corrupt_unit, indiscrete_pair,
+                               unit_multicategory)
 from multicat.trees import build_tree_multicategory, free_multicategory
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -669,3 +670,87 @@ def test_module_action_lookups(name):
                     mod.try_act_left, mod.act_left, (p, args),
                     f"missing left action {p} on {args}"))
     assert any(absent) and not all(absent)
+
+
+# ---------------------------------------------------------------------------
+# the lookups the law checks index
+
+
+def renumbered(obj):
+    # the same object on a collection of its own, so that numbers made
+    # here stay out of the shared tables
+    return replace(obj, collection=replace(obj.collection))
+
+
+def outside_bimodule():
+    # As2's regular bimodule with a right action leaving the operations:
+    # w01 o_0 w01 goes to an arity-3 operation that As2 does not have
+    mod = renumbered(module_from_multicategory(AS2))
+    s2, s3 = (("x", "x"), "x"), (("x",) * 3, "x")
+    right_table = dict(mod.right_table)
+    right_table[(s2, "w01"), 0, (s2, "w01")] = (s3, "w012")
+    return replace(mod, right_table=right_table)
+
+
+def assert_answers_like(lookup, rule, num, ops, colors):
+    """``lookup`` answers every (number, slot, operation) key as ``rule``
+    does, twice, numbers made after the filling included."""
+    fresh = [num.number((((c,), c), "fresh")) for c in colors]
+    assert not any(p in fresh or q in fresh for p, _, q in lookup)
+    keys = [(m, slot, q) for m in range(len(num.refs))
+            for slot in range(len(num.sigs[m][0])) for q in ops]
+    want = [rule(*key) for key in keys]
+    assert [lookup[key] for key in keys] == want
+    assert [lookup[key] for key in keys] == want  # kept answers
+    return fresh
+
+
+@pytest.mark.parametrize("name", sorted(TABLES))
+def test_table_lookup_answers_like_cell(name):
+    M = renumbered(TABLES[name]())
+    num = M.collection.numbering
+    lookup = CellLookup(M.numbered_cells(), M.cell, num, M)
+    ops = list(num.ops)
+    ops += assert_answers_like(lookup, M.cell, num, ops, M.colors)
+    # fresh numbers as arguments too, where only the unit rule answers
+    assert_answers_like(lookup, M.cell, num, ops, ())
+
+
+@pytest.mark.parametrize("name", sorted(BIMODULES) + ["outside"])
+def test_right_action_lookup_answers_like_right_cell(name):
+    mod = outside_bimodule() if name == "outside" else renumbered(
+        BIMODULES[name]())
+    num = mod.collection.numbering
+    lookup = CellLookup(mod._right_cells, mod.right_cell, num, mod.right,
+                        False)
+    if name == "outside":
+        assert len(num.refs) > len(num.ops)
+    assert_answers_like(lookup, mod.right_cell, num,
+                        mod.right.collection.numbering.ops, mod.right.colors)
+
+
+# a row of a regular bimodule sent off the composed signature: (key,
+# composed result, new result).  On the two isomorphic colors the new
+# result keeps the arity, so no law lookup fails on it; on As2 the arity
+# changes, so left-equivariance would meet an action entry that is not
+# there ("no action entry for w0 at x;x under (0, 1)")
+OFF_SIGNATURE_ROWS = {
+    "two-colors": (indiscrete_pair(), (((("b",), "a"), "f"),
+                                       ((((("a",), "b"), "f"),))),
+                   ((("a",), "a"), "f"), ((("b",), "a"), "f")),
+    "As2": (AS2, (((("x", "x"), "x"), "w01"),
+                  (((("x",), "x"), "w0"), ((("x",), "x"), "w0"))),
+            ((("x", "x"), "x"), "w01"), ((("x",), "x"), "w0")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OFF_SIGNATURE_ROWS))
+def test_left_action_off_the_composed_signature_is_refused(name):
+    P, key, composed, off = OFF_SIGNATURE_ROWS[name]
+    mod = renumbered(module_from_multicategory(P))
+    assert mod.left_table[key] == composed
+    bad = replace(mod, left_table={**mod.left_table, key: off})
+    with pytest.raises(MulticatError) as exc:
+        check_bimodule(bad, max_violations=UNCAPPED)
+    assert str(exc.value) == (f"left action {key[0]} on {key[1]} gives "
+                              f"{off}, off the composed signature")
