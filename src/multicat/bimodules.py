@@ -214,8 +214,8 @@ def check_bimodule(M, max_violations=25):
             if got is not None and got != m:
                 report.fail("right-unit", f"{refs[m]} slot {slot}")
 
-    right = CellLookup(M._right_cells, right_cell, num, M.right, False)
-    Q = CellLookup(M.right.numbered_cells(), M.right.cell, rnum, M.right)
+    right = CellLookup(M._right_cells, right_cell)
+    Q = CellLookup(M.right.numbered_cells(), M.right.cell)
     check_slot_laws(report, coll, right, M.right, Q, True,
                     ("right-assoc", "right-parallel", "right-equivariance",
                      "right-equivariance-inner"),

@@ -34,14 +34,6 @@ from . import perms
 from .errors import (BudgetExceededError, CompositionError, DomainError,
                      StructuralError)
 
-Signature = tuple  # (tuple of input colors, output color)
-OpRef = tuple  # (Signature, op id)
-
-
-def sig(inputs, output):
-    return (tuple(inputs), output)
-
-
 def sig_key(s):
     """Stable text form of a signature, used in JSON and diagnostics."""
     return ",".join(s[0]) + ";" + s[1]
@@ -162,16 +154,13 @@ def complete_actions(ops, generators):
     given permutations do not generate the full group, or when a
     generator table misses an operation it is applied to.
     """
-    action = {}
-    for s in ops:
-        n = len(s[0])
-        action[s, perms.identity(n)] = {op: op for op in ops[s]}
+    action = {(s, perms.identity(len(s[0]))): {op: op for op in ops[s]}
+              for s in ops}
     frontier = list(action.keys())
     while frontier:
         s, p = frontier.pop()
         table = action[s, p]
         psig = (perms.permute(s[0], p), s[1])
-        n = len(s[0])
         for (gsig, t), gen in generators.items():
             if gsig != psig:
                 continue
@@ -192,8 +181,7 @@ def complete_actions(ops, generators):
                 action[key] = new_table
                 frontier.append(key)
     for s in ops:
-        n = len(s[0])
-        for p in perms.all_perms(n):
+        for p in perms.all_perms(len(s[0])):
             if (s, p) not in action:
                 raise StructuralError(
                     f"action generators do not reach {p} at {sig_key(s)}")
@@ -357,20 +345,12 @@ class TableMulticategory:
 
 class CellLookup(dict):
     """A slot table ``(p, slot, q) -> r`` on numbers for the law checks to
-    index: ``cells`` first, then where it has none the unit rows ``(m,
-    slot, 1) -> m`` and, with ``left_units``, ``(1, 0, m) -> m``, for the
-    operations m of ``num`` and the units 1 of ``Q``.  Any other key is
-    answered once by ``rule(p, slot, q)``, and the answer is kept."""
+    index: the entries of ``cells`` first, and any other key answered once
+    by ``rule(p, slot, q)``, the answer kept."""
 
-    def __init__(self, cells, rule, num, Q, left_units=True):
+    def __init__(self, cells, rule):
         super().__init__(cells)
         self.rule = rule
-        for m in num.ops:
-            ins, out = num.sigs[m]
-            for slot, color in enumerate(ins):
-                self.setdefault((m, slot, Q.unit_value(color)), m)
-            if left_units:
-                self.setdefault((Q.unit_value(out), 0, m), m)
 
     def __missing__(self, key):
         got = self[key] = self.rule(*key)
@@ -392,15 +372,15 @@ def _gamma_by_size(compose1, pref, qrefs, sig_of=itemgetter(0),
         raise CompositionError(
             f"gamma needs {n} arguments, got {len(qrefs)}")
     arity = [len((arg_sig_of or sig_of)(q)[0]) for q in qrefs]
-    positions = list(range(len(qrefs)))
-    order = sorted(range(len(qrefs)), key=arity.__getitem__)
+    positions = list(range(n))
+    order = sorted(range(n), key=arity.__getitem__)
     out = pref
     for i in order:
         k = arity[i]
         out = compose1(out, positions[i], qrefs[i])
         if out is None:
             return None
-        for j in range(len(qrefs)):
+        for j in range(n):
             if positions[j] > positions[i]:
                 positions[j] += k - 1
     return out
@@ -565,10 +545,10 @@ def check_multicategory_laws(M, max_violations=25):
     (:func:`check_slot_laws`), on the numbers of the operations.
 
     Composites come from one :class:`CellLookup`: the table entry first,
-    the unit rows filled in, and a miss answered once by :meth:`cell`; for
-    complete tables that answer reports a cell absent although its result
-    signature is in the support as a ``missing-cell`` violation naming
-    it, and the instances that need it are skipped.  For tables marked
+    and any other key answered once by :meth:`cell`; for complete tables
+    that answer reports a cell absent although its result signature is in
+    the support as a ``missing-cell`` violation naming it, and the
+    instances that need it are skipped.  For tables marked
     partial the laws are verified on all instances whose every
     intermediate composite is present.  ``max_violations`` is compared
     between elements, so the report can hold more violations than that.
@@ -627,10 +607,10 @@ def check_multicategory_laws(M, max_violations=25):
                         f"({_ref_str(refs[q])})")
         return got
 
-    comp = CellLookup(M.numbered_cells(), missing, num, M)
+    comp = CellLookup(M.numbered_cells(), missing)
 
     # unit laws
-    unit = {c: num.number(M.unit_ref(c)) for c in coll.colors}
+    unit = {c: M.unit_value(c) for c in coll.colors}
     for m in num.ops:
         ins, out = sigs[m]
         for slot, color in enumerate(ins):
@@ -823,7 +803,7 @@ def underlying_category(M):
     homs = {}
     for s in M.signatures():
         if len(s[0]) == 1:
-            homs[(s[0][0], s[1])] = tuple(M.ops_at(s))
+            homs[s[0][0], s[1]] = tuple(M.ops_at(s))
     compose = {}
     for (a, b), fs in homs.items():
         for (b2, c), gs in homs.items():
@@ -1012,9 +992,8 @@ def restrict_objects(M, object_map, new_colors=None):
         if target not in M.colors:
             raise DomainError(f"{c} maps to {target}, not a color of M")
     new_colors = tuple(sorted(new_colors or object_map.keys()))
-    fibers = {}
-    for c in M.colors:
-        fibers[c] = [d for d in new_colors if object_map[d] == c]
+    fibers = {c: [d for d in new_colors if object_map[d] == c]
+              for c in M.colors}
 
     ops = {}
     for s in M.signatures():
@@ -1027,15 +1006,9 @@ def restrict_objects(M, object_map, new_colors=None):
     def back(s):
         return (tuple(object_map[c] for c in s[0]), object_map[s[1]])
 
-    action = {}
-    for s in ops:
-        n = len(s[0])
-        for p in perms.all_perms(n):
-            base = M.collection.action[(back(s), p)]
-            action[s, p] = dict(base)
-    units = {}
-    for d in new_colors:
-        units[d] = M.units[object_map[d]]
+    action = {(s, p): dict(M.collection.action[back(s), p])
+              for s in ops for p in perms.all_perms(len(s[0]))}
+    units = {d: M.units[object_map[d]] for d in new_colors}
     comp = {}
     for (psig, p), slot, (qsig, q), (_, r) in M.cells():
         p_fib = [fibers[c] for c in psig[0]] + [fibers[psig[1]]]
@@ -1071,11 +1044,8 @@ def extend_objects_injective(M, alpha, new_colors):
         return (tuple(alpha[c] for c in s[0]), alpha[s[1]])
 
     ops = {fwd(s): tuple(M.ops_at(s)) for s in M.signatures()}
-    action = {}
-    for s in M.ops:
-        n = len(s[0])
-        for p in perms.all_perms(n):
-            action[fwd(s), p] = dict(M.collection.action[s, p])
+    action = {(fwd(s), p): dict(M.collection.action[s, p])
+              for s in M.ops for p in perms.all_perms(len(s[0]))}
     units = {alpha[c]: u for c, u in M.units.items()}
     comp = {}
     for (psig, p), slot, (qsig, q), (_, r) in M.cells():

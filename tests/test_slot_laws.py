@@ -709,7 +709,7 @@ def assert_answers_like(lookup, rule, num, ops, colors):
 def test_table_lookup_answers_like_cell(name):
     M = renumbered(TABLES[name]())
     num = M.collection.numbering
-    lookup = CellLookup(M.numbered_cells(), M.cell, num, M)
+    lookup = CellLookup(M.numbered_cells(), M.cell)
     ops = list(num.ops)
     ops += assert_answers_like(lookup, M.cell, num, ops, M.colors)
     # fresh numbers as arguments too, where only the unit rule answers
@@ -721,8 +721,7 @@ def test_right_action_lookup_answers_like_right_cell(name):
     mod = outside_bimodule() if name == "outside" else renumbered(
         BIMODULES[name]())
     num = mod.collection.numbering
-    lookup = CellLookup(mod._right_cells, mod.right_cell, num, mod.right,
-                        False)
+    lookup = CellLookup(mod._right_cells, mod.right_cell)
     if name == "outside":
         assert len(num.refs) > len(num.ops)
     assert_answers_like(lookup, mod.right_cell, num,
