@@ -30,6 +30,7 @@ projections to the two views.
 
 from dataclasses import dataclass, field
 from itertools import product, repeat
+from operator import mul
 
 from . import perms
 from .core import (_gamma_by_size, check_multicategory_laws, composed_sig,
@@ -111,15 +112,18 @@ class _EndOps:
     def __bool__(self):
         return self.size > 0
 
+    def over_limit(self):
+        return BudgetExceededError(
+            f"enumeration at {sig_key(self.s)} exceeded the limit "
+            f"{self.limit} (set size {self.size})")
+
     def _tables(self, entries):
         # every output tuple over the entries, in lexicographic order
         yielded = 0
         for outputs in product(entries, repeat=self.dom_size):
             yielded += 1
             if yielded > self.limit:
-                raise BudgetExceededError(
-                    f"enumeration at {sig_key(self.s)} exceeded the limit "
-                    f"{self.limit} (set size {self.size})")
+                raise self.over_limit()
             yield outputs
 
     def values(self):
@@ -147,6 +151,10 @@ class EndView:
     lexicographic coordinates of each input list, a gather map for each
     (psig, slot, qsig) and an index permutation for each (signature,
     permutation).  Values compare by value, so none is numbered.
+    :meth:`fixed_values_at` enumerates only the tables fixed by given
+    permutations, constant on the orbits of input positions, with their
+    ranks in :meth:`values_at`, so that a search passes over the others
+    while still counting them against its budget and the view's limit.
     :meth:`compose1`, :meth:`try_compose1` and :meth:`act` take and give
     ids, through :meth:`value` and :meth:`ref_of`."""
 
@@ -165,6 +173,7 @@ class EndView:
         self._coords = {}  # inputs -> (per input (index map, stride), size)
         self._gathers = {}  # (psig, slot, qsig) -> (rsig, stride, pairs)
         self._perms = {}  # (sig, perm) -> (acted sig, source of each entry)
+        self._orbit_maps = {}  # (sig, perms) -> (orbit per entry, weights)
 
     def _lex(self, inputs):
         got = self._coords.get(inputs)
@@ -264,11 +273,7 @@ class EndView:
         qt = [stride * j for j in q]
         return rsig, tuple([pt[b + qt[j]] for b, j in pairs])
 
-    def image(self, v, p):
-        """v acted on by p, on values."""
-        if p == perms.identity(len(p)):
-            return v
-        s, table = v
+    def _perm(self, s, p):
         key = (s, p)
         got = self._perms.get(key)
         if got is None:
@@ -277,8 +282,64 @@ class EndView:
             got = self._perms[key] = (
                 (perms.permute(s[0], p), s[1]),
                 perms.act_on_function(range(size), p, sizes))
-        acted, src = got
+        return got
+
+    def image(self, v, p):
+        """v acted on by p, on values."""
+        if p == perms.identity(len(p)):
+            return v
+        acted, src = self._perm(v[0], p)
+        table = v[1]
         return acted, tuple([table[i] for i in src])
+
+    def _orbits(self, s, ts):
+        # the orbit of each input position under the index maps of ts,
+        # numbered in the order of the orbits' minima, and per orbit the
+        # weight of its positions in a table's lexicographic rank
+        key = (s, ts)
+        got = self._orbit_maps.get(key)
+        if got is None:
+            root = list(range(self._lex(s[0])[1]))
+            for t in ts:
+                for i, j in enumerate(self._perm(s, t)[1]):
+                    while root[i] != i:
+                        i = root[i]
+                    while root[j] != j:
+                        j = root[j]
+                    root[max(i, j)] = min(i, j)
+            for i, r in enumerate(root):
+                root[i] = root[r]  # r < i is resolved already: a minimum
+            number = {r: k for k, r in enumerate(sorted(set(root)))}
+            base = len(self.family.carrier(s[1]))
+            weights = [0] * len(number)
+            for i, r in enumerate(root):
+                weights[number[r]] += base ** (len(root) - 1 - i)
+            got = self._orbit_maps[key] = [number[r] for r in root], weights
+        return got
+
+    def fixed_values_at(self, s, ts):
+        """``(rank, value)`` for each value at s fixed by every permutation
+        in ts, in ``values_at`` order, rank being its position there; then
+        ``(size of values_at, None)``.  The fixed tables are those constant
+        on the orbits of input positions under the index maps of ts: one
+        entry per orbit, in the order of the orbits' minima, which is the
+        lexicographic order of the tables.  A fixed table of rank at least
+        the limit gives ``(limit, None)`` instead and then the limit's
+        BudgetExceededError; the last table, constant, is always fixed, so
+        no other draw passes the limit."""
+        ops = self.ops_at(s)
+        if ops == ():
+            yield 0, None
+            return
+        orbit, weights = self._orbits(s, ts)
+        for entries in product(range(len(ops.codomain)),
+                               repeat=len(weights)):
+            rank = sum(map(mul, entries, weights))
+            if rank >= ops.limit:
+                yield ops.limit, None
+                raise ops.over_limit()
+            yield rank, (s, tuple([entries[k] for k in orbit]))
+        yield ops.size, None
 
     def compose1(self, pref, slot, qref):
         got = self.try_compose1(pref, slot, qref)

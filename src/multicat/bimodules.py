@@ -223,6 +223,7 @@ def check_bimodule(M, max_violations=25):
 
     # left associativity and equivariance
     for p, ms, pm in left_acted():
+        count = 0
         for slot, color in enumerate(lnum.sigs[p][0]):
             for q in l_by_color.get(color, ()):
                 pq = L.cell(p, slot, q)
@@ -235,15 +236,18 @@ def check_bimodule(M, max_violations=25):
                     left_side = left_cell(p, ms[:slot] + (qm,) + ms[slot + 1:])
                     right_side = left_cell(pq,
                                            ms[:slot] + inner + ms[slot + 1:])
-                    report.note("left-assoc")
+                    count += 1
                     if (left_side is not None and right_side is not None
                             and left_side != right_side):
                         report.fail("left-assoc", f"{lnum.refs[p]} o_{slot} "
                                     f"{lnum.refs[q]}")
-        for sigma in perms.all_perms(len(ms)):
+        if count:
+            report.note("left-assoc", count)
+        sigmas = perms.all_perms(len(ms))
+        report.note("left-equivariance", len(sigmas))
+        for sigma in sigmas:
             left_side = left_cell(L.image(p, sigma),
                                  tuple(ms[t] for t in sigma))
-            report.note("left-equivariance")
             if left_side is not None:
                 sizes = [len(sigs[m][0]) for m in ms]
                 want = num.image(pm, perms.block_permutation(sigma, sizes))
@@ -261,15 +265,19 @@ def check_bimodule(M, max_violations=25):
                                        for c in sigs[m][0]])]
 
     for p, ms, pm in left_acted():
+        count = 0
         for left_side, acted in zip(acted_on(pm), product(*map(acted_on, ms))):
             right_side = None if None in acted else left_cell(p, acted)
-            report.note("compatibility")
+            count += 1
             if (left_side is not None and right_side is not None
                     and left_side != right_side):
                 report.fail("compatibility", f"{lnum.refs[p]} on "
                             f"{tuple(refs[m] for m in ms)}")
                 if len(report.violations) >= max_violations:
+                    report.note("compatibility", count)
                     return report
+        if count:
+            report.note("compatibility", count)
     return report
 
 

@@ -19,8 +19,11 @@ A multicategory that serves as the target of a search or a check offers
 one value interface: ``value(ref)`` and ``ref_of(v)`` convert between
 references and values, ``sig_of(v)`` is a value's signature,
 ``values_at(s)`` lists the operations at s as values in ``ops_at`` order,
-``unit_value(c)`` is the unit, ``image(v, p)`` the symmetric action and
-``cell(v, slot, w)`` the composite, or None where there is none.  A
+``fixed_values_at(s, ts)`` gives ``(rank, v)`` for each of them that every
+permutation in ts fixes, rank being its position in ``values_at(s)``, and
+then ``(len(values_at(s)), None)``; ``unit_value(c)`` is the unit,
+``image(v, p)`` the symmetric action and ``cell(v, slot, w)`` the
+composite, or None where there is none.  A
 :class:`TableMulticategory`'s values are its numbers;
 ``algebras.EndView`` gives the other kind.
 """
@@ -203,11 +206,11 @@ class TableMulticategory:
     :meth:`cell` looks a composite up on them and :meth:`image` acts on
     them.  :meth:`try_compose1` looks a composite up on references, and
     :meth:`cells` and :meth:`numbered_cells` list the tabulated
-    composites.  ``complete`` is True
-    when every composable pair whose result signature is inside the
-    declared support has an entry; constructions that truncate (free
-    multicategories under caps, the arity-indexed tree multicategory)
-    mark their output partial instead.
+    composites, and :meth:`fixed_values_at` the numbers that given
+    permutations fix.  ``complete`` is True when every composable pair
+    whose result signature is inside the declared support has an entry;
+    constructions that truncate (free multicategories under caps, the
+    arity-indexed tree multicategory) mark their output partial instead.
     """
 
     collection: FiniteCollection
@@ -310,6 +313,12 @@ class TableMulticategory:
 
     def values_at(self, s):
         return self._numbers_at.get(s, ())
+
+    def fixed_values_at(self, s, ts):
+        vs = self.values_at(s)
+        yield from ((i, m) for i, m in enumerate(vs)
+                    if all(self.image(m, t) == m for t in ts))
+        yield len(vs), None
 
     def unit_value(self, color):
         return self.value(self.unit_ref(color))
@@ -814,12 +823,7 @@ def underlying_category(M):
                     got = M.try_compose1((((b,), c), g), 0, (((a,), b), f))
                     if got is not None:
                         compose[(a, b, f), (b, c, g)] = (a, c, got[1])
-    return FiniteCategory(
-        objects=tuple(M.colors),
-        homs=homs,
-        compose=compose,
-        identities=dict(M.units),
-    )
+    return FiniteCategory(tuple(M.colors), homs, compose, dict(M.units))
 
 
 @dataclass(frozen=True)
@@ -909,9 +913,7 @@ def nerve(C, depth):
                                               else x[j - 1][1]),) + x[j:]
                           for x in levels[k]]
             degeneracies[k, j] = tuple(map(index[k + 1].__getitem__, images))
-    return TruncatedSimplicialSet(
-        depth=depth, levels=tuple(levels), faces=faces,
-        degeneracies=degeneracies)
+    return TruncatedSimplicialSet(depth, tuple(levels), faces, degeneracies)
 
 
 # ---------------------------------------------------------------------------
@@ -938,28 +940,21 @@ class EquivalenceReport:
 
 
 def _iso_objects(C, a, b):
-    for f in C.hom(a, b):
-        for g in C.hom(b, a):
-            fm, gm = (a, b, f), (b, a, g)
-            if (C.then(fm, gm) == C.identity(a)
-                    and C.then(gm, fm) == C.identity(b)):
-                return True
-    return False
+    return any(C.then((a, b, f), (b, a, g)) == C.identity(a)
+               and C.then((b, a, g), (a, b, f)) == C.identity(b)
+               for f in C.hom(a, b) for g in C.hom(b, a))
 
 
 def is_equivalence(F):
     """Fully faithful (per-signature bijective) + essentially surjective."""
     P, Q = F.source, F.target
-    ff = True
     witnesses = []
     for s in P.signatures():
         target_sig = (tuple(F.object_map[c] for c in s[0]), F.object_map[s[1]])
         images = [F.op_maps.get(s, {}).get(op) for op in P.ops_at(s)]
         if len(set(images)) != len(images):
-            ff = False
             witnesses.append(f"not faithful at {sig_key(s)}")
         if set(images) != set(Q.ops_at(target_sig)):
-            ff = False
             witnesses.append(f"not full at {sig_key(s)}")
     # fullness quantifies over all source signatures, including those with
     # empty operation sets: the empty function onto a nonempty set fails
@@ -971,8 +966,8 @@ def is_equivalence(F):
         for combo in product(*([fibers[c] for c in s[0]] + [fibers[s[1]]])):
             pre = (tuple(combo[:-1]), combo[-1])
             if not P.ops_at(pre):
-                ff = False
                 witnesses.append(f"not full at empty {sig_key(pre)}")
+    ff = not witnesses
     CQ = underlying_category(Q)
     ess = True
     for q in Q.colors:
@@ -1010,7 +1005,7 @@ def restrict_objects(M, object_map, new_colors=None):
               for s in ops for p in perms.all_perms(len(s[0]))}
     units = {d: M.units[object_map[d]] for d in new_colors}
     comp = {}
-    for (psig, p), slot, (qsig, q), (_, r) in M.cells():
+    for (psig, p, slot, qsig, q), r in M.comp.items():
         p_fib = [fibers[c] for c in psig[0]] + [fibers[psig[1]]]
         for combo in product(*p_fib):
             new_p = (tuple(combo[:-1]), combo[-1])
@@ -1018,10 +1013,8 @@ def restrict_objects(M, object_map, new_colors=None):
             for qcombo in product(*q_fib):
                 new_q = (tuple(qcombo), new_p[0][slot])
                 comp[new_p, p, slot, new_q, q] = r
-    return TableMulticategory(
-        collection=FiniteCollection(new_colors, ops, action),
-        units=units, comp=comp, complete=M.complete,
-        name=f"restrict({M.name})")
+    return TableMulticategory(FiniteCollection(new_colors, ops, action),
+                              units, comp, M.complete, f"restrict({M.name})")
 
 
 def extend_objects_injective(M, alpha, new_colors):
@@ -1048,14 +1041,12 @@ def extend_objects_injective(M, alpha, new_colors):
               for s in M.ops for p in perms.all_perms(len(s[0]))}
     units = {alpha[c]: u for c, u in M.units.items()}
     comp = {}
-    for (psig, p), slot, (qsig, q), (_, r) in M.cells():
+    for (psig, p, slot, qsig, q), r in M.comp.items():
         comp[fwd(psig), p, slot, fwd(qsig), q] = r
     for d in fresh:
         ops[((d,), d)] = ("1",)
         for p in perms.all_perms(1):
             action[((d,), d), p] = {"1": "1"}
         units[d] = "1"
-    return TableMulticategory(
-        collection=FiniteCollection(new_colors, ops, action),
-        units=units, comp=comp, complete=M.complete,
-        name=f"extend({M.name})")
+    return TableMulticategory(FiniteCollection(new_colors, ops, action),
+                              units, comp, M.complete, f"extend({M.name})")

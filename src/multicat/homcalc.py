@@ -23,7 +23,8 @@ from itertools import product
 from . import perms
 from .core import (LawReport, TableMulticategory, _gamma_by_size, _ref_str,
                    backtrack, composed_sig, sig_key, tabulate)
-from .errors import DomainError, PartialInputError, StructuralError
+from .errors import (BudgetExceededError, DomainError, PartialInputError,
+                     StructuralError)
 from .presents import bv_tensor, pair_color, tensor_generator
 
 
@@ -169,6 +170,16 @@ def enumerate_multifunctors(P, Q, budget=10 ** 6, fix_objects=None):
     branch when its signature lies outside Q's support, as the composite
     P-operation then has no candidate; inside the support it cannot be
     checked, and PartialInputError names Q.
+
+    A number fixed by some adjacent transpositions of P draws only the
+    values that those transpositions fix in Q (``Q.fixed_values_at``): any
+    other value is refused by the first derive step on the number's own
+    key, so no multifunctor is lost.  The values passed over still count
+    as candidates tried, where the full draw would have counted them, and
+    an ``EndView``'s limit still counts them too, so the results, every
+    BudgetExceededError message and its count are those of the full draw.
+    ``fix_objects`` must send every color of P to a color of Q, else
+    DomainError.
     """
     if not P.complete:
         raise PartialInputError("source must be complete")
@@ -184,6 +195,9 @@ def enumerate_multifunctors(P, Q, budget=10 ** 6, fix_objects=None):
     op_order = sorted(num.ops, key=lambda m: (len(sigs[m][0]),
                                               sig_key(sigs[m]), refs[m][1]))
     moves = perms.adjacent_transpositions if P.symmetric else (lambda n: ())
+    # number -> the adjacent transpositions that fix it
+    fixers = {m: tuple(t for t in moves(len(sigs[m][0])) if image(m, t) == m)
+              for m in op_order}
 
     def derive(m, v, assign):
         for t in moves(len(sigs[m][0])):
@@ -206,23 +220,41 @@ def enumerate_multifunctors(P, Q, budget=10 ** 6, fix_objects=None):
                     yield ("outside", r), True
 
     if fix_objects is not None:
+        for c in P.colors:
+            if c not in fix_objects:
+                raise DomainError(f"the object map has no image for color {c}")
+            if fix_objects[c] not in Q.colors:
+                raise DomainError(f"the target has no color {fix_objects[c]}")
         object_maps = [dict(fix_objects)]
     else:
         object_maps = [dict(zip(P.colors, combo))
                        for combo in product(Q.colors, repeat=len(P.colors))]
+    what = f"multifunctor search exceeded {budget} candidates"
     counts = {"tried": 0, "found": 0}
+
+    def fixed(s, ts):
+        # the values fixed by ts; every value passed over counts as a
+        # candidate tried, as it would have been refused on its own key
+        done = 0
+        for rank, v in Q.fixed_values_at(s, ts):
+            counts["tried"] += rank - done
+            if counts["tried"] > budget:
+                raise BudgetExceededError(what, count=counts["found"])
+            done = rank + 1
+            if v is not None:
+                yield v
+
     results = []
     for object_map in object_maps:
         def candidates(m):
             s = sigs[m]
-            return Q.values_at((tuple(object_map[c] for c in s[0]),
-                                object_map[s[1]]))
+            s = tuple(object_map[c] for c in s[0]), object_map[s[1]]
+            return fixed(s, fixers[m]) if fixers[m] else Q.values_at(s)
 
         start = {num.number(P.unit_ref(c)): Q.unit_value(object_map[c])
                  for c in P.colors}
-        for assign in backtrack(
-                op_order, candidates, derive, start, budget,
-                f"multifunctor search exceeded {budget} candidates", counts):
+        for assign in backtrack(op_order, candidates, derive, start, budget,
+                                what, counts):
             op_maps = {}
             for m, v in assign.items():
                 s, op = refs[m]

@@ -53,9 +53,8 @@ def _comp_row_key(row):
 
 
 def multicategory_json(M):
-    cells = list(M.cells())
-    # each signature's text once; the cells have numbered every reference
-    at = {s: sig_key(s) for s in set(M.collection.numbering.sigs)}
+    # each signature's text once, read off ``comp`` without numbering it
+    at = {s: sig_key(s) for s in {key[i] for key in M.comp for i in (0, 3)}}
     doc = {
         "schema": SCHEMA,
         "kind": "multicategory",
@@ -67,9 +66,9 @@ def multicategory_json(M):
         "units": dict(sorted(M.units.items())),
         "comp": sorted(
             [{
-                "at": at[pref[0]], "op": pref[1], "slot": slot,
-                "arg_at": at[qref[0]], "arg": qref[1], "result": rref[1],
-            } for pref, slot, qref, rref in cells],
+                "at": at[psig], "op": p, "slot": slot,
+                "arg_at": at[qsig], "arg": q, "result": r,
+            } for (psig, p, slot, qsig, q), r in M.comp.items()],
             key=_comp_row_key),
         "action": sorted(
             [{

@@ -380,6 +380,9 @@ DOMAIN_ERRORS = {
         ("algebras", "as2.mcat", "--name", "As2", "--carrier", "x=a",
          "--cap-vertices", "-1"),
         "error: the arity and vertex caps must be >= 0"),
+    "algebras-carrier-without-color": (
+        ("algebras", "com3.mcat", "--name", "Com3", "--carrier", "y=a,b"),
+        "error: the target has no color x"),
     "hochschild-negative-levels": (
         ("hochschild", "as2pos.mcat", "--name", "As2pos", "--levels", "-1"),
         "error: levels and the arity cap must be >= 0"),

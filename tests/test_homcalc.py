@@ -73,6 +73,14 @@ class TestEnumerate:
         fs = enumerate_multifunctors(AS3, view, fix_objects={"x": "x"})
         assert len(fs) == fx["monoids"]["2"]
 
+    @pytest.mark.parametrize("fix,message", [
+        ({}, "the object map has no image for color x"),
+        ({"x": "y"}, "the target has no color y")])
+    def test_malformed_object_map_is_a_domain_error(self, fix, message):
+        with pytest.raises(DomainError) as info:
+            enumerate_multifunctors(COM3, EndView(A2), fix_objects=fix)
+        assert str(info.value) == message
+
 
 class TestNaturality:
     def test_identity_components_natural(self):

@@ -267,6 +267,24 @@ def _arrow_com2():
             {c: c for c in "012"})
 
 
+def _sym12():
+    # ternary operations t0, t1, t2, symmetric in every input but the
+    # k-th: t2 is fixed by (1,2) and not by (2,3), t0 the other way round
+    rows = ["multicategory Sym12", "  color x", "  ops (x;x) = u",
+            "  ops (x,x,x;x) = t0 t1 t2", "  unit x = u",
+            "  comp (x;x) u 1 (x;x) u = u"]
+    swaps = {"[2,1,3]": {"t0": "t1", "t1": "t0", "t2": "t2"},
+             "[1,3,2]": {"t0": "t0", "t1": "t2", "t2": "t1"}}
+    for perm, table in swaps.items():
+        rows += [f"  act (x,x,x;x) {t} {perm} = {table[t]}" for t in table]
+    for t in ("t0", "t1", "t2"):
+        rows.append(f"  comp (x;x) u 1 (x,x,x;x) {t} = {t}")
+        rows += [f"  comp (x,x,x;x) {t} {i} (x;x) u = {t}" for i in (1, 2, 3)]
+    objects, diags = elaborate(parse("\n".join(rows) + "\n")[0])
+    assert not diags
+    return objects["Sym12"]
+
+
 MULTIFUNCTOR_CASES = {
     "As3->Com3": lambda: (AS3, COM3, None),
     "As2->Com2": lambda: (AS2, COM2, None),
@@ -283,6 +301,9 @@ MULTIFUNCTOR_CASES = {
         AS2, internal_hom(AS2, EndView(A2, arity_cap=2), 2).table, None),
     "I(x)As2->End(A2)": lambda: (bv_tensor(I, AS2, 3, 3).table,
                                  EndView(A2, arity_cap=3), None),
+    # each ternary operation is fixed by one adjacent transposition only
+    "Sym12->End(A2)": lambda: (_sym12(), EndView(A2, arity_cap=3), None),
+    "Sym12->Sym12": lambda: (_sym12(), _sym12(), None),
 }
 
 
@@ -332,6 +353,80 @@ def test_several_object_maps_share_one_budget():
     for budget in range(tried):
         assert (_raised(enumerate_multifunctors, P, Q, budget=budget)
                 == _raised(ref_multifunctors, P, Q, budget=budget))
+
+
+def _same_as_reference(P, Q, budget):
+    try:
+        want = ref_multifunctors(P, Q, budget=budget)[0]
+    except BudgetExceededError:
+        assert (_raised(enumerate_multifunctors, P, Q, budget=budget)
+                == _raised(ref_multifunctors, P, Q, budget=budget))
+        return False
+    assert enumerate_multifunctors(P, Q, budget=budget) == want
+    return True
+
+
+def test_every_budget_counts_the_passed_over_candidates():
+    # Com2's binary operation is commutative: of the 16 binary tables on
+    # two elements only the 8 symmetric ones are drawn, and the 8 others
+    # still count against the budget
+    P, Q = COM2, EndView(A2, arity_cap=2)
+    _, tried = ref_multifunctors(P, Q)
+    assert tried == 2 * (1 + 16)
+    finished = [_same_as_reference(P, Q, budget)
+                for budget in range(tried + 1)]
+    assert finished == [False] * tried + [True]
+
+
+def _symmetric_rank(rank, size, digits):
+    # whether the binary table of the given rank in values_at order is
+    # fixed by the transposition of its inputs
+    table = []
+    for _ in range(size * size):
+        rank, d = divmod(rank, digits)
+        table.append(d)
+    table.reverse()
+    return all(table[a * size + b] == table[b * size + a]
+               for a in range(size) for b in range(size))
+
+
+def test_budgets_inside_passed_over_runs():
+    # Com3 on three elements tries each nullary value, then the 3**9
+    # binary tables, of which only the symmetric ones are drawn
+    P, Q = COM3, EndView(A3, arity_cap=3)
+    block = 1 + 3 ** 9
+    ranks = [3, 4, 5, 10, 100, 1000, 12345, 3 ** 9 - 4]
+    assert not any(_symmetric_rank(r, 3, 3) for r in ranks)
+    # the candidate past the budget is the table of that rank
+    budgets = [j * block + 1 + r for j in (0, 1) for r in ranks]
+    for budget in budgets:
+        assert not _same_as_reference(P, Q, budget)
+
+
+@pytest.mark.parametrize("limit,budget", [
+    (4, 10 ** 6), (10, 10 ** 6), (1000, 10 ** 6), (10, 8), (10, 12),
+    (6, 7), (1, 10 ** 6), (30, 10 ** 6), (30, 20), (30, 31)])
+def test_limit_fires_inside_a_passed_over_run(limit, budget):
+    # the binary table of rank `limit` is passed over, so the limit error
+    # (or the budget error, whichever comes first) fires inside a run;
+    # rank 30 is a drawn table, for the limit on a drawn candidate (at
+    # budget 31 that candidate would also pass the budget, and the limit
+    # comes first), and limit 1 stops at the three nullary candidates
+    P = COM3
+    if limit > 2:
+        assert _symmetric_rank(limit, 3, 3) == (limit == 30)
+
+    def outcome(fn):
+        try:
+            return [F.key() for F in fn(P, EndView(A3, arity_cap=3,
+                                                   limit=limit),
+                                        budget=budget)]
+        except BudgetExceededError as exc:
+            return str(exc), exc.count
+
+    want = outcome(lambda *a, **k: ref_multifunctors(*a, **k)[0])
+    assert outcome(enumerate_multifunctors) == want
+    assert isinstance(want, tuple)
 
 
 def test_truncated_target_prunes_outside_its_support():
