@@ -247,8 +247,8 @@ def enumerate_multifunctors(P, Q, budget=10 ** 6, fix_objects=None):
     results = []
     for object_map in object_maps:
         def candidates(m):
-            s = sigs[m]
-            s = tuple(object_map[c] for c in s[0]), object_map[s[1]]
+            ins, out = sigs[m]
+            s = tuple(object_map[c] for c in ins), object_map[out]
             return fixed(s, fixers[m]) if fixers[m] else Q.values_at(s)
 
         start = {num.number(P.unit_ref(c)): Q.unit_value(object_map[c])
