@@ -13,8 +13,9 @@ from contextlib import contextmanager
 from . import dsl, jsonio
 from .core import (check_multicategory_laws, is_equivalence, nerve,
                    restrict_objects, extend_objects_injective,
-                   underlying_category, TableMulticategory)
+                   underlying_category, FiniteCollection, TableMulticategory)
 from .errors import DomainError, MulticatError
+from .homcalc import Multifunctor
 
 # operation -> owning subcommand; the coverage test keys off this table
 COMMAND_TABLE = {
@@ -147,7 +148,22 @@ def cmd_compose(args):
     qsig = dsl.parse_sig_token(args.arg_sig, 0, [])
     if psig is None or qsig is None:
         raise _Usage("bad signature token")
-    got = M.compose1((psig, args.op), args.slot - 1, (qsig, args.arg))
+    pref, qref, slot = (psig, args.op), (qsig, args.arg), args.slot
+    key = jsonio.sig_key
+    for s, op in (pref, qref):
+        if op not in M.ops_at(s):
+            raise DomainError(f"no operation {op} at {key(s)}")
+    if not 1 <= slot <= len(psig[0]):
+        raise DomainError(
+            f"--slot {slot} out of range for arity {len(psig[0])}")
+    if psig[0][slot - 1] != qsig[1]:
+        raise DomainError(
+            f"--slot {slot} of {key(psig)} takes {psig[0][slot - 1]}, "
+            f"--arg outputs {qsig[1]}")
+    got = M.try_compose1(pref, slot - 1, qref)
+    if got is None:
+        raise DomainError(f"no composite of {key(psig)}:{args.op} and "
+                          f"{key(qsig)}:{args.arg} at --slot {slot}")
     _emit(args, {"schema": jsonio.SCHEMA, "kind": "composite",
                  "at": jsonio.sig_key(got[0]), "result": got[1]})
     return 0
@@ -169,10 +185,10 @@ def cmd_free(args):
     _, objects, diags = _load(args.file)
     if _print_diags(diags):
         return 1
-    G = _need(objects, args.name)
+    G = _need(objects, args.name, (FiniteCollection, TableMulticategory))
     table, report = free_multicategory(
-        G, symmetric=not args.planar, max_arity=args.cap_arity,
-        max_vertices=args.cap_vertices)
+        getattr(G, "collection", G), symmetric=not args.planar,
+        max_arity=args.cap_arity, max_vertices=args.cap_vertices)
     doc = jsonio.multicategory_json(table)
     doc["free_report"] = {"complete": report.complete,
                           "escapes": report.escapes,
@@ -190,11 +206,13 @@ def cmd_saturate(args):
     if args.coproduct:
         with _parsing("--coproduct", args.coproduct):
             a, b = args.coproduct.split(",")
-        pres = coproduct(_need(objects, a), _need(objects, b))
+        pres = coproduct(_need(objects, a, TableMulticategory),
+                         _need(objects, b, TableMulticategory))
     elif args.pushout:
         with _parsing("--pushout", args.pushout):
             f, g = args.pushout.split(",")
-        pres = pushout(_need(objects, f), _need(objects, g))
+        pres = pushout(_need(objects, f, Multifunctor),
+                       _need(objects, g, Multifunctor))
     else:
         pres = _need(objects, args.name, Presentation)
     sat = saturate(pres, max_arity=args.cap_arity,
@@ -423,7 +441,7 @@ def cmd_equiv(args):
     _, objects, diags = _load(args.file)
     if _print_diags(diags):
         return 1
-    F = _need(objects, args.name)
+    F = _need(objects, args.name, Multifunctor)
     rep = is_equivalence(F)
     _emit(args, jsonio.report_json(rep))
     return 0 if rep.is_equivalence else 1

@@ -128,6 +128,7 @@ class Numbering:
         self.refs, self.sigs, self.index = [], [], {}
         self.acted = {}  # (number, permutation) -> number of the image
         self.shown = {}  # number -> its images() tuple
+        self.least = {}  # reference -> trees.least_image entry
         self.ops = [self.number(ref) for ref in coll.refs()]
 
     def number(self, ref):

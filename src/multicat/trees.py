@@ -27,6 +27,16 @@ equality is tuple equality:
   in sorted order, and a block names its element by its number in the
   layer below, so that each element is stored once and the nested form
   is written out only where it is read.
+
+Both symmetric quotients are orbit minima of tuples that begin with an
+operation's ``(signature, id)``, so the minimum carries the least image
+of that operation (the generator at a vertex, the root of a circle
+element).  :func:`least_image` keeps, once per operation, that image and
+the permutations giving it, a coset of the operation's stabilizer; the
+minima compare only those permutations, and the symmetric enumerations
+draw only the operations that are their own least image
+(:func:`orbit_least`), since every class has a member whose operations
+all are.
 """
 
 from dataclasses import dataclass
@@ -138,18 +148,49 @@ def canonical_term(t, gens):
     At each vertex the generator may be replaced by any of its symmetric
     images with the children permuted accordingly; minimizing bottom-up
     over these local moves picks one representative per equivalence class.
-    The images of each generator come from the collection's table
-    (:meth:`FiniteCollection.images`).
-    """
+    Each step compares only the permutations that give the generator its
+    least image (:func:`vertex_minimum`)."""
     if t[0] == "L":
         return t
     return vertex_minimum(t[1], t[2], tuple(
         [c if c[0] == "L" else canonical_term(c, gens) for c in t[3]]), gens)
 
 
+def least_image(coll, ref):
+    """``(signature, id, coset)``: the least symmetric image of the
+    operation ref of the collection coll, as a ``(signature, id)`` pair,
+    and the permutations that give it, in ``perms.all_perms`` order; they
+    form a coset of ref's stabilizer.  The coset is None when it is the
+    identity alone, so that ref is its own least image and moves nothing.
+    Read once per operation from :meth:`FiniteCollection.images`, raising
+    as it does, and kept in ``coll.numbering.least``."""
+    table = coll.numbering.least
+    got = table.get(ref)
+    if got is None:
+        images = coll.images(ref)
+        s, op = min([image[1:] for image in images])
+        coset = tuple([p for p, s2, op2 in images if s2 == s and op2 == op])
+        if coset == (perms.identity(len(ref[0][0])),):
+            coset = None
+        got = table[ref] = (s, op, coset)
+    return got
+
+
+def orbit_least(coll, s):
+    """The operations at s that are their own least image, in ``ops_at``
+    order: one for each orbit whose least image lies at s."""
+    return [op for op in coll.ops_at(s) if least_image(coll, (s, op))[:2]
+            == (s, op)]
+
+
 def vertex_minimum(gsig, gid, children, gens):
     """The least image of the vertex ``(gsig, gid)`` over canonical
     children: the one local step of :func:`canonical_term`.
+
+    Terms compare as tuples ``('N', signature, id, children)``, so the
+    minimum carries the generator's least image (:func:`least_image`), and
+    only the permutations of its coset are compared; for a free action
+    that is one permutation, and the children are gathered by it.
 
     Terms compare as nested tuples, a leaf before a vertex (``'L' < 'N'``),
     leaves by color, then input number.  So a strictly increasing map on
@@ -158,12 +199,14 @@ def vertex_minimum(gsig, gid, children, gens):
     canonical term, moving the other leaves by such a map: every subtree
     off that path stays canonical, and this minimum taken again along the
     path, bottom up, gives :func:`canonical_term` of the result."""
-    images = gens.images((gsig, gid))
-    if len(images) == 1:
+    ref = (gsig, gid)
+    s, g, coset = gens.numbering.least.get(ref) or least_image(gens, ref)
+    if coset is None:
         return ("N", gsig, gid, children)
     pick = children.__getitem__
-    return min([("N", new_sig, new_id, tuple(map(pick, p)))
-                for p, new_sig, new_id in images])
+    if len(coset) == 1:
+        return ("N", s, g, tuple(map(pick, coset[0])))
+    return ("N", s, g, min([tuple(map(pick, p)) for p in coset]))
 
 
 def canonical_graft(t, index, s, gens):
@@ -455,9 +498,14 @@ class TermPool(list):
 def enumerate_terms(gens, max_arity, max_vertices, symmetric):
     """All well-typed generator terms within the caps, canonical forms.
 
-    Non-symmetric terms carry the planar leaf numbering; symmetric terms
-    are closed under renumbering and reduced modulo per-vertex actions,
-    and come as a :class:`TermPool`.
+    Non-symmetric terms carry the planar leaf numbering, over every
+    generator.  Symmetric terms are closed under renumbering and reduced
+    modulo per-vertex actions, and come as a :class:`TermPool`; their
+    planar seeds draw only the generators that are their own least image
+    (:func:`orbit_least`).  No class is lost: a per-vertex move keeps the
+    leaf and vertex counts, so every class has a member with the least
+    image at every vertex, and renumbering its leaves in planar order
+    gives a seed whose renumbering orbit, walked below, holds the class.
     """
     if min(max_arity, max_vertices) < 0:
         raise DomainError("the arity and vertex caps must be >= 0")
@@ -469,7 +517,8 @@ def enumerate_terms(gens, max_arity, max_vertices, symmetric):
     for v in range(1, max_vertices + 1):
         for s in gens.signatures():
             k = len(s[0])
-            for gid in gens.ops_at(s):
+            for gid in (orbit_least(gens, s) if symmetric
+                        else gens.ops_at(s)):
                 for split in product(range(v), repeat=k):
                     if sum(split) != v - 1:
                         continue
@@ -643,13 +692,20 @@ def base_layer(coll):
 def canonical_circle(root_elem, blocks, coll):
     """Orbit-minimal form of (root, blocks) under permuting blocks
     simultaneously with the action on the root, an operation of the
-    collection ``coll``; the images come from its table
-    (:meth:`FiniteCollection.images`), as in :func:`canonical_term`."""
+    collection ``coll``.  The minimum carries the root's least image, so
+    only the permutations of its coset are compared (:func:`least_image`),
+    as in :func:`vertex_minimum`."""
+    ref = root_elem[1:]
+    s, op, coset = coll.numbering.least.get(ref) or least_image(coll, ref)
+    if coset is None:
+        return ("circ", root_elem, blocks)
     pick = blocks.__getitem__
-    s, op, bs = min([(s, op, tuple(map(pick, p)))
-                     for p, s, op in coll.images(root_elem[1:])])
+    if len(coset) == 1:
+        bs = tuple(map(pick, coset[0]))
+    else:
+        bs = min([tuple(map(pick, p)) for p in coset])
     # elements with an unmoved root share its tuple, as the levels are many
-    root = root_elem if (s, op) == root_elem[1:] else ("op", s, op)
+    root = root_elem if (s, op) == ref else ("op", s, op)
     return ("circ", root, bs)
 
 
@@ -676,14 +732,20 @@ def renumber_blocks(blocks, p):
 def circle_layer(m_coll, below, max_arity):
     """The circle product: one operation of the collection m_coll at the
     root, elements of the layer ``below`` on its inputs, modulo the
-    simultaneous block permutation; a :class:`Layer` over ``below``."""
+    simultaneous block permutation; a :class:`Layer` over ``below``.
+
+    Only roots that are their own least image are drawn
+    (:func:`orbit_least`).  No class is lost: a permutation of its coset
+    takes any element to one with the least root, permuting its blocks,
+    and the blocks of every dealing of the positions are drawn."""
     sig_of = {}
     for ms in m_coll.signatures():
+        roots = orbit_least(m_coll, ms)
         for n in range(max_arity + 1):
             for blocks_pos in shuffles(n, len(ms[0])):
                 pools = [below.shapes.get((out, len(S)), ())
                          for S, out in zip(blocks_pos, ms[0])]
-                for op in m_coll.ops_at(ms):
+                for op in roots:
                     root = ("op", ms, op)
                     for combo in product(*pools):
                         e = canonical_circle(

@@ -269,6 +269,53 @@ def planar_tree_count(arity, generator_arities):
     return trees(arity)
 
 
+def planar_term_counts(colors, generators, max_arity, max_vertices):
+    """Planar trees within the caps by signature, the sizes of the free
+    non-symmetric construction: each vertex carries one of the
+    ``generators[(inputs, output)]`` labels of its signature (a count), a
+    leaf is an input, and the bare edge of each color is counted.  A
+    signature is the tuple of leaf colors left to right and the root's
+    color.  Kept are the trees with at most ``max_vertices`` vertices and
+    ``max_arity`` leaves; nullary and unary labels are allowed, since the
+    vertex cap keeps the count finite."""
+    from functools import lru_cache
+
+    @lru_cache(maxsize=None)
+    def trees(color, vertices):
+        # {leaf colors: count} of the trees with exactly this many vertices
+        if vertices == 0:
+            return {(color,): 1}
+        out = {}
+        for (inputs, output), labels in generators.items():
+            if output != color:
+                continue
+            # the vertices below the root, dealt to its children in order
+            for split in product(range(vertices), repeat=len(inputs)):
+                if sum(split) != vertices - 1:
+                    continue
+                partial = {(): labels}
+                for c, v in zip(inputs, split):
+                    grown = {}
+                    for leaves, n in partial.items():
+                        for more, m in trees(c, v).items():
+                            if len(leaves + more) <= max_arity:
+                                key = leaves + more
+                                grown[key] = grown.get(key, 0) + n * m
+                    partial = grown
+                for leaves, n in partial.items():
+                    out[leaves] = out.get(leaves, 0) + n
+        return out
+
+    counts = {}
+    for color in colors:
+        for v in range(max_vertices + 1):
+            for leaves, n in trees(color, v).items():
+                if len(leaves) <= max_arity:
+                    key = (leaves, color)
+                    counts[key] = counts.get(key, 0) + n
+    return counts
+
+
 def labeled_magma_count(arity):
     """Products of `arity` distinct letters in a magma: binary tree shapes
     times leaf labelings."""

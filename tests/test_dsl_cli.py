@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from multicat import dsl
+from multicat import dsl, jsonio
 from multicat.cli import COMMAND_TABLE, SUBCOMMANDS, main
 
 
@@ -358,6 +358,25 @@ MALFORMED_OPTIONS = {
     "bar-without-p": (
         ("bar", "bimod.mcat", "--x", "Reg"),
         "usage error: --p is required here"),
+    # a block of the wrong kind
+    "free-presentation": (
+        ("free", "magma.mcat", "--name", "Magma"),
+        "usage error: block 'Magma' has the wrong kind"),
+    "free-bimodule": (
+        ("free", "bimod.mcat", "--name", "Reg"),
+        "usage error: block 'Reg' has the wrong kind"),
+    "free-algebra": (
+        ("free", "alg.mcat", "--name", "Mon2"),
+        "usage error: block 'Mon2' has the wrong kind"),
+    "saturate-coproduct-of-collections": (
+        ("saturate", "magma.mcat", "--coproduct", "Binary,Binary"),
+        "usage error: block 'Binary' has the wrong kind"),
+    "saturate-pushout-of-multicategories": (
+        ("saturate", "twocolor.mcat", "--pushout", "Pair,Pair"),
+        "usage error: block 'Pair' has the wrong kind"),
+    "equiv-multicategory": (
+        ("equiv", "as2.mcat", "--name", "As2"),
+        "usage error: block 'As2' has the wrong kind"),
 }
 
 
@@ -411,6 +430,41 @@ DOMAIN_ERRORS = {
     "circle-negative-arity": (
         ("bar", "as2.mcat", "--circle", "As2,As2", "--cap-arity", "-1"),
         "error: the arity cap must be >= 0"),
+    # --slot counts from 1, and so do the messages
+    "compose-slot-zero": (
+        ("compose", "as2.mcat", "--name", "As2", "--op-sig", "(x,x;x)",
+         "--op", "w01", "--slot", "0", "--arg-sig", "(x,x;x)", "--arg",
+         "w01"),
+        "error: --slot 0 out of range for arity 2"),
+    "compose-slot-past-arity": (
+        ("compose", "as2.mcat", "--name", "As2", "--op-sig", "(x,x;x)",
+         "--op", "w01", "--slot", "5", "--arg-sig", "(x,x;x)", "--arg",
+         "w01"),
+        "error: --slot 5 out of range for arity 2"),
+    "compose-unknown-op": (
+        ("compose", "as2.mcat", "--name", "As2", "--op-sig", "(x,x;x)",
+         "--op", "nope", "--slot", "1", "--arg-sig", "(x,x;x)", "--arg",
+         "w01"),
+        "error: no operation nope at x,x;x"),
+    "compose-unknown-arg": (
+        ("compose", "as2.mcat", "--name", "As2", "--op-sig", "(x,x;x)",
+         "--op", "w01", "--slot", "1", "--arg-sig", "(x,x;x)", "--arg",
+         "nope"),
+        "error: no operation nope at x,x;x"),
+    "compose-op-off-its-signature": (
+        ("compose", "as2.mcat", "--name", "As2", "--op-sig", "(x,x,x;x)",
+         "--op", "w01", "--slot", "1", "--arg-sig", "(x,x;x)", "--arg",
+         "w01"),
+        "error: no operation w01 at x,x,x;x"),
+    "compose-color-mismatch": (
+        ("compose", "twocolor.mcat", "--name", "Pair", "--op-sig", "(a;b)",
+         "--op", "f", "--slot", "1", "--arg-sig", "(a;b)", "--arg", "f"),
+        "error: --slot 1 of a;b takes a, --arg outputs b"),
+    "compose-outside-the-table": (
+        ("compose", "as2.mcat", "--name", "As2", "--op-sig", "(x,x;x)",
+         "--op", "w01", "--slot", "2", "--arg-sig", "(x,x;x)", "--arg",
+         "w01"),
+        "error: no composite of x,x;x:w01 and x,x;x:w01 at --slot 2"),
 }
 
 
@@ -432,6 +486,22 @@ def test_malformed_option_is_a_usage_error(name, docs_dir, capsys):
     assert run_cli(command, str(docs_dir / document), *rest) == 2
     got = capsys.readouterr()
     assert (got.out, got.err) == ("", message + "\n")
+
+
+def test_free_takes_a_multicategory_through_its_collection(docs_dir,
+                                                           capsys):
+    from multicat.trees import free_multicategory
+
+    As2 = dsl.elaborate(dsl.parse(
+        (docs_dir / "as2.mcat").read_text())[0])[0]["As2"]
+    for planar in ((), ("--planar",)):
+        assert run_cli("free", str(docs_dir / "as2.mcat"), "--name", "As2",
+                       "--cap-arity", "3", "--cap-vertices", "2",
+                       *planar) == 0
+        table, _ = free_multicategory(As2.collection, not planar, 3, 2)
+        got = json.loads(capsys.readouterr().out)
+        del got["free_report"]
+        assert got == jsonio.multicategory_json(table)
 
 
 # one malformed row of fixtures/bimod.mcat each: (line, replacement)

@@ -1,23 +1,30 @@
 """Tree encodings, the tree multicategory, free multicategories, circle
 products; frozen oracle values throughout."""
 
-from itertools import permutations
+from collections import Counter
+from itertools import permutations, product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from multicat import perms
 from multicat.core import FiniteCollection, check_multicategory_laws
+from multicat.dsl import elaborate, parse
 from multicat.errors import SubstitutionError, TruncationError
+from multicat.presents import _tensor_generators, arrow_multicategory
 from multicat.standard import assoc_multicategory, comm_multicategory, \
     unit_multicategory
-from multicat.trees import (BARE_EDGE, build_tree_multicategory,
-                            canonical_circle, canonical_term,
-                            circle_product, corolla,
-                            enumerate_terms, free_multicategory, graft,
-                            identity_term, op_compose, op_hom_set,
-                            op_identity, renumber_term, term_arity,
-                            term_signature)
+from multicat.trees import (BARE_EDGE, Layer, TermPool, base_layer,
+                            build_tree_multicategory, canonical_circle,
+                            canonical_term, circle_layer, circle_product,
+                            corolla, enumerate_terms, free_multicategory,
+                            graft, identity_term, least_image, op_compose,
+                            op_hom_set, op_identity, renumber_term,
+                            shuffles, term_arity, term_signature,
+                            vertex_minimum)
+from test_search import _sym12
 
 S2 = (("x", "x"), "x")
 
@@ -260,3 +267,176 @@ class TestCircle:
                                tuple(blocks[p[j]] for j in range(len(p))))
                     assert canonical_circle(*twisted, A.collection) == (
                         ref_canonical_circle(*twisted, A.collection)) == e
+
+
+# ---------------------------------------------------------------------------
+# orbit minima over the least image's coset, against the full minimum
+
+
+def _fixture(document, name):
+    path = Path(__file__).resolve().parent.parent / "fixtures" / document
+    objects, _ = elaborate(parse(path.read_text())[0])
+    return objects[name]
+
+
+# a free action (As), a trivial one (Com), proper stabilizers (Sym12),
+# two colors (Pair), and least images at another signature (the arrow
+# multicategory of As2, and the tensor generators of Com2 and As2)
+COLLECTIONS = {
+    "As3": lambda: assoc_multicategory(3).collection,
+    "Com3": lambda: comm_multicategory(3).collection,
+    "Sym12": lambda: _sym12().collection,
+    "Pair": lambda: _fixture("twocolor.mcat", "Pair").collection,
+    "As2^1": lambda: arrow_multicategory(assoc_multicategory(2), 1).collection,
+    "Com2+As2": lambda: _tensor_generators(comm_multicategory(2),
+                                           assoc_multicategory(2)),
+}
+
+
+def full_vertex_minimum(gsig, gid, children, gens):
+    """The earlier step of canonical_term: the minimum over every image."""
+    return min([("N", s, g, tuple(children[j] for j in p))
+                for p, s, g in gens.images((gsig, gid))])
+
+
+def full_canonical_term(t, gens):
+    if t[0] == "L":
+        return t
+    return full_vertex_minimum(t[1], t[2], tuple(
+        full_canonical_term(c, gens) for c in t[3]), gens)
+
+
+def full_canonical_circle(root, blocks, coll):
+    """The earlier canonical_circle: the minimum over every image."""
+    s, op, bs = min([(s, op, tuple(blocks[j] for j in p))
+                     for p, s, op in coll.images(root[1:])])
+    return ("circ", ("op", s, op), bs)
+
+
+def full_term_pool(gens, max_arity, max_vertices):
+    """The earlier symmetric branch of enumerate_terms: every planar term,
+    over every generator, canonicalized and closed under renumbering."""
+    found, steps = {}, {}
+    for t in enumerate_terms(gens, max_arity, max_vertices, False):
+        c = full_canonical_term(t, gens)
+        if c in found:
+            continue
+        found[c] = len(found)
+        taus = perms.adjacent_transpositions(term_arity(t))
+        frontier = [c]
+        while frontier:
+            x = frontier.pop()
+            row = steps[found[x]] = []
+            for tau in taus:
+                y = full_canonical_term(renumber_term(x, tau), gens)
+                if y not in found:
+                    found[y] = len(found)
+                    frontier.append(y)
+                row.append(found[y])
+    pool = TermPool(sorted(found))
+    where = {found[t]: i for i, t in enumerate(pool)}
+    pool.moves = [tuple(where[j] for j in steps[found[t]]) for t in pool]
+    return pool
+
+
+def full_circle_layer(m_coll, below, max_arity):
+    """The earlier circle_layer: every root drawn, minimum over every
+    image."""
+    sig_of = {}
+    for ms in m_coll.signatures():
+        for n in range(max_arity + 1):
+            for blocks_pos in shuffles(n, len(ms[0])):
+                pools = [below.shapes.get((out, len(S)), ())
+                         for S, out in zip(blocks_pos, ms[0])]
+                for op, combo in product(m_coll.ops_at(ms), product(*pools)):
+                    e = full_canonical_circle(
+                        ("op", ms, op), tuple(zip(blocks_pos, combo)), m_coll)
+                    inputs = [None] * n
+                    for S, c in e[2]:
+                        for pos, color in zip(S, below.sigs[c][0]):
+                            inputs[pos] = color
+                    sig_of[e] = (tuple(inputs), e[1][1][1])
+    return Layer(sig_of, below)
+
+
+def test_collections_cover_every_kind_of_coset():
+    kinds = set()
+    for build in COLLECTIONS.values():
+        coll = build()
+        for ref in coll.refs():
+            s, op, coset = least_image(coll, ref)
+            n = len(ref[0][0])
+            size = 1 if coset is None else len(coset)
+            kinds.add("moved" if (s, op) != ref else "least")
+            kinds.add("another signature" if s != ref[0] else "same")
+            kinds.add("free" if size == 1 else "whole group"
+                      if size == len(perms.all_perms(n)) else "proper")
+    assert kinds == {"moved", "least", "another signature", "same", "free",
+                     "whole group", "proper"}
+
+
+@pytest.mark.parametrize("name", sorted(COLLECTIONS))
+def test_vertex_minimum_matches_full_minimum(name):
+    coll = COLLECTIONS[name]()
+    # repeated children make ties, which a stabilizer breaks
+    items = [("L", "a", 0), ("L", "a", 1), ("L", "b", 0)]
+    for gsig, gid in coll.refs():
+        for children in product(items, repeat=len(gsig[0])):
+            assert vertex_minimum(gsig, gid, children, coll) == (
+                full_vertex_minimum(gsig, gid, children, coll))
+    for t in enumerate_terms(coll, 3, 2, False):
+        for p in perms.all_perms(term_arity(t)):
+            moved = renumber_term(t, p)
+            assert canonical_term(moved, coll) == (
+                full_canonical_term(moved, coll))
+
+
+@pytest.mark.parametrize("name", sorted(COLLECTIONS))
+def test_canonical_circle_matches_full_minimum(name):
+    coll = COLLECTIONS[name]()
+    # empty blocks with equal children tie
+    items = [((), 0), ((), 1), ((0,), 0), ((1,), 1)]
+    for ref in coll.refs():
+        root = ("op",) + ref
+        for blocks in product(items, repeat=len(ref[0][0])):
+            assert canonical_circle(root, blocks, coll) == (
+                full_canonical_circle(root, blocks, coll))
+
+
+@pytest.mark.parametrize("name", sorted(COLLECTIONS))
+def test_orbit_least_draws_match_full_draws(name):
+    coll = COLLECTIONS[name]()
+    for caps in [(3, 2), (3, 3)]:
+        pool = enumerate_terms(coll, *caps, symmetric=True)
+        want = full_term_pool(coll, *caps)
+        assert list(pool) == list(want)
+        assert pool.moves == want.moves
+    layer = base_layer(coll)
+    for _ in range(2):
+        got = circle_layer(coll, layer, 3)
+        want = full_circle_layer(coll, layer, 3)
+        assert (got.elems, got.sigs, got.shapes) == (
+            want.elems, want.sigs, want.shapes)
+        layer = got
+
+
+def _planar_oracle(coll, caps):
+    return oracles.planar_term_counts(
+        coll.colors, {s: len(coll.ops_at(s)) for s in coll.signatures()},
+        *caps)
+
+
+@pytest.mark.parametrize("document,name", [("as2.mcat", "As2"),
+                                           ("twocolor.mcat", "Pair")])
+@pytest.mark.parametrize("caps", [(3, 2), (2, 3), (4, 3)])
+def test_planar_sizes_match_oracle(document, name, caps):
+    # the planar branch draws every generator, whatever its action
+    coll = _fixture(document, name).collection
+    want = _planar_oracle(coll, caps)
+    terms = enumerate_terms(coll, *caps, symmetric=False)
+    assert Counter(map(term_signature, terms)) == want
+    F, report = free_multicategory(coll, False, *caps)
+    assert {s: len(F.ops_at(s)) for s in F.signatures()} == want
+    assert report.term_count == sum(want.values())
+    if name == "As2" and caps == (3, 2):
+        assert want[("x", "x"), "x"] == 8
