@@ -290,8 +290,9 @@ def _carrier_from(spec, option="--carrier"):
 
 
 def cmd_algebras(args):
-    from .algebras import (enumerate_algebras, free_algebra,
-                           op_algebra_to_operad, p1_algebras_as_triples)
+    from .algebras import (AlgebraStructure, enumerate_algebras,
+                           free_algebra, op_algebra_to_operad,
+                           p1_algebras_as_triples)
 
     _, objects, diags = _load(args.file)
     if _print_diags(diags):
@@ -307,7 +308,7 @@ def cmd_algebras(args):
         _emit(args, {"schema": jsonio.SCHEMA, "kind": "arrow-algebras", **rep})
         return 0 if rep["bijective"] else 1
     if args.roundtrip:
-        alg = _need(objects, args.roundtrip)
+        alg = _need(objects, args.roundtrip, AlgebraStructure)
         table, report = op_algebra_to_operad(alg)
         doc = jsonio.multicategory_json(table)
         doc["laws"] = report.to_json()
@@ -382,6 +383,7 @@ def cmd_bar(args):
     _, objects, diags = _load(args.file)
     if _print_diags(diags):
         return 1
+    modules = (Bimodule, TableMulticategory)
     if args.circle:
         with _parsing("--circle", args.circle):
             a, b = args.circle.split(",")
@@ -398,8 +400,8 @@ def cmd_bar(args):
     if args.restrict:
         with _parsing("--restrict", args.restrict):
             module_name, functor = args.restrict.split(",")
-        N = right_module_from(_need(objects, module_name))
-        psi = _need(objects, functor)
+        N = right_module_from(_need(objects, module_name, modules))
+        psi = _need(objects, functor, Multifunctor)
         out = restrict_module(N, psi)
         _emit(args, {
             "schema": jsonio.SCHEMA, "kind": "right-module",
@@ -407,9 +409,9 @@ def cmd_bar(args):
                       for s in out.collection.signatures()},
         })
         return 0
-    X = _need(objects, args.x, option="--x")
+    X = _need(objects, args.x, modules, option="--x")
     P = _need(objects, args.p, TableMulticategory, option="--p")
-    Y = _need(objects, args.y, option="--y")
+    Y = _need(objects, args.y, modules, option="--y")
     if isinstance(X, TableMulticategory):
         X = module_from_multicategory(X, max_arity=args.cap_arity)
     if isinstance(Y, TableMulticategory):

@@ -377,6 +377,21 @@ MALFORMED_OPTIONS = {
     "equiv-multicategory": (
         ("equiv", "as2.mcat", "--name", "As2"),
         "usage error: block 'As2' has the wrong kind"),
+    "bar-x-algebra": (
+        ("bar", "alg.mcat", "--x", "Mon2", "--p", "As3", "--y", "As3"),
+        "usage error: block 'Mon2' has the wrong kind"),
+    "bar-y-algebra": (
+        ("bar", "alg.mcat", "--x", "As3", "--p", "As3", "--y", "Mon2"),
+        "usage error: block 'Mon2' has the wrong kind"),
+    "bar-restrict-algebra": (
+        ("bar", "alg.mcat", "--restrict", "Mon2,As3"),
+        "usage error: block 'Mon2' has the wrong kind"),
+    "bar-restrict-along-a-multicategory": (
+        ("bar", "bimod.mcat", "--restrict", "Reg,As2pos"),
+        "usage error: block 'As2pos' has the wrong kind"),
+    "algebras-roundtrip-multicategory": (
+        ("algebras", "alg.mcat", "--name", "As3", "--roundtrip", "As3"),
+        "usage error: block 'As3' has the wrong kind"),
 }
 
 
