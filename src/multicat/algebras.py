@@ -90,6 +90,14 @@ def _lex_position(coords, args):
     return sum(ix[a] * st for (ix, st), a in zip(coords, args))
 
 
+def _signatures(inputs, outputs, arity_cap):
+    """The signatures of arity at most the cap over the input and the
+    output colors, sorted."""
+    return sorted(((combo, c) for k in range(arity_cap + 1)
+                   for combo in product(inputs, repeat=k) for c in outputs),
+                  key=sig_key)
+
+
 def _image_positions(f, family, target_index, inputs):
     """Position of f(z) in the target's order, for each z of the family's
     product in lexicographic order."""
@@ -185,14 +193,9 @@ class EndView:
         return self.arity_cap
 
     def signatures(self):
-        out = []
-        for k in range(self.arity_cap + 1):
-            for combo in product(self.colors, repeat=k):
-                for c in self.colors:
-                    s = (combo, c)
-                    if _EndOps(self, s).size > 0:
-                        out.append(s)
-        return sorted(out, key=sig_key)
+        return [s for s in _signatures(self.colors, self.colors,
+                                       self.arity_cap)
+                if _EndOps(self, s).size > 0]
 
     def ops_at(self, s):
         if len(s[0]) > self.arity_cap:
@@ -536,13 +539,14 @@ class EndModule:
         cod = self.target.carrier(s[1])
         return [fn_id(t) for t in product(cod, repeat=dom)]
 
+    def size_at(self, s):
+        """``len(ops_at(s))``, from the carrier sizes, listing nothing."""
+        _, dom = _lex_coords(_element_index(self.source), s[0])
+        return len(self.target.carrier(s[1])) ** dom
+
     def signatures(self):
-        out = []
-        for k in range(self.arity_cap + 1):
-            for combo in product(self.source.colors, repeat=k):
-                for c in self.target.colors:
-                    out.append((combo, c))
-        return sorted(out, key=sig_key)
+        return _signatures(self.source.colors, self.target.colors,
+                           self.arity_cap)
 
     def apply(self, ref, args):
         s, opid = ref
@@ -700,28 +704,29 @@ def op_algebra_to_operad(alg, max_arity=3):
     """Read a single-colored operad off an algebra over the tree
     multicategory through `core.tabulate`: carriers become the operation
     sets, the numbered corollas act, the two-vertex trees compose; the
-    result is law-checked."""
-    from .trees import op_text
+    result is law-checked.  A missing carrier is an empty operation set."""
+    from .trees import op_signature, op_text
 
-    def leaves(node):
-        return 1 if node[0] == "L" else sum(leaves(c) for c in node[2])
-
-    def evaluate(tree, arities, args):
-        s = (tuple(str(n) for n in arities), str(leaves(tree)))
-        return alg.apply((s, op_text(tree)), args)
+    def evaluate(tree, args):
+        ref = (op_signature(tree), op_text(tree))
+        try:
+            return alg.apply(ref, args)
+        except KeyError:
+            raise DomainError(
+                f"the algebra does not act by the tree {ref[1]} at "
+                f"{sig_key(ref[0])}: the read-off needs an algebra over the "
+                f"tree multicategory") from None
 
     def act(s, el, p):
-        return evaluate(_corolla_tree(len(p), perms.inverse(p)),
-                        (len(p),), (el,))
+        return evaluate(_corolla_tree(len(p), perms.inverse(p)), (el,))
 
     def compose(s, p, slot, qs, q):
-        return evaluate(_slot_tree(len(s[0]), slot, len(qs[0])),
-                        (len(s[0]), len(qs[0])), (p, q))
+        return evaluate(_slot_tree(len(s[0]), slot, len(qs[0])), (p, q))
 
     table, _, _ = tabulate(
-        ("x",), {(("x",) * n, "x"): alg.carrier.carrier(str(n))
+        ("x",), {(("x",) * n, "x"): alg.carrier.carriers.get(str(n), ())
                  for n in range(max_arity + 1)},
-        {"x": evaluate(("L", 0), (), ())}, lambda el: el, act, compose,
+        {"x": evaluate(("L", 0), ())}, lambda el: el, act, compose,
         arity_cap=max_arity, name="read-off")
     return table, check_multicategory_laws(table)
 
@@ -776,13 +781,14 @@ def p1_algebras_as_triples(P, A0, A1, budget=10 ** 7):
     from .presents import arrow_multicategory
 
     P1 = arrow_multicategory(P, 1)
-    family = ObjectFamily({"0": A0.carrier(P.colors[0]),
-                           "1": A1.carrier(P.colors[0])})
+    base = P.colors[0]
+    if any(base not in A.carriers for A in (A0, A1)):
+        raise DomainError(f"the target has no color {base}")
+    family = ObjectFamily({"0": A0.carrier(base), "1": A1.carrier(base)})
     arrow_algebras = enumerate_algebras(P1, family, budget=budget)
 
     alg0 = enumerate_algebras(P, A0, budget=budget)
     alg1 = enumerate_algebras(P, A1, budget=budget)
-    base = P.colors[0]
     triples = []
     for a0 in alg0:
         for a1 in alg1:

@@ -69,6 +69,10 @@ class _Usage(Exception):
     pass
 
 
+class _Failed(Exception):
+    """The document's diagnostics are printed; exit 1."""
+
+
 def _load(path):
     try:
         text = open(path, encoding="utf-8").read()
@@ -126,6 +130,39 @@ def _print_diags(diags):
     return hard
 
 
+def _objects(args):
+    """The elaborated blocks of ``args.file``, its diagnostics printed;
+    exits 1 when the document does not parse or a law is violated."""
+    ast, objects, diags = _load(args.file)
+    if _print_diags(diags) or ast is None:
+        raise _Failed
+    return objects
+
+
+def _saturation(args, sat):
+    """Emit a saturated table with its report."""
+    doc = jsonio.multicategory_json(sat.table)
+    doc["saturation"] = sat.report.to_json()
+    _emit(args, doc)
+    return 0 if sat.report.stabilized else 1
+
+
+def _simplicial(args, S):
+    """Emit a truncated simplicial set with its identities verdict."""
+    ok = S.check_identities().ok
+    doc = jsonio.simplicial_json(S)
+    doc["identities_ok"] = ok
+    _emit(args, doc)
+    return 0 if ok else 1
+
+
+def _sizes(args, kind, sigs, size):
+    """Emit ``size(s)``, the number of operations, at each signature."""
+    _emit(args, {"schema": jsonio.SCHEMA, "kind": kind,
+                 "sizes": {jsonio.sig_key(s): size(s) for s in sigs}})
+    return 0
+
+
 def cmd_check(args):
     ast, objects, diags = _load(args.file)
     if ast is None:
@@ -140,9 +177,7 @@ def cmd_check(args):
 
 
 def cmd_compose(args):
-    _, objects, diags = _load(args.file)
-    if _print_diags(diags):
-        return 1
+    objects = _objects(args)
     M = _need(objects, args.name, TableMulticategory)
     psig = dsl.parse_sig_token(args.op_sig, 0, [])
     qsig = dsl.parse_sig_token(args.arg_sig, 0, [])
@@ -182,9 +217,7 @@ def cmd_free(args):
                      "count": len(trees),
                      "trees": [op_text(t) for t in trees]})
         return 0
-    _, objects, diags = _load(args.file)
-    if _print_diags(diags):
-        return 1
+    objects = _objects(args)
     G = _need(objects, args.name, (FiniteCollection, TableMulticategory))
     table, report = free_multicategory(
         getattr(G, "collection", G), symmetric=not args.planar,
@@ -200,9 +233,7 @@ def cmd_free(args):
 def cmd_saturate(args):
     from .presents import Presentation, coproduct, pushout, saturate
 
-    _, objects, diags = _load(args.file)
-    if _print_diags(diags):
-        return 1
+    objects = _objects(args)
     if args.coproduct:
         with _parsing("--coproduct", args.coproduct):
             a, b = args.coproduct.split(",")
@@ -215,20 +246,14 @@ def cmd_saturate(args):
                        _need(objects, g, Multifunctor))
     else:
         pres = _need(objects, args.name, Presentation)
-    sat = saturate(pres, max_arity=args.cap_arity,
-                   max_vertices=args.cap_vertices)
-    doc = jsonio.multicategory_json(sat.table)
-    doc["saturation"] = sat.report.to_json()
-    _emit(args, doc)
-    return 0 if sat.report.stabilized else 1
+    return _saturation(args, saturate(pres, max_arity=args.cap_arity,
+                                      max_vertices=args.cap_vertices))
 
 
 def cmd_tensor(args):
     from .presents import arrow_multicategory, bv_tensor
 
-    _, objects, diags = _load(args.file)
-    if _print_diags(diags):
-        return 1
+    objects = _objects(args)
     if args.arrow is not None:
         P = _need(objects, args.left, TableMulticategory)
         table = arrow_multicategory(P, args.arrow)
@@ -236,20 +261,14 @@ def cmd_tensor(args):
         return 0
     P = _need(objects, args.left, TableMulticategory)
     Q = _need(objects, args.right, TableMulticategory)
-    sat = bv_tensor(P, Q, max_arity=args.cap_arity,
-                    max_vertices=args.cap_vertices)
-    doc = jsonio.multicategory_json(sat.table)
-    doc["saturation"] = sat.report.to_json()
-    _emit(args, doc)
-    return 0 if sat.report.stabilized else 1
+    return _saturation(args, bv_tensor(P, Q, max_arity=args.cap_arity,
+                                       max_vertices=args.cap_vertices))
 
 
 def cmd_hom(args):
     from .homcalc import enumerate_multifunctors, internal_hom
 
-    _, objects, diags = _load(args.file)
-    if _print_diags(diags):
-        return 1
+    objects = _objects(args)
     P = _need(objects, args.source, TableMulticategory)
     Q = _need(objects, args.target, TableMulticategory)
     if args.objects_only:
@@ -265,9 +284,7 @@ def cmd_hom(args):
 def cmd_adjunction(args):
     from .homcalc import adjunction_check
 
-    _, objects, diags = _load(args.file)
-    if _print_diags(diags):
-        return 1
+    objects = _objects(args)
     P = _need(objects, args.p, TableMulticategory)
     Q = _need(objects, args.q, TableMulticategory)
     R = _need(objects, args.r, TableMulticategory)
@@ -294,9 +311,7 @@ def cmd_algebras(args):
                            free_algebra, op_algebra_to_operad,
                            p1_algebras_as_triples)
 
-    _, objects, diags = _load(args.file)
-    if _print_diags(diags):
-        return 1
+    objects = _objects(args)
     if min(args.cap_arity, args.cap_vertices) < 0:  # though no mode reads them
         raise DomainError("the arity and vertex caps must be >= 0")
     P = _need(objects, args.name, TableMulticategory)
@@ -333,9 +348,7 @@ def cmd_end(args):
     from .bimodules import Bimodule, analyze_pointed, end_right_module
 
     if args.analyze or args.module:
-        _, objects, diags = _load(args.file)
-        if _print_diags(diags):
-            return 1
+        objects = _objects(args)
         M = _need(objects, args.module, Bimodule)
         if args.analyze:
             res = analyze_pointed(M, budget=args.budget)
@@ -364,11 +377,7 @@ def cmd_end(args):
     if args.pair_target:
         target = _carrier_from(args.pair_target, "--pair-target")
         mod = end_module(family, target, arity_cap=args.cap_arity)
-        sizes = {jsonio.sig_key(s): len(mod.ops_at(s))
-                 for s in mod.signatures()}
-        _emit(args, {"schema": jsonio.SCHEMA, "kind": "end-module",
-                     "sizes": sizes})
-        return 0
+        return _sizes(args, "end-module", mod.signatures(), mod.size_at)
     table = end_multicategory(family, arity_cap=args.cap_arity,
                               limit=args.budget)
     _emit(args, jsonio.multicategory_json(table))
@@ -380,9 +389,7 @@ def cmd_bar(args):
                             restrict_module, right_module_from)
     from .trees import circle_product
 
-    _, objects, diags = _load(args.file)
-    if _print_diags(diags):
-        return 1
+    objects = _objects(args)
     modules = (Bimodule, TableMulticategory)
     if args.circle:
         with _parsing("--circle", args.circle):
@@ -391,24 +398,16 @@ def cmd_bar(args):
         B = _need(objects, b, TableMulticategory)
         coll, _ = circle_product(A.collection, B.collection,
                                  max_arity=args.cap_arity)
-        _emit(args, {
-            "schema": jsonio.SCHEMA, "kind": "circle-product",
-            "sizes": {jsonio.sig_key(s): len(coll.ops_at(s))
-                      for s in coll.signatures()},
-        })
-        return 0
+        return _sizes(args, "circle-product", coll.signatures(),
+                      lambda s: len(coll.ops_at(s)))
     if args.restrict:
         with _parsing("--restrict", args.restrict):
             module_name, functor = args.restrict.split(",")
         N = right_module_from(_need(objects, module_name, modules))
         psi = _need(objects, functor, Multifunctor)
-        out = restrict_module(N, psi)
-        _emit(args, {
-            "schema": jsonio.SCHEMA, "kind": "right-module",
-            "sizes": {jsonio.sig_key(s): len(out.collection.ops_at(s))
-                      for s in out.collection.signatures()},
-        })
-        return 0
+        coll = restrict_module(N, psi).collection
+        return _sizes(args, "right-module", coll.signatures(),
+                      lambda s: len(coll.ops_at(s)))
     X = _need(objects, args.x, modules, option="--x")
     P = _need(objects, args.p, TableMulticategory, option="--p")
     Y = _need(objects, args.y, modules, option="--y")
@@ -417,32 +416,20 @@ def cmd_bar(args):
     if isinstance(Y, TableMulticategory):
         Y = module_from_multicategory(Y, max_arity=args.cap_arity)
     bar = bar_complex(X, P, Y, n_max=args.levels, max_arity=args.cap_arity)
-    rep = bar.check_identities()
-    doc = jsonio.simplicial_json(bar.simplicial)
-    doc["identities_ok"] = rep.ok
-    _emit(args, doc)
-    return 0 if rep.ok else 1
+    return _simplicial(args, bar.simplicial)
 
 
 def cmd_hochschild(args):
     from .bimodules import hochschild
 
-    _, objects, diags = _load(args.file)
-    if _print_diags(diags):
-        return 1
+    objects = _objects(args)
     P = _need(objects, args.name, TableMulticategory)
     bar = hochschild(P, n_max=args.levels, max_arity=args.cap_arity)
-    rep = bar.check_identities()
-    doc = jsonio.simplicial_json(bar.simplicial)
-    doc["identities_ok"] = rep.ok
-    _emit(args, doc)
-    return 0 if rep.ok else 1
+    return _simplicial(args, bar.simplicial)
 
 
 def cmd_equiv(args):
-    _, objects, diags = _load(args.file)
-    if _print_diags(diags):
-        return 1
+    objects = _objects(args)
     F = _need(objects, args.name, Multifunctor)
     rep = is_equivalence(F)
     _emit(args, jsonio.report_json(rep))
@@ -450,26 +437,17 @@ def cmd_equiv(args):
 
 
 def cmd_nerve(args):
-    _, objects, diags = _load(args.file)
-    if _print_diags(diags):
-        return 1
+    objects = _objects(args)
     M = _need(objects, args.name, TableMulticategory)
     C = underlying_category(M)
     if args.category_only:
         _emit(args, jsonio.category_json(C))
         return 0
-    N = nerve(C, args.depth)
-    rep = N.check_identities()
-    doc = jsonio.simplicial_json(N)
-    doc["identities_ok"] = rep.ok
-    _emit(args, doc)
-    return 0 if rep.ok else 1
+    return _simplicial(args, nerve(C, args.depth))
 
 
 def cmd_export(args):
-    _, objects, diags = _load(args.file)
-    if _print_diags(diags):
-        return 1
+    objects = _objects(args)
     M = _need(objects, args.name, TableMulticategory)
     if args.restrict_map:
         with _parsing("--restrict-map", args.restrict_map):
@@ -612,6 +590,8 @@ def main(argv=None):
     except _Usage as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
+    except _Failed:
+        return 1
     except MulticatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

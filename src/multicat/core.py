@@ -951,11 +951,10 @@ def is_equivalence(F):
     P, Q = F.source, F.target
     witnesses = []
     for s in P.signatures():
-        target_sig = (tuple(F.object_map[c] for c in s[0]), F.object_map[s[1]])
         images = [F.op_maps.get(s, {}).get(op) for op in P.ops_at(s)]
         if len(set(images)) != len(images):
             witnesses.append(f"not faithful at {sig_key(s)}")
-        if set(images) != set(Q.ops_at(target_sig)):
+        if set(images) != set(Q.ops_at(F.map_sig(s))):
             witnesses.append(f"not full at {sig_key(s)}")
     # fullness quantifies over all source signatures, including those with
     # empty operation sets: the empty function onto a nonempty set fails

@@ -288,17 +288,13 @@ def _collect_tables(block, diags, with_structure):
             ops[s] = ids
         elif head == "unit" and with_structure:
             if len(tokens) != 4 or tokens[2] != "=":
-                diags.append(Diagnostic(
-                    "SYNTAX", "unit row: unit color = id", lineno))
-                raise _Abort
+                _fail("unit row: unit color = id", lineno, diags, "SYNTAX")
             units[tokens[1]] = tokens[3]
             lines["unit", tokens[1]] = lineno
         elif head == "comp" and with_structure:
             if len(tokens) != 8 or tokens[6] != "=":
-                diags.append(Diagnostic(
-                    "SYNTAX",
-                    "comp row: comp (sig) id slot (sig) id = id", lineno))
-                raise _Abort
+                _fail("comp row: comp (sig) id slot (sig) id = id",
+                      lineno, diags, "SYNTAX")
             psig = parse_sig_token(tokens[1], lineno, diags)
             qsig = parse_sig_token(tokens[4], lineno, diags)
             if psig is None or qsig is None:
@@ -313,9 +309,8 @@ def _collect_tables(block, diags, with_structure):
         elif head in flags and len(tokens) == 1:
             flags[head] = True
         else:
-            diags.append(Diagnostic(
-                "SYNTAX", f"unknown row {head!r} in {block.kind}", lineno))
-            raise _Abort
+            _fail(f"unknown row {head!r} in {block.kind}",
+                  lineno, diags, "SYNTAX")
     return colors, ops, units, comp, generators, flags, lines
 
 
@@ -323,9 +318,7 @@ def _ops_row(tokens, lineno, diags):
     """The signature and sorted ids of an ``ops (sig) = id...`` row."""
     s = parse_sig_token(tokens[1], lineno, diags) if len(tokens) > 1 else None
     if s is None or len(tokens) < 3 or tokens[2] != "=":
-        diags.append(Diagnostic(
-            "SYNTAX", "ops row: ops (sig) = id...", lineno))
-        raise _Abort
+        _fail("ops row: ops (sig) = id...", lineno, diags, "SYNTAX")
     ids = tokens[3:]
     if len(set(ids)) != len(ids):
         diags.append(Diagnostic(
@@ -337,9 +330,7 @@ def _act_row(tokens, lineno, diags):
     """Signature, permutation, id and image of an ``act (sig) id [perm] =
     id`` row."""
     if len(tokens) != 6 or tokens[4] != "=":
-        diags.append(Diagnostic(
-            "SYNTAX", "act row: act (sig) id [perm] = id", lineno))
-        raise _Abort
+        _fail("act row: act (sig) id [perm] = id", lineno, diags, "SYNTAX")
     s = parse_sig_token(tokens[1], lineno, diags)
     p = parse_perm_token(tokens[3], lineno, diags)
     if s is None or p is None:
@@ -350,10 +341,11 @@ def _act_row(tokens, lineno, diags):
     return s, p, tokens[2], tokens[5]
 
 
-def _fail(message, lineno, diags):
-    """A STRUCT diagnostic for an input row that elaboration cannot use;
-    the block is dropped."""
-    diags.append(Diagnostic("STRUCT", message, lineno))
+def _fail(message, lineno, diags, code="STRUCT"):
+    """Reject the input: append a diagnostic with ``code`` (STRUCT for a
+    row that elaboration cannot use, SYNTAX or RESOLVE) at the line and
+    drop the block being elaborated."""
+    diags.append(Diagnostic(code, message, lineno))
     raise _Abort
 
 
@@ -383,8 +375,7 @@ def _slot(tok, lineno, diags):
     try:
         return int(tok) - 1
     except ValueError:
-        diags.append(Diagnostic("SYNTAX", "bad slot", lineno))
-        raise _Abort
+        _fail("bad slot", lineno, diags, "SYNTAX")
 
 
 def _resolve_ops(block, colors, ops, diags):
@@ -392,10 +383,8 @@ def _resolve_ops(block, colors, ops, diags):
     for s in ops:
         for c in list(s[0]) + [s[1]]:
             if c not in declared:
-                diags.append(Diagnostic(
-                    "RESOLVE", f"color {c!r} not declared in {block.name}",
-                    block.line))
-                raise _Abort
+                _fail(f"color {c!r} not declared in {block.name}",
+                      block.line, diags, "RESOLVE")
 
 
 def _finish_actions(block, ops, generators, diags, planar=False):
@@ -408,8 +397,7 @@ def _finish_actions(block, ops, generators, diags, planar=False):
             return action
         return complete_actions(ops, generators)
     except StructuralError as exc:
-        diags.append(Diagnostic("STRUCT", str(exc), block.line))
-        raise _Abort
+        _fail(str(exc), block.line, diags)
 
 
 def _elab_collection(block, diags):
@@ -428,9 +416,7 @@ def _elab_multicategory(block, diags):
                              planar=flags["planar"])
     for c in colors:
         if c not in units:
-            diags.append(Diagnostic(
-                "STRUCT", f"color {c} has no unit row", block.line))
-            raise _Abort
+            _fail(f"color {c} has no unit row", block.line, diags)
     for c, u in units.items():
         _need(ops, (((c,), c), u), f"unit {c}", lines["unit", c], diags)
     for (psig, p, slot, qsig, q), r in comp.items():
@@ -468,22 +454,16 @@ def _gen_lookup_for(coll):
 
 def _elab_presentation(block, objects, diags):
     if len(block.header) != 2 or block.header[0] != "over":
-        diags.append(Diagnostic(
-            "SYNTAX", "presentation N over COLLECTION", block.line))
-        raise _Abort
+        _fail("presentation N over COLLECTION", block.line, diags, "SYNTAX")
     gens = objects.get(block.header[1])
     if not isinstance(gens, FiniteCollection):
-        diags.append(Diagnostic(
-            "RESOLVE", f"{block.header[1]!r} is not a collection",
-            block.line))
-        raise _Abort
+        _fail(f"{block.header[1]!r} is not a collection",
+              block.line, diags, "RESOLVE")
     lookup = _gen_lookup_for(gens)
     rels = []
     for lineno, tokens in block.entries:
         if tokens[0] != "rel" or len(tokens) != 5 or tokens[3] != "=":
-            diags.append(Diagnostic(
-                "SYNTAX", "rel row: rel (sig) term = term", lineno))
-            raise _Abort
+            _fail("rel row: rel (sig) term = term", lineno, diags, "SYNTAX")
         s = parse_sig_token(tokens[1], lineno, diags)
         if s is None:
             raise _Abort
@@ -493,11 +473,8 @@ def _elab_presentation(block, objects, diags):
             raise _Abort
         ls, rs = term_signature(left), term_signature(right)
         if ls != s or rs != s:
-            diags.append(Diagnostic(
-                "STRUCT",
-                f"relation sides do not have signature {sig_key(s)}",
-                lineno))
-            raise _Abort
+            _fail(f"relation sides do not have signature {sig_key(s)}",
+                  lineno, diags)
         rels.append((left, right))
     return Presentation(gens, tuple(rels), name=block.name)
 
@@ -539,17 +516,13 @@ def _typed_term(tok, sig, lookup, lineno, diags):
 def _elab_multifunctor(block, objects, diags):
     if (len(block.header) != 4 or block.header[0] != ":"
             or block.header[2] != "->"):
-        diags.append(Diagnostic(
-            "SYNTAX", "multifunctor N : SRC -> DST", block.line))
-        raise _Abort
+        _fail("multifunctor N : SRC -> DST", block.line, diags, "SYNTAX")
     src = objects.get(block.header[1])
     dst = objects.get(block.header[3])
     if not isinstance(src, TableMulticategory) or not isinstance(
             dst, TableMulticategory):
-        diags.append(Diagnostic(
-            "RESOLVE", "multifunctor endpoints must be multicategories",
-            block.line))
-        raise _Abort
+        _fail("multifunctor endpoints must be multicategories",
+              block.line, diags, "RESOLVE")
     object_map = {}
     op_maps = {}
     for lineno, tokens in block.entries:
@@ -561,10 +534,8 @@ def _elab_multifunctor(block, objects, diags):
                 raise _Abort
             op_maps.setdefault(s, {})[tokens[2]] = tokens[4]
         else:
-            diags.append(Diagnostic(
-                "SYNTAX", f"unknown row {tokens[0]!r} in multifunctor",
-                lineno))
-            raise _Abort
+            _fail(f"unknown row {tokens[0]!r} in multifunctor",
+                  lineno, diags, "SYNTAX")
     for c in src.colors:
         if object_map.get(c) not in dst.colors:
             _fail(f"no obj row maps color {c} to a color of "
@@ -577,15 +548,11 @@ def _elab_multifunctor(block, objects, diags):
 
 def _elab_algebra(block, objects, diags):
     if len(block.header) != 2 or block.header[0] != "over":
-        diags.append(Diagnostic(
-            "SYNTAX", "algebra N over MULTICATEGORY", block.line))
-        raise _Abort
+        _fail("algebra N over MULTICATEGORY", block.line, diags, "SYNTAX")
     M = objects.get(block.header[1])
     if not isinstance(M, TableMulticategory):
-        diags.append(Diagnostic(
-            "RESOLVE", f"{block.header[1]!r} is not a multicategory",
-            block.line))
-        raise _Abort
+        _fail(f"{block.header[1]!r} is not a multicategory",
+              block.line, diags, "RESOLVE")
     carriers = {}
     action = {}
     act_lines = {}
@@ -599,14 +566,12 @@ def _elab_algebra(block, objects, diags):
             action.setdefault(s, {})[tokens[2]] = tuple(tokens[4:])
             act_lines[s, tokens[2]] = lineno
         else:
-            diags.append(Diagnostic(
-                "SYNTAX", f"unknown row {tokens[0]!r} in algebra", lineno))
-            raise _Abort
+            _fail(f"unknown row {tokens[0]!r} in algebra",
+                  lineno, diags, "SYNTAX")
     try:
         family = ObjectFamily(carriers)
     except StructuralError as exc:
-        diags.append(Diagnostic("STRUCT", str(exc), block.line))
-        raise _Abort
+        _fail(str(exc), block.line, diags)
     for (s, op), line in act_lines.items():
         for v in action[s][op]:
             if v not in carriers.get(s[1], ()):
@@ -622,17 +587,13 @@ def _elab_algebra(block, objects, diags):
 def _elab_bimodule(block, objects, diags):
     if (len(block.header) != 4 or block.header[0] != ":"
             or block.header[2] != "|"):
-        diags.append(Diagnostic(
-            "SYNTAX", "bimodule N : LEFT | RIGHT", block.line))
-        raise _Abort
+        _fail("bimodule N : LEFT | RIGHT", block.line, diags, "SYNTAX")
     L = objects.get(block.header[1])
     R = objects.get(block.header[3])
     if not isinstance(L, TableMulticategory) or not isinstance(
             R, TableMulticategory):
-        diags.append(Diagnostic(
-            "RESOLVE", "bimodule endpoints must be multicategories",
-            block.line))
-        raise _Abort
+        _fail("bimodule endpoints must be multicategories",
+              block.line, diags, "RESOLVE")
     ops = {}
     generators = {}
     right_table = {}
@@ -650,11 +611,8 @@ def _elab_bimodule(block, objects, diags):
         elif head == "ract":
             # ract (msig) m slot (qsig) q = (rsig) r
             if len(tokens) != 9 or tokens[6] != "=":
-                diags.append(Diagnostic(
-                    "SYNTAX",
-                    "ract row: ract (sig) m slot (sig) q = (sig) m'",
-                    lineno))
-                raise _Abort
+                _fail("ract row: ract (sig) m slot (sig) q = (sig) m'",
+                      lineno, diags, "SYNTAX")
             ms = parse_sig_token(tokens[1], lineno, diags)
             qs = parse_sig_token(tokens[4], lineno, diags)
             rs = parse_sig_token(tokens[7], lineno, diags)
@@ -674,10 +632,8 @@ def _elab_bimodule(block, objects, diags):
         elif head == "lact":
             # lact (psig) p : (sig) m ... = (sig) m'
             if ":" not in tokens or "=" not in tokens:
-                diags.append(Diagnostic(
-                    "SYNTAX", "lact row: lact (sig) p : pairs = (sig) m'",
-                    lineno))
-                raise _Abort
+                _fail("lact row: lact (sig) p : pairs = (sig) m'",
+                      lineno, diags, "SYNTAX")
             ci = tokens.index(":")
             ei = tokens.index("=")
             ps = parse_sig_token(tokens[1], lineno, diags)
@@ -685,9 +641,7 @@ def _elab_bimodule(block, objects, diags):
                 raise _Abort
             args = tokens[ci + 1:ei]
             if len(args) % 2 != 0 or len(tokens) - ei != 3:
-                diags.append(Diagnostic(
-                    "SYNTAX", "lact row is malformed", lineno))
-                raise _Abort
+                _fail("lact row is malformed", lineno, diags, "SYNTAX")
             mrefs = []
             for i in range(0, len(args), 2):
                 s = parse_sig_token(args[i], lineno, diags)
@@ -708,9 +662,7 @@ def _elab_bimodule(block, objects, diags):
             row_line[key] = lineno
             saw_action_row = True
         else:
-            diags.append(Diagnostic(
-                "SYNTAX", f"unknown row {head!r} in bimodule", lineno))
-            raise _Abort
+            _fail(f"unknown row {head!r} in bimodule", lineno, diags, "SYNTAX")
     if not saw_action_row and ops:
         diags.append(Diagnostic(
             "STRUCT", f"bimodule {block.name} has no action rows",

@@ -282,6 +282,12 @@ class KNatTransformation:
         return (s, self.components[a])
 
 
+def _knat_id(components):
+    """The op id of a transformation in the hom table: its components at
+    the source's colors, given in sorted order, as ``{a:op,...}``."""
+    return "{" + ",".join(f"{a}:{op}" for a, op in components.items()) + "}"
+
+
 def _naturality_square(Q, sources, target, component, m, sig):
     """Both routes of the naturality square at the source operation
     numbered m, with signature sig, as Q's values: ``sources`` and
@@ -466,10 +472,6 @@ def internal_hom(P, Q, arity_cap=3, budget=10 ** 6):
     def components(xi):
         return {a: Q.ref_of(v)[1] for a, v in zip(colors_sorted, xi[2])}
 
-    def oid_of(xi):
-        return "{" + ",".join(
-            f"{a}:{op}" for a, op in components(xi).items()) + "}"
-
     def act(s, xi, p):
         return (tuple(xi[0][i] for i in p), xi[1],
                 tuple(Q.image(v, p) for v in xi[2]))
@@ -482,8 +484,9 @@ def internal_hom(P, Q, arity_cap=3, budget=10 ** 6):
                                           for a in colors_sorted))
              for i, F in ids.items()}
     table, structure, _ = tabulate(
-        [color_of[i] for i in sorted(ids)], elements, units, oid_of, act,
-        compose, arity_cap=arity_cap, name=f"Hom({P.name},{Q.name})")
+        [color_of[i] for i in sorted(ids)], elements, units,
+        lambda xi: _knat_id(components(xi)), act, compose,
+        arity_cap=arity_cap, name=f"Hom({P.name},{Q.name})")
     return HomResult(
         table=table, functors={color_of[i]: ids[i] for i in ids},
         knats={key: KNatTransformation(xi[0], xi[1], components(xi))
@@ -592,9 +595,7 @@ def tensor_to_hom(H, P, Q, R, sat, hom):
                 if img is None:
                     return None
                 comps[b] = img[1]
-            oid = "{" + ",".join(
-                f"{b}:{comps[b]}" for b in sorted(Q.colors)) + "}"
-            table[pid] = oid
+            table[pid] = _knat_id(comps)
         op_maps[ps] = table
     return Multifunctor(source=P, target=hom.table, object_map=object_map,
                         op_maps=op_maps, name=f"transpose({H.name})")

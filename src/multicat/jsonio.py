@@ -29,8 +29,8 @@ import json
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _quoted
 
-from .core import (EquivalenceReport, FiniteCategory, LawReport,
-                   TableMulticategory, TruncatedSimplicialSet, sig_key)
+from .core import (FiniteCategory, TableMulticategory,
+                   TruncatedSimplicialSet, sig_key)
 
 SCHEMA = "multicat/1"
 
@@ -114,8 +114,6 @@ def simplicial_json(S):
 
 
 def report_json(obj):
-    if isinstance(obj, (LawReport, EquivalenceReport)):
-        return {"schema": SCHEMA, "kind": "report", **obj.to_json()}
     if hasattr(obj, "to_json"):
         return {"schema": SCHEMA, "kind": "report", **obj.to_json()}
     return {"schema": SCHEMA, "kind": "report", "value": obj}

@@ -39,16 +39,18 @@ presentation with no relations, where every class is a single term
 (:func:`trees.free_multicategory`).
 
 The computed quotient is a sound lower bound for the presented
-congruence.  ``stabilized`` is reported when every relation seed fits
-inside the caps and the bounded closure reached a merge-free round: a
-fixpoint of the moves on the terms within the caps.  It does not mean
-that the quotient is the presented operad cut to the caps, since a
-consequence may need a detour through larger terms.  The tensor
+congruence.  The closure always reaches a merge-free round, a fixpoint
+of the moves on the terms within the caps: a round that merges removes
+a class, so there are fewer such rounds than terms.  ``stabilized``
+means that every relation seed fits inside the caps as well.  It does
+not mean that the quotient is the presented operad cut to the caps,
+since a consequence may need a detour through larger terms.  The tensor
 Com2(x)Com2 at caps (4, 3) is stabilized with 115 classes at arity 4,
 where Eckmann-Hilton forces one (caps (4, 4) give one).
 """
 
 from dataclasses import dataclass, field
+from functools import partial
 
 from . import perms
 from .core import (FiniteCollection, TableMulticategory, restrict_objects,
@@ -187,8 +189,10 @@ class Saturation:
         return red
 
 
-def saturate(presentation, max_arity=3, max_vertices=4, max_rounds=200):
-    """Bounded congruence closure of a presentation; see module docstring."""
+def saturate(presentation, max_arity=3, max_vertices=4):
+    """Bounded congruence closure of a presentation, run until a round
+    adds no merges; ``stabilized`` reports that every relation seed fits
+    the caps.  See the module docstring."""
     gens = presentation.generators
     terms = enumerate_terms(gens, max_arity, max_vertices, symmetric=True)
     index = {t: i for i, t in enumerate(terms)}
@@ -251,9 +255,8 @@ def saturate(presentation, max_arity=3, max_vertices=4, max_rounds=200):
     # only grow, so representatives only fall in rank and a term that is
     # not a representative never becomes one again.
     rounds = 0
-    stabilized = False
     reps = list(range(n_terms))  # before the seeds, every term is its own
-    while rounds < max_rounds:
+    while True:
         rounds += 1
         prev, reps = reps, class_reps()
         moved = [u for u in range(n_terms) if reps[u] != prev[u]]
@@ -295,7 +298,6 @@ def saturate(presentation, max_arity=3, max_vertices=4, max_rounds=200):
                 merged |= uf.union(a, b)
 
         if not merged:
-            stabilized = True
             break
 
     reps = class_reps()
@@ -335,7 +337,7 @@ def saturate(presentation, max_arity=3, max_vertices=4, max_rounds=200):
         name=presentation.name or "saturated")
     sat.structure = {k: terms[i] for k, i in structure.items()}
     report = SaturationReport(
-        stabilized=stabilized and seed_escapes == 0,
+        stabilized=seed_escapes == 0,
         rounds=rounds,
         term_count=n_terms,
         class_counts={sig_key(s): len(v) for s, v in table.ops.items()},
@@ -371,65 +373,65 @@ def _require_complete(M):
             f"{M.name or 'input'} is marked partial; refusing")
 
 
+def _present(M, gen, ops, action):
+    """Present the table M by generators and relations: add its non-unit
+    operations, renamed by ``gen(s, op) -> (signature, id)``, with their
+    action tables to the generator tables ``ops`` and ``action``, and
+    return its composition table as pairs of planar terms, a unit written
+    as the identity term of its color.  The caller canonicalizes the pairs
+    once the generator collection is built."""
+    for s in M.signatures():
+        ids = [op for op in M.ops_at(s) if not M.is_unit((s, op))]
+        if not ids:
+            continue
+        gsig = gen(s, ids[0])[0]
+        ops.setdefault(gsig, []).extend(gen(s, op)[1] for op in ids)
+        for p in perms.all_perms(len(s[0])):
+            action.setdefault((gsig, p), {}).update(
+                (gen(s, op)[1], gen(s, im)[1])
+                for op, im in M.collection.action[s, p].items()
+                if not M.is_unit((s, op)))
+    return [(graft(_term(M, gen, p), slot, _term(M, gen, q)),
+             _term(M, gen, r))
+            for p, slot, q, r in M.cells()
+            if not (M.is_unit(p) or M.is_unit(q))]
+
+
+def _term(M, gen, ref):
+    """The generator corolla of an operation of M, or the identity term of
+    its color for a unit."""
+    gsig, gid = gen(*ref)
+    return identity_term(gsig[1]) if M.is_unit(ref) else corolla(gsig, gid)
+
+
 def _tensor_generators(P, Q):
     """Generator collection on paired colors: every non-unit operation of P
     at a fixed color of Q and vice versa, actions inherited."""
-    ops, action = {}, {}
-    for M, others, left in ((P, Q.colors, True), (Q, P.colors, False)):
-        for s in M.signatures():
-            ids = [op for op in M.ops_at(s) if not M.is_unit((s, op))]
-            if not ids:
-                continue
-            for c in others:
-                gsig = tensor_generator(s, ids[0], c, left)[0]
-                ops.setdefault(gsig, []).extend(
-                    tensor_generator(s, op, c, left)[1] for op in ids)
-                for p in perms.all_perms(len(s[0])):
-                    action.setdefault((gsig, p), {}).update(
-                        (tensor_generator(s, op, c, left)[1],
-                         tensor_generator(s, im, c, left)[1])
-                        for op, im in M.collection.action[s, p].items()
-                        if not M.is_unit((s, op)))
-    colors = tuple(sorted(
-        pair_color(a, b) for a in P.colors for b in Q.colors))
-    return FiniteCollection(
-        colors, {s: tuple(sorted(v)) for s, v in ops.items()}, action)
-
-
-def _side_relations(M, other_colors, fixed_right, gens):
-    """Multifunctoriality of each slice: the composition table of one side
-    becomes term relations at every fixed color of the other side."""
-    rels = []
-
-    def gref(s, op, c):
-        if M.is_unit((s, op)):
-            color = (pair_color(s[1], c) if fixed_right
-                     else pair_color(c, s[1]))
-            return identity_term(color)
-        return corolla(*tensor_generator(s, op, c, fixed_right))
-
-    for pref, slot, qref, rref in M.cells():
-        if M.is_unit(pref) or M.is_unit(qref):
-            continue
-        for c in other_colors:
-            left = graft(gref(*pref, c), slot, gref(*qref, c))
-            right = gref(*rref, c)
-            rels.append((canonical_term(left, gens),
-                         canonical_term(right, gens)))
-    return rels
+    return coproduct(P, Q).generators
 
 
 def coproduct(P, Q):
     """The presentation whose saturation is the coproduct: slices of P and
-    Q at each other's colors, with no interchange relations."""
+    Q at each other's colors, with no interchange relations.  The
+    composition table of each slice is its multifunctoriality."""
     _require_complete(P)
     _require_complete(Q)
-    gens = _tensor_generators(P, Q)
-    rels = []
-    rels += _side_relations(P, Q.colors, True, gens)
-    rels += _side_relations(Q, P.colors, False, gens)
-    return Presentation(gens, tuple(rels),
+    ops, action, rels = {}, {}, []
+    for M, others, left in ((P, Q.colors, True), (Q, P.colors, False)):
+        for c in others:
+            rels += _present(M, partial(tensor_generator, c=c, left=left),
+                             ops, action)
+    gens = FiniteCollection(
+        tuple(sorted(pair_color(a, b) for a in P.colors for b in Q.colors)),
+        {s: tuple(sorted(v)) for s, v in ops.items()}, action)
+    return Presentation(gens, _canonical(rels, gens),
                         name=f"{P.name or 'P'}+{Q.name or 'Q'}")
+
+
+def _canonical(rels, gens):
+    """Relation pairs of planar terms as pairs of canonical terms."""
+    return tuple((canonical_term(left, gens), canonical_term(right, gens))
+                 for left, right in rels)
 
 
 def interchange_relations(P, Q, gens):
@@ -458,18 +460,16 @@ def interchange_relations(P, Q, gens):
                             *tensor_generator(qs, psi, ps[0][i], False)))
                     shuffled = renumber_term(
                         right, perms.transpose_shuffle(n, m))
-                    rels.append((canonical_term(left, gens),
-                                 canonical_term(shuffled, gens)))
-    return rels
+                    rels.append((left, shuffled))
+    return _canonical(rels, gens)
 
 
 def bv_tensor(P, Q, max_arity=3, max_vertices=4):
     """The universal bilinear target: the coproduct presentation extended
     by the interchange relations, saturated within caps."""
     pres = coproduct(P, Q)
-    rels = list(pres.relations)
-    rels += interchange_relations(P, Q, pres.generators)
-    full = Presentation(pres.generators, tuple(rels),
+    rels = pres.relations + interchange_relations(P, Q, pres.generators)
+    full = Presentation(pres.generators, rels,
                         name=f"{P.name or 'P'}(x){Q.name or 'Q'}")
     return saturate(full, max_arity=max_arity, max_vertices=max_vertices)
 
@@ -533,55 +533,17 @@ def pushout(F, G):
         cls = sorted(x for x in items if uf.find(x) == root)
         color_name[item] = ".".join(f"{side}_{c}" for side, c in cls)
 
-    def side_sig(side, s):
-        return (tuple(color_name[side, c] for c in s[0]),
-                color_name[side, s[1]])
+    def gen(side):
+        return lambda s, op: ((tuple(color_name[side, c] for c in s[0]),
+                               color_name[side, s[1]]), f"{side}:{op}")
 
-    ops = {}
-    action = {}
-
-    def gid(side, op):
-        return f"{side}:{op}"
-
-    for side, M in (("b", B), ("c", C)):
-        for s in M.signatures():
-            new_sig = side_sig(side, s)
-            ids = [gid(side, op) for op in M.ops_at(s)
-                   if not M.is_unit((s, op))]
-            if ids:
-                ops.setdefault(new_sig, []).extend(ids)
-        for s in M.ops:
-            n = len(s[0])
-            new_sig = side_sig(side, s)
-            for p in perms.all_perms(n):
-                table = {gid(side, op): gid(side, im)
-                         for op, im in M.collection.action[s, p].items()
-                         if not M.is_unit((s, op))}
-                if table:
-                    action.setdefault((new_sig, p), {}).update(table)
-    ops = {s: tuple(sorted(v)) for s, v in ops.items()}
-    colors = tuple(sorted(set(color_name.values())))
-    gens = FiniteCollection(colors, ops, action)
-
-    def gref(side, M, s, op):
-        if M.is_unit((s, op)):
-            return identity_term(color_name[side, s[1]])
-        return corolla(side_sig(side, s), gid(side, op))
-
-    rels = []
-    for side, M in (("b", B), ("c", C)):
-        for pref, slot, qref, rref in M.cells():
-            if M.is_unit(pref) or M.is_unit(qref):
-                continue
-            left = graft(gref(side, M, *pref), slot, gref(side, M, *qref))
-            rels.append((canonical_term(left, gens),
-                         canonical_term(gref(side, M, *rref), gens)))
-    for s in A.signatures():
-        for op in A.ops_at(s):
-            fs = (tuple(F.object_map[c] for c in s[0]), F.object_map[s[1]])
-            gs = (tuple(G.object_map[c] for c in s[0]), G.object_map[s[1]])
-            if not A.is_unit((s, op)):
-                rels.append((
-                    canonical_term(gref("b", B, fs, F.op_maps[s][op]), gens),
-                    canonical_term(gref("c", C, gs, G.op_maps[s][op]), gens)))
-    return Presentation(gens, tuple(rels), name="pushout")
+    ops, action = {}, {}
+    rels = (_present(B, gen("b"), ops, action)
+            + _present(C, gen("c"), ops, action))
+    rels += [(_term(B, gen("b"), F.map_ref(ref)),
+              _term(C, gen("c"), G.map_ref(ref)))
+             for ref in A.refs() if not A.is_unit(ref)]
+    gens = FiniteCollection(tuple(sorted(set(color_name.values()))),
+                            {s: tuple(sorted(v)) for s, v in ops.items()},
+                            action)
+    return Presentation(gens, _canonical(rels, gens), name="pushout")

@@ -9,18 +9,23 @@ commutative family has a single operation per arity.
 from itertools import permutations
 
 from . import perms
-from .core import FiniteCollection, TableMulticategory, tabulate
+from .core import TableMulticategory, tabulate
 
 
 def unit_multicategory(color="u"):
     """One color, only the identity; the tensor unit."""
-    s = ((color,), color)
-    ops = {s: ("1",)}
-    action = {(s, (0,)): {"1": "1"}}
-    return TableMulticategory(
-        collection=FiniteCollection((color,), ops, action),
-        units={color: "1"}, comp={(s, "1", 0, s, "1"): "1"},
-        name="unit")
+    return _unary((color,), [((color,), color)], "1", "unit")
+
+
+def _unary(colors, sigs, op, name):
+    """The table with the one operation ``op`` at each unary signature of
+    ``sigs``, every composite being the operation at the composed
+    signature, built through `core.tabulate`."""
+    table, _, _ = tabulate(
+        colors, {s: [s] for s in sigs}, {c: ((c,), c) for c in colors},
+        lambda s: op, lambda s, e, p: e, lambda s, e, i, qs, f: (qs[0], s[1]),
+        name=name)
+    return table
 
 
 def word_id(w):
@@ -76,33 +81,13 @@ def comm_multicategory(max_arity=3, color="x"):
 def indiscrete_pair(colors=("a", "b")):
     """Two isomorphic colors: exactly one morphism in every unary hom,
     nothing in higher arities."""
-    ops = {}
-    action = {}
-    for a in colors:
-        for b in colors:
-            s = ((a,), b)
-            ops[s] = ("f",)
-            action[s, (0,)] = {"f": "f"}
-    comp = {}
-    for a in colors:
-        for b in colors:
-            for c in colors:
-                comp[((b,), c), "f", 0, ((a,), b), "f"] = "f"
-    units = {c: "f" for c in colors}
-    return TableMulticategory(
-        collection=FiniteCollection(tuple(colors), ops, action),
-        units=units, comp=comp, name="indiscrete2")
+    return _unary(colors, [((a,), b) for a in colors for b in colors], "f",
+                  "indiscrete2")
 
 
 def discrete_pair(colors=("a", "b")):
     """Two colors with only identities; the colors are not isomorphic."""
-    ops = {((c,), c): ("1",) for c in colors}
-    action = {(((c,), c), (0,)): {"1": "1"} for c in colors}
-    comp = {((((c,), c)), "1", 0, (((c,), c)), "1"): "1" for c in colors}
-    return TableMulticategory(
-        collection=FiniteCollection(tuple(colors), ops, action),
-        units={c: "1" for c in colors},
-        comp=comp, name="discrete2")
+    return _unary(colors, [((c,), c) for c in colors], "1", "discrete2")
 
 
 def corrupt_unit(M):

@@ -16,6 +16,7 @@ from multicat.algebras import (AlgebraStructure, EndView, ObjectFamily,
 from multicat.core import check_multicategory_laws
 from multicat.errors import BudgetExceededError, DomainError
 from multicat.homcalc import check_multifunctor
+from multicat.presents import arrow_multicategory
 from multicat.standard import (assoc_multicategory, comm_multicategory,
                                unit_multicategory)
 from multicat.trees import build_tree_multicategory
@@ -340,6 +341,18 @@ class TestTreeAlgebraCorrespondence:
         _, report = op_algebra_to_operad(bad, max_arity=3)
         assert not report.ok
 
+    @pytest.mark.parametrize("make,family", [
+        # no carriers named by arities
+        (lambda: AS3, A2),
+        # carriers at arities 0..3, but over the arrow multicategory
+        (lambda: arrow_multicategory(I, 3),
+         ObjectFamily({str(n): ("a",) for n in range(4)}))],
+        ids=["monoid", "arrows"])
+    def test_read_off_needs_a_tree_algebra(self, make, family):
+        alg = enumerate_algebras(make(), family)[0]
+        with pytest.raises(DomainError, match="over the tree multicategory"):
+            op_algebra_to_operad(alg, max_arity=3)
+
 
 class TestArrowCensus:
     def test_unit_triples_are_functions(self):
@@ -354,8 +367,6 @@ class TestArrowCensus:
         assert rep["arrow_count"] == fx["monoid_triples_2_2"]
 
     def test_strings_of_length_two(self, fx):
-        from multicat.presents import arrow_multicategory
-
         P2 = arrow_multicategory(AS3, 2)
         family = ObjectFamily({"0": ("a", "b"), "1": ("a", "b"),
                                "2": ("a", "b")})

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -480,6 +481,13 @@ DOMAIN_ERRORS = {
          "--op", "w01", "--slot", "2", "--arg-sig", "(x,x;x)", "--arg",
          "w01"),
         "error: no composite of x,x;x:w01 and x,x;x:w01 at --slot 2"),
+    "algebras-roundtrip-not-over-trees": (
+        ("algebras", "alg.mcat", "--name", "As3", "--roundtrip", "Mon2"),
+        "error: the algebra does not act by the tree *1 at ;1: the "
+        "read-off needs an algebra over the tree multicategory"),
+    "algebras-p1-carrier-without-color": (
+        ("algebras", "com3.mcat", "--name", "Com3", "--p1", "x=a|y=a,b"),
+        "error: the target has no color x"),
 }
 
 
@@ -501,6 +509,48 @@ def test_malformed_option_is_a_usage_error(name, docs_dir, capsys):
     assert run_cli(command, str(docs_dir / document), *rest) == 2
     got = capsys.readouterr()
     assert (got.out, got.err) == ("", message + "\n")
+
+
+# every subcommand that reads a document, on one that does not parse
+UNPARSABLE = {
+    "compose": ("--name", "As2", "--op-sig", "(x;x)", "--op", "a",
+                "--slot", "1", "--arg-sig", "(x;x)", "--arg", "a"),
+    "free": ("--name", "As2"),
+    "saturate": ("--name", "As2"),
+    "tensor": ("As2", "As2"),
+    "hom": ("As2", "As2"),
+    "adjunction": ("As2", "As2", "As2"),
+    "algebras": ("--name", "As2", "--carrier", "x=a"),
+    "end": ("--module", "As2"),
+    "bar": ("--x", "As2", "--p", "As2", "--y", "As2"),
+    "hochschild": ("--name", "As2"),
+    "equiv": ("--name", "As2"),
+    "nerve": ("--name", "As2"),
+    "export": ("--name", "As2"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(UNPARSABLE))
+def test_unparsable_document_gives_diagnostics(command, tmp_path, capsys):
+    path = tmp_path / "bad.mcat"
+    path.write_text("multicategory As2\n  color x\nbogus X\n")
+    out = tmp_path / "artifact.json"
+    code = run_cli(command, str(path), *UNPARSABLE[command],
+                   "--out", str(out))
+    got = capsys.readouterr()
+    assert (code, got.out, got.err) == (
+        1, "", "3:1: SYNTAX: unknown block kind 'bogus'\n")
+    assert not out.exists()
+
+
+def test_pair_target_counts_without_listing(capsys):
+    # 3 ** 81 functions at (x,x,x,x;x): far too many to list, as the
+    # counts were taken before
+    assert run_cli("end", "dummy", "--carrier", "x=a,b,c", "--pair-target",
+                   "x=a,b,c", "--cap-arity", "4") == 0
+    sizes = json.loads(capsys.readouterr().out)["sizes"]
+    assert sizes == {";x": 3, "x;x": 3 ** 3, "x,x;x": 3 ** 9,
+                     "x,x,x;x": 3 ** 27, "x,x,x,x;x": 3 ** 81}
 
 
 def test_free_takes_a_multicategory_through_its_collection(docs_dir,
@@ -638,6 +688,49 @@ def fixture_mutants(draw):
         else:
             del line[draw(st.sampled_from(filled))]
     return "\n".join(" ".join(line) for line in lines)
+
+
+def seeded_mutant(seed, keep_indent):
+    """`fixture_mutants` drawn from a seeded generator; with keep_indent no
+    token is inserted before a line's first, so most mutants parse and
+    reach elaboration."""
+    rng = random.Random(seed)
+    lines = [line.split(" ") for line in rng.choice(FIXTURE_TEXTS).split("\n")]
+    pool = sorted({t for line in lines for t in line if t})
+    for _ in range(rng.randint(1, 3)):
+        line = rng.choice(lines)
+        kind = rng.choice("rdi")
+        filled = [j for j, t in enumerate(line) if t]
+        lo = filled[0] if keep_indent and filled else 0
+        if kind == "i" or not filled:
+            line.insert(rng.randint(lo, len(line)), rng.choice(pool))
+        elif kind == "r":
+            line[rng.choice(filled)] = rng.choice(pool)
+        else:
+            del line[rng.choice(filled)]
+    return "\n".join(" ".join(line) for line in lines)
+
+
+# sha256 of every diagnostic (code, line, column, text) and the elaborated
+# block names of 2,400 seeded mutants, taken before the rejection sites of
+# the elaborator went through one helper
+MUTANT_DIAGNOSTICS_DIGEST = (
+    "933067b013b0eec2c0bf081e99fef75fdbe9a8186eb74911aeebd52aeb7f38bd")
+
+
+def test_mutant_diagnostics_unchanged():
+    rows = []
+    for seed in range(2400):
+        ast, diags = dsl.parse(seeded_mutant(seed, seed >= 1200))
+        names = []
+        if ast is not None:
+            objects, ediags = dsl.elaborate(ast)
+            diags, names = diags + ediags, list(objects)
+        rows.append(repr(([(d.code, d.line, d.col, d.message)
+                           for d in diags], names)))
+    text = "\n".join(rows) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        MUTANT_DIAGNOSTICS_DIGEST)
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)

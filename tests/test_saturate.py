@@ -20,6 +20,13 @@ per-vertex minimum only along a changed path (`trees.canonical_graft`,
 `trees.canonical_replace`) and the transposition table kept by the
 enumeration are checked against full canonicalization on the symmetric
 pools of `GENERATORS`.
+
+`ref_tensor_generators` with `ref_side_relations`, and `ref_pushout`, are
+the earlier coproduct and pushout presentations, which each wrote out
+the generators and composition relations of their input tables by hand;
+both now go through `presents._present`.  The generator collections must
+be equal and the relations equal as multisets of canonical terms (the
+coproduct's relations now come per fixed color, then per cell).
 """
 
 from dataclasses import dataclass, field
@@ -37,8 +44,8 @@ from multicat.homcalc import Multifunctor, identity_multifunctor
 from multicat.presents import (Presentation, SaturationReport, UnionFind,
                                _tensor_generators, arrow_multicategory,
                                coproduct, extract_standalone,
-                               interchange_relations, pushout, saturate,
-                               subtree_sites)
+                               interchange_relations, pair_color, pushout,
+                               saturate, subtree_sites, tensor_generator)
 from multicat.standard import (assoc_multicategory, comm_multicategory,
                                unit_multicategory)
 from multicat.trees import (FreeReport, canonical_graft,
@@ -338,14 +345,18 @@ def tensor_presentation(P, Q):
                         name=f"{P.name or 'P'}(x){Q.name or 'Q'}")
 
 
-def arrow_pushout():
-    """The span of level-1 arrows of Com2 along the endpoint inclusions."""
+def arrow_span():
+    """The level-1 arrows of Com2 along the endpoint inclusions."""
     A1 = arrow_multicategory(COM2, 1)
-    ends = [Multifunctor(source=COM2, target=A1, object_map={"x": c},
+    return [Multifunctor(source=COM2, target=A1, object_map={"x": c},
                          op_maps={s: {op: op for op in COM2.ops_at(s)}
                                   for s in COM2.signatures()})
             for c in ("1", "0")]
-    return pushout(*ends)
+
+
+def arrow_pushout():
+    """The pushout of the span of level-1 arrows of Com2."""
+    return pushout(*arrow_span())
 
 
 CASES = {
@@ -591,3 +602,158 @@ def test_fuzz_com2_com2_relations(chosen, caps):
     rels = tuple(COMCOM.relations[i] for i in sorted(chosen))
     pres = Presentation(COMCOM.generators, rels, name="fuzz")
     assert_same(saturate(pres, *caps), ref_saturate(pres, *caps))
+
+
+# ---------------------------------------------------------------------------
+# presentations: one helper against the loops it replaced
+
+
+def ref_tensor_generators(P, Q):
+    ops, action = {}, {}
+    for M, others, left in ((P, Q.colors, True), (Q, P.colors, False)):
+        for s in M.signatures():
+            ids = [op for op in M.ops_at(s) if not M.is_unit((s, op))]
+            if not ids:
+                continue
+            for c in others:
+                gsig = tensor_generator(s, ids[0], c, left)[0]
+                ops.setdefault(gsig, []).extend(
+                    tensor_generator(s, op, c, left)[1] for op in ids)
+                for p in perms.all_perms(len(s[0])):
+                    action.setdefault((gsig, p), {}).update(
+                        (tensor_generator(s, op, c, left)[1],
+                         tensor_generator(s, im, c, left)[1])
+                        for op, im in M.collection.action[s, p].items()
+                        if not M.is_unit((s, op)))
+    colors = tuple(sorted(
+        pair_color(a, b) for a in P.colors for b in Q.colors))
+    return FiniteCollection(
+        colors, {s: tuple(sorted(v)) for s, v in ops.items()}, action)
+
+
+def ref_side_relations(M, other_colors, fixed_right, gens):
+    rels = []
+
+    def gref(s, op, c):
+        if M.is_unit((s, op)):
+            color = (pair_color(s[1], c) if fixed_right
+                     else pair_color(c, s[1]))
+            return identity_term(color)
+        return corolla(*tensor_generator(s, op, c, fixed_right))
+
+    for pref, slot, qref, rref in M.cells():
+        if M.is_unit(pref) or M.is_unit(qref):
+            continue
+        for c in other_colors:
+            left = graft(gref(*pref, c), slot, gref(*qref, c))
+            right = gref(*rref, c)
+            rels.append((canonical_term(left, gens),
+                         canonical_term(right, gens)))
+    return rels
+
+
+def ref_coproduct(P, Q):
+    gens = ref_tensor_generators(P, Q)
+    return gens, (ref_side_relations(P, Q.colors, True, gens)
+                  + ref_side_relations(Q, P.colors, False, gens))
+
+
+def ref_pushout(F, G):
+    A, B, C = F.source, F.target, G.target
+    items = [("b", c) for c in B.colors] + [("c", c) for c in C.colors]
+    uf = UnionFind(items)
+    for a in A.colors:
+        uf.union(("b", F.object_map[a]), ("c", G.object_map[a]))
+    color_name = {}
+    for item in items:
+        root = uf.find(item)
+        cls = sorted(x for x in items if uf.find(x) == root)
+        color_name[item] = ".".join(f"{side}_{c}" for side, c in cls)
+
+    def side_sig(side, s):
+        return (tuple(color_name[side, c] for c in s[0]),
+                color_name[side, s[1]])
+
+    def gid(side, op):
+        return f"{side}:{op}"
+
+    ops, action = {}, {}
+    for side, M in (("b", B), ("c", C)):
+        for s in M.signatures():
+            ids = [gid(side, op) for op in M.ops_at(s)
+                   if not M.is_unit((s, op))]
+            if ids:
+                ops.setdefault(side_sig(side, s), []).extend(ids)
+        for s in M.ops:
+            for p in perms.all_perms(len(s[0])):
+                table = {gid(side, op): gid(side, im)
+                         for op, im in M.collection.action[s, p].items()
+                         if not M.is_unit((s, op))}
+                if table:
+                    action.setdefault((side_sig(side, s), p), {}).update(
+                        table)
+    gens = FiniteCollection(tuple(sorted(set(color_name.values()))),
+                            {s: tuple(sorted(v)) for s, v in ops.items()},
+                            action)
+
+    def gref(side, M, s, op):
+        if M.is_unit((s, op)):
+            return identity_term(color_name[side, s[1]])
+        return corolla(side_sig(side, s), gid(side, op))
+
+    rels = []
+    for side, M in (("b", B), ("c", C)):
+        for pref, slot, qref, rref in M.cells():
+            if M.is_unit(pref) or M.is_unit(qref):
+                continue
+            left = graft(gref(side, M, *pref), slot, gref(side, M, *qref))
+            rels.append((canonical_term(left, gens),
+                         canonical_term(gref(side, M, *rref), gens)))
+    for s in A.signatures():
+        for op in A.ops_at(s):
+            fs = (tuple(F.object_map[c] for c in s[0]), F.object_map[s[1]])
+            gs = (tuple(G.object_map[c] for c in s[0]), G.object_map[s[1]])
+            if not A.is_unit((s, op)):
+                rels.append((
+                    canonical_term(gref("b", B, fs, F.op_maps[s][op]), gens),
+                    canonical_term(gref("c", C, gs, G.op_maps[s][op]), gens)))
+    return gens, rels
+
+
+def twocolor():
+    text = Path(__file__).parent.parent / "fixtures" / "twocolor.mcat"
+    objs, diags = elaborate(parse(text.read_text())[0])
+    assert not diags
+    return objs
+
+
+FACTORS = {"I": lambda: I, "As2": lambda: AS2, "Com2": lambda: COM2,
+           "As3": lambda: AS3, "Pair": lambda: twocolor()["Pair"]}
+SPANS = {
+    "skel": lambda: [twocolor()["Skel"]] * 2,
+    "collapse": lambda: [twocolor()["Collapse"]] * 2,
+    "arrows": arrow_span,
+    "identity": lambda: [identity_multifunctor(COM2)] * 2,
+}
+
+
+def assert_same_presentation(pres, ref):
+    gens, rels = ref
+    got = pres.generators
+    assert (got.colors, got.ops, got.action) == (
+        gens.colors, gens.ops, gens.action)
+    assert sorted(pres.relations) == sorted(rels)
+
+
+@pytest.mark.parametrize("p,q", [(p, q) for p in sorted(FACTORS)
+                                 for q in sorted(FACTORS)])
+def test_coproduct_matches_reference(p, q):
+    P, Q = FACTORS[p](), FACTORS[q]()
+    assert_same_presentation(coproduct(P, Q), ref_coproduct(P, Q))
+    assert _tensor_generators(P, Q) == ref_tensor_generators(P, Q)
+
+
+@pytest.mark.parametrize("name", sorted(SPANS))
+def test_pushout_matches_reference(name):
+    F, G = SPANS[name]()
+    assert_same_presentation(pushout(F, G), ref_pushout(F, G))

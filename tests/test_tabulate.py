@@ -17,7 +17,9 @@ from multicat.bimodules import end_right_module
 from multicat.core import check_multicategory_laws, tabulate
 from multicat.homcalc import internal_hom
 from multicat.presents import arrow_multicategory, saturate
-from multicat.standard import assoc_multicategory, comm_multicategory
+from multicat.standard import (assoc_multicategory, comm_multicategory,
+                               discrete_pair, indiscrete_pair,
+                               unit_multicategory)
 from multicat.trees import build_tree_multicategory, free_multicategory
 
 A2 = ObjectFamily({"x": ("a", "b")})
@@ -73,6 +75,18 @@ DIGESTS = {
         "2cf30f4b3ae8e9c636c1043e6e176daf21501095a8d90bfe89b627585fcf5f40",
     "arrow-com2-2":
         "61d4574caaba939dab7132137d692a87751f22e3839cf5e8c731bcd0714c681f",
+    "unit-u":
+        "577b3ff7987976b1f5d250df23fd9fd97376ae5ee53dd3a7d72b21e7b7d7de7f",
+    "unit-x":
+        "03b6f0807ee4cf9d405357504795af4d020e46ca5fda9e7760ae0e23de29b264",
+    "indiscrete-ab":
+        "332144927e335e7659921e567783a8d6b0e1ddecfafada1cb88a03490ca39d58",
+    "indiscrete-qpr":
+        "047d1460eafd1dd7a6aa1bccf2bac96039eb427b702a998be380d3d6b57bd3b0",
+    "discrete-ab":
+        "dc946860c938e70c3c2b58ad8b76a35f947bc6c3cd36c60e195fad4bebd46dec",
+    "discrete-yx":
+        "3f93d1042c1e0d15fc885131ce65fb61a3194645ededf7406313cec2ca2ce406",
 }
 
 
@@ -152,6 +166,27 @@ def test_standard_families(n):
 def test_arrow(objects):
     table = arrow_multicategory(objects["Com2"], 2)
     assert digest(table) == DIGESTS["arrow-com2-2"]
+
+
+# the one-operation-per-unary-signature tables: (builder, arguments,
+# colors in the order given)
+UNARY = {
+    "unit-u": (unit_multicategory, (), ("u",)),
+    "unit-x": (unit_multicategory, ("x",), ("x",)),
+    "indiscrete-ab": (indiscrete_pair, (), ("a", "b")),
+    "indiscrete-qpr": (indiscrete_pair, (("q", "p", "r"),), ("q", "p", "r")),
+    "discrete-ab": (discrete_pair, (), ("a", "b")),
+    "discrete-yx": (discrete_pair, (("y", "x"),), ("y", "x")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNARY))
+def test_unary_tables(name):
+    build, args, colors = UNARY[name]
+    M = build(*args)
+    assert M.colors == colors and M.complete
+    assert check_multicategory_laws(M).ok
+    assert digest(M) == DIGESTS[name]
 
 
 # ---------------------------------------------------------------------------
