@@ -544,8 +544,8 @@ def test_unparsable_document_gives_diagnostics(command, tmp_path, capsys):
 
 
 def test_pair_target_counts_without_listing(capsys):
-    # 3 ** 81 functions at (x,x,x,x;x): far too many to list, as the
-    # counts were taken before
+    # 3 ** 81 functions at (x,x,x,x;x): far too many to list, so the
+    # sizes must come from the carriers
     assert run_cli("end", "dummy", "--carrier", "x=a,b,c", "--pair-target",
                    "x=a,b,c", "--cap-arity", "4") == 0
     sizes = json.loads(capsys.readouterr().out)["sizes"]
@@ -692,8 +692,8 @@ def fixture_mutants(draw):
 
 def seeded_mutant(seed, keep_indent):
     """`fixture_mutants` drawn from a seeded generator; with keep_indent no
-    token is inserted before a line's first, so most mutants parse and
-    reach elaboration."""
+    token is inserted before a line's first token, so most mutants parse
+    and reach elaboration."""
     rng = random.Random(seed)
     lines = [line.split(" ") for line in rng.choice(FIXTURE_TEXTS).split("\n")]
     pool = sorted({t for line in lines for t in line if t})
