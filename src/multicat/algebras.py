@@ -28,8 +28,10 @@ and `end_of_map` tabulates the pairs intertwined by a map, with
 projections to the two views.
 """
 
+import sys
 from dataclasses import dataclass, field
 from itertools import product, repeat
+from math import log10
 from operator import mul
 
 from . import perms
@@ -158,7 +160,12 @@ class EndView:
     tuples through maps that the view builds on first use and keeps: the
     lexicographic coordinates of each input list, a gather map for each
     (psig, slot, qsig) and an index permutation for each (signature,
-    permutation).  Values compare by value, so none is numbered.
+    permutation).  Values compare by value, so none is numbered.  Each
+    composite :meth:`cell` computes is kept, keyed by ``(v, slot, w)``,
+    None marking one over the cap: values are immutable tuples, and a
+    composite depends only on them and on the family and the cap, which
+    the view never changes, so a kept answer is the one a new gather
+    would give.
     :meth:`fixed_values_at` enumerates only the tables fixed by given
     permutations, constant on the orbits of input positions, with their
     ranks in :meth:`values_at`, so that a search passes over the others
@@ -180,6 +187,7 @@ class EndView:
         self._index = _element_index(family)
         self._coords = {}  # inputs -> (per input (index map, stride), size)
         self._gathers = {}  # (psig, slot, qsig) -> (rsig, stride, pairs)
+        self._cells = {}  # (v, slot, w) -> composite value, None over cap
         self._perms = {}  # (sig, perm) -> (acted sig, source of each entry)
         self._orbit_maps = {}  # (sig, perms) -> (orbit per entry, weights)
 
@@ -263,18 +271,25 @@ class EndView:
         return rsig, stride, pairs
 
     def cell(self, v, slot, w):
-        """v o_slot w on values, or None for a composite over the cap."""
+        """v o_slot w on values, or None for a composite over the cap;
+        each answer is kept, keyed by ``(v, slot, w)``."""
+        got = self._cells.get((v, slot, w), False)
+        if got is not False:
+            return got
         psig, pt = v
         qsig, q = w
         key = (psig, slot, qsig)
         gather = self._gathers.get(key, False)
         if gather is False:
             gather = self._gathers[key] = self._gather(psig, slot, qsig)
-        if gather is None:
-            return None
-        rsig, stride, pairs = gather
-        qt = [stride * j for j in q]
-        return rsig, tuple([pt[b + qt[j]] for b, j in pairs])
+        if gather is not None:
+            rsig, stride, pairs = gather
+            qt = [stride * j for j in q]
+            got = rsig, tuple([pt[b + qt[j]] for b, j in pairs])
+        else:
+            got = None
+        self._cells[v, slot, w] = got
+        return got
 
     def _perm(self, s, p):
         key = (s, p)
@@ -409,9 +424,20 @@ class AlgebraStructure:
             view = EndView(self.carrier, arity_cap=cap, limit=limit)
         op_maps = {s: {op: fn_id(t) for op, t in table.items()}
                    for s, table in self.action.items()}
-        return Multifunctor(
-            source=P, target=view,
-            object_map={c: c for c in P.colors}, op_maps=op_maps)
+        F = Multifunctor(source=P, target=view,
+                         object_map={c: c for c in P.colors}, op_maps=op_maps)
+        # the images as values, read off the tables; an operation P lacks
+        # or an entry off the carrier is left to the check to report
+        index, number = view._index, P.collection.numbering.index.get
+        images = {}
+        for s, table in self.action.items():
+            ix = index.get(s[1], {})
+            for op, t in table.items():
+                m = number((s, op))
+                if m is not None and all(v in ix for v in t):
+                    images[m] = s, tuple([ix[v] for v in t])
+        F.keep_images(view, images)
+        return F
 
     def apply(self, ref, args):
         s, op = ref
@@ -540,9 +566,18 @@ class EndModule:
         return [fn_id(t) for t in product(cod, repeat=dom)]
 
     def size_at(self, s):
-        """``len(ops_at(s))``, from the carrier sizes, listing nothing."""
+        """``len(ops_at(s))``, from the carrier sizes, listing nothing.
+        A count with more decimal digits than Python turns into text
+        (``sys.get_int_max_str_digits``) raises DomainError before the
+        power is taken, its digits estimated as dom * log10 |B|."""
         _, dom = _lex_coords(_element_index(self.source), s[0])
-        return len(self.target.carrier(s[1])) ** dom
+        base = len(self.target.carrier(s[1]))
+        limit = sys.get_int_max_str_digits()
+        if limit and base > 1 and dom * log10(base) >= limit:
+            raise DomainError(
+                f"{base}^{dom} operations at {sig_key(s)}: the count has "
+                f"more than {limit} digits")
+        return base ** dom
 
     def signatures(self):
         return _signatures(self.source.colors, self.target.colors,

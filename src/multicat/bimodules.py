@@ -61,6 +61,12 @@ class Bimodule:
         return self.collection.act(mref, p)
 
     @cached_property
+    def tensors(self):
+        """`tensor_elements` results, kept by `tensor_elements_of`:
+        (factors, max arity) -> elements."""
+        return {}
+
+    @cached_property
     def _right_cells(self):
         number, value = self.collection.numbering.number, self.right.value
         return {(number(m), slot, value(q)): number(r)
@@ -528,6 +534,16 @@ def tensor_elements(N, factors, max_arity):
     return {s: sorted(set(v)) for s, v in out.items()}
 
 
+def tensor_elements_of(N, factors, max_arity):
+    """`tensor_elements`, computed once per factor list and kept on the
+    module N; the result is shared, so it is not to be changed."""
+    key = tuple(factors), max_arity
+    got = N.tensors.get(key)
+    if got is None:
+        got = N.tensors[key] = tensor_elements(N, list(factors), max_arity)
+    return got
+
+
 def tensor_act_sigma(N, elem, p):
     return ("tens", tuple(
         (S, mref if rho == perms.identity(len(rho)) else N.act(mref, rho))
@@ -563,7 +579,7 @@ def enumerate_module_homs(N, factors, target, max_arity, budget=200000):
     """Right-module homomorphisms from an ordered tensor of slices into
     the slice at `target`, in depth-first order: a `core.backtrack` that
     derives images along the symmetric actions and the right action."""
-    elems = tensor_elements(N, factors, max_arity)
+    elems = tensor_elements_of(N, factors, max_arity)
     elem_sets = {s: set(v) for s, v in elems.items()}
     order = [(s, e)
              for s in sorted(elems, key=lambda s: (len(s[0]), str(s)))
@@ -605,6 +621,15 @@ def _tens_id(e):
         f"({','.join(str(x) for x in S)}:{m[1]})" for S, m in blocks)
 
 
+class _Hom(dict):
+    """A module homomorphism, ``(signature, tensor element) -> element``,
+    hashed by its items so that `core.tabulate` names each one once; it is
+    not changed once made."""
+
+    def __hash__(self):
+        return hash(frozenset(self.items()))
+
+
 def _hom_id(hom):
     parts = []
     for (s, e), v in sorted(hom.items(),
@@ -634,8 +659,9 @@ def end_right_module(M, arity_cap=None, budget=200000):
     for k in range(arity_cap + 1):
         for factors in product(out_colors, repeat=k):
             for b in out_colors:
-                elements[tuple(factors), b] = enumerate_module_homs(
-                    N, list(factors), b, max_arity, budget=budget)
+                elements[tuple(factors), b] = list(map(
+                    _Hom, enumerate_module_homs(N, list(factors), b,
+                                                max_arity, budget=budget)))
 
     def act_hom(sig, h, p):
         new_factors = perms.permute(sig[0], p)
@@ -644,12 +670,12 @@ def end_right_module(M, arity_cap=None, budget=200000):
             _, blocks = e
             new_blocks = tuple(blocks[j] for j in p)
             out[(s[0], new_factors), ("tens", new_blocks)] = v
-        return out
+        return _Hom(out)
 
     units = {}
     for b in out_colors:
-        h = {}
-        for s, es in tensor_elements(N, [b], max_arity).items():
+        h = _Hom()
+        for s, es in tensor_elements_of(N, [b], max_arity).items():
             for e in es:
                 (_, ((_, mref),)) = e
                 h[s, e] = mref
@@ -659,8 +685,7 @@ def end_right_module(M, arity_cap=None, budget=200000):
         l = len(qsig[0])
         new_factors = sig[0][:slot] + qsig[0] + sig[0][slot + 1:]
         out = {}
-        for s, es in tensor_elements(N, list(new_factors),
-                                     max_arity).items():
+        for s, es in tensor_elements_of(N, new_factors, max_arity).items():
             for e in es:
                 _, blocks = e
                 inner = blocks[slot:slot + l]
@@ -674,7 +699,7 @@ def end_right_module(M, arity_cap=None, budget=200000):
                               + ((tuple(inner_positions), mid),)
                               + blocks[slot + l:])
                 out[s, e] = h[(s[0], tuple(sig[0])), ("tens", new_blocks)]
-        return out
+        return _Hom(out)
 
     table, homs, _ = tabulate(
         out_colors, elements, units, _hom_id, act_hom, compose_homs,
@@ -723,7 +748,7 @@ def analyze_pointed(M, arity_cap=None, budget=200000):
             # the left action of q as a module map, or None where the
             # action is undefined
             h = {}
-            for s, es in tensor_elements(M, list(qs[0]), max_arity).items():
+            for s, es in tensor_elements_of(M, qs[0], max_arity).items():
                 for _, blocks in es:
                     val = M.try_act_left((qs, q), tuple(m for _, m in blocks))
                     if val is None:

@@ -410,19 +410,32 @@ def tabulate(colors, elements, units, text, act, compose, arity_cap=None,
     ``compose`` that returns None leaves the cell out and counts as an
     escape; the table is ``complete`` exactly when there are no escapes.
 
+    Elements must be hashable: each is named once, keyed by the element,
+    and the images and composites, nearly always elements again, are
+    named by looking them up; ``text`` runs only on one met for the first
+    time.  An op id depends only on its element, so the key gives the
+    id that ``text`` would.
+
     Returns ``(table, structure, escapes)``, where ``structure`` maps
     ``(signature, op id)`` to the element behind the operation.
     Signatures without elements are left out of the support.
     """
+    names = {}
+
+    def named(e):
+        got = names.get(e)
+        if got is None:
+            got = names[e] = text(e)
+        return got
+
     structure = {}
     ops = {}
     by_out = {}
     for s, elems in elements.items():
         ids = []
         for e in elems:
-            tid = text(e)
-            ids.append(tid)
-            structure[s, tid] = e
+            ids.append(named(e))
+            structure[s, ids[-1]] = e
         if ids:
             ops[s] = tuple(sorted(ids))
             by_out.setdefault(s[1], []).append(s)
@@ -431,7 +444,7 @@ def tabulate(colors, elements, units, text, act, compose, arity_cap=None,
     for s, ids in ops.items():
         n = len(s[0])
         for p in perms.all_perms(n) if symmetric else [perms.identity(n)]:
-            action[s, p] = {tid: text(act(s, structure[s, tid], p))
+            action[s, p] = {tid: named(act(s, structure[s, tid], p))
                             for tid in ids}
 
     comp = {}
@@ -449,11 +462,11 @@ def tabulate(colors, elements, units, text, act, compose, arity_cap=None,
                         if got is None:
                             escapes += 1
                         else:
-                            comp[s, tid, slot, qs, qid] = text(got)
+                            comp[s, tid, slot, qs, qid] = named(got)
 
     table = TableMulticategory(
         collection=FiniteCollection(tuple(colors), ops, action),
-        units={c: text(u) for c, u in units.items()}, comp=comp,
+        units={c: named(u) for c, u in units.items()}, comp=comp,
         complete=(escapes == 0), name=name, symmetric=symmetric)
     return table, structure, escapes
 
@@ -500,8 +513,7 @@ def backtrack(order, candidates, derive, start, budget, what, counts=None):
             counts["tried"] += 1
             if counts["tried"] > budget:
                 raise BudgetExceededError(what, count=counts["found"])
-            trial = dict(assign)
-            trial[key] = cand
+            trial = {**assign, key: cand}
             if closed(trial, [key]):
                 yield from search(trial, i + 1)
 
@@ -568,8 +580,7 @@ def check_multicategory_laws(M, max_violations=25):
 
     # units present and well placed
     for c in coll.colors:
-        u = M.units.get(c)
-        if u is None or u not in coll.ops_at(((c,), c)):
+        if M.units.get(c) not in coll.ops_at(((c,), c)):
             report.fail("unit-present", f"color {c}")
         report.note("unit-present")
 
@@ -810,10 +821,8 @@ def check_category_laws(C):
 
 def underlying_category(M):
     """The category of unary operations; higher-arity data is discarded."""
-    homs = {}
-    for s in M.signatures():
-        if len(s[0]) == 1:
-            homs[s[0][0], s[1]] = tuple(M.ops_at(s))
+    homs = {(s[0][0], s[1]): tuple(M.ops_at(s)) for s in M.signatures()
+            if len(s[0]) == 1}
     compose = {}
     for (a, b), fs in homs.items():
         for (b2, c), gs in homs.items():
@@ -1040,9 +1049,8 @@ def extend_objects_injective(M, alpha, new_colors):
     action = {(fwd(s), p): dict(M.collection.action[s, p])
               for s in M.ops for p in perms.all_perms(len(s[0]))}
     units = {alpha[c]: u for c, u in M.units.items()}
-    comp = {}
-    for (psig, p, slot, qsig, q), r in M.comp.items():
-        comp[fwd(psig), p, slot, fwd(qsig), q] = r
+    comp = {(fwd(psig), p, slot, fwd(qsig), q): r
+            for (psig, p, slot, qsig, q), r in M.comp.items()}
     for d in fresh:
         ops[((d,), d)] = ("1",)
         for p in perms.all_perms(1):

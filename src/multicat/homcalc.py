@@ -35,6 +35,16 @@ class Multifunctor:
     object_map: dict
     op_maps: dict  # source signature -> {op id: target op id}
     name: str = ""
+    # (target, object map, op maps, images): images on the source's
+    # numbers and copies of the maps they were read from (see `_Images`)
+    kept: tuple = field(default=None, compare=False, repr=False)
+
+    def keep_images(self, Q, images):
+        """Keep ``images``, number -> value of Q, as read off the current
+        maps; returns them."""
+        self.kept = (Q, dict(self.object_map),
+                     {s: dict(t) for s, t in self.op_maps.items()}, images)
+        return images
 
     def map_sig(self, s):
         return (tuple(self.object_map[c] for c in s[0]),
@@ -76,14 +86,24 @@ def compose_multifunctors(F, G):
 
 
 class _Images:
-    """The images of a multifunctor on the source's numbers, as values of
-    the target Q, read off ``op_maps`` once asked for; None where there
-    is no image."""
+    """The images of a multifunctor F on the source's numbers, as values of
+    Q, read off ``op_maps`` once asked for; None where there is no image.
+
+    They are kept on F, with copies of the object map and the operation
+    maps they were read from (`Multifunctor.keep_images`), so every check
+    of F reads each image once; `enumerate_multifunctors` seeds them from
+    its assignment and `AlgebraStructure.to_multifunctor` from its
+    function tables.  An image depends only on Q and on those two maps,
+    so the kept ones are reused only while Q is the same object and both
+    maps equal their copies; a map edited in place starts them afresh."""
 
     def __init__(self, F, Q):
         self.F, self.Q = F, Q
         self.refs = F.source.collection.numbering.refs
-        self.got = {}
+        kept = F.kept
+        fresh = (kept is not None and kept[0] is Q
+                 and kept[1:3] == (F.object_map, F.op_maps))
+        self.got = kept[3] if fresh else F.keep_images(Q, {})
 
     def __call__(self, m):
         got = self.got.get(m, False)
@@ -163,7 +183,8 @@ def enumerate_multifunctors(P, Q, budget=10 ** 6, fix_objects=None):
 
     The search assigns Q's values (the value interface of `core`) to P's
     numbers, the candidates coming from ``Q.values_at`` in ``ops_at``
-    order; ``op_maps`` are written as text once an assignment is found.
+    order; ``op_maps`` are written as text once an assignment is found,
+    and the assignment is kept as the functor's images (`_Images`).
     The symmetric images are derived along adjacent transpositions only:
     the closure derives again from every image it assigns, so the whole
     orbit is reached.  A composite of images that Q lacks prunes the
@@ -259,9 +280,10 @@ def enumerate_multifunctors(P, Q, budget=10 ** 6, fix_objects=None):
             for m, v in assign.items():
                 s, op = refs[m]
                 op_maps.setdefault(s, {})[op] = Q.ref_of(v)[1]
-            results.append(Multifunctor(source=P, target=Q,
-                                        object_map=dict(object_map),
-                                        op_maps=op_maps))
+            F = Multifunctor(source=P, target=Q, object_map=dict(object_map),
+                             op_maps=op_maps)
+            F.keep_images(Q, assign)
+            results.append(F)
     results.sort(key=lambda F: F.key())
     return results
 
@@ -419,8 +441,7 @@ def internal_hom(P, Q, arity_cap=3, budget=10 ** 6):
     if arity_cap < 0:
         raise DomainError("the arity cap must be >= 0")
     functors = enumerate_multifunctors(P, Q, budget=budget)
-    ids = {i: F for i, F in enumerate(functors)}
-    color_of = {i: f"F{i}" for i in ids}
+    color_of = [f"F{i}" for i in range(len(functors))]
     images = [_Images(F, Q) for F in functors]
 
     colors_sorted = sorted(P.colors)
@@ -434,16 +455,17 @@ def internal_hom(P, Q, arity_cap=3, budget=10 ** 6):
         for a in colors:
             touching[a].append((m, sig, colors))
     counts = {"tried": 0, "found": 0}
-    # an element is (sources, target, component values in colors_sorted
-    # order)
+    # an element is (source functor indices, target functor index,
+    # component values in colors_sorted order)
     elements = {}
     for k in range(arity_cap + 1):
         for combo in product(range(len(functors)), repeat=k):
             for gi in range(len(functors)):
-                sources = tuple(ids[i] for i in combo)
                 source_images = [images[i] for i in combo]
-                comp_sig = {a: (tuple(F.object_map[a] for F in sources),
-                                ids[gi].object_map[a]) for a in colors_sorted}
+                comp_sig = {a: (tuple(functors[i].object_map[a]
+                                      for i in combo),
+                                functors[gi].object_map[a])
+                            for a in colors_sorted}
 
                 def candidates(a):
                     return Q.values_at(comp_sig[a])
@@ -466,8 +488,7 @@ def internal_hom(P, Q, arity_cap=3, budget=10 ** 6):
                         colors_sorted, candidates, derive, {}, budget,
                         "transformation search exceeded budget", counts):
                     elements.setdefault(sig, []).append((
-                        sources, ids[gi],
-                        tuple(assign[a] for a in colors_sorted)))
+                        combo, gi, tuple(assign[a] for a in colors_sorted)))
 
     def components(xi):
         return {a: Q.ref_of(v)[1] for a, v in zip(colors_sorted, xi[2])}
@@ -480,16 +501,16 @@ def internal_hom(P, Q, arity_cap=3, budget=10 ** 6):
         return (xi[0][:slot] + eta[0] + xi[0][slot + 1:], xi[1],
                 tuple(_compose(Q, v, slot, w) for v, w in zip(xi[2], eta[2])))
 
-    units = {color_of[i]: ((F,), F, tuple(Q.unit_value(F.object_map[a])
+    units = {color_of[i]: ((i,), i, tuple(Q.unit_value(F.object_map[a])
                                           for a in colors_sorted))
-             for i, F in ids.items()}
+             for i, F in enumerate(functors)}
     table, structure, _ = tabulate(
-        [color_of[i] for i in sorted(ids)], elements, units,
-        lambda xi: _knat_id(components(xi)), act, compose,
-        arity_cap=arity_cap, name=f"Hom({P.name},{Q.name})")
+        color_of, elements, units, lambda xi: _knat_id(components(xi)), act,
+        compose, arity_cap=arity_cap, name=f"Hom({P.name},{Q.name})")
     return HomResult(
-        table=table, functors={color_of[i]: ids[i] for i in ids},
-        knats={key: KNatTransformation(xi[0], xi[1], components(xi))
+        table=table, functors=dict(zip(color_of, functors)),
+        knats={key: KNatTransformation(tuple(functors[i] for i in xi[0]),
+                                       functors[xi[1]], components(xi))
                for key, xi in structure.items()})
 
 

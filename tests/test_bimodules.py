@@ -401,3 +401,24 @@ class TestRestriction:
             orig = N.act_right1((((("x",) * len(mref[0][0])), "x"), mref[1]),
                                 slot, incl.map_ref(qref))
             assert val[1] == orig[1]
+
+
+def test_tensor_elements_are_computed_once_per_factor_list(monkeypatch):
+    from multicat import bimodules
+
+    calls = []
+    fresh = bimodules.tensor_elements
+
+    def counted(N, factors, max_arity):
+        calls.append((tuple(factors), max_arity))
+        return fresh(N, factors, max_arity)
+
+    monkeypatch.setattr(bimodules, "tensor_elements", counted)
+    M = module_from_multicategory(assoc_multicategory(3,
+                                                      include_nullary=False))
+    report = analyze_pointed(M)
+    assert report["pointed"] and report["quasi_free"] is not None
+    assert calls and len(calls) == len(set(calls))
+    assert set(M.tensors) == set(calls)
+    for (factors, max_arity), kept in M.tensors.items():
+        assert kept == fresh(M, list(factors), max_arity)

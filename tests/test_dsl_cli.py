@@ -443,6 +443,12 @@ DOMAIN_ERRORS = {
         ("end", "as2.mcat", "--carrier", "x=a,b", "--pair-target", "x=a,b",
          "--cap-arity", "-1"),
         "error: the arity cap must be >= 0"),
+    # 2^(3^9) has 5,926 digits, past the 4,300 that Python turns into text
+    "end-pair-count-too-long": (
+        ("end", "as2.mcat", "--carrier", "x=a,b,c", "--pair-target", "x=a,b",
+         "--cap-arity", "9"),
+        "error: 2^19683 operations at x,x,x,x,x,x,x,x,x;x: the count has "
+        "more than 4300 digits"),
     "circle-negative-arity": (
         ("bar", "as2.mcat", "--circle", "As2,As2", "--cap-arity", "-1"),
         "error: the arity cap must be >= 0"),

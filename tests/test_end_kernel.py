@@ -144,6 +144,43 @@ def test_apply_matches_reference(name):
                 assert view.apply((s, op), z) == ref_apply(family, (s, op), z)
 
 
+def ref_cell(family, cap, v, slot, w):
+    """v o_slot w on index tuples, by substituting w into v's slot at every
+    point of the composite's domain; None for a composite over the cap."""
+    rsig = composed_sig(v[0], slot, w[0])
+    if len(rsig[0]) > cap:
+        return None
+    k = len(w[0][0])
+
+    def at(value, z):
+        pos = 0
+        for c, i in zip(value[0][0], z):
+            pos = pos * len(family.carrier(c)) + i
+        return value[1][pos]
+
+    return rsig, tuple(
+        at(v, z[:slot] + (at(w, z[slot:slot + k]),) + z[slot + k:])
+        for z in product(*(range(len(family.carrier(c))) for c in rsig[0])))
+
+
+def test_cell_memo_matches_unmemoised_composites():
+    # every (v, slot, w) of End(A2) at cap 3, about 223,000 cells, most of
+    # them over the cap: on a fresh view every answer is computed, on the
+    # warmed view every answer is a kept one
+    family, cap = FAMILIES["two"], 3
+    view = EndView(family, arity_cap=cap)
+    values = [v for s in view.signatures() for v in view.values_at(s)]
+    cells = [(v, slot, w) for v in values
+             for slot, color in enumerate(v[0][0])
+             for w in values if w[0][1] == color]
+    want = [ref_cell(family, cap, *cell) for cell in cells]
+    assert None in want and want.count(None) < len(want)
+    assert [view.cell(*cell) for cell in cells] == want
+    assert len(view._cells) == len(cells)
+    assert [view.cell(*cell) for cell in reversed(cells)] == want[::-1]
+    assert [view.cell(*cell) for cell in cells] == want
+
+
 # ---------------------------------------------------------------------------
 # End(f) against the filtered pairs
 

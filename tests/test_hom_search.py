@@ -4,7 +4,9 @@ product loop it replaced.
 `ref_internal_hom` is the earlier `internal_hom` whole: a `product` over
 the component pools of every (sources, target) signature, a private
 candidate counter, and a full naturality check per candidate
-(`ref_is_k_natural`, with the square it read, kept here as well).
+(`ref_is_k_natural`, with the square it read, kept here as well).  Its
+table is filled by `test_tabulate.ref_tabulate`, the earlier `tabulate`,
+which takes elements that are not hashable, as its transformations are.
 """
 
 import hashlib
@@ -16,7 +18,7 @@ import pytest
 
 from multicat import homcalc, perms
 from multicat.algebras import EndView, ObjectFamily
-from multicat.core import sig_key, tabulate
+from multicat.core import sig_key
 from multicat.dsl import elaborate, parse
 from multicat.errors import BudgetExceededError, StructuralError
 from multicat.homcalc import (HomResult, KNatTransformation,
@@ -26,6 +28,7 @@ from multicat.jsonio import multicategory_json
 from multicat.standard import (assoc_multicategory, comm_multicategory,
                                discrete_pair, indiscrete_pair,
                                unit_multicategory)
+from test_tabulate import ref_tabulate
 
 A2 = ObjectFamily({"x": ("a", "b")})
 
@@ -124,7 +127,7 @@ def ref_internal_hom(P, Q, arity_cap=3, budget=10 ** 6):
     units = {color_of[i]: KNatTransformation(
         (F,), F, {a: Q.unit_ref(F.object_map[a])[1] for a in colors_sorted})
         for i, F in ids.items()}
-    table, knats, _ = tabulate(
+    table, knats, _ = ref_tabulate(
         [color_of[i] for i in sorted(ids)], elements, units, oid_of, act,
         compose, arity_cap=arity_cap, name=f"Hom({P.name},{Q.name})")
     return HomResult(table=table,

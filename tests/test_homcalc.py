@@ -321,33 +321,45 @@ def _identity_into_as3():
     return identity_multifunctor(AS3)
 
 
-def _missing_image():
-    F = _identity_into_as3()
+def _drop_w10(F):
     del F.op_maps[(("x", "x"), "x")]["w10"]
-    return F
 
 
-def _not_equivariant():
-    F = _identity_into_as3()
+def _collapse_binary(F):
     F.op_maps[(("x", "x"), "x")] = {"w01": "w01", "w10": "w01"}
-    return F
 
 
-def _wrong_composite():
+def _constant_ternary(F):
     # the ternary images all go to one constant function, which every
     # permutation fixes: equivariant, but not the composite of the
     # binary images
-    from multicat.algebras import enumerate_algebras
-
-    F = enumerate_algebras(AS3, A2)[0].to_multifunctor()
     s3 = (("x",) * 3, "x")
     F.op_maps[s3] = {op: "f:a|a|a|a|a|a|a|a" for op in F.op_maps[s3]}
+
+
+def _algebra_into_end():
+    from multicat.algebras import enumerate_algebras
+
+    return enumerate_algebras(AS3, A2)[0].to_multifunctor()
+
+
+# name -> (a multifunctor, the edit in place that breaks it, the law the
+# edit breaks)
+EDITS = {"missing-image": (_identity_into_as3, _drop_w10, "total"),
+         "not-equivariant": (_identity_into_as3, _collapse_binary,
+                             "equivariance"),
+         "wrong-composite": (_algebra_into_end, _constant_ternary,
+                             "compositions")}
+
+
+def _broken(name):
+    make, edit, _ = EDITS[name]
+    F = make()
+    edit(F)
     return F
 
 
-BROKEN = {"missing-image": _missing_image,
-          "not-equivariant": _not_equivariant,
-          "wrong-composite": _wrong_composite}
+BROKEN = {name: (lambda name=name: _broken(name)) for name in EDITS}
 
 
 def _censuses():
@@ -384,3 +396,52 @@ def test_check_matches_text_reference_on_broken_functors(name):
     law = {"missing-image": "total", "not-equivariant": "equivariance",
            "wrong-composite": "compositions"}[name]
     assert law in {law for law, _ in report.violations}
+
+
+# ---------------------------------------------------------------------------
+# the images kept on a multifunctor are read again after an edit in place
+
+
+@pytest.mark.parametrize("name", sorted(EDITS))
+def test_edit_after_a_check_is_seen(name):
+    make, edit, law = EDITS[name]
+    F = make()
+    assert check_multifunctor(F).ok
+    edit(F)
+    report = assert_same_report(F)
+    assert law in {law for law, _ in report.violations}
+
+
+def test_object_map_edit_after_a_check_is_seen():
+    # two colors with equal carriers: the same tables are operations at
+    # either, so moving the color keeps F a multifunctor, but every image
+    # moves to the other color's signatures (a stale image of the unit
+    # would fail the unit law)
+    view = EndView(ObjectFamily({"x": ("a", "b"), "y": ("a", "b")}), 3)
+    F = enumerate_multifunctors(COM3, view, fix_objects={"x": "x"})[1]
+    assert check_multifunctor(F).ok
+    F.object_map["x"] = "y"
+    assert assert_same_report(F).ok
+
+
+@pytest.mark.parametrize("name", sorted(EDITS))
+def test_naturality_edit_after_a_check_is_seen(name):
+    from test_hom_search import ref_is_k_natural
+
+    make, edit, _ = EDITS[name]
+    F, G = make(), make()
+    Q = G.target
+    unit = Q.unit_ref("x")[1]
+    xi = KNatTransformation((F,), G, {"x": unit})
+    assert is_k_natural(xi) == (True, [])
+    gens = [(((), "x"), op) for op in F.source.ops_at(((), "x"))] + [
+        ((("x", "x"), "x"), op) for op in F.source.ops_at((("x", "x"), "x"))]
+    assert naturality_on_generators(xi, gens) == (True, [])
+    edit(G)
+    got = is_k_natural(xi)
+    assert got == ref_is_k_natural(xi)
+    # a missing image leaves its square out, so only the other two edits
+    # break naturality
+    assert got[0] == (name == "missing-image")
+    assert naturality_on_generators(xi, gens) == ref_is_k_natural(
+        xi, sorted(gens))

@@ -4,19 +4,29 @@ Each builder's JSON export is pinned by the sha256 digest of
 `jsonio.dumps` taken from the hand-written loops that `tabulate`
 replaced, so a change to the shared loop that alters any table, action
 or composition cell shows up here byte for byte.
+
+`ref_tabulate` is the earlier `tabulate`, which gave every element, image
+and composite its text anew; `test_tabulate_matches_reference` runs
+every builder with each of its `tabulate` calls made by both and
+compared.
 """
 
 import hashlib
+import sys
 
 import pytest
 
-from multicat import dsl, jsonio
+from multicat import (algebras, bimodules, core, dsl, homcalc, jsonio,
+                      perms, presents, standard, trees)
 from multicat.algebras import (EndView, ObjectFamily, end_multicategory,
-                               end_of_map)
-from multicat.bimodules import end_right_module
-from multicat.core import check_multicategory_laws, tabulate
+                               end_of_map, op_algebra_to_operad,
+                               operad_to_op_algebra)
+from multicat.bimodules import (analyze_pointed, end_right_module,
+                                module_from_multicategory)
+from multicat.core import (FiniteCollection, TableMulticategory,
+                           check_multicategory_laws, tabulate)
 from multicat.homcalc import internal_hom
-from multicat.presents import arrow_multicategory, saturate
+from multicat.presents import arrow_multicategory, bv_tensor, saturate
 from multicat.standard import (assoc_multicategory, comm_multicategory,
                                discrete_pair, indiscrete_pair,
                                unit_multicategory)
@@ -241,3 +251,139 @@ def test_comp_rows_sort_as_their_json_text():
             for slot in (0, 1, 10, 2)]
     assert [jsonio._comp_row_key(row) for row in rows] == [
         json.dumps(row, sort_keys=True) for row in rows]
+
+
+# ---------------------------------------------------------------------------
+# the earlier tabulate, as a reference
+
+
+def ref_tabulate(colors, elements, units, text, act, compose, arity_cap=None,
+                 symmetric=True, name=""):
+    """`core.tabulate` as it was before elements were named once: `text`
+    runs on every element, image and composite, and elements need not be
+    hashable."""
+    structure = {}
+    ops = {}
+    by_out = {}
+    for s, elems in elements.items():
+        ids = []
+        for e in elems:
+            tid = text(e)
+            ids.append(tid)
+            structure[s, tid] = e
+        if ids:
+            ops[s] = tuple(sorted(ids))
+            by_out.setdefault(s[1], []).append(s)
+
+    action = {}
+    for s, ids in ops.items():
+        n = len(s[0])
+        for p in perms.all_perms(n) if symmetric else [perms.identity(n)]:
+            action[s, p] = {tid: text(act(s, structure[s, tid], p))
+                            for tid in ids}
+
+    comp = {}
+    escapes = 0
+    for s, ids in ops.items():
+        for slot, color in enumerate(s[0]):
+            for qs in by_out.get(color, ()):
+                if (arity_cap is not None
+                        and len(s[0]) + len(qs[0]) - 1 > arity_cap):
+                    continue
+                for tid in ids:
+                    e = structure[s, tid]
+                    for qid in ops[qs]:
+                        got = compose(s, e, slot, qs, structure[qs, qid])
+                        if got is None:
+                            escapes += 1
+                        else:
+                            comp[s, tid, slot, qs, qid] = text(got)
+
+    table = TableMulticategory(
+        collection=FiniteCollection(tuple(colors), ops, action),
+        units={c: text(u) for c, u in units.items()}, comp=comp,
+        complete=(escapes == 0), name=name, symmetric=symmetric)
+    return table, structure, escapes
+
+
+def _pair():
+    from pathlib import Path
+
+    text = (Path(__file__).parent.parent / "fixtures" / "twocolor.mcat"
+            ).read_text()
+    return dsl.elaborate(dsl.parse(text)[0])[0]["Pair"]
+
+
+def _read_off():
+    T, struct = build_tree_multicategory(max_arity=3, max_vertices=2)
+    alg = operad_to_op_algebra(assoc_multicategory(3), T, struct, 3)
+    return op_algebra_to_operad(alg, max_arity=3)
+
+
+def _saturate_references(objects):
+    import test_saturate
+
+    return (test_saturate.ref_saturate(objects["Magma"], 4, 4),
+            test_saturate.ref_free_multicategory(objects["Binary"], 3, 3))
+
+
+# every caller of tabulate, in the package and in the tests' references:
+# name -> builder of the objects fixture
+CALLERS = {
+    "end_multicategory": lambda o: end_multicategory(A2, 2),
+    **{f"end_of_map-{kind}": (lambda o, kind=kind: end_of_map(
+        MAPS[kind][0], A2, MAPS[kind][1], arity_cap=2)) for kind in MAPS},
+    "internal_hom-Com3": lambda o: internal_hom(
+        o["Com3"], EndView(A2, arity_cap=3), 2),
+    "internal_hom-As3": lambda o: internal_hom(
+        assoc_multicategory(3), EndView(A2, arity_cap=3), 2),
+    "internal_hom-As2-Com2": lambda o: internal_hom(
+        assoc_multicategory(2), comm_multicategory(2), 2),
+    "internal_hom-Pair": lambda o: internal_hom(_pair(), _pair(), 2),
+    "end_right_module-Reg": lambda o: end_right_module(o["Reg"]),
+    "analyze_pointed-As3pos": lambda o: analyze_pointed(
+        module_from_multicategory(
+            assoc_multicategory(3, include_nullary=False))),
+    "read-off": lambda o: _read_off(),
+    "standard": lambda o: [assoc_multicategory(3), comm_multicategory(3),
+                           assoc_multicategory(3, include_nullary=False),
+                           unit_multicategory(), indiscrete_pair(),
+                           discrete_pair()],
+    "free-planar": lambda o: free_multicategory(o["Binary"], False, 4, 4),
+    "saturate": lambda o: saturate(o["Magma"], 4, 4),
+    "bv_tensor": lambda o: bv_tensor(comm_multicategory(2),
+                                     assoc_multicategory(2), 3, 3),
+    "comm-model": lambda o: _comm_model(3, 2),
+    "test_saturate-references": _saturate_references,
+}
+
+
+def _rows(table):
+    coll = table.collection
+    return (coll.colors, list(coll.ops.items()),
+            [(k, list(v.items())) for k, v in coll.action.items()],
+            list(table.units.items()), list(table.comp.items()),
+            table.complete, table.name, table.symmetric, digest(table))
+
+
+@pytest.mark.parametrize("caller", sorted(CALLERS))
+def test_tabulate_matches_reference(caller, objects, monkeypatch):
+    calls = []
+
+    def both(colors, elements, *args, **kwargs):
+        elements = {s: list(es) for s, es in elements.items()}
+        got = core.tabulate(colors, elements, *args, **kwargs)
+        want = ref_tabulate(colors, elements, *args, **kwargs)
+        assert _rows(got[0]) == _rows(want[0])
+        assert list(got[1].items()) == list(want[1].items())
+        assert got[2] == want[2]
+        calls.append(got[0].name)
+        return got
+
+    import test_saturate
+
+    for module in (algebras, bimodules, homcalc, presents, standard, trees,
+                   test_saturate, sys.modules[__name__]):
+        monkeypatch.setattr(module, "tabulate", both)
+    CALLERS[caller](objects)
+    assert calls
