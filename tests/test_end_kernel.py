@@ -164,7 +164,7 @@ def ref_cell(family, cap, v, slot, w):
 
 
 def test_cell_memo_matches_unmemoised_composites():
-    # every (v, slot, w) of End(A2) at cap 3, about 223,000 cells, most of
+    # every (v, slot, w) of End(A2) at cap 3, 223,512 cells, most of
     # them over the cap: on a fresh view every answer is computed, on the
     # warmed view every answer is a kept one
     family, cap = FAMILIES["two"], 3

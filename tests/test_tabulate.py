@@ -7,7 +7,7 @@ or composition cell shows up here byte for byte.
 
 `ref_tabulate` is the earlier `tabulate`, which gave every element, image
 and composite its text anew; `test_tabulate_matches_reference` runs
-every builder with each of its `tabulate` calls made by both and
+every table constructor with each of its `tabulate` calls made by both and
 compared.
 """
 
@@ -328,7 +328,7 @@ def _saturate_references(objects):
 
 
 # every caller of tabulate, in the package and in the tests' references:
-# name -> builder of the objects fixture
+# name -> a function of the objects fixture that calls it
 CALLERS = {
     "end_multicategory": lambda o: end_multicategory(A2, 2),
     **{f"end_of_map-{kind}": (lambda o, kind=kind: end_of_map(
