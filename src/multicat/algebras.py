@@ -197,9 +197,6 @@ class EndView:
             got = self._coords[inputs] = _lex_coords(self._index, inputs)
         return got
 
-    def max_arity(self):
-        return self.arity_cap
-
     def signatures(self):
         return [s for s in _signatures(self.colors, self.colors,
                                        self.arity_cap)
@@ -246,9 +243,6 @@ class EndView:
     def unit_ref(self, color):
         table = tuple(self.family.carrier(color))
         return (((color,), color), fn_id(table))
-
-    def is_unit(self, ref):
-        return ref == self.unit_ref(ref[0][1])
 
     def apply(self, ref, args):
         s, opid = ref

@@ -174,6 +174,35 @@ def check_multifunctor(F):
     return report
 
 
+def _comp_index(P):
+    """P's number -> the tabulated composites it takes part in, as
+    ``(p, slot, q, result)``; one listed twice where p is q."""
+    index = {}
+    for (p, slot, q), r in P.numbered_cells():
+        entry = (p, slot, q, r)
+        index.setdefault(p, []).append(entry)
+        index.setdefault(q, []).append(entry)
+    return index
+
+
+def _search_order(P, index):
+    """P's operation numbers by arity and, within an arity, those in more
+    composites whose result is neither factor first; ties by
+    ``(sig_key, op id)``."""
+    num = P.collection.numbering
+    refs, sigs = num.refs, num.sigs
+    degree = {m: sum(r != p and r != q for p, _, q, r in index.get(m, ()))
+              for m in num.ops}
+    return sorted(num.ops, key=lambda m: (len(sigs[m][0]), -degree[m],
+                                          sig_key(sigs[m]), refs[m][1]))
+
+
+def _moves(P):
+    """n -> the adjacent transpositions that act on P's n-ary operations:
+    none when P is planar."""
+    return perms.adjacent_transpositions if P.symmetric else (lambda n: ())
+
+
 def enumerate_multifunctors(P, Q, budget=10 ** 6, fix_objects=None):
     """All multifunctors P -> Q, sorted by key: one `core.backtrack` per
     object map, with units fixed and the images forced by the symmetric
@@ -184,7 +213,8 @@ def enumerate_multifunctors(P, Q, budget=10 ** 6, fix_objects=None):
     The search assigns Q's values (the value interface of `core`) to P's
     numbers, the candidates coming from ``Q.values_at`` in ``ops_at``
     order; ``op_maps`` are written as text once an assignment is found,
-    and the assignment is kept as the functor's images (`_Images`).
+    in P's ``refs()`` order, and the assignment is kept as the functor's
+    images (`_Images`).
     The symmetric images are derived along adjacent transpositions only:
     the closure derives again from every image it assigns, so the whole
     orbit is reached.  A composite of images that Q lacks prunes the
@@ -192,13 +222,26 @@ def enumerate_multifunctors(P, Q, budget=10 ** 6, fix_objects=None):
     P-operation then has no candidate; inside the support it cannot be
     checked, and PartialInputError names Q.
 
+    It branches most constrained first (`_search_order`): by arity, and
+    within an arity on the operations that take part in more composites
+    whose result is neither factor, since their images force the most
+    others (in the arrow multicategory of Com2 at level 2, the binary
+    operation at (2,2;2) forces the mixed signatures before they are
+    drawn); ties keep the ``(sig_key, op id)`` order.  The order is fixed
+    once per call, for every object map.  It changes which branches are
+    cut and when, never which assignments survive: the results, their
+    sort, their ``op_maps`` and every BudgetExceededError message are
+    those of any other order.  What moves is the number of candidates
+    tried, so the budget at which the search stops, and the count of
+    multifunctors found by then that the error carries.
+
     A number fixed by some adjacent transpositions of P draws only the
     values that those transpositions fix in Q (``Q.fixed_values_at``): any
     other value is refused by the first derive step on the number's own
     key, so no multifunctor is lost.  The values passed over still count
     as candidates tried, where the full draw would have counted them, and
-    an ``EndView``'s limit still counts them too, so the results, every
-    BudgetExceededError message and its count are those of the full draw.
+    an ``EndView``'s limit still counts them too, so the budget counts the
+    candidates of the full draw in the order above.
     ``fix_objects`` must send every color of P to a color of Q, else
     DomainError.
     """
@@ -206,16 +249,9 @@ def enumerate_multifunctors(P, Q, budget=10 ** 6, fix_objects=None):
         raise PartialInputError("source must be complete")
     num = P.collection.numbering
     refs, sigs, image = num.refs, num.sigs, num.image
-    # number -> the compositions it takes part in, as (p, slot, q, result)
-    comp_index = {}
-    for (p, slot, q), r in P.numbered_cells():
-        entry = (p, slot, q, r)
-        comp_index.setdefault(p, []).append(entry)
-        comp_index.setdefault(q, []).append(entry)
-
-    op_order = sorted(num.ops, key=lambda m: (len(sigs[m][0]),
-                                              sig_key(sigs[m]), refs[m][1]))
-    moves = perms.adjacent_transpositions if P.symmetric else (lambda n: ())
+    comp_index = _comp_index(P)
+    op_order = _search_order(P, comp_index)
+    moves = _moves(P)
     # number -> the adjacent transpositions that fix it
     fixers = {m: tuple(t for t in moves(len(sigs[m][0])) if image(m, t) == m)
               for m in op_order}
@@ -277,9 +313,9 @@ def enumerate_multifunctors(P, Q, budget=10 ** 6, fix_objects=None):
         for assign in backtrack(op_order, candidates, derive, start, budget,
                                 what, counts):
             op_maps = {}
-            for m, v in assign.items():
+            for m in sorted(assign):  # P's operations first, in refs() order
                 s, op = refs[m]
-                op_maps.setdefault(s, {})[op] = Q.ref_of(v)[1]
+                op_maps.setdefault(s, {})[op] = Q.ref_of(assign[m])[1]
             F = Multifunctor(source=P, target=Q, object_map=dict(object_map),
                              op_maps=op_maps)
             F.keep_images(Q, assign)
@@ -361,39 +397,54 @@ def is_k_natural(xi, ops=None):
     return not witnesses, witnesses
 
 
+def _close(P, have, new, index):
+    """Add to ``have``, a set of P's numbers closed under the tabulated
+    composites and the symmetric actions, the numbers ``new`` and all they
+    generate with it, by one worklist: each number added is composed once
+    with those already in (``index`` is `_comp_index`) and acted on by the
+    adjacent transpositions."""
+    num, moves = P.collection.numbering, _moves(P)
+    work = [m for m in new if m not in have]
+    have.update(work)
+    while work:
+        m = work.pop()
+        got = [num.image(m, t) for t in moves(len(num.sigs[m][0]))]
+        got += [r for p, _, q, r in index.get(m, ())
+                if p in have and q in have]
+        for r in got:
+            if r not in have:
+                have.add(r)
+                work.append(r)
+    return have
+
+
+def _units(P):
+    return [P.collection.numbering.number(P.unit_ref(c)) for c in P.colors]
+
+
 def generated_ops(P, gen_refs):
     """Closure of a set of operations under units, slot composition, and
     the symmetric actions: the sub-multicategory they generate, closed on
     P's numbers.  Kept on the table per frozen generator set."""
     key = frozenset(gen_refs)
     got = P.closures.get(key)
-    if got is not None:
-        return got
-    num = P.collection.numbering
-    sigs = num.sigs
-    have = {num.number(ref) for ref in key}
-    for c in P.colors:
-        have.add(num.number(P.unit_ref(c)))
-    changed = True
-    while changed:
-        changed = False
-        for m in list(have):
-            for p in perms.all_perms(len(sigs[m][0])):
-                acted = num.image(m, p)
-                if acted not in have:
-                    have.add(acted)
-                    changed = True
-        for m in list(have):
-            for slot, color in enumerate(sigs[m][0]):
-                for other in list(have):
-                    if sigs[other][1] != color:
-                        continue
-                    got = P.cell(m, slot, other)
-                    if got is not None and got not in have:
-                        have.add(got)
-                        changed = True
-    got = P.closures[key] = frozenset(num.refs[m] for m in have)
+    if got is None:
+        num = P.collection.numbering
+        have = _close(P, set(), _units(P) + [num.number(r) for r in key],
+                      _comp_index(P))
+        got = P.closures[key] = frozenset(num.refs[m] for m in have)
     return got
+
+
+def _basis(P, ops, index):
+    """The numbers of ``ops`` kept when, walked in order, each is kept
+    only if the closure of the units and those kept before lacks it."""
+    have, kept = _close(P, set(), _units(P), index), []
+    for m in ops:
+        if m not in have:
+            kept.append(m)
+            _close(P, have, [m], index)
+    return kept
 
 
 def naturality_on_generators(xi, gen_refs):
@@ -437,6 +488,32 @@ def internal_hom(P, Q, arity_cap=3, budget=10 ** 6):
     assignments included, over all signatures together.  The search and
     the tables run on Q's values; the op ids and the components of
     ``knats`` are text.
+
+    The derive computes the squares on a basis only.  For each (sources,
+    target) signature, a square fits when Q has operations at the
+    signature of its left route: the inputs F_j(a_i), j fastest, and the
+    output G(out).  Only those squares are ever computed; any other comes
+    back None and is skipped.  The fitting operations are walked in the
+    search order of `enumerate_multifunctors`, and one is kept only if
+    the closure (`generated_ops`, units included) of those kept before
+    lacks it; the basis is kept per set of fitting operations.
+
+    This finds the transformations the full check finds, whenever Q's
+    computed composites are those of a genuine multicategory: an
+    ``EndView`` composes functions, and a complete table holds each
+    composite inside its support.  There the operations whose square
+    commutes are closed under units (both routes are the component),
+    under the symmetric actions (the square at p acted on is the square
+    at p acted on) and under composition (by associativity and
+    equivariance in Q and the functoriality of the F_j and G, the square
+    at p o_i q is the square at p with the one at q substituted at i).
+    So every fitting operation commutes once the kept ones do, since it
+    lies in their closure.  The basis must be chosen among the fitting
+    operations: a generator whose square does not fit cannot be checked,
+    while a composite of it may fit, and a basis chosen over all
+    operations would skip that composite's square, which the full check
+    reads.  (Walked by arity, that takes a target whose support is cut by
+    more than arity: on an ``EndView`` a square fits by its arity alone.)
     """
     if arity_cap < 0:
         raise DomainError("the arity cap must be >= 0")
@@ -446,14 +523,11 @@ def internal_hom(P, Q, arity_cap=3, budget=10 ** 6):
 
     colors_sorted = sorted(P.colors)
     num = P.collection.numbering
-    # color -> the source operations it takes part in: their number,
-    # signature and colors
-    touching = {a: [] for a in colors_sorted}
-    for m in num.ops:
-        inputs, out = sig = num.sigs[m]
-        colors = {*inputs, out}
-        for a in colors:
-            touching[a].append((m, sig, colors))
+    index = _comp_index(P)
+    order = _search_order(P, index)
+    # fitting operations -> per color, the operations of their basis that
+    # it takes part in: their number, signature and colors
+    touching_of = {}
     counts = {"tried": 0, "found": 0}
     # an element is (source functor indices, target functor index,
     # component values in colors_sorted order)
@@ -462,10 +536,22 @@ def internal_hom(P, Q, arity_cap=3, budget=10 ** 6):
         for combo in product(range(len(functors)), repeat=k):
             for gi in range(len(functors)):
                 source_images = [images[i] for i in combo]
-                comp_sig = {a: (tuple(functors[i].object_map[a]
-                                      for i in combo),
-                                functors[gi].object_map[a])
+                maps = [functors[i].object_map for i in combo]
+                goal = functors[gi].object_map
+                comp_sig = {a: (tuple(F[a] for F in maps), goal[a])
                             for a in colors_sorted}
+                fits = tuple(m for m in order if Q.has_sig((
+                    tuple(F[a] for a in num.sigs[m][0] for F in maps),
+                    goal[num.sigs[m][1]])))
+                touching = touching_of.get(fits)
+                if touching is None:
+                    touching = touching_of[fits] = {a: [] for a in
+                                                    colors_sorted}
+                    for m in _basis(P, fits, index):
+                        inputs, out = sig = num.sigs[m]
+                        colors = {*inputs, out}
+                        for a in colors:
+                            touching[a].append((m, sig, colors))
 
                 def candidates(a):
                     return Q.values_at(comp_sig[a])

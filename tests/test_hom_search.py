@@ -11,14 +11,15 @@ which takes elements that are not hashable, as its transformations are.
 
 import hashlib
 import json
-from itertools import product
+from itertools import permutations, product
 from pathlib import Path
 
 import pytest
 
 from multicat import homcalc, perms
-from multicat.algebras import EndView, ObjectFamily
-from multicat.core import sig_key
+from multicat.algebras import EndView, ObjectFamily, end_multicategory
+from multicat.core import (FiniteCollection, TableMulticategory,
+                           composed_sig, sig_key)
 from multicat.dsl import elaborate, parse
 from multicat.errors import BudgetExceededError, StructuralError
 from multicat.homcalc import (HomResult, KNatTransformation,
@@ -141,6 +142,44 @@ def _pair():
     return elaborate(parse(text)[0])[0]["Pair"]
 
 
+def _constants():
+    """A multicategory in which the square at a ternary operation fits
+    while the one at the binary operations generating it does not.
+
+    Colors c1 and c2 are one point each and t is {0, 1}; the operations
+    are the unique functions into c1 and c2, named !, and the constant
+    functions into t, named by their value, with the identity of t: a
+    sub-multicategory of End, as a composite with a constant is constant.
+    It is truncated to the signatures of arity at most 3 and to the
+    arrangements, into t, of the input lists below: those a square at a
+    ternary operation of As3pos passes through when its components lie
+    at (c1,c2;t) or (c2,c1;t).  The ones of the squares at the binary
+    operations, two c1s and two c2s, are cut out.  So from the algebras
+    at c1 and c2 to one at t, a basis chosen over all operations keeps a
+    binary operation, whose square does not fit, and skips the ternary
+    ones, whose squares do: it admits the constant 1 as a component into
+    the constant-0 algebra, which the square at a ternary operation
+    refuses."""
+    colors = ("c1", "c2", "t")
+    sigs = {(ins, out) for n in range(4)
+            for ins in product(colors, repeat=n) for out in colors}
+    for ins in [("c1", "c2", "t", "t"), ("c1", "c1", "c2", "c2", "t"),
+                ("c1",) * 3 + ("c2",) * 3, ("c1",) * 3 + ("c2",),
+                ("c1",) + ("c2",) * 3]:
+        sigs |= {(p, "t") for p in set(permutations(ins))}
+    ops = {s: ("!",) if s[1] != "t" else ("0", "1", "id")
+           if s == (("t",), "t") else ("0", "1") for s in sigs}
+    comp = {(ps, p, i, qs, q): q if p == "id" else p
+            for ps in ops for i, c in enumerate(ps[0])
+            for qs in ops if qs[1] == c and composed_sig(ps, i, qs) in ops
+            for p in ops[ps] for q in ops[qs]}
+    action = {(s, p): {op: op for op in ids} for s, ids in ops.items()
+              for p in perms.all_perms(len(s[0]))}
+    return TableMulticategory(
+        collection=FiniteCollection(colors, ops, action),
+        units={"c1": "!", "c2": "!", "t": "id"}, comp=comp, name="Constants")
+
+
 HOM_CASES = {
     "As3->End(A2)": lambda: (assoc_multicategory(3),
                              EndView(A2, arity_cap=3), 2),
@@ -154,6 +193,10 @@ HOM_CASES = {
     "Pair->End": lambda: (
         _pair(), EndView(ObjectFamily({"a": ("p", "q"), "b": ("r",)}),
                          arity_cap=2), 1),
+    "As3pos->Constants": lambda: (
+        assoc_multicategory(3, include_nullary=False), _constants(), 2),
+    "Com2->End(A2) table": lambda: (comm_multicategory(2),
+                                    end_multicategory(A2, arity_cap=3), 2),
 }
 
 
@@ -184,6 +227,21 @@ def test_hom_matches_product_loop(case):
     assert [F.key() for F in got.functors.values()] == [
         F.key() for F in want.functors.values()]
     assert _digest(got.table) == _digest(want.table)
+
+
+@pytest.mark.parametrize("source,view_cap,squares", [
+    ("As3", 3, 1132), ("Com3", 3, 1132), ("Com2", 4, 1644)])
+def test_squares_on_a_basis(source, view_cap, squares, monkeypatch):
+    # the squares internal_hom computes at cap 2 into End on two elements;
+    # a change to the basis or the order that loses it fails here
+    P = {"As3": assoc_multicategory(3), "Com3": comm_multicategory(3),
+         "Com2": comm_multicategory(2)}[source]
+    calls = []
+    square = homcalc._naturality_square
+    monkeypatch.setattr(homcalc, "_naturality_square",
+                        lambda *args: calls.append(1) or square(*args))
+    internal_hom(P, EndView(A2, arity_cap=view_cap), 2)
+    assert len(calls) == squares
 
 
 # (P, Q, R, arity cap, vertex cap).  I, As2, As2 runs at arity cap 2: at 4

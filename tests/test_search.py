@@ -13,8 +13,8 @@ from itertools import product
 
 import pytest
 
-from multicat import perms
-from multicat.algebras import EndView, ObjectFamily
+from multicat import homcalc, perms
+from multicat.algebras import EndView, ObjectFamily, algebra_from_multifunctor
 from multicat.bimodules import (enumerate_module_homs,
                                 module_from_multicategory, right_module_from,
                                 tensor_act_right)
@@ -41,13 +41,20 @@ def ref_multifunctors(P, Q, budget=10 ** 6, fix_objects=None):
     if not P.complete:
         raise PartialInputError("source must be complete")
     comp_index = {}
-    for key in P.comp:
+    # ref -> the composites it takes part in whose result is neither factor
+    degree = {}
+    for key, r in P.comp.items():
         psig, p, slot, qsig, q = key
         comp_index.setdefault((psig, p), []).append(key)
         comp_index.setdefault((qsig, q), []).append(key)
+        if (composed_sig(psig, slot, qsig), r) not in ((psig, p), (qsig, q)):
+            for ref in ((psig, p), (qsig, q)):
+                degree[ref] = degree.get(ref, 0) + 1
 
+    # by arity, the most constrained first, then by signature and id
     op_order = [(s, op) for s in P.signatures() for op in P.ops_at(s)]
-    op_order.sort(key=lambda ref: (len(ref[0][0]), sig_key(ref[0]), ref[1]))
+    op_order.sort(key=lambda ref: (len(ref[0][0]), -degree.get(ref, 0),
+                                   sig_key(ref[0]), ref[1]))
 
     tried = [0]
     results = []
@@ -344,6 +351,46 @@ def test_multifunctors_match_reference(case):
                         fix_objects=fix)
                 == _raised(ref_multifunctors, P, Q, budget=tried - 1,
                            fix_objects=fix))
+
+
+@pytest.mark.parametrize("case", sorted(MULTIFUNCTOR_CASES))
+def test_maps_follow_the_source_order(case, monkeypatch):
+    # op_maps, and the action of an algebra read off them, list P's
+    # operations in refs() order, whatever order the search branches in:
+    # branching in (arity, sig_key, op id) order gives the same maps in
+    # the same order
+    P, Q, fix = MULTIFUNCTOR_CASES[case]()
+    refs = list(P.refs())
+
+    def listed(maps):
+        return [((s, op), im) for s, t in maps.items()
+                for op, im in t.items()]
+
+    got = enumerate_multifunctors(P, Q, fix_objects=fix)
+    for F in got:
+        assert [ref for ref, _ in listed(F.op_maps)] == refs
+        if isinstance(Q, EndView):
+            action = listed(algebra_from_multifunctor(F).action)
+            assert [ref for ref, _ in action] == refs
+
+    num = P.collection.numbering
+    monkeypatch.setattr(homcalc, "_search_order", lambda P, index: sorted(
+        num.ops, key=lambda m: (len(num.sigs[m][0]), sig_key(num.sigs[m]),
+                                num.refs[m][1])))
+    plain = enumerate_multifunctors(P, Q, fix_objects=fix)
+    assert [listed(F.op_maps) for F in plain] == [listed(F.op_maps)
+                                                  for F in got]
+
+
+def test_arrow_census_budget():
+    # the arrow census branches on (2,2;2) before the mixed signatures it
+    # forces: 3,182 candidates for its 144 algebras; an order that loses
+    # this fails here
+    P, Q, fix = _arrow_com2()
+    assert len(enumerate_multifunctors(P, Q, budget=3182,
+                                       fix_objects=fix)) == 144
+    with pytest.raises(BudgetExceededError):
+        enumerate_multifunctors(P, Q, budget=3181, fix_objects=fix)
 
 
 def test_several_object_maps_share_one_budget():
