@@ -5,7 +5,9 @@ assign-copy/propagate/recurse loops of `enumerate_multifunctors` and
 `enumerate_module_homs`, kept here as reference copies (together with the
 tensor-element and sigma-action helpers they ran on).  Each returns its
 results and the number of candidates it tried, which is the smallest
-budget under which it finishes.
+budget under which it finishes.  `ref_multifunctors` branches in the
+order `enumerate_multifunctors` uses, derived here from ``P.comp``, so
+that the two count the same candidates.
 """
 
 from dataclasses import replace
