@@ -370,6 +370,21 @@ def _naturality_square(Q, sources, target, component, m, sig):
     return left, right
 
 
+def _square_sigs(sig, maps, goal):
+    """The signatures `_naturality_square` passes through at an operation
+    of signature sig, given the object maps of the F_j and of G: on the
+    left route the components go into G's image, on the right the F_j's
+    images into the component at the output.  All arguments of a route
+    have one arity, so `_gamma_by_size` substitutes them slot by slot."""
+    inputs, out = sig
+    blocks = [tuple(F[a] for F in maps) for a in inputs]
+    images = [tuple(F[a] for a in inputs) for F in maps]
+    return ([(sum(blocks[:t], ()) + tuple(goal[a] for a in inputs[t:]),
+              goal[out]) for t in range(len(inputs) + 1)]
+            + [(sum(images[:t], ()) + tuple(F[out] for F in maps[t:]),
+                goal[out]) for t in range(len(maps) + 1)])
+
+
 def is_k_natural(xi, ops=None):
     """Check the naturality square for every operation of the source (or
     the given ones); returns (verdict, witnesses)."""
@@ -490,29 +505,36 @@ def internal_hom(P, Q, arity_cap=3, budget=10 ** 6):
     ``knats`` are text.
 
     The derive computes the squares on a basis only.  For each (sources,
-    target) signature, a square fits when Q has operations at the
-    signature of its left route: the inputs F_j(a_i), j fastest, and the
-    output G(out).  Only those squares are ever computed; any other comes
-    back None and is skipped.  The fitting operations are walked in the
-    search order of `enumerate_multifunctors`, and one is kept only if
-    the closure (`generated_ops`, units included) of those kept before
-    lacks it; the basis is kept per set of fitting operations.
+    target) signature, a square fits when Q has operations at every
+    signature its two routes pass through (`_square_sigs`), not only at
+    the final one: a table cut by color can hold the final signature and
+    lack an intermediate one.  Only those squares are ever computed; any
+    other comes back None and is skipped.  The fitting operations are
+    walked in the search order of `enumerate_multifunctors`, and one is
+    kept only if the closure (`generated_ops`, units included) of those
+    kept before lacks it; the basis is kept per set of fitting operations.
 
-    This finds the transformations the full check finds, whenever Q's
-    computed composites are those of a genuine multicategory: an
-    ``EndView`` composes functions, and a complete table holds each
-    composite inside its support.  There the operations whose square
-    commutes are closed under units (both routes are the component),
-    under the symmetric actions (the square at p acted on is the square
-    at p acted on) and under composition (by associativity and
-    equivariance in Q and the functoriality of the F_j and G, the square
-    at p o_i q is the square at p with the one at q substituted at i).
-    So every fitting operation commutes once the kept ones do, since it
-    lies in their closure.  The basis must be chosen among the fitting
+    This finds the transformations the full check finds whenever Q is a
+    truncation of a genuine multicategory R: every composite and action
+    Q computes is R's, and Q holds every composite whose signature lies
+    in its support (an ``EndView`` composes functions below its cap, and
+    a complete table holds its composites), so a square fits exactly
+    when it is computed.  In R the operations whose square commutes are
+    closed under units (both routes are the component), the symmetric
+    actions (the square at p acted on is the square at p acted on) and
+    composition (by associativity and equivariance in R and the
+    functoriality of the F_j and G, the square at p o_i q is the square
+    at p with the one at q substituted at i), whether or not Q holds the
+    composites on the way.  A kept square fits, so it is checked; every
+    fitting operation lies in the closure of the kept ones, so its square
+    commutes in R, and its routes computed in Q are R's.  Two choices
+    keep this sound.  A square that fits at its final signature but not
+    at an intermediate one comes back None; counting it as fitting would
+    keep it unchecked.  And the basis is chosen among the fitting
     operations: a generator whose square does not fit cannot be checked,
     while a composite of it may fit, and a basis chosen over all
     operations would skip that composite's square, which the full check
-    reads.  (Walked by arity, that takes a target whose support is cut by
+    reads.  (Walked by arity, both take a target whose support is cut by
     more than arity: on an ``EndView`` a square fits by its arity alone.)
     """
     if arity_cap < 0:
@@ -525,9 +547,10 @@ def internal_hom(P, Q, arity_cap=3, budget=10 ** 6):
     num = P.collection.numbering
     index = _comp_index(P)
     order = _search_order(P, index)
-    # fitting operations -> per color, the operations of their basis that
-    # it takes part in: their number, signature and colors
-    touching_of = {}
+    # the components' signatures -> the fitting operations, and those ->
+    # per color, the operations of their basis that it takes part in:
+    # their number, signature and colors
+    fits_of, touching_of = {}, {}
     counts = {"tried": 0, "found": 0}
     # an element is (source functor indices, target functor index,
     # component values in colors_sorted order)
@@ -540,9 +563,12 @@ def internal_hom(P, Q, arity_cap=3, budget=10 ** 6):
                 goal = functors[gi].object_map
                 comp_sig = {a: (tuple(F[a] for F in maps), goal[a])
                             for a in colors_sorted}
-                fits = tuple(m for m in order if Q.has_sig((
-                    tuple(F[a] for a in num.sigs[m][0] for F in maps),
-                    goal[num.sigs[m][1]])))
+                fits = fits_of.get(tuple(comp_sig.values()))
+                if fits is None:
+                    fit = {s: all(map(Q.has_sig, _square_sigs(s, maps, goal)))
+                           for s in P.signatures()}
+                    fits = fits_of[tuple(comp_sig.values())] = tuple(
+                        m for m in order if fit[num.sigs[m]])
                 touching = touching_of.get(fits)
                 if touching is None:
                     touching = touching_of[fits] = {a: [] for a in

@@ -142,7 +142,7 @@ def _pair():
     return elaborate(parse(text)[0])[0]["Pair"]
 
 
-def _constants():
+def _constants(add=(), cut=()):
     """A multicategory in which the square at a ternary operation fits
     while the one at the binary operations generating it does not.
 
@@ -159,14 +159,19 @@ def _constants():
     binary operation, whose square does not fit, and skips the ternary
     ones, whose squares do: it admits the constant 1 as a component into
     the constant-0 algebra, which the square at a ternary operation
-    refuses."""
+    refuses.
+
+    The arrangements into t of the input lists ``add`` are added to the
+    support and those of ``cut`` removed."""
     colors = ("c1", "c2", "t")
     sigs = {(ins, out) for n in range(4)
             for ins in product(colors, repeat=n) for out in colors}
     for ins in [("c1", "c2", "t", "t"), ("c1", "c1", "c2", "c2", "t"),
                 ("c1",) * 3 + ("c2",) * 3, ("c1",) * 3 + ("c2",),
-                ("c1",) + ("c2",) * 3]:
+                ("c1",) + ("c2",) * 3, *add]:
         sigs |= {(p, "t") for p in set(permutations(ins))}
+    for ins in cut:
+        sigs -= {(p, "t") for p in set(permutations(ins))}
     ops = {s: ("!",) if s[1] != "t" else ("0", "1", "id")
            if s == (("t",), "t") else ("0", "1") for s in sigs}
     comp = {(ps, p, i, qs, q): q if p == "id" else p
@@ -195,6 +200,14 @@ HOM_CASES = {
                          arity_cap=2), 1),
     "As3pos->Constants": lambda: (
         assoc_multicategory(3, include_nullary=False), _constants(), 2),
+    # the binary squares fit at their final signature (c1,c2,c1,c2;t), but
+    # their left route stops at the cut (c1,c2,t;t) and comes back None:
+    # a square counted as fitting by its final signature alone is never
+    # checked, and the ternary squares that refuse the constant 1 skipped
+    "As3pos->Constants cut by color": lambda: (
+        assoc_multicategory(3, include_nullary=False),
+        _constants(add=[("c1", "c2", "c1", "c2")], cut=[("c1", "c2", "t")]),
+        2),
     "Com2->End(A2) table": lambda: (comm_multicategory(2),
                                     end_multicategory(A2, arity_cap=3), 2),
 }

@@ -1,6 +1,8 @@
 """Multifunctors, multilinear transformations, the hom multicategory, and
 the tensor-hom adjunction."""
 
+from dataclasses import replace
+
 import pytest
 
 from multicat.algebras import EndView, ObjectFamily
@@ -152,6 +154,13 @@ class TestNaturality:
                 assert str(info.value) == (
                     f"the given set does not generate; missing {missing}")
         assert len(P.closures) == 3
+
+    def test_planar_closure_takes_no_symmetric_actions(self):
+        # a table marked planar generates by units and composition alone:
+        # w and w01 give the order-preserving operations, not all ten
+        P = replace(assoc_multicategory(3), symmetric=False)
+        got = generated_ops(P, [(((), "x"), "w"), ((("x", "x"), "x"), "w01")])
+        assert sorted(op for _, op in got) == ["w", "w0", "w01", "w012"]
 
 
 class TestInternalHom:
