@@ -377,12 +377,14 @@ def _square_sigs(sig, maps, goal):
     images into the component at the output.  All arguments of a route
     have one arity, so `_gamma_by_size` substitutes them slot by slot."""
     inputs, out = sig
-    blocks = [tuple(F[a] for F in maps) for a in inputs]
-    images = [tuple(F[a] for a in inputs) for F in maps]
-    return ([(sum(blocks[:t], ()) + tuple(goal[a] for a in inputs[t:]),
-              goal[out]) for t in range(len(inputs) + 1)]
-            + [(sum(images[:t], ()) + tuple(F[out] for F in maps[t:]),
-                goal[out]) for t in range(len(maps) + 1)])
+    # per route: the argument blocks in the order substituted, and the
+    # colors they replace
+    routes = [([tuple(F[a] for F in maps) for a in inputs],
+               tuple(goal[a] for a in inputs)),
+              ([tuple(F[a] for a in inputs) for F in maps],
+               tuple(F[out] for F in maps))]
+    return [(sum(done[:t], ()) + todo[t:], goal[out])
+            for done, todo in routes for t in range(len(todo) + 1)]
 
 
 def is_k_natural(xi, ops=None):
@@ -565,10 +567,9 @@ def internal_hom(P, Q, arity_cap=3, budget=10 ** 6):
                             for a in colors_sorted}
                 fits = fits_of.get(tuple(comp_sig.values()))
                 if fits is None:
-                    fit = {s: all(map(Q.has_sig, _square_sigs(s, maps, goal)))
-                           for s in P.signatures()}
                     fits = fits_of[tuple(comp_sig.values())] = tuple(
-                        m for m in order if fit[num.sigs[m]])
+                        m for m in order if all(map(Q.has_sig, _square_sigs(
+                            num.sigs[m], maps, goal))))
                 touching = touching_of.get(fits)
                 if touching is None:
                     touching = touching_of[fits] = {a: [] for a in
