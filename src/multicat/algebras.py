@@ -582,12 +582,6 @@ class EndModule:
         coords, _ = _lex_coords(_element_index(self.source), s[0])
         return fn_table(opid)[_lex_position(coords, args)]
 
-    def act(self, ref, p):
-        s, opid = ref
-        sizes = tuple(len(self.source.carrier(c)) for c in s[0])
-        table = perms.act_on_function(fn_table(opid), p, sizes)
-        return ((perms.permute(s[0], p), s[1]), fn_id(table))
-
     def left_act(self, psi_ref, module_refs):
         """psi in End(target) applied after a tuple of module elements."""
         sig_inputs = tuple(c for ref in module_refs for c in ref[0][0])

@@ -51,9 +51,6 @@ class Bimodule:
     right_table: dict = field(repr=False, default_factory=dict)
     name: str = ""
 
-    def signatures(self):
-        return self.collection.signatures()
-
     def refs(self):
         return self.collection.refs()
 

@@ -13,7 +13,7 @@ from contextlib import contextmanager
 from . import dsl, jsonio
 from .core import (check_multicategory_laws, is_equivalence, nerve,
                    restrict_objects, extend_objects_injective,
-                   underlying_category, FiniteCollection, TableMulticategory)
+                   FiniteCollection, TableMulticategory)
 from .errors import DomainError, MulticatError
 from .homcalc import Multifunctor
 
@@ -54,7 +54,6 @@ COMMAND_TABLE = {
     "hochschild": "hochschild",
     "is_equivalence": "equiv",
     "nerve": "nerve",
-    "underlying_category": "nerve",
     "restrict_objects": "export",
     "extend_objects_injective": "export",
     "export": "export",
@@ -439,11 +438,10 @@ def cmd_equiv(args):
 def cmd_nerve(args):
     objects = _objects(args)
     M = _need(objects, args.name, TableMulticategory)
-    C = underlying_category(M)
     if args.category_only:
-        _emit(args, jsonio.category_json(C))
+        _emit(args, jsonio.category_json(M))
         return 0
-    return _simplicial(args, nerve(C, args.depth))
+    return _simplicial(args, nerve(M, args.depth))
 
 
 def cmd_export(args):

@@ -762,78 +762,33 @@ def check_slot_laws(report, E, act1, Q, compose, symmetric, names,
 
 
 # ---------------------------------------------------------------------------
-# the underlying category and its nerve
+# the underlying category, read off the unary operations, and its nerve
 
 
-@dataclass(frozen=True)
-class FiniteCategory:
-    objects: tuple
-    homs: dict  # (a, b) -> tuple of morphism ids
-    compose: dict  # ((a,b,f),(b,c,g)) -> (a,c,h), g after f
-    identities: dict  # a -> id
-
-    def hom(self, a, b):
-        return self.homs.get((a, b), ())
-
-    def mors(self):
-        for (a, b) in sorted(self.homs):
-            for f in self.homs[a, b]:
-                yield (a, b, f)
-
-    def then(self, f, g):
-        """g after f, for f=(a,b,id), g=(b,c,id)."""
-        if f[1] != g[0]:
-            raise CompositionError(f"{f} then {g}: endpoints do not match")
-        entry = self.compose.get((f, g))
-        if entry is None:
-            raise StructuralError(f"missing category composite {f};{g}")
-        return entry
-
-    def identity(self, a):
-        return (a, a, self.identities[a])
+def unary_ops(M):
+    """The morphisms of M's underlying category, the category of its unary
+    operations, as ``(a, b, id)`` for each operation at (a; b), sorted."""
+    return sorted((s[0][0], s[1], f) for s in M.signatures()
+                  if len(s[0]) == 1 for f in M.ops_at(s))
 
 
-def check_category_laws(C):
-    report = LawReport()
-    for a in C.objects:
-        if C.identities.get(a) not in C.hom(a, a):
-            report.fail("identity-present", str(a))
-        report.note("identity-present")
-    for f in C.mors():
-        left = C.then(C.identity(f[0]), f)
-        right = C.then(f, C.identity(f[1]))
-        report.note("identity-laws")
-        if left != f or right != f:
-            report.fail("identity-laws", str(f))
-    for f in C.mors():
-        for g in C.mors():
-            if f[1] != g[0]:
-                continue
-            fg = C.then(f, g)
-            for h in C.mors():
-                if g[1] != h[0]:
-                    continue
-                report.note("associativity")
-                if C.then(fg, h) != C.then(f, C.then(g, h)):
-                    report.fail("associativity", f"{f};{g};{h}")
-    return report
+def unary_composite(M, f, g):
+    """g after f for f = (a, b, id) and g = (b, c, id): ``g o_0 f`` as an
+    ``(a, c, id)`` triple, or None where M holds no such composite."""
+    r = M.cell(M.value((((g[0],), g[1]), g[2])), 0,
+               M.value((((f[0],), f[1]), f[2])))
+    return None if r is None else (f[0], g[1], M.ref_of(r)[1])
 
 
-def underlying_category(M):
-    """The category of unary operations; higher-arity data is discarded."""
-    homs = {(s[0][0], s[1]): tuple(M.ops_at(s)) for s in M.signatures()
-            if len(s[0]) == 1}
-    compose = {}
-    for (a, b), fs in homs.items():
-        for (b2, c), gs in homs.items():
-            if b2 != b:
-                continue
-            for f in fs:
-                for g in gs:
-                    got = M.try_compose1((((b,), c), g), 0, (((a,), b), f))
-                    if got is not None:
-                        compose[(a, b, f), (b, c, g)] = (a, c, got[1])
-    return FiniteCategory(tuple(M.colors), homs, compose, dict(M.units))
+def _then(M, f, g):
+    h = unary_composite(M, f, g)
+    if h is None:
+        raise StructuralError(f"missing category composite {f};{g}")
+    return h
+
+
+def _identity(M, a):
+    return (a, a, M.units[a])
 
 
 @dataclass(frozen=True)
@@ -888,12 +843,15 @@ class TruncatedSimplicialSet:
         return report
 
 
-def nerve(C, depth):
-    """Composable chains of morphisms, truncated at the given level."""
+def nerve(M, depth):
+    """The nerve of M's underlying category, truncated at the given level:
+    a k-simplex is a chain of k composable unary operations, each an
+    ``(a, b, id)`` triple; inner faces compose with ``o_0`` and
+    degeneracies insert units, so higher-arity operations play no part."""
     if depth < 0:
         raise DomainError("nerve depth must be >= 0")
-    levels = [tuple(sorted(C.objects))]
-    mors = sorted(C.mors())
+    levels = [tuple(sorted(M.colors))]
+    mors = unary_ops(M)
     chains = [(m,) for m in mors]
     if depth >= 1:
         levels.append(tuple(sorted(chains)))
@@ -911,16 +869,16 @@ def nerve(C, depth):
             elif i == k:
                 images = [x[:-1] for x in levels[k]]
             else:
-                images = [x[:i - 1] + (C.then(x[i - 1], x[i]),) + x[i + 1:]
+                images = [x[:i - 1] + (_then(M, x[i - 1], x[i]),) + x[i + 1:]
                           for x in levels[k]]
             faces[k, i] = tuple(map(index[k - 1].__getitem__, images))
     for k in range(depth):
         for j in range(k + 1):
             if k == 0:
-                images = [(C.identity(x),) for x in levels[k]]
+                images = [(_identity(M, x),) for x in levels[k]]
             else:
-                images = [x[:j] + (C.identity(x[j][0] if j < k
-                                              else x[j - 1][1]),) + x[j:]
+                images = [x[:j] + (_identity(M, x[j][0] if j < k
+                                                else x[j - 1][1]),) + x[j:]
                           for x in levels[k]]
             degeneracies[k, j] = tuple(map(index[k + 1].__getitem__, images))
     return TruncatedSimplicialSet(depth, tuple(levels), faces, degeneracies)
@@ -949,14 +907,17 @@ class EquivalenceReport:
         }
 
 
-def _iso_objects(C, a, b):
-    return any(C.then((a, b, f), (b, a, g)) == C.identity(a)
-               and C.then((b, a, g), (a, b, f)) == C.identity(b)
-               for f in C.hom(a, b) for g in C.hom(b, a))
+def _iso_objects(M, a, b):
+    return any(_then(M, (a, b, f), (b, a, g)) == _identity(M, a)
+               and _then(M, (b, a, g), (a, b, f)) == _identity(M, b)
+               for f in M.ops_at(((a,), b)) for g in M.ops_at(((b,), a)))
 
 
 def is_equivalence(F):
-    """Fully faithful (per-signature bijective) + essentially surjective."""
+    """Fully faithful (per-signature bijective) + essentially surjective:
+    each color of the target is isomorphic to an image color, the
+    isomorphisms read off the target's unary operations and their
+    ``o_0`` composites."""
     P, Q = F.source, F.target
     witnesses = []
     for s in P.signatures():
@@ -977,10 +938,9 @@ def is_equivalence(F):
             if not P.ops_at(pre):
                 witnesses.append(f"not full at empty {sig_key(pre)}")
     ff = not witnesses
-    CQ = underlying_category(Q)
     ess = True
     for q in Q.colors:
-        if not any(_iso_objects(CQ, F.object_map[p], q) for p in P.colors):
+        if not any(_iso_objects(Q, F.object_map[p], q) for p in P.colors):
             ess = False
             witnesses.append(f"object {q} not reached up to isomorphism")
     return EquivalenceReport(ff, ess, witnesses)

@@ -56,12 +56,6 @@ class Block:
 class Ast:
     blocks: list = field(default_factory=list)
 
-    def block(self, name):
-        for b in self.blocks:
-            if b.name == name:
-                return b
-        return None
-
 
 BLOCK_KINDS = ("multicategory", "collection", "presentation",
                "multifunctor", "algebra", "bimodule")
@@ -222,7 +216,9 @@ class _TermError(Exception):
 
 def parse_term(tok, gen_lookup, lineno, diags):
     """Parse a bracketed term literal; leaf numbers are renumbered as
-    written (1-based), and sub-leaves inherit the expected input color."""
+    written (1-based), and sub-leaves inherit the expected input color.
+    A diagnostic's column counts from the start of the literal, not of
+    the line."""
     p = _TermParser(tok, gen_lookup, lineno, diags)
     try:
         t = p.term(expect_color="?")

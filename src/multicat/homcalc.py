@@ -611,8 +611,16 @@ def internal_hom(P, Q, arity_cap=3, budget=10 ** 6):
                 tuple(Q.image(v, p) for v in xi[2]))
 
     def compose(s, xi, slot, qs, eta):
-        return (xi[0][:slot] + eta[0] + xi[0][slot + 1:], xi[1],
-                tuple(_compose(Q, v, slot, w) for v, w in zip(xi[2], eta[2])))
+        # a component composite outside Q's support escapes the table,
+        # which is then partial; one missing inside it raises
+        out = []
+        for v, w in zip(xi[2], eta[2]):
+            got = Q.cell(v, slot, w)
+            if got is None and not Q.has_sig(
+                    composed_sig(Q.sig_of(v), slot, Q.sig_of(w))):
+                return None
+            out.append(_compose(Q, v, slot, w) if got is None else got)
+        return (xi[0][:slot] + eta[0] + xi[0][slot + 1:], xi[1], tuple(out))
 
     units = {color_of[i]: ((i,), i, tuple(Q.unit_value(F.object_map[a])
                                           for a in colors_sorted))

@@ -29,8 +29,8 @@ import json
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _quoted
 
-from .core import (FiniteCategory, TableMulticategory,
-                   TruncatedSimplicialSet, sig_key)
+from .core import (TableMulticategory, TruncatedSimplicialSet, sig_key,
+                   unary_composite, unary_ops)
 
 SCHEMA = "multicat/1"
 
@@ -80,17 +80,22 @@ def multicategory_json(M):
     return doc
 
 
-def category_json(C):
+def category_json(M):
+    """M's underlying category: its colors, its unary operations as
+    hom-sets, its units, and the composites ``g o_0 f`` that M holds, as
+    rows first f, then g."""
+    mors = unary_ops(M)
     return {
         "schema": SCHEMA,
         "kind": "category",
-        "objects": sorted(C.objects),
-        "homs": {f"{a}->{b}": sorted(fs)
-                 for (a, b), fs in sorted(C.homs.items())},
-        "identities": dict(sorted(C.identities.items())),
+        "objects": sorted(M.colors),
+        "homs": {f"{s[0][0]}->{s[1]}": sorted(M.ops_at(s))
+                 for s in M.signatures() if len(s[0]) == 1},
+        "identities": dict(sorted(M.units.items())),
         "compose": sorted(
             [{"first": list(f), "then": list(g), "result": list(h)}
-             for (f, g), h in C.compose.items()],
+             for f in mors for g in mors if f[1] == g[0]
+             and (h := unary_composite(M, f, g)) is not None],
             key=_row_key),
     }
 
@@ -122,8 +127,6 @@ def report_json(obj):
 def to_json(obj):
     if isinstance(obj, TableMulticategory):
         return multicategory_json(obj)
-    if isinstance(obj, FiniteCategory):
-        return category_json(obj)
     if isinstance(obj, TruncatedSimplicialSet):
         return simplicial_json(obj)
     return report_json(obj)

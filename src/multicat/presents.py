@@ -404,12 +404,6 @@ def _term(M, gen, ref):
     return identity_term(gsig[1]) if M.is_unit(ref) else corolla(gsig, gid)
 
 
-def _tensor_generators(P, Q):
-    """Generator collection on paired colors: every non-unit operation of P
-    at a fixed color of Q and vice versa, actions inherited."""
-    return coproduct(P, Q).generators
-
-
 def coproduct(P, Q):
     """The presentation whose saturation is the coproduct: slices of P and
     Q at each other's colors, with no interchange relations.  The

@@ -18,8 +18,7 @@ from multicat import dsl, jsonio, perms
 from multicat.bimodules import (Bimodule, _block_order, bar_complex,
                                 hochschild, hochschild_comparison,
                                 module_from_multicategory)
-from multicat.core import (FiniteCollection, LawReport, nerve, sig_key,
-                           underlying_category)
+from multicat.core import FiniteCollection, LawReport, nerve, sig_key
 from multicat.errors import StructuralError
 from multicat.presents import UnionFind
 from multicat.standard import (assoc_multicategory, comm_multicategory,
@@ -503,8 +502,7 @@ CHECK_INPUTS = {
     "hochschild-as2pos-6-2": lambda: hochschild(AS2P, 6, 2).simplicial,
     "hochschild-i-3-2": lambda: hochschild(I, 3, 2).simplicial,
     "bar-reg-3-2": lambda: bar_on_reg().simplicial,
-    "nerve-pair-3": lambda: nerve(
-        underlying_category(load("twocolor.mcat")["Pair"]), 3),
+    "nerve-pair-3": lambda: nerve(load("twocolor.mcat")["Pair"], 3),
 }
 
 

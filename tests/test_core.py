@@ -5,11 +5,12 @@ from dataclasses import replace
 import pytest
 
 from multicat import perms
-from multicat.core import (check_category_laws, check_multicategory_laws,
-                           extend_objects_injective, is_equivalence, nerve,
-                           restrict_objects, sig_key, underlying_category)
-from multicat.errors import DomainError
+from multicat.core import (FiniteCollection, TableMulticategory,
+                           check_multicategory_laws, extend_objects_injective,
+                           is_equivalence, nerve, restrict_objects, sig_key)
+from multicat.errors import DomainError, StructuralError
 from multicat.homcalc import Multifunctor, identity_multifunctor
+from multicat.jsonio import category_json
 from multicat.standard import (assoc_multicategory, comm_multicategory,
                                corrupt_unit, discrete_pair, indiscrete_pair,
                                unit_multicategory)
@@ -79,36 +80,49 @@ def test_sigma_contravariance_exhaustive():
 
 
 def test_underlying_category():
-    C = underlying_category(I)
-    assert C.objects == ("u",) and C.hom("u", "u") == ("1",)
-    C3 = underlying_category(AS3)
-    assert C3.hom("x", "x") == ("w0",)
-    assert check_category_laws(C3).ok
-    assert check_category_laws(underlying_category(indiscrete_pair())).ok
+    # the unit and associativity laws of the unary operations are those of
+    # the multicategory, checked on the same table
+    C = category_json(I)
+    assert C["objects"] == ["u"] and C["homs"] == {"u->u": ["1"]}
+    assert category_json(AS3)["homs"]["x->x"] == ["w0"]
+    assert check_multicategory_laws(AS3).ok
+    assert check_multicategory_laws(indiscrete_pair()).ok
 
 
 def test_underlying_category_of_arrow_level():
     from multicat.presents import arrow_multicategory
 
-    C = underlying_category(arrow_multicategory(AS3, 1))
-    assert sorted(C.objects) == ["0", "1"]
-    assert C.hom("0", "1") != () and C.hom("1", "0") == ()
-    assert check_category_laws(C).ok
+    M = arrow_multicategory(AS3, 1)
+    C = category_json(M)
+    assert C["objects"] == ["0", "1"]
+    assert C["homs"]["0->1"] and C["homs"].get("1->0", []) == []
+    assert check_multicategory_laws(M).ok
 
 
 def test_nerve_counts(fx):
-    one = nerve(underlying_category(I), 2)
+    one = nerve(I, 2)
     assert [len(l) for l in one.levels] == [1, 1, 1]
     assert one.check_identities().ok
 
     # the walking arrow: two objects, a single non-identity morphism
     from multicat.presents import arrow_multicategory
 
-    P1 = arrow_multicategory(I, 1)
-    C = underlying_category(P1)
-    N = nerve(C, 3)
+    N = nerve(arrow_multicategory(I, 1), 3)
     assert [len(l) for l in N.levels] == fx["walking_arrow_chains"]
     assert N.check_identities().ok
+
+
+def test_nerve_raises_on_a_missing_unary_composite():
+    # f: a -> b and h: b -> a with no composite tabulated: the edges are
+    # there, and the inner face of the 2-simplex (f, h) is not
+    ops = {(("a",), "a"): ("1",), (("b",), "b"): ("1",),
+           (("a",), "b"): ("f",), (("b",), "a"): ("h",)}
+    M = TableMulticategory(FiniteCollection(("a", "b"), ops, {}),
+                           {"a": "1", "b": "1"}, {}, complete=False)
+    assert [len(l) for l in nerve(M, 1).levels] == [2, 4]
+    with pytest.raises(StructuralError, match=r"missing category composite "
+                       r"\('a', 'b', 'f'\);\('b', 'a', 'h'\)"):
+        nerve(M, 2)
 
 
 def test_is_equivalence_cases():

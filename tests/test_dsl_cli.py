@@ -1,7 +1,9 @@
 """The document format, diagnostics, the driver, and determinism."""
 
 import hashlib
+import importlib
 import json
+import pkgutil
 import random
 import subprocess
 import sys
@@ -10,6 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import multicat
 from multicat import dsl, jsonio
 from multicat.cli import COMMAND_TABLE, SUBCOMMANDS, main
 
@@ -212,7 +215,7 @@ class TestCommandTable:
     def test_every_operation_has_exactly_one_subcommand(self):
         ops = {
             "parse", "elaborate", "run",
-            "check_multicategory_laws", "compose", "underlying_category",
+            "check_multicategory_laws", "compose",
             "is_equivalence", "nerve", "restrict_objects",
             "extend_objects_injective",
             "graft", "op_compose", "op_hom_set", "free_multicategory",
@@ -234,6 +237,13 @@ class TestCommandTable:
             assert COMMAND_TABLE[op] in SUBCOMMANDS
         # and nothing maps to several subcommands: the table is a function
         assert len(COMMAND_TABLE) == len(set(COMMAND_TABLE))
+
+    def test_every_listed_operation_exists(self):
+        # the converse: a deleted operation cannot stay in the table
+        modules = [importlib.import_module(f"multicat.{m.name}")
+                   for m in pkgutil.iter_modules(multicat.__path__)]
+        for op in COMMAND_TABLE.keys() - {"compose", "export"}:
+            assert any(callable(getattr(m, op, None)) for m in modules), op
 
 
 # sha256 of the JSON artifacts of the search-backed subcommands, taken
@@ -305,13 +315,128 @@ SIMPLICIAL_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(SIMPLICIAL_DIGESTS))
-def test_simplicial_outputs_unchanged(name, docs_dir, capsys):
-    (command, document, *rest), digest = SIMPLICIAL_DIGESTS[name]
+def _run_digest(capsys, docs_dir, command, document, *rest):
+    """sha256 of the exit code, stdout and stderr of one CLI run."""
     code = run_cli(command, str(docs_dir / document), *rest)
     got = capsys.readouterr()
     text = f"{code}\n{got.out}\0{got.err}"
-    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(SIMPLICIAL_DIGESTS))
+def test_simplicial_outputs_unchanged(name, docs_dir, capsys):
+    argv, digest = SIMPLICIAL_DIGESTS[name]
+    assert _run_digest(capsys, docs_dir, *argv) == digest
+
+
+# sha256 of the exit code, stdout and stderr of the nerve of every
+# multicategory block of every shipped document, as a category and to
+# depth 3, and of the equivalence reports, taken while the nerve and the
+# equivalence test read a separate category type copied off the table
+CATEGORY_DIGESTS = {
+    "category-adjunction-I": (
+        ("nerve", "adjunction.mcat", "--name", "I", "--category-only"),
+        "a14c4a107b85ade6c03fce3303b7cdde14dc9157ffd18e18f527073da489231d"),
+    "nerve-adjunction-I": (
+        ("nerve", "adjunction.mcat", "--name", "I", "--depth", "3"),
+        "3bb8d0ab2a254059658cfdd99f58904d98a30880e2444438b7441e196bece978"),
+    "category-adjunction-Com2": (
+        ("nerve", "adjunction.mcat", "--name", "Com2", "--category-only"),
+        "2c364e7ed4c77e5b9a9b5270ec6f4b9d282d6a6ab6d67c1e09a44743141d7cf0"),
+    "nerve-adjunction-Com2": (
+        ("nerve", "adjunction.mcat", "--name", "Com2", "--depth", "3"),
+        "cefa11c2abad48342e42e6f776346e49f8bf710342e6b540ad1204b6b930c9fe"),
+    "category-adjunction-As2": (
+        ("nerve", "adjunction.mcat", "--name", "As2", "--category-only"),
+        "d500a425fcd7a8c347b67f76a19b8d8dfbd061309c54805c9bc7f09e891fdd36"),
+    "nerve-adjunction-As2": (
+        ("nerve", "adjunction.mcat", "--name", "As2", "--depth", "3"),
+        "0fd049e869000b98be976c240eaf3f76cbfbd453dad1d78019ff4f84a0269ae4"),
+    "category-alg-As3": (
+        ("nerve", "alg.mcat", "--name", "As3", "--category-only"),
+        "d500a425fcd7a8c347b67f76a19b8d8dfbd061309c54805c9bc7f09e891fdd36"),
+    "nerve-alg-As3": (
+        ("nerve", "alg.mcat", "--name", "As3", "--depth", "3"),
+        "0fd049e869000b98be976c240eaf3f76cbfbd453dad1d78019ff4f84a0269ae4"),
+    "category-as2-As2": (
+        ("nerve", "as2.mcat", "--name", "As2", "--category-only"),
+        "d500a425fcd7a8c347b67f76a19b8d8dfbd061309c54805c9bc7f09e891fdd36"),
+    "nerve-as2-As2": (
+        ("nerve", "as2.mcat", "--name", "As2", "--depth", "3"),
+        "0fd049e869000b98be976c240eaf3f76cbfbd453dad1d78019ff4f84a0269ae4"),
+    "category-as2pos-As2pos": (
+        ("nerve", "as2pos.mcat", "--name", "As2pos", "--category-only"),
+        "d500a425fcd7a8c347b67f76a19b8d8dfbd061309c54805c9bc7f09e891fdd36"),
+    "nerve-as2pos-As2pos": (
+        ("nerve", "as2pos.mcat", "--name", "As2pos", "--depth", "3"),
+        "0fd049e869000b98be976c240eaf3f76cbfbd453dad1d78019ff4f84a0269ae4"),
+    "category-as3-As3": (
+        ("nerve", "as3.mcat", "--name", "As3", "--category-only"),
+        "d500a425fcd7a8c347b67f76a19b8d8dfbd061309c54805c9bc7f09e891fdd36"),
+    "nerve-as3-As3": (
+        ("nerve", "as3.mcat", "--name", "As3", "--depth", "3"),
+        "0fd049e869000b98be976c240eaf3f76cbfbd453dad1d78019ff4f84a0269ae4"),
+    "category-bimod-As2pos": (
+        ("nerve", "bimod.mcat", "--name", "As2pos", "--category-only"),
+        "d500a425fcd7a8c347b67f76a19b8d8dfbd061309c54805c9bc7f09e891fdd36"),
+    "nerve-bimod-As2pos": (
+        ("nerve", "bimod.mcat", "--name", "As2pos", "--depth", "3"),
+        "0fd049e869000b98be976c240eaf3f76cbfbd453dad1d78019ff4f84a0269ae4"),
+    "category-com2-Com2": (
+        ("nerve", "com2.mcat", "--name", "Com2", "--category-only"),
+        "2c364e7ed4c77e5b9a9b5270ec6f4b9d282d6a6ab6d67c1e09a44743141d7cf0"),
+    "nerve-com2-Com2": (
+        ("nerve", "com2.mcat", "--name", "Com2", "--depth", "3"),
+        "cefa11c2abad48342e42e6f776346e49f8bf710342e6b540ad1204b6b930c9fe"),
+    "category-com3-Com3": (
+        ("nerve", "com3.mcat", "--name", "Com3", "--category-only"),
+        "2c364e7ed4c77e5b9a9b5270ec6f4b9d282d6a6ab6d67c1e09a44743141d7cf0"),
+    "nerve-com3-Com3": (
+        ("nerve", "com3.mcat", "--name", "Com3", "--depth", "3"),
+        "cefa11c2abad48342e42e6f776346e49f8bf710342e6b540ad1204b6b930c9fe"),
+    "category-i-I": (
+        ("nerve", "i.mcat", "--name", "I", "--category-only"),
+        "a14c4a107b85ade6c03fce3303b7cdde14dc9157ffd18e18f527073da489231d"),
+    "nerve-i-I": (
+        ("nerve", "i.mcat", "--name", "I", "--depth", "3"),
+        "3bb8d0ab2a254059658cfdd99f58904d98a30880e2444438b7441e196bece978"),
+    "category-trees2-Trees2": (
+        ("nerve", "trees2.mcat", "--name", "Trees2", "--category-only"),
+        "4421bf9d20b6c1ab853b96d9d6ea7a3116d5f3f0375a338c7a6f10fef8011a54"),
+    "nerve-trees2-Trees2": (
+        ("nerve", "trees2.mcat", "--name", "Trees2", "--depth", "3"),
+        "93831c26aa508f1972e0c09dc0fdb04294f517eee72962b14447da87e5282aa7"),
+    "category-twocolor-Pair": (
+        ("nerve", "twocolor.mcat", "--name", "Pair", "--category-only"),
+        "f22a47fcd2d1d48cca2792a20137ffda3bb8ab5e68b118a0b3d68c84b352a131"),
+    "nerve-twocolor-Pair": (
+        ("nerve", "twocolor.mcat", "--name", "Pair", "--depth", "3"),
+        "25ae89006f7a073b850001bb75971e21d92f35f4149f29b9b52884197794337b"),
+    "category-twocolor-Discrete": (
+        ("nerve", "twocolor.mcat", "--name", "Discrete", "--category-only"),
+        "8e21e3195a11e2b25c428f859271c2fa6ef843334bc77df9dfa21e6a2a723c8c"),
+    "nerve-twocolor-Discrete": (
+        ("nerve", "twocolor.mcat", "--name", "Discrete", "--depth", "3"),
+        "2deb1c5332fb9ef02e8ec05506a8ffc206f96c0ac4365d06304479c945b4d98e"),
+    "category-twocolor-Point": (
+        ("nerve", "twocolor.mcat", "--name", "Point", "--category-only"),
+        "7fb40b4294b49f3f031094560045ad8761a4e70c2f807b9cc331e585caccea05"),
+    "nerve-twocolor-Point": (
+        ("nerve", "twocolor.mcat", "--name", "Point", "--depth", "3"),
+        "2f3cc0b75d4bf9fb21669bfbf43aa724a91e101b09f1be85518ac01fb3717e85"),
+    "equiv-Skel": (
+        ("equiv", "twocolor.mcat", "--name", "Skel"),
+        "aac314d711d1dcfbe0494fb041f839526d9b9424215ab3f01e344343c4499bda"),
+    "equiv-Collapse": (
+        ("equiv", "twocolor.mcat", "--name", "Collapse"),
+        "aeb532c546c6fc12b3af78b429a8eca81127b7e22d8c13f254b73d8544b9b4c1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CATEGORY_DIGESTS))
+def test_category_outputs_unchanged(name, docs_dir, capsys):
+    argv, digest = CATEGORY_DIGESTS[name]
+    assert _run_digest(capsys, docs_dir, *argv) == digest
 
 
 # a malformed or missing option value, one per option: (argv, stderr)
@@ -606,6 +731,31 @@ def test_malformed_bimodule_row_is_a_diagnostic(name, docs_dir, tmp_path,
 
 # one row of a shipped fixture each that elaboration cannot use:
 # (file, row, replacement, block dropped, diagnostic on the row's line)
+# a malformed right side of the magma's relation on line 7: (term,
+# column in the term literal, message)
+MALFORMED_TERMS = {
+    "unclosed": ("m($1,$2", 8, "expected , or )"),
+    "leaf-without-number": ("m($,$2)", 4, "leaf number expected after $"),
+    "too-few-arguments": ("m()", 4, "m expects 2 arguments"),
+    "no-generator": ("($1)", 1, "generator name expected"),
+    "trailing": ("m($1,$2)x", 9, "trailing characters"),
+    "too-many-arguments": ("m($1,$2,$3)", 11,
+                           "a bare leaf needs a surrounding generator"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_TERMS))
+def test_malformed_term_is_a_diagnostic(name, docs_dir, tmp_path, capsys):
+    term, column, message = MALFORMED_TERMS[name]
+    text = (docs_dir / "magma.mcat").read_text()
+    path = tmp_path / "magma.mcat"
+    path.write_text(text.replace("= m($1,m($2,$3))", "= " + term))
+    assert run_cli("check", str(path)) == 1
+    got = capsys.readouterr()
+    assert (got.out, got.err) == (
+        "", f"7:{column}: SYNTAX: {message} in term {term!r}\n")
+
+
 ELABORATION_MUTANTS = {
     "comp-result-not-an-op": (
         "as3.mcat", "  comp (x,x,x;x) w021 2 (x;x) w0 = w021",

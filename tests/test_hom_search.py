@@ -11,6 +11,7 @@ which takes elements that are not hashable, as its transformations are.
 
 import hashlib
 import json
+from dataclasses import replace
 from itertools import permutations, product
 from pathlib import Path
 
@@ -19,7 +20,7 @@ import pytest
 from multicat import homcalc, perms
 from multicat.algebras import EndView, ObjectFamily, end_multicategory
 from multicat.core import (FiniteCollection, TableMulticategory,
-                           composed_sig, sig_key)
+                           check_multicategory_laws, composed_sig, sig_key)
 from multicat.dsl import elaborate, parse
 from multicat.errors import BudgetExceededError, StructuralError
 from multicat.homcalc import (HomResult, KNatTransformation,
@@ -185,6 +186,35 @@ def _constants(add=(), cut=()):
         units={"c1": "!", "c2": "!", "t": "id"}, comp=comp, name="Constants")
 
 
+def _unary_table(colors, homs, name):
+    """A table of unary operations only: ``homs`` maps (a, b) to the op
+    ids at (a; b), with "id" at (a; a), and a composite is its outer
+    factor unless that is "id", and its inner one then."""
+    ops = {((a,), b): ids for (a, b), ids in homs.items()}
+    comp = {(ps, p, 0, qs, q): q if p == "id" else p
+            for ps in ops for qs in ops if qs[1] == ps[0][0]
+            and composed_sig(ps, 0, qs) in ops
+            for p in ops[ps] for q in ops[qs]}
+    action = {(s, (0,)): {op: op for op in ids} for s, ids in ops.items()}
+    return TableMulticategory(
+        collection=FiniteCollection(tuple(colors), ops, action),
+        units={c: "id" for c in colors}, comp=comp, name=name)
+
+
+def _rows():
+    """Two rows of three colors, cut by color: X0 -> X1 -> X2 on a point,
+    Y0 -> Y1 -> Y2 on {0, 1} by identities, and the constants X_i -> Y_j
+    for i <= j, except X1 -> Y2.  The table is complete, but composites
+    such as (X2;Y2:0) o_0 (X1;X2:id) land at the cut signature."""
+    homs = {}
+    for i in range(3):
+        for j in range(i, 3):
+            homs[f"X{i}", f"X{j}"] = homs[f"Y{i}", f"Y{j}"] = ("id",)
+            if (i, j) != (1, 2):
+                homs[f"X{i}", f"Y{j}"] = ("0", "1")
+    return _unary_table(("X0", "X1", "X2", "Y0", "Y1", "Y2"), homs, "Rows")
+
+
 HOM_CASES = {
     "As3->End(A2)": lambda: (assoc_multicategory(3),
                              EndView(A2, arity_cap=3), 2),
@@ -240,6 +270,28 @@ def test_hom_matches_product_loop(case):
     assert [F.key() for F in got.functors.values()] == [
         F.key() for F in want.functors.values()]
     assert _digest(got.table) == _digest(want.table)
+
+
+def test_hom_into_a_table_cut_by_color_is_partial():
+    # composites of transformations that leave the support escape the
+    # table, which is marked partial, instead of raising
+    chain = _unary_table("012", {(a, b): ("id",) for a in "012"
+                                 for b in "012" if a <= b}, "Chain")
+    H = internal_hom(chain, _rows(), arity_cap=1)
+    assert not H.table.complete
+    assert len(H.functors) == 50
+    assert sum(map(len, H.table.ops.values())) == 592
+    assert check_multicategory_laws(H.table).ok
+    # a composite missing inside the support still raises; from a point
+    # no multifunctor reads a composite, so the table's compose meets it
+    point = _unary_table("0", {("0", "0"): ("id",)}, "Point")
+    assert not internal_hom(point, _rows(), arity_cap=1).table.complete
+    rows = _rows()
+    comp = dict(rows.comp)
+    del comp[(("Y1",), "Y2"), "id", 0, (("X0",), "Y1"), "0"]
+    with pytest.raises(StructuralError, match=r"missing composition cell "
+                       r"\(Y1;Y2:id\) o_0 \(X0;Y1:0\)"):
+        internal_hom(point, replace(rows, comp=comp), arity_cap=1)
 
 
 @pytest.mark.parametrize("source,view_cap,squares", [

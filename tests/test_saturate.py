@@ -42,8 +42,8 @@ from multicat.dsl import elaborate, parse
 from multicat.errors import DomainError, StructuralError, TruncationError
 from multicat.homcalc import Multifunctor, identity_multifunctor
 from multicat.presents import (Presentation, SaturationReport, UnionFind,
-                               _tensor_generators, arrow_multicategory,
-                               coproduct, extract_standalone,
+                               arrow_multicategory, coproduct,
+                               extract_standalone,
                                interchange_relations, pair_color, pushout,
                                saturate, subtree_sites, tensor_generator)
 from multicat.standard import (assoc_multicategory, comm_multicategory,
@@ -372,7 +372,7 @@ CASES = {
                         identity_multifunctor(COM2)), (2, 3)),
     "pushout-arrows": (arrow_pushout, (2, 3)),
     "empty-com2-as2-3-3": (
-        lambda: Presentation(_tensor_generators(COM2, AS2), ()), (3, 3)),
+        lambda: Presentation(coproduct(COM2, AS2).generators, ()), (3, 3)),
 }
 
 
@@ -412,7 +412,7 @@ def test_class_of_memo_matches_unmemoized():
     # With no relations no class shrinks, so an escaping composite is never
     # reduced and the memo stays empty; the coproduct's relations shrink
     # terms and fill it
-    empty = Presentation(_tensor_generators(COM2, AS2), ())
+    empty = Presentation(coproduct(COM2, AS2).generators, ())
     for pres, memo in [(empty, False), (coproduct(COM2, AS2), True)]:
         sat = saturate(pres, 3, 3)
         ref = RefSaturation(table=None, report=None, presentation=pres,
@@ -439,9 +439,9 @@ def test_class_of_memo_matches_unmemoized():
 
 GENERATORS = {
     "binary": lambda: magma().generators,
-    "com2-as2": lambda: _tensor_generators(COM2, AS2),
-    "i-as3": lambda: _tensor_generators(I, AS3),
-    "com2-com2": lambda: _tensor_generators(COM2, COM2),
+    "com2-as2": lambda: coproduct(COM2, AS2).generators,
+    "i-as3": lambda: coproduct(I, AS3).generators,
+    "com2-com2": lambda: coproduct(COM2, COM2).generators,
 }
 
 
@@ -549,7 +549,7 @@ def test_negative_cap_is_a_domain_error(caps):
 
 
 def test_canonical_term_matches_reference():
-    gens = _tensor_generators(COM2, AS2)
+    gens = coproduct(COM2, AS2).generators
     for t in enumerate_terms(gens, 4, 3, symmetric=False):
         for p in perms.all_perms(term_arity(t)):
             moved = renumber_term(t, p)
@@ -750,7 +750,7 @@ def assert_same_presentation(pres, ref):
 def test_coproduct_matches_reference(p, q):
     P, Q = FACTORS[p](), FACTORS[q]()
     assert_same_presentation(coproduct(P, Q), ref_coproduct(P, Q))
-    assert _tensor_generators(P, Q) == ref_tensor_generators(P, Q)
+    assert coproduct(P, Q).generators == ref_tensor_generators(P, Q)
 
 
 @pytest.mark.parametrize("name", sorted(SPANS))

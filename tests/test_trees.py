@@ -13,7 +13,7 @@ from multicat import perms
 from multicat.core import FiniteCollection, check_multicategory_laws
 from multicat.dsl import elaborate, parse
 from multicat.errors import SubstitutionError, TruncationError
-from multicat.presents import _tensor_generators, arrow_multicategory
+from multicat.presents import arrow_multicategory, coproduct
 from multicat.standard import assoc_multicategory, comm_multicategory, \
     unit_multicategory
 from multicat.trees import (BARE_EDGE, Layer, TermPool, base_layer,
@@ -288,8 +288,8 @@ COLLECTIONS = {
     "Sym12": lambda: _sym12().collection,
     "Pair": lambda: _fixture("twocolor.mcat", "Pair").collection,
     "As2^1": lambda: arrow_multicategory(assoc_multicategory(2), 1).collection,
-    "Com2+As2": lambda: _tensor_generators(comm_multicategory(2),
-                                           assoc_multicategory(2)),
+    "Com2+As2": lambda: coproduct(comm_multicategory(2),
+                                  assoc_multicategory(2)).generators,
 }
 
 
