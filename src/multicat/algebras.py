@@ -21,8 +21,10 @@ strides, per slot composition of signatures a gather map and per
 symmetric action an index permutation.  Its values in the value
 interface of `core` are ``(signature, index tuple)`` pairs, the tuple
 listing the codomain index of each output; the searches and checks of
-`homcalc` run on them, and `act`, `compose1` and `try_compose1` parse
-text, run the same kernel and print text.  `end_multicategory`
+`homcalc` run on them.  Only `act`, `apply` and `compose1` take text:
+they parse it, run the same kernel and print text, `compose1` to raise
+the error of a composite beyond the cap.  The free algebras and the tree
+algebra of an operad compose on a table's numbers.  `end_multicategory`
 materializes a table when the total size is within a configured limit,
 and `end_of_map` tabulates the pairs intertwined by a map, with
 projections to the two views.
@@ -30,13 +32,14 @@ projections to the two views.
 
 import sys
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import product, repeat
 from math import log10
 from operator import mul
 
 from . import perms
-from .core import (_gamma_by_size, check_multicategory_laws, composed_sig,
-                   sig_key, tabulate)
+from .core import (_gamma_by_size, check_multicategory_laws, compose_values,
+                   composed_sig, sig_key, tabulate)
 from .errors import BudgetExceededError, DomainError, StructuralError
 from .homcalc import Multifunctor, check_multifunctor, enumerate_multifunctors
 
@@ -170,8 +173,10 @@ class EndView:
     permutations, constant on the orbits of input positions, with their
     ranks in :meth:`values_at`, so that a search passes over the others
     while still counting them against its budget and the view's limit.
-    :meth:`compose1`, :meth:`try_compose1` and :meth:`act` take and give
-    ids, through :meth:`value` and :meth:`ref_of`."""
+    :meth:`act` and :meth:`compose1` take and give ids, through
+    :meth:`value` and :meth:`ref_of`: the first for callers that hold
+    text, the second for the ``beyond the cap`` error, which
+    :func:`core.compose_values` raises through it."""
 
     complete = True
     symmetric = True
@@ -354,19 +359,12 @@ class EndView:
         yield ops.size, None
 
     def compose1(self, pref, slot, qref):
-        got = self.try_compose1(pref, slot, qref)
+        got = self.cell(self.value(pref), slot, self.value(qref))
         if got is None:
             rsig = composed_sig(pref[0], slot, qref[0])
             raise StructuralError(
                 f"composite arity {len(rsig[0])} beyond the cap")
-        return got
-
-    def try_compose1(self, pref, slot, qref):
-        got = self.cell(self.value(pref), slot, self.value(qref))
-        return None if got is None else self.ref_of(got)
-
-    def gamma(self, pref, qrefs):
-        return _gamma_by_size(self.compose1, pref, qrefs)
+        return self.ref_of(got)
 
     def act(self, ref, p):
         return self.ref_of(self.image(self.value(ref), p))
@@ -492,17 +490,17 @@ class FreeAlgebra:
         """Substitute free elements into an operation: compose in P and
         concatenate arguments; None when outside the truncation."""
         P = self.multicategory
-        s, _ = pref
-        qrefs = []
+        ws = []
         args = []
-        for eid in element_ids:
+        for slot, eid in enumerate(element_ids):
             es, eop, eargs = self.decode[eid]
-            qrefs.append((es, eop))
+            composed_sig(pref[0], slot, es)  # a wrong slot or color raises
+            ws.append(P.value((es, eop)))
             args.extend(eargs)
-        got = _gamma_by_size(P.try_compose1, pref, qrefs)
-        if got is None or not P.has_sig(got[0]):
+        got = _gamma_by_size(P.cell, P.value(pref), ws, P.sig_of)
+        if got is None or not P.has_sig(P.sig_of(got)):
             return None
-        return _canon_free(P, *got, tuple(args))
+        return _canon_free(P, *P.ref_of(got), tuple(args))
 
 
 def _free_id(s, op, args):
@@ -766,18 +764,20 @@ def operad_to_op_algebra(P, op_table, op_structure, max_arity=3):
         for n in range(max_arity + 1)})
 
     def planar_eval(node, args):
-        # returns (ref, leaf indices in planar order): an input edge is the
-        # unit, a vertex the composite of its operation with its children
+        # returns (value, leaf indices in planar order): an input edge is
+        # the unit, a vertex the composite of its operation with its
+        # children
         if node[0] == "L":
-            return P.unit_ref(color), [node[1]]
+            return P.unit_value(color), [node[1]]
         _, vnum, children = node
-        ref = (((color,) * len(children), color), args[vnum])
-        refs, idxs = [], []
+        v = P.value((((color,) * len(children), color), args[vnum]))
+        ws, idxs = [], []
         for child in children:
-            cref, cidx = planar_eval(child, args)
-            refs.append(cref)
+            w, cidx = planar_eval(child, args)
+            ws.append(w)
             idxs.extend(cidx)
-        return P.gamma(ref, refs), idxs
+        return _gamma_by_size(partial(compose_values, P), v, ws,
+                              P.sig_of), idxs
 
     action = {}
     for s in op_table.signatures():
@@ -786,7 +786,8 @@ def operad_to_op_algebra(P, op_table, op_structure, max_arity=3):
             tree = op_structure[s, tid]
             domains = [family.carrier(c) for c in s[0]]
             table[tid] = tuple(
-                perms.unshuffle(P.act, *planar_eval(tree, args))[1]
+                P.ref_of(perms.unshuffle(P.image,
+                                         *planar_eval(tree, args)))[1]
                 for args in product(*domains))
         action[s] = table
     return AlgebraStructure(multicategory=op_table, carrier=family,

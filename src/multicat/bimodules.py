@@ -10,7 +10,10 @@ bimodule without a left action (``left`` is None).
 
 Every action lookup follows the rule of
 :meth:`core.TableMulticategory.cell`: the table entry first, and only
-where the table has none does a unit act as the identity.
+where the table has none does a unit act as the identity.  Actions are
+asked for on numbers only; references stay in the constructor tables, in
+the bar and tensor elements and the module maps, whose text and order
+are output, and in error text.
 
 Bar truncations are circle-product elements over numbered towers of
 layers; face maps merge two adjacent layers (the module actions at the
@@ -19,14 +22,14 @@ and both are computed once per tower element.
 """
 
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 from itertools import product
 
 from . import perms
 from .core import (CellLookup, FiniteCollection, LawReport,
                    TableMulticategory, TruncatedSimplicialSet, _gamma_by_size,
-                   backtrack, check_slot_laws, composed_sig, is_equivalence,
-                   sig_key, tabulate)
+                   backtrack, check_slot_laws, compose_values, composed_sig,
+                   is_equivalence, sig_key, tabulate)
 from .errors import DomainError, StructuralError
 from .homcalc import Multifunctor
 from .presents import UnionFind
@@ -39,10 +42,11 @@ class Bimodule:
     """A collection with a right action of ``right`` and a left action of
     ``left`` (None for a right module).  ``right_table`` maps ``(element,
     slot, operation)`` and ``left_table`` ``(operation, elements)`` to an
-    element, as references; both are read once into tables on the numbers
-    of the elements and of the operations.  :meth:`right_cell` and
-    :meth:`left_cell` look an action up on numbers, the ``act_*`` methods
-    on references, all by the rule in the module docstring."""
+    element, as references: they are constructor input, read once into
+    tables on the numbers of the elements and of the operations, and no
+    lookup takes references.  :meth:`right_cell` and :meth:`left_cell`
+    look an action up on those numbers by the rule in the module
+    docstring."""
 
     left: TableMulticategory
     right: TableMulticategory
@@ -50,12 +54,6 @@ class Bimodule:
     left_table: dict = field(repr=False, default_factory=dict)
     right_table: dict = field(repr=False, default_factory=dict)
     name: str = ""
-
-    def refs(self):
-        return self.collection.refs()
-
-    def act(self, mref, p):
-        return self.collection.act(mref, p)
 
     @cached_property
     def tensors(self):
@@ -89,55 +87,36 @@ class Bimodule:
             return ms[0]
         return got
 
-    def act_right1(self, mref, slot, qref):
-        got = self.try_act_right1(mref, slot, qref)
-        if got is None:
-            raise StructuralError(
-                f"missing right action {mref} o_{slot} {qref}")
-        return got
 
-    def try_act_right1(self, mref, slot, qref):
-        num = self.collection.numbering
-        got = self.right_cell(num.number(mref), slot, self.right.value(qref))
-        return None if got is None else num.refs[got]
-
-    def act_right(self, mref, qrefs):
-        return _gamma_by_size(self.act_right1, mref, qrefs)
-
-    def act_left(self, pref, mrefs):
-        got = self.try_act_left(pref, mrefs)
-        if got is None:
-            raise StructuralError(f"missing left action {pref} on {mrefs}")
-        return got
-
-    def try_act_left(self, pref, mrefs):
-        num = self.collection.numbering
-        got = self.left_cell(self.left.value(pref),
-                             tuple(map(num.number, mrefs)))
-        return None if got is None else num.refs[got]
+def _nonnegative(*caps, what="the arity cap"):
+    if min(caps) < 0:
+        raise DomainError(f"{what} must be >= 0")
 
 
 def module_from_multicategory(M, max_arity=None):
     """M as a bimodule over itself on both sides; actions are composition."""
     cap = max_arity if max_arity is not None else M.max_arity()
+    _nonnegative(cap)
     coll = M.collection
     right_table = {(pref, slot, qref): rref
                    for pref, slot, qref, rref in M.cells()}
     left_table = {}
-    refs = list(coll.refs())
+    num = coll.numbering
+    refs, sigs = num.refs, num.sigs
     for s in M.signatures():
         # argument tuples in product order, pruned as soon as their
         # running total arity passes the cap
         tuples = [((), 0)]
         for c in s[0]:
-            tuples = [(t + (m,), n + len(m[0][0])) for t, n in tuples
-                      for m in refs
-                      if m[0][1] == c and n + len(m[0][0]) <= cap]
-        for p in M.ops_at(s):
-            for mrefs, _ in tuples:
-                got = _gamma_by_size(M.try_compose1, (s, p), mrefs)
+            tuples = [(t + (m,), n + len(sigs[m][0])) for t, n in tuples
+                      for m in num.ops
+                      if sigs[m][1] == c and n + len(sigs[m][0]) <= cap]
+        for p in M.values_at(s):
+            for ms, _ in tuples:
+                got = _gamma_by_size(M.cell, p, ms, M.sig_of)
                 if got is not None:
-                    left_table[(s, p), mrefs] = got
+                    key = refs[p], tuple(map(refs.__getitem__, ms))
+                    left_table[key] = refs[got]
     return Bimodule(left=M, right=M, collection=coll,
                     left_table=left_table, right_table=right_table,
                     name=f"{M.name}-bimod")
@@ -316,25 +295,43 @@ def bar_complex(X, P, Y, n_max=3, max_arity=2):
     degeneracies are computed on element numbers, once per tower element:
     below the root, a face or degeneracy maps the children and
     re-canonicalizes, and its values are kept per (height, number,
-    index)."""
-    if min(n_max, max_arity) < 0:
-        raise DomainError("levels and the arity cap must be >= 0")
+    index).  P must act on X and on Y, whose tables the merges index by
+    P's numbers."""
+    _nonnegative(n_max, max_arity, what="levels and the arity cap")
+    if P is not X.right:
+        raise DomainError(f"{P.name} does not act on {X.name} from the right")
+    if P is not Y.left:
+        raise DomainError(f"{P.name} does not act on {Y.name} from the left")
     towers = [base_layer(Y.collection)]
     for _ in range(n_max):
         towers.append(circle_layer(P.collection, towers[-1], max_arity))
     levels = [circle_layer(X.collection, towers[n], max_arity)
               for n in range(n_max + 1)]
 
-    def merge_roots(elem, kids, act, coll, target):
-        # the root composed with its children's roots; the grandchildren
-        # take the positions of their parent's block (sorted tuples)
+    pnum = P.collection.numbering
+    xnum, ynum = X.collection.numbering, Y.collection.numbering
+
+    def x_act(m, slot, q):
+        got = X.right_cell(m, slot, q)
+        if got is None:
+            raise StructuralError(f"missing right action {xnum.refs[m]} "
+                                  f"o_{slot} {pnum.refs[q]}")
+        return got
+
+    def merge_roots(elem, kids, act, num, coll, target):
+        # the root (a number of num) acted on by its children's roots
+        # (numbers of P); the grandchildren take the positions of their
+        # parent's block (sorted tuples)
         _, root, blocks = elem
         children = [kids.elems[c] for _, c in blocks]
-        new_root = ("op",) + act(root[1:], [k[1][1:] for k in children])
+        got = _gamma_by_size(act, num.number(root[1:]),
+                             [pnum.number(k[1][1:]) for k in children],
+                             num.sigs.__getitem__, pnum.sigs.__getitem__)
         inlined = tuple((tuple(S[t] for t in S2), g)
                         for (S, _), k in zip(blocks, children)
                         for S2, g in k[2])
-        return target.number[canonical_circle(new_root, inlined, coll)]
+        return target.number[canonical_circle(("op",) + num.refs[got],
+                                              inlined, coll)]
 
     def map_children(elem, f, coll, target):
         _, root, blocks = elem
@@ -344,11 +341,14 @@ def bar_complex(X, P, Y, n_max=3, max_arity=2):
     def y_merge(elem):
         # Y's left action, inputs renumbered back to ascending positions
         _, root, blocks = elem
-        ref = perms.unshuffle(
-            Y.act, Y.act_left(root[1:], [towers[0].elems[c][1:]
-                                         for _, c in blocks]),
-            _block_order(blocks))
-        return towers[0].number[("op",) + ref]
+        mrefs = [towers[0].elems[c][1:] for _, c in blocks]
+        got = Y.left_cell(pnum.number(root[1:]),
+                          tuple(map(ynum.number, mrefs)))
+        if got is None:
+            raise StructuralError(
+                f"missing left action {root[1:]} on {mrefs}")
+        got = perms.unshuffle(ynum.image, got, _block_order(blocks))
+        return towers[0].number[("op",) + ynum.refs[got]]
 
     lowered, lifted = {}, {}
 
@@ -361,8 +361,9 @@ def bar_complex(X, P, Y, n_max=3, max_arity=2):
                 got = map_children(t, lambda g: lower(h - 1, g, j - 1),
                                    P.collection, towers[h - 1])
             elif h > 1:
-                got = merge_roots(t, towers[h - 1], P.gamma, P.collection,
-                                  towers[h - 1])
+                got = merge_roots(t, towers[h - 1],
+                                  partial(compose_values, P), pnum,
+                                  P.collection, towers[h - 1])
             else:
                 got = y_merge(t)
             lowered[h, c, j] = got
@@ -391,7 +392,7 @@ def bar_complex(X, P, Y, n_max=3, max_arity=2):
         # d_0 first, in element order: the first missing action of X is
         # met at the first element that needs it
         faces[n, 0] = tuple(
-            merge_roots(e, towers[n], X.act_right, X.collection, down)
+            merge_roots(e, towers[n], x_act, xnum, X.collection, down)
             for e in levels[n].elems)
         for i in range(1, n + 1):
             faces[n, i] = tuple(
@@ -424,6 +425,7 @@ def bar_complex(X, P, Y, n_max=3, max_arity=2):
 def hochschild(P, n_max=3, max_arity=2):
     """The bar construction of P on itself, plus the degeneracy basepoint
     from level 0 into every computed level."""
+    _nonnegative(n_max, max_arity, what="levels and the arity cap")
     mod = module_from_multicategory(P, max_arity=max_arity)
     bar = bar_complex(mod, P, mod, n_max=n_max, max_arity=max_arity)
     levels, s = bar.simplicial.levels, bar.simplicial.degeneracies
@@ -443,10 +445,9 @@ def hochschild_comparison(P, bar):
     out = {}
     for e in bar.simplicial.levels[0]:
         _, root, blocks = e
-        out[e] = perms.unshuffle(
-            P.act, P.gamma((root[1], root[2]),
-                           [(c[1], c[2]) for _, c in blocks]),
-            _block_order(blocks))
+        got = _gamma_by_size(partial(compose_values, P), P.value(root[1:]),
+                             [P.value(c[1:]) for _, c in blocks], P.sig_of)
+        out[e] = P.ref_of(perms.unshuffle(P.image, got, _block_order(blocks)))
     return out
 
 
@@ -466,9 +467,14 @@ def restrict_module(N, psi):
     """Reindex the right action of a bimodule along a multifunctor into
     its acting multicategory: same elements, inputs recolored through the
     object map, action through the operation maps.  The result is a right
-    module, a :class:`Bimodule` with no left action."""
+    module, a :class:`Bimodule` with no left action.  psi must land in
+    N.right, on whose numbers the action is looked up."""
     R = psi.source
     S = psi.target
+    if S is not N.right:
+        raise DomainError(f"{psi.name or 'the multifunctor'} lands in "
+                          f"{S.name}, not in {N.right.name}, which acts on "
+                          f"{N.name} from the right")
     fibers = {c: [d for d in R.colors if psi.object_map[d] == c]
               for c in S.colors}
     ops = {}
@@ -488,6 +494,7 @@ def restrict_module(N, psi):
     coll = FiniteCollection(colors, ops, action)
 
     table = {}
+    num = N.collection.numbering
     for s in ops:
         for m in ops[s]:
             for slot, color in enumerate(s[0]):
@@ -495,12 +502,12 @@ def restrict_module(N, psi):
                     if qs[1] != color:
                         continue
                     for q in R.ops_at(qs):
-                        base = N.try_act_right1((origin[s], m), slot,
-                                                psi.map_ref((qs, q)))
+                        base = N.right_cell(num.number((origin[s], m)), slot,
+                                            S.value(psi.map_ref((qs, q))))
                         if base is None:
                             continue
                         rsig = composed_sig(s, slot, qs)
-                        table[((s, m), slot, (qs, q))] = (rsig, base[1])
+                        table[(s, m), slot, (qs, q)] = rsig, num.refs[base][1]
     return Bimodule(left=None, right=R, collection=coll, right_table=table,
                     name=f"restrict({N.name})")
 
@@ -543,32 +550,26 @@ def tensor_elements_of(N, factors, max_arity):
 
 def tensor_act_sigma(N, elem, p):
     return ("tens", tuple(
-        (S, mref if rho == perms.identity(len(rho)) else N.act(mref, rho))
+        (S, N.collection.act(mref, rho))
         for S, rho, mref in renumber_blocks(elem[1], p)))
 
 
-def tensor_act_right(N, elem, slot, qref):
-    _, blocks = elem
-    k = len(qref[0][0])
+def tensor_act_right(N, elem, slot, q):
+    """The tensor element acted on in its input slot by N.right's number
+    q, or None where N has no such action."""
+    k = len(N.right.sig_of(q)[0])
+    num = N.collection.numbering
     new_blocks = []
-    for S, mref in blocks:
+    for S, mref in elem[1]:
+        newS = tuple(pos if pos < slot else pos + k - 1
+                     for pos in S if pos != slot)
         if slot in S:
-            local = sorted(S).index(slot)
-            acted = N.try_act_right1(mref, local, qref)
+            acted = N.right_cell(num.number(mref), sorted(S).index(slot), q)
             if acted is None:
                 return None
-            newS = []
-            for pos in sorted(S):
-                if pos < slot:
-                    newS.append(pos)
-                elif pos == slot:
-                    newS.extend(range(slot, slot + k))
-                else:
-                    newS.append(pos + k - 1)
-            new_blocks.append((tuple(newS), acted))
-        else:
-            newS = tuple(pos if pos < slot else pos + k - 1 for pos in S)
-            new_blocks.append((newS, mref))
+            newS = tuple(sorted(newS + tuple(range(slot, slot + k))))
+            mref = num.refs[acted]
+        new_blocks.append((newS, mref))
     return ("tens", tuple(new_blocks))
 
 
@@ -576,12 +577,14 @@ def enumerate_module_homs(N, factors, target, max_arity, budget=200000):
     """Right-module homomorphisms from an ordered tensor of slices into
     the slice at `target`, in depth-first order: a `core.backtrack` that
     derives images along the symmetric actions and the right action."""
+    _nonnegative(max_arity)
     elems = tensor_elements_of(N, factors, max_arity)
     elem_sets = {s: set(v) for s, v in elems.items()}
     order = [(s, e)
              for s in sorted(elems, key=lambda s: (len(s[0]), str(s)))
              for e in elems[s]]
-    target_ops = {s: [((s[0], target), m)
+    num = N.collection.numbering
+    target_ops = {s: [num.number(((s[0], target), m))
                       for m in N.collection.ops_at((s[0], target))]
                   for s in elems}
 
@@ -591,25 +594,26 @@ def enumerate_module_homs(N, factors, target, max_arity, budget=200000):
             e2 = tensor_act_sigma(N, e, p)
             s2 = (perms.permute(s[0], p), s[1])
             if e2 in elem_sets.get(s2, ()):
-                yield (s2, e2), N.act(value, p)
+                yield (s2, e2), num.image(value, p)
         for slot, color in enumerate(s[0]):
             for qs in N.right.signatures():
                 if qs[1] != color or len(s[0]) + len(qs[0]) - 1 > max_arity:
                     continue
-                for q in N.right.ops_at(qs):
-                    e2 = tensor_act_right(N, e, slot, (qs, q))
+                for q in N.right.values_at(qs):
+                    e2 = tensor_act_right(N, e, slot, q)
                     if e2 is None:
                         continue
-                    v2 = N.try_act_right1(value, slot, (qs, q))
+                    v2 = N.right_cell(value, slot, q)
                     if v2 is None:
                         continue
                     s2 = (composed_sig((s[0], "*"), slot, qs)[0], s[1])
                     if e2 in elem_sets.get(s2, ()):
                         yield (s2, e2), v2
 
-    return list(backtrack(
-        order, lambda key: target_ops[key[0]], derive, {}, budget,
-        "module homomorphism search exceeded budget"))
+    return [{key: num.refs[v] for key, v in assign.items()}
+            for assign in backtrack(
+                order, lambda key: target_ops[key[0]], derive, {}, budget,
+                "module homomorphism search exceeded budget")]
 
 
 def _tens_id(e):
@@ -651,6 +655,7 @@ def end_right_module(M, arity_cap=None, budget=200000):
     max_arity = max((len(s[0]) for s in N.collection.ops), default=0)
     if arity_cap is None:
         arity_cap = max_arity
+    _nonnegative(arity_cap)
 
     elements = {}
     for k in range(arity_cap + 1):
@@ -715,29 +720,30 @@ def analyze_pointed(M, arity_cap=None, budget=200000):
     from the right-acting multicategory to the module endomorphisms."""
     Q = M.right
     colors = sorted(Q.colors)
+    num = M.collection.numbering
+    max_arity = max((len(s[0]) for s in M.collection.ops), default=0)
+    if arity_cap is None:
+        arity_cap = max(max_arity, Q.max_arity())
+    _nonnegative(arity_cap)
 
-    def keeps_color(mref, qref):
-        img = M.try_act_right1(mref, 0, qref)
-        return img is not None and img[0][1] == mref[0][1]
+    def keeps_color(m, q):
+        img = M.right_cell(m, 0, q)
+        return img is not None and num.sigs[img][1] == num.sigs[m][1]
 
     # a unary element at a is a basepoint component when every q with
     # output a acts on it in slot 0 and keeps its output color
     pools = []
     for a in colors:
-        qrefs = [(qs, q) for qs in Q.signatures() if qs[1] == a
-                 for q in Q.ops_at(qs)]
+        qs = [q for s in Q.signatures() if s[1] == a for q in Q.values_at(s)]
         pools.append([(s, m) for s in M.collection.ops if s[0] == (a,)
                       for m in M.collection.ops_at(s)
-                      if all(keeps_color((s, m), qref) for qref in qrefs)])
+                      if all(keeps_color(num.number((s, m)), q) for q in qs)])
     basepoints = [dict(zip(colors, combo)) for combo in product(*pools)]
     pointed = bool(basepoints)
 
     quasi_free = None
     witness = None
     if pointed and M.left is M.right:
-        max_arity = max((len(s[0]) for s in M.collection.ops), default=0)
-        if arity_cap is None:
-            arity_cap = max(max_arity, Q.max_arity())
         table, _homs = end_right_module(M, arity_cap=arity_cap,
                                         budget=budget)
 
@@ -745,13 +751,15 @@ def analyze_pointed(M, arity_cap=None, budget=200000):
             # the left action of q as a module map, or None where the
             # action is undefined
             h = {}
+            p = Q.value((qs, q))
             for s, es in tensor_elements_of(M, qs[0], max_arity).items():
                 for _, blocks in es:
-                    val = M.try_act_left((qs, q), tuple(m for _, m in blocks))
-                    if val is None:
+                    got = M.left_cell(p, tuple(num.number(m)
+                                               for _, m in blocks))
+                    if got is None:
                         return None
-                    h[s, ("tens", blocks)] = perms.unshuffle(
-                        M.act, val, _block_order(blocks))
+                    h[s, ("tens", blocks)] = num.refs[perms.unshuffle(
+                        num.image, got, _block_order(blocks))]
             return _hom_id(h)
 
         op_maps = {qs: {q: comparison(qs, q) for q in Q.ops_at(qs)}

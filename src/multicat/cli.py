@@ -194,12 +194,12 @@ def cmd_compose(args):
         raise DomainError(
             f"--slot {slot} of {key(psig)} takes {psig[0][slot - 1]}, "
             f"--arg outputs {qsig[1]}")
-    got = M.try_compose1(pref, slot - 1, qref)
+    got = M.cell(M.value(pref), slot - 1, M.value(qref))
     if got is None:
         raise DomainError(f"no composite of {key(psig)}:{args.op} and "
                           f"{key(qsig)}:{args.arg} at --slot {slot}")
     _emit(args, {"schema": jsonio.SCHEMA, "kind": "composite",
-                 "at": jsonio.sig_key(got[0]), "result": got[1]})
+                 "at": key(M.sig_of(got)), "result": M.ref_of(got)[1]})
     return 0
 
 

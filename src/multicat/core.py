@@ -23,15 +23,15 @@ references and values, ``sig_of(v)`` is a value's signature,
 permutation in ts fixes, rank being its position in ``values_at(s)``, and
 then ``(len(values_at(s)), None)``; ``unit_value(c)`` is the unit,
 ``image(v, p)`` the symmetric action and ``cell(v, slot, w)`` the
-composite, or None where there is none.  A
-:class:`TableMulticategory`'s values are its numbers;
-``algebras.EndView`` gives the other kind.
+composite, or None where there is none, and :func:`compose_values` the
+composite that raises instead.  A :class:`TableMulticategory`'s values
+are its numbers; ``algebras.EndView`` gives the other kind.  Composites
+and actions are asked for on values only.
 """
 
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
-from operator import itemgetter
 
 from . import perms
 from .errors import (BudgetExceededError, CompositionError, DomainError,
@@ -205,13 +205,15 @@ class TableMulticategory:
     result outside the operations numbered after them.  Its values in the
     value interface (see the module docstring) are those numbers:
     :meth:`cell` looks a composite up on them and :meth:`image` acts on
-    them.  :meth:`try_compose1` looks a composite up on references, and
-    :meth:`cells` and :meth:`numbered_cells` list the tabulated
-    composites, and :meth:`fixed_values_at` the numbers that given
-    permutations fix.  ``complete`` is True when every composable pair
-    whose result signature is inside the declared support has an entry;
-    constructions that truncate (free multicategories under caps, the
-    arity-indexed tree multicategory) mark their output partial instead.
+    them, :meth:`numbered_cells` lists the tabulated composites and
+    :meth:`fixed_values_at` the numbers that given permutations fix.  On
+    references remain only :meth:`compose1`, for the error that names
+    them, and the readers of the constructor tables, :meth:`cells`,
+    :meth:`unit_ref` and :meth:`is_unit`.  ``complete`` is True when every
+    composable pair whose result signature is inside the declared support
+    has an entry; constructions that truncate (free multicategories under
+    caps, the arity-indexed tree multicategory) mark their output partial
+    instead.
     """
 
     collection: FiniteCollection
@@ -249,9 +251,6 @@ class TableMulticategory:
     def is_unit(self, ref):
         s, op = ref
         return len(s[0]) == 1 and s[1] == s[0][0] and self.units.get(s[1]) == op
-
-    def act(self, ref, p):
-        return self.collection.act(ref, p)
 
     @cached_property
     def _cells(self):
@@ -328,26 +327,16 @@ class TableMulticategory:
         return self.collection.numbering.image(m, p)
 
     def compose1(self, pref, slot, qref):
-        """p o_slot q, raising if the entry is absent."""
-        got = self.try_compose1(pref, slot, qref)
+        """p o_slot q on references, raising if the entry is absent."""
+        p, q = self.value(pref), self.value(qref)
+        if (p, slot, q) not in self._cells:  # a wrong slot or color raises
+            composed_sig(pref[0], slot, qref[0])
+        got = self.cell(p, slot, q)
         if got is None:
             raise StructuralError(
                 "missing composition cell "
                 f"({_ref_str(pref)}) o_{slot} ({_ref_str(qref)})")
-        return got
-
-    def try_compose1(self, pref, slot, qref):
-        """p o_slot q, or None if the entry is absent."""
-        num = self.collection.numbering
-        p, q = num.number(pref), num.number(qref)
-        if (p, slot, q) not in self._cells:  # a wrong slot or color raises
-            composed_sig(pref[0], slot, qref[0])
-        got = self.cell(p, slot, q)
-        return None if got is None else num.refs[got]
-
-    def gamma(self, pref, qrefs):
-        """Full composition p(q_1..q_n) by iterated slot composition."""
-        return _gamma_by_size(self.compose1, pref, qrefs)
+        return self.ref_of(got)
 
     def has_sig(self, s):
         return s in self.ops
@@ -367,27 +356,33 @@ class CellLookup(dict):
         return got
 
 
-def _gamma_by_size(compose1, pref, qrefs, sig_of=itemgetter(0),
-                   arg_sig_of=None):
-    """p(q_1..q_n) by ``compose1``, or None as soon as a step gives None;
-    ``sig_of`` gives an operation's signature (a reference's by default,
-    a value's when composing values) and ``arg_sig_of`` an argument's,
+def compose_values(Q, v, slot, w):
+    """v o_slot w on Q's values, raising as ``Q.compose1`` does where Q
+    has no composite."""
+    got = Q.cell(v, slot, w)
+    if got is None:
+        Q.compose1(Q.ref_of(v), slot, Q.ref_of(w))
+    return got
+
+
+def _gamma_by_size(compose1, v, ws, sig_of, arg_sig_of=None):
+    """v(w_1..w_n) by ``compose1``, or None as soon as a step gives None;
+    ``sig_of`` gives a value's signature and ``arg_sig_of`` an argument's,
     where the arguments are numbered apart (``sig_of`` by default).
 
     Arguments are substituted smallest arity first so that, on a table
     truncated by arity, intermediate composites stay inside the support
     whenever the final signature does."""
-    n = len(sig_of(pref)[0])
-    if len(qrefs) != n:
-        raise CompositionError(
-            f"gamma needs {n} arguments, got {len(qrefs)}")
-    arity = [len((arg_sig_of or sig_of)(q)[0]) for q in qrefs]
+    n = len(sig_of(v)[0])
+    if len(ws) != n:
+        raise CompositionError(f"gamma needs {n} arguments, got {len(ws)}")
+    arity = [len((arg_sig_of or sig_of)(w)[0]) for w in ws]
     positions = list(range(n))
     order = sorted(range(n), key=arity.__getitem__)
-    out = pref
+    out = v
     for i in order:
         k = arity[i]
-        out = compose1(out, positions[i], qrefs[i])
+        out = compose1(out, positions[i], ws[i])
         if out is None:
             return None
         for j in range(n):

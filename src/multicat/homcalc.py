@@ -11,18 +11,21 @@ symmetric actions inherited from the target.
 
 The multifunctor search, its check and the naturality squares run on the
 source's numbers and the target's values (the value interface of `core`:
-a table's numbers, an ``EndView``'s index tuples).  Text ids are made
-only where a result leaves: `Multifunctor.op_maps`,
+a table's numbers, an ``EndView``'s index tuples), and so does
+`evaluate_term`, which `hom_to_tensor` runs on each class of the tensor.
+Text ids are made only where a result leaves: `Multifunctor.op_maps`,
 `KNatTransformation.components`, the op ids of the hom table and the
 witnesses.
 """
 
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import product
 
 from . import perms
 from .core import (LawReport, TableMulticategory, _gamma_by_size, _ref_str,
-                   backtrack, composed_sig, sig_key, tabulate)
+                   backtrack, compose_values, composed_sig, sig_key,
+                   tabulate)
 from .errors import (BudgetExceededError, DomainError, PartialInputError,
                      StructuralError)
 from .presents import bv_tensor, pair_color, tensor_generator
@@ -115,14 +118,6 @@ class _Images:
         return got
 
 
-def _compose(Q, v, slot, w):
-    """v o_slot w on Q's values, raising as ``Q.compose1`` does."""
-    got = Q.cell(v, slot, w)
-    if got is None:
-        Q.compose1(Q.ref_of(v), slot, Q.ref_of(w))
-    return got
-
-
 def check_multifunctor(F):
     """Totality, unit preservation, equivariance, and compatibility with
     every tabulated composition of the source, on the source's numbers
@@ -166,7 +161,7 @@ def check_multifunctor(F):
                                     f"{_ref_str(num.refs[m])} perm {p}")
     for (p, slot, q), r in P.numbered_cells():
         report.note("compositions")
-        if _compose(Q, image(p), slot, image(q)) != image(r):
+        if compose_values(Q, image(p), slot, image(q)) != image(r):
             report.fail(
                 "compositions",
                 f"({_ref_str(num.refs[p])}) o_{slot} "
@@ -619,7 +614,7 @@ def internal_hom(P, Q, arity_cap=3, budget=10 ** 6):
             if got is None and not Q.has_sig(
                     composed_sig(Q.sig_of(v), slot, Q.sig_of(w))):
                 return None
-            out.append(_compose(Q, v, slot, w) if got is None else got)
+            out.append(compose_values(Q, v, slot, w) if got is None else got)
         return (xi[0][:slot] + eta[0] + xi[0][slot + 1:], xi[1], tuple(out))
 
     units = {color_of[i]: ((i,), i, tuple(Q.unit_value(F.object_map[a])
@@ -665,27 +660,25 @@ class AdjunctionReport:
 
 def evaluate_term(term, R, gen_image):
     """Evaluate a generator term in R: gen_image maps (gsig, gid) to an
-    operation of R, leaves go to units, and the leaf numbering is applied
-    as a symmetric action at the end."""
+    operation of R, and (None, color) to the color of R a leaf of that
+    color goes to; leaves go to units, the composites are taken on R's
+    values, and the leaf numbering is applied as a symmetric action at
+    the end.  Returns the reference of the result."""
 
     def planar(node):
-        # returns (R op, list of leaf indices in planar order)
+        # returns (R's value, list of leaf indices in planar order)
         if node[0] == "L":
-            color = gen_image_color(node[1])
-            return R.unit_ref(color), [node[2]]
-        root = gen_image(node[1], node[2])
-        idxs = []
-        args = []
+            return R.unit_value(gen_image(None, node[1])), [node[2]]
+        root = R.value(gen_image(node[1], node[2]))
+        ws, idxs = [], []
         for child in node[3]:
-            cref, cidx = planar(child)
-            args.append(cref)
+            w, cidx = planar(child)
+            ws.append(w)
             idxs.extend(cidx)
-        return R.gamma(root, args), idxs
+        return _gamma_by_size(partial(compose_values, R), root, ws,
+                              R.sig_of), idxs
 
-    def gen_image_color(color):
-        return gen_image(None, color)
-
-    return perms.unshuffle(R.act, *planar(term))
+    return R.ref_of(perms.unshuffle(R.image, *planar(term)))
 
 
 def tensor_to_hom(H, P, Q, R, sat, hom):

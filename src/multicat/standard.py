@@ -103,7 +103,7 @@ def corrupt_unit(M):
         unit = M.units[color]
         changed = False
         for p in M.ops_at(s):
-            twisted = M.act((s, p), swap)[1]
+            twisted = M.ref_of(M.image(M.value((s, p)), swap))[1]
             if twisted == p:
                 continue
             for slot in (0, 1):

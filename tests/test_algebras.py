@@ -14,11 +14,12 @@ from multicat.algebras import (AlgebraStructure, EndView, ObjectFamily,
                                is_algebra_hom, op_algebra_to_operad,
                                operad_to_op_algebra, p1_algebras_as_triples)
 from multicat.core import check_multicategory_laws
-from multicat.errors import BudgetExceededError, DomainError
+from multicat.errors import (BudgetExceededError, CompositionError,
+                             DomainError)
 from multicat.homcalc import check_multifunctor
 from multicat.presents import arrow_multicategory
 from multicat.standard import (assoc_multicategory, comm_multicategory,
-                               unit_multicategory)
+                               indiscrete_pair, unit_multicategory)
 from multicat.trees import build_tree_multicategory
 
 I = unit_multicategory()
@@ -146,6 +147,19 @@ class TestFreeAlgebra:
             got = fa.mu((s, op), etas)
             assert got == eid
 
+    def test_substituting_an_element_of_another_color_raises(self):
+        # the unit acts as the identity only on its own color: substituting
+        # an element of color b into an input of color a is refused
+        P = indiscrete_pair()
+        fa = free_algebra(P, ObjectFamily({"a": ("p",), "b": ("q",)}))
+        eb = fa.carriers["b"][0]
+        for pref in (P.unit_ref("a"), ((("a",), "b"), "f")):
+            with pytest.raises(CompositionError) as exc:
+                fa.mu(pref, (eb,))
+            assert str(exc.value) == (
+                f"color mismatch: slot 0 of a;{pref[0][1]} expects a, "
+                "argument outputs b")
+
     def test_monad_associativity_elementwise(self):
         P = COM3
         fa = free_algebra(P, A2)
@@ -165,7 +179,7 @@ class TestFreeAlgebra:
         from multicat.algebras import _canon_free, _free_id
 
         def ref_id(s, op, args):
-            return min(_free_id(*P.act((s, op), p),
+            return min(_free_id(*P.collection.act((s, op), p),
                                 tuple(args[i] for i in p))
                        for p in perms.all_perms(len(args)))
 

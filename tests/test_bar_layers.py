@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+import lookups
 from multicat import dsl, jsonio, perms
 from multicat.bimodules import (Bimodule, _block_order, bar_complex,
                                 hochschild, hochschild_comparison,
@@ -231,22 +232,43 @@ def ref_bar_complex(X, P, Y, n_max=3, max_arity=2):
     levels = [ref_circle_layer(X.collection, towers[n], max_arity)
               for n in range(n_max + 1)]
 
+    # the actions and composites read off the tables, raising where the
+    # tables have none
+
+    def x_act1(mref, slot, qref):
+        got = lookups.act_right(X, mref, slot, qref)
+        if got is None:
+            raise StructuralError(
+                f"missing right action {mref} o_{slot} {qref}")
+        return got
+
+    def p_compose1(pref, slot, qref):
+        got = lookups.compose(P, pref, slot, qref)
+        if got is None:
+            raise StructuralError(
+                f"missing composition cell ({sig_key(pref[0])}:{pref[1]}) "
+                f"o_{slot} ({sig_key(qref[0])}:{qref[1]})")
+        return got
+
     def x_act(root_elem, p_elems):
-        rs, rop = X.act_right((root_elem[1], root_elem[2]),
-                              [(e[1], e[2]) for e in p_elems])
+        rs, rop = lookups.gamma(x_act1, (root_elem[1], root_elem[2]),
+                                [(e[1], e[2]) for e in p_elems])
         return ("op", rs, rop)
 
     def p_act(root_elem, p_elems):
-        rs, rop = P.gamma((root_elem[1], root_elem[2]),
-                          [(e[1], e[2]) for e in p_elems])
+        rs, rop = lookups.gamma(p_compose1, (root_elem[1], root_elem[2]),
+                                [(e[1], e[2]) for e in p_elems])
         return ("op", rs, rop)
 
     def y_merge(elem):
         _, root, blocks = elem
-        rs, rop = perms.unshuffle(
-            Y.act, Y.act_left((root[1], root[2]),
-                              [(c[1], c[2]) for _, c in blocks]),
-            _block_order(blocks))
+        mrefs = [(c[1], c[2]) for _, c in blocks]
+        got = lookups.act_left(Y, (root[1], root[2]), mrefs)
+        if got is None:
+            raise StructuralError(
+                f"missing left action {(root[1], root[2])} on {mrefs}")
+        rs, rop = perms.unshuffle(Y.collection.act, got,
+                                  _block_order(blocks))
         return ("op", rs, rop)
 
     def merge_head(elem, act, coll):

@@ -1,10 +1,14 @@
 """Bimodule laws, bar truncations, module endomorphisms, pointedness."""
 
+from functools import partial
+
 import pytest
 
+import lookups
 from multicat import perms
 from multicat.bimodules import (Bimodule, analyze_pointed, bar_complex,
-                                check_bimodule, end_right_module, hochschild,
+                                check_bimodule, end_right_module,
+                                enumerate_module_homs, hochschild,
                                 hochschild_comparison,
                                 module_from_multicategory, restrict_module,
                                 right_module_from, tensor_elements)
@@ -68,10 +72,8 @@ def free_two_level_module():
 def product_then_filter_left_table(M, cap):
     """The left action as it was first built: every tuple of module
     elements over the input colors, dropped when its total arity is over
-    the cap."""
+    the cap, composed off the table."""
     from itertools import product
-
-    from multicat.errors import StructuralError
 
     left_table = {}
     refs = list(M.collection.refs())
@@ -81,11 +83,10 @@ def product_then_filter_left_table(M, cap):
             for mrefs in product(*pools):
                 if sum(len(m[0][0]) for m in mrefs) > cap:
                     continue
-                try:
-                    left_table[(s, p), tuple(mrefs)] = M.gamma(
-                        (s, p), list(mrefs))
-                except StructuralError:
-                    continue
+                got = lookups.gamma(partial(lookups.compose, M), (s, p),
+                                    list(mrefs))
+                if got is not None:
+                    left_table[(s, p), tuple(mrefs)] = got
     return left_table
 
 
@@ -166,7 +167,9 @@ class TestLaws:
         bad_right[key] = (s2, "w10")
         bad = Bimodule(left=as2, right=as2, collection=mod.collection,
                        left_table=mod.left_table, right_table=bad_right)
-        assert bad.try_act_right1(*key) == (s2, "w10")
+        num = bad.collection.numbering
+        got = bad.right_cell(num.number(key[0]), 0, as2.value(key[2]))
+        assert num.refs[got] == (s2, "w10")
         report = check_bimodule(bad)
         assert report.violations[0] == (
             "right-unit", "((('x', 'x'), 'x'), 'w01') slot 0")
@@ -181,7 +184,9 @@ class TestLaws:
         bad_left[key] = (s2, "w10")
         bad = Bimodule(left=as2, right=as2, collection=mod.collection,
                        left_table=bad_left, right_table=mod.right_table)
-        assert bad.try_act_left(*key) == (s2, "w10")
+        num = bad.collection.numbering
+        got = bad.left_cell(as2.value(key[0]), (num.number(key[1][0]),))
+        assert num.refs[got] == (s2, "w10")
         report = check_bimodule(bad)
         assert "left-assoc" in {law for law, _ in report.violations}
 
@@ -223,6 +228,22 @@ class TestBar:
             with pytest.raises(DomainError,
                                match="levels and the arity cap must be"):
                 build()
+
+    def test_acting_table_must_be_the_modules_own(self):
+        # the merges look P's numbers up in the tables of X and Y
+        mod = module_from_multicategory(AS2P)
+        other = module_from_multicategory(COM2)
+        right = restrict_module(mod, identity_multifunctor(AS2P))
+        for X, Y, message in [
+                (other, mod, "assoc2 does not act on comm2-bimod from the "
+                             "right"),
+                (mod, other, "assoc2 does not act on comm2-bimod from the "
+                             "left"),
+                (mod, right, "assoc2 does not act on restrict(assoc2-bimod) "
+                             "from the left")]:
+            with pytest.raises(DomainError) as exc:
+                bar_complex(X, AS2P, Y, 1, 2)
+            assert str(exc.value) == message
 
     def test_level_zero_is_two_level_product(self, fx):
         mod = module_from_multicategory(AS2P)
@@ -275,6 +296,19 @@ class TestBar:
         assert len(image) == len(h.simplicial.levels[0])
 
 
+@pytest.mark.parametrize("build", [
+    lambda: module_from_multicategory(AS2P, max_arity=-1),
+    lambda: end_right_module(module_from_multicategory(I), arity_cap=-1),
+    lambda: analyze_pointed(module_from_multicategory(I), arity_cap=-1),
+    lambda: enumerate_module_homs(module_from_multicategory(I), ["u"], "u",
+                                  -1)],
+    ids=["module", "end", "pointed", "homs"])
+def test_negative_arity_cap_is_a_domain_error(build):
+    with pytest.raises(DomainError) as exc:
+        build()
+    assert str(exc.value) == "the arity cap must be >= 0"
+
+
 class TestEndRightModule:
     def test_regular_module_comparison_iso(self):
         for Q in (I, AS2P):
@@ -297,8 +331,7 @@ class TestEndRightModule:
         # a plain filter, matches the backtracking enumeration
         from itertools import product as prod
 
-        from multicat.bimodules import (enumerate_module_homs,
-                                        tensor_act_right, tensor_act_sigma)
+        from test_search import ref_tensor_act_right, ref_tensor_act_sigma
 
         N = right_module_from(AS2P)
         found = enumerate_module_homs(N, ["x"], "x", 2)
@@ -311,9 +344,10 @@ class TestEndRightModule:
             ok = True
             for (s, e), v in assign.items():
                 for p in perms.all_perms(len(s[0])):
-                    e2 = tensor_act_sigma(N, e, p)
+                    e2 = ref_tensor_act_sigma(N, e, p)
                     s2 = (perms.permute(s[0], p), s[1])
-                    if (s2, e2) in assign and assign[s2, e2] != N.act(v, p):
+                    if (s2, e2) in assign and assign[
+                            s2, e2] != N.collection.act(v, p):
                         ok = False
                 for slot in range(len(s[0])):
                     for qs in AS2P.signatures():
@@ -321,8 +355,8 @@ class TestEndRightModule:
                                 s[0]) + len(qs[0]) - 1 > 2:
                             continue
                         for q in AS2P.ops_at(qs):
-                            e2 = tensor_act_right(N, e, slot, (qs, q))
-                            v2 = N.try_act_right1(v, slot, (qs, q))
+                            e2 = ref_tensor_act_right(N, e, slot, (qs, q))
+                            v2 = lookups.act_right(N, v, slot, (qs, q))
                             if e2 is None or v2 is None:
                                 continue
                             s2 = ((s[0][:slot] + qs[0] + s[0][slot + 1:]),
@@ -371,6 +405,27 @@ def _has_free_object_map(M):
 
 
 class TestRestriction:
+    def test_functor_must_land_in_the_right_table(self, docs_dir):
+        # the action is looked up on the numbers of the right table: a
+        # functor into another table is refused, and neither it nor a
+        # functor into the right table numbers anything new there
+        from multicat import dsl
+
+        objs = dsl.elaborate(dsl.parse(
+            (docs_dir / "twocolor.mcat").read_text())[0])[0]
+        point = objs["Point"]
+        N = right_module_from(point)
+        numbered = len(point.collection.numbering.refs)
+        with pytest.raises(DomainError) as exc:
+            restrict_module(N, objs["Skel"])
+        assert str(exc.value) == ("Skel lands in Pair, not in Point, which "
+                                  "acts on Point-bimod from the right")
+        assert len(point.collection.numbering.refs) == numbered
+        N = right_module_from(AS2P)
+        numbered = len(AS2P.collection.numbering.refs)
+        restrict_module(N, identity_multifunctor(AS2P))
+        assert len(AS2P.collection.numbering.refs) == numbered
+
     def test_identity(self):
         N = right_module_from(AS2P)
         out = restrict_module(N, identity_multifunctor(AS2P))
@@ -398,8 +453,9 @@ class TestRestriction:
         for (mref, slot, qref), val in out.right_table.items():
             # compatibility: the restricted action agrees with acting in
             # the original module through the functor
-            orig = N.act_right1((((("x",) * len(mref[0][0])), "x"), mref[1]),
-                                slot, incl.map_ref(qref))
+            orig = lookups.act_right(
+                N, ((("x",) * len(mref[0][0]), "x"), mref[1]), slot,
+                incl.map_ref(qref))
             assert val[1] == orig[1]
 
 

@@ -62,11 +62,11 @@ def test_compose_examples(fx):
                        ((("x", "x"), "x"), "w10"))
     assert got[1] == "w" + fx["word_substitution"]["10|0|10"]
     # the equivariance law as a spot check
-    swapped = AS3.act(p, (1, 0))
+    swapped = AS3.collection.act(p, (1, 0))
     q = ((("x", "x"), "x"), "w10")
     left = AS3.compose1(swapped, 0, q)
     base = AS3.compose1(p, 1, q)
-    assert left == AS3.act(base, perms.expand_outer((1, 0), 0, 2))
+    assert left == AS3.collection.act(base, perms.expand_outer((1, 0), 0, 2))
 
 
 def test_sigma_contravariance_exhaustive():
@@ -74,8 +74,8 @@ def test_sigma_contravariance_exhaustive():
     for p_ in perms.all_perms(3):
         for q_ in perms.all_perms(3):
             for op in AS3.ops_at(s):
-                one = AS3.act(AS3.act((s, op), p_), q_)
-                two = AS3.act((s, op), perms.compose(p_, q_))
+                one = AS3.collection.act(AS3.collection.act((s, op), p_), q_)
+                two = AS3.collection.act((s, op), perms.compose(p_, q_))
                 assert one == two
 
 

@@ -619,6 +619,20 @@ DOMAIN_ERRORS = {
     "algebras-p1-carrier-without-color": (
         ("algebras", "com3.mcat", "--name", "Com3", "--p1", "x=a|y=a,b"),
         "error: the target has no color x"),
+    # a module is restricted along a multifunctor into its own right
+    # multicategory, whose numbers index the action
+    "restrict-along-a-functor-into-another-table": (
+        ("bar", "twocolor.mcat", "--restrict", "Pair,Collapse"),
+        "error: Collapse lands in Point, not in Pair, which acts on "
+        "Pair-bimod from the right"),
+    "restrict-along-a-functor-out-of-another-table": (
+        ("bar", "twocolor.mcat", "--restrict", "Point,Skel"),
+        "error: Skel lands in Pair, not in Point, which acts on "
+        "Point-bimod from the right"),
+    "bar-with-another-acting-table": (
+        ("bar", "twocolor.mcat", "--x", "Pair", "--p", "Point", "--y",
+         "Pair", "--levels", "1", "--cap-arity", "1"),
+        "error: Point does not act on Pair-bimod from the right"),
 }
 
 

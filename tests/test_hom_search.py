@@ -4,7 +4,8 @@ product loop it replaced.
 `ref_internal_hom` is the earlier `internal_hom` whole: a `product` over
 the component pools of every (sources, target) signature, a private
 candidate counter, and a full naturality check per candidate
-(`ref_is_k_natural`, with the square it read, kept here as well).  Its
+(`ref_is_k_natural`, with the square it read, kept here as well, which
+composes and acts through `lookups`).  Its
 table is filled by `test_tabulate.ref_tabulate`, the earlier `tabulate`,
 which takes elements that are not hashable, as its transformations are.
 """
@@ -17,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+import lookups
 from multicat import homcalc, perms
 from multicat.algebras import EndView, ObjectFamily, end_multicategory
 from multicat.core import (FiniteCollection, TableMulticategory,
@@ -40,14 +42,17 @@ def ref_naturality_square(xi, Q, pref):
     m = len(inputs)
     k = len(xi.sources)
     G = xi.target
-    try:
-        left = Q.gamma(G.map_ref(pref),
-                       [xi.component_ref(a) for a in inputs])
-        right_pre = Q.gamma(xi.component_ref(out),
-                            [F.map_ref(pref) for F in xi.sources])
+    compose = lookups.composite(Q)
+    try:  # map_ref raises on a missing image
+        left = lookups.gamma(compose, G.map_ref(pref),
+                             [xi.component_ref(a) for a in inputs])
+        right_pre = lookups.gamma(compose, xi.component_ref(out),
+                                  [F.map_ref(pref) for F in xi.sources])
     except StructuralError:
         return None
-    right = Q.act(right_pre, perms.transpose_shuffle(m, k))
+    if left is None or right_pre is None:
+        return None
+    right = lookups.act(Q, right_pre, perms.transpose_shuffle(m, k))
     return left, right
 
 
@@ -116,7 +121,7 @@ def ref_internal_hom(P, Q, arity_cap=3, budget=10 ** 6):
     def act(s, xi, p):
         return KNatTransformation(
             sources=tuple(xi.sources[i] for i in p), target=xi.target,
-            components={a: Q.act(xi.component_ref(a), p)[1]
+            components={a: lookups.act(Q, xi.component_ref(a), p)[1]
                         for a in colors_sorted})
 
     def compose(s, xi, slot, qs, eta):

@@ -268,6 +268,7 @@ def ref_check_multifunctor(F):
     """The earlier `check_multifunctor`, kept whole: every image is a
     ``(signature, op id)`` reference and the target acts and composes on
     text."""
+    import lookups
     from multicat import perms
     from multicat.core import LawReport, _ref_str, sig_key
 
@@ -294,8 +295,8 @@ def ref_check_multifunctor(F):
             for p in perms.all_perms(n):
                 for op in P.ops_at(s):
                     report.note("equivariance")
-                    if F.map_ref(P.act((s, op), p)) != Q.act(
-                            F.map_ref((s, op)), p):
+                    if F.map_ref(P.collection.act((s, op), p)) != lookups.act(
+                            Q, F.map_ref((s, op)), p):
                         report.fail("equivariance",
                                     f"{sig_key(s)}:{op} perm {p}")
     for pref, slot, qref, rref in P.cells():

@@ -3,7 +3,8 @@
 `ref_multifunctors` and `ref_module_homs` are the earlier
 assign-copy/propagate/recurse loops of `enumerate_multifunctors` and
 `enumerate_module_homs`, kept here as reference copies (together with the
-tensor-element and sigma-action helpers they ran on).  Each returns its
+tensor-element and action helpers they ran on), reading the actions off
+the tables (`lookups`).  Each returns its
 results and the number of candidates it tried, which is the smallest
 budget under which it finishes.  `ref_multifunctors` branches in the
 order `enumerate_multifunctors` uses, derived here from ``P.comp``, so
@@ -15,11 +16,11 @@ from itertools import product
 
 import pytest
 
+import lookups
 from multicat import homcalc, perms
 from multicat.algebras import EndView, ObjectFamily, algebra_from_multifunctor
 from multicat.bimodules import (enumerate_module_homs,
-                                module_from_multicategory, right_module_from,
-                                tensor_act_right)
+                                module_from_multicategory, right_module_from)
 from multicat.core import backtrack, composed_sig, sig_key
 from multicat.dsl import elaborate, parse
 from multicat.errors import (BudgetExceededError, PartialInputError,
@@ -68,8 +69,8 @@ def ref_multifunctors(P, Q, budget=10 ** 6, fix_objects=None):
             s = ref[0]
             if P.symmetric:
                 for sp in perms.all_perms(len(s[0])):
-                    derived = P.act(ref, sp)
-                    want = Q.act(image, sp)
+                    derived = P.collection.act(ref, sp)
+                    want = lookups.act(Q, image, sp)
                     if derived in assign:
                         if assign[derived] != want:
                             return False
@@ -185,8 +186,32 @@ def ref_tensor_act_sigma(N, elem, p):
         old_sorted = sorted(S)
         rho = tuple(old_sorted.index(p[x]) for x in newS)
         new_blocks.append(
-            (newS, N.act(mref, rho) if rho != perms.identity(len(rho))
-             else mref))
+            (newS, N.collection.act(mref, rho)
+             if rho != perms.identity(len(rho)) else mref))
+    return ("tens", tuple(new_blocks))
+
+
+def ref_tensor_act_right(N, elem, slot, qref):
+    _, blocks = elem
+    k = len(qref[0][0])
+    new_blocks = []
+    for S, mref in blocks:
+        if slot in S:
+            acted = lookups.act_right(N, mref, sorted(S).index(slot), qref)
+            if acted is None:
+                return None
+            newS = []
+            for pos in sorted(S):
+                if pos < slot:
+                    newS.append(pos)
+                elif pos == slot:
+                    newS.extend(range(slot, slot + k))
+                else:
+                    newS.append(pos + k - 1)
+            new_blocks.append((tuple(newS), acted))
+        else:
+            newS = tuple(pos if pos < slot else pos + k - 1 for pos in S)
+            new_blocks.append((newS, mref))
     return ("tens", tuple(new_blocks))
 
 
@@ -215,7 +240,7 @@ def ref_module_homs(N, factors, target, max_arity, budget=200000):
                 k2 = (s2, e2)
                 if e2 not in elem_sets.get(s2, ()):
                     continue
-                v2 = N.act(value, p)
+                v2 = N.collection.act(value, p)
                 if k2 in assign:
                     if assign[k2] != v2:
                         return False
@@ -230,10 +255,10 @@ def ref_module_homs(N, factors, target, max_arity, budget=200000):
                         continue
                     for q in N.right.ops_at(qs):
                         qref = (qs, q)
-                        e2 = tensor_act_right(N, e, slot, qref)
+                        e2 = ref_tensor_act_right(N, e, slot, qref)
                         if e2 is None:
                             continue
-                        v2 = N.try_act_right1(value, slot, qref)
+                        v2 = lookups.act_right(N, value, slot, qref)
                         if v2 is None:
                             continue
                         s2 = (composed_sig((s[0], "*"), slot, qs)[0], s[1])

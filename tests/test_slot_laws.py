@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+import lookups
 from multicat import dsl, perms
 from multicat.algebras import EndView, ObjectFamily, end_of_map
 from multicat.bimodules import (Bimodule, check_bimodule,
@@ -228,9 +229,19 @@ def ref_check_multicategory_laws(M, max_violations=25):
 def ref_check_bimodule(M, max_violations=25):
     """Left laws, right laws, the symmetric-action laws, and the two-sided
     compatibility axiom, exhaustively over the declared support; instances
-    whose intermediate values fall outside the support are skipped."""
+    whose intermediate values fall outside the support are skipped.  The
+    actions and composites are read off the tables (`lookups`)."""
     report = LawReport()
     coll = M.collection
+
+    def act_right1(mref, slot, qref):
+        return lookups.act_right(M, mref, slot, qref)
+
+    def act_right(mref, qrefs):
+        return lookups.gamma(act_right1, mref, qrefs)
+
+    def act_left(pref, mrefs):
+        return lookups.act_left(M, pref, mrefs)
 
     for s in coll.signatures():
         n = len(s[0])
@@ -254,7 +265,7 @@ def ref_check_bimodule(M, max_violations=25):
     for mref in mrefs_all:
         s = mref[0]
         for slot, color in enumerate(s[0]):
-            got = M.try_act_right1(mref, slot, M.right.unit_ref(color))
+            got = act_right1(mref, slot, M.right.unit_ref(color))
             report.note("right-unit")
             if got is not None and got != mref:
                 report.fail("right-unit", f"{mref} slot {slot}")
@@ -266,16 +277,16 @@ def ref_check_bimodule(M, max_violations=25):
         s = mref[0]
         for i, color in enumerate(s[0]):
             for qref in q_ops(color):
-                mq = M.try_act_right1(mref, i, qref)
+                mq = act_right1(mref, i, qref)
                 if mq is None:
                     continue
                 k = len(qref[0][0])
                 for j, color2 in enumerate(qref[0][0]):
                     for rref in q_ops(color2):
-                        qr = M.right.try_compose1(qref, j, rref)
-                        left = M.try_act_right1(mq, i + j, rref)
+                        qr = lookups.compose(M.right, qref, j, rref)
+                        left = act_right1(mq, i + j, rref)
                         right = (None if qr is None
-                                 else M.try_act_right1(mref, i, qr))
+                                 else act_right1(mref, i, qr))
                         report.note("right-assoc")
                         if (left is not None and right is not None
                                 and left != right):
@@ -285,10 +296,10 @@ def ref_check_bimodule(M, max_violations=25):
                     if j <= i:
                         continue
                     for rref in q_ops(color2):
-                        mr = M.try_act_right1(mref, j, rref)
-                        left = M.try_act_right1(mq, j + k - 1, rref)
+                        mr = act_right1(mref, j, rref)
+                        left = act_right1(mq, j + k - 1, rref)
                         right = (None if mr is None
-                                 else M.try_act_right1(mr, i, qref))
+                                 else act_right1(mr, i, qref))
                         report.note("right-parallel")
                         if (left is not None and right is not None
                                 and left != right):
@@ -300,15 +311,16 @@ def ref_check_bimodule(M, max_violations=25):
         s = mref[0]
         n = len(s[0])
         for sigma in perms.all_perms(n):
-            acted = M.act(mref, sigma)
+            acted = coll.act(mref, sigma)
             for i in range(n):
                 for qref in q_ops(s[0][sigma[i]]):
-                    base = M.try_act_right1(mref, sigma[i], qref)
-                    left = M.try_act_right1(acted, i, qref)
+                    base = act_right1(mref, sigma[i], qref)
+                    left = act_right1(acted, i, qref)
                     report.note("right-equivariance")
                     if base is not None and left is not None:
                         k = len(qref[0][0])
-                        want = M.act(base, perms.expand_outer(sigma, i, k))
+                        want = coll.act(base,
+                                        perms.expand_outer(sigma, i, k))
                         if left != want:
                             report.fail("right-equivariance",
                                         f"{mref} perm {sigma} slot {i}")
@@ -325,7 +337,7 @@ def ref_check_bimodule(M, max_violations=25):
         for p in M.left.ops_at(s):
             pref = (s, p)
             for mrefs in m_tuples(s[0]):
-                pm = M.try_act_left(pref, mrefs)
+                pm = act_left(pref, mrefs)
                 if pm is None:
                     continue
                 for slot, color in enumerate(s[0]):
@@ -333,19 +345,19 @@ def ref_check_bimodule(M, max_violations=25):
                         if qs[1] != color:
                             continue
                         for q in M.left.ops_at(qs):
-                            pq = M.left.try_compose1(pref, slot, (qs, q))
+                            pq = lookups.compose(M.left, pref, slot, (qs, q))
                             if pq is None:
                                 continue
                             for inner in m_tuples(qs[0]):
-                                qm = M.try_act_left((qs, q), inner)
+                                qm = act_left((qs, q), inner)
                                 if qm is None:
                                     continue
                                 nested = (mrefs[:slot] + (qm,)
                                           + mrefs[slot + 1:])
-                                left_side = M.try_act_left(pref, nested)
+                                left_side = act_left(pref, nested)
                                 flat = (mrefs[:slot] + tuple(inner)
                                         + mrefs[slot + 1:])
-                                right_side = M.try_act_left(pq, flat)
+                                right_side = act_left(pq, flat)
                                 report.note("left-assoc")
                                 if (left_side is not None
                                         and right_side is not None
@@ -354,13 +366,14 @@ def ref_check_bimodule(M, max_violations=25):
                                         "left-assoc",
                                         f"{pref} o_{slot} {(qs, q)}")
                 for sigma in perms.all_perms(n):
-                    p2 = M.left.act(pref, sigma)
+                    p2 = M.left.collection.act(pref, sigma)
                     permuted = tuple(mrefs[sigma[t]] for t in range(n))
-                    left_side = M.try_act_left(p2, permuted)
+                    left_side = act_left(p2, permuted)
                     report.note("left-equivariance")
                     if left_side is not None:
                         sizes = [len(m[0][0]) for m in mrefs]
-                        want = M.act(pm, perms.block_permutation(sigma, sizes))
+                        want = coll.act(
+                            pm, perms.block_permutation(sigma, sizes))
                         if left_side != want:
                             report.fail("left-equivariance",
                                         f"{pref} perm {sigma}")
@@ -372,27 +385,18 @@ def ref_check_bimodule(M, max_violations=25):
         for p in M.left.ops_at(s):
             pref = (s, p)
             for mrefs in m_tuples(s[0]):
-                pm = M.try_act_left(pref, mrefs)
+                pm = act_left(pref, mrefs)
                 if pm is None:
                     continue
                 pools = [list(product(*[list(q_ops(c)) for c in m[0][0]]))
                          for m in mrefs]
                 for combo in product(*pools):
                     flat = [q for block in combo for q in block]
-                    try:
-                        left_side = M.act_right(pm, flat)
-                    except StructuralError:
-                        left_side = None
-                    acted = []
-                    good = True
-                    for m, block in zip(mrefs, combo):
-                        try:
-                            acted.append(M.act_right(m, list(block)))
-                        except StructuralError:
-                            good = False
-                            break
-                    right_side = (M.try_act_left(pref, tuple(acted))
-                                  if good else None)
+                    left_side = act_right(pm, flat)
+                    acted = tuple(act_right(m, list(block))
+                                  for m, block in zip(mrefs, combo))
+                    right_side = (None if None in acted
+                                  else act_left(pref, acted))
                     report.note("compatibility")
                     if (left_side is not None and right_side is not None
                             and left_side != right_side):
@@ -598,20 +602,29 @@ def test_bimodule_law_check_stops_where_it_did(name, cap):
 
 
 # ---------------------------------------------------------------------------
-# lookups that return None
+# the value lookups against the tables, and the raising compose1
 
 
-def assert_lookup_pair(lookup, raising, args, message):
-    """``lookup`` gives None exactly where ``raising`` raises, with
-    ``message``, and otherwise the same value; returns whether it was
-    None."""
-    got = lookup(*args)
+def assert_value_lookup(got, want, ref_of):
+    """``got``, a value or None, is None exactly where the reference
+    lookup's ``want`` is, and otherwise the value of ``want``; returns
+    whether it was None."""
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert ref_of(got) == want
+    return got is None
+
+
+def assert_compose1(Q, p, slot, q, message):
+    """``Q.compose1`` raises ``message`` where ``Q.cell`` gives None, and
+    otherwise gives the cell's reference; returns whether it was None."""
+    got = Q.cell(Q.value(p), slot, Q.value(q))
     if got is None:
         with pytest.raises(StructuralError) as exc:
-            raising(*args)
+            Q.compose1(p, slot, q)
         assert str(exc.value) == message
     else:
-        assert raising(*args) == got
+        assert Q.compose1(p, slot, q) == Q.ref_of(got)
     return got is None
 
 
@@ -624,52 +637,61 @@ def slot_instances(elems, Q):
                         yield m, slot, (qs, q)
 
 
-@pytest.mark.parametrize("name", ["holed-Com3", "As2", "As3pos"])
+# the inputs where some slot instances have a value and some have none
+MIXED = ("holed-Com3", "As2", "As3pos")
+
+
+@pytest.mark.parametrize("name", sorted(TABLES))
 def test_table_compose_lookup(name):
     M = TABLES[name]()
-    absent = [
-        assert_lookup_pair(
-            M.try_compose1, M.compose1, (p, slot, q),
+    absent = []
+    for p, slot, q in slot_instances(list(M.refs()), M):
+        absent.append(assert_value_lookup(
+            M.cell(M.value(p), slot, M.value(q)),
+            lookups.compose(M, p, slot, q), M.ref_of))
+        assert assert_compose1(
+            M, p, slot, q,
             f"missing composition cell ({sig_key(p[0])}:{p[1]}) o_{slot} "
-            f"({sig_key(q[0])}:{q[1]})")
-        for p, slot, q in slot_instances(list(M.refs()), M)]
-    assert any(absent) and not all(absent)
+            f"({sig_key(q[0])}:{q[1]})") == absent[-1]
+    if name in MIXED:
+        assert any(absent) and not all(absent)
 
 
 def test_end_view_compose_lookup():
+    # a view has a composite exactly where its arity is within the cap
     view = EndView(A2, arity_cap=2)
     refs = [(s, op) for s in view.signatures() for op in view.ops_at(s)]
     absent = []
     for p, slot, q in slot_instances(refs[::7], view):
         arity = len(composed_sig(p[0], slot, q[0])[0])
-        for _ in range(2):  # the second call reads the cached gather
-            absent.append(assert_lookup_pair(
-                view.try_compose1, view.compose1, (p, slot, q),
-                f"composite arity {arity} beyond the cap"))
+        for _ in range(2):  # the second call reads the kept composite
+            absent.append(assert_compose1(
+                view, p, slot, q, f"composite arity {arity} beyond the cap"))
+            assert absent[-1] == (arity > 2)
     assert any(absent) and not all(absent)
 
 
-@pytest.mark.parametrize("name", ["As2", "As3pos"])
+@pytest.mark.parametrize("name", sorted(BIMODULES))
 def test_module_action_lookups(name):
-    M = TABLES[name]()
-    mod = module_from_multicategory(M, max_arity=2)
-    refs = list(mod.refs())
+    mod = BIMODULES[name]()
+    L, R, num = mod.left, mod.right, mod.collection.numbering
+    refs = list(mod.collection.refs())
+    absent = [
+        assert_value_lookup(
+            mod.right_cell(num.number(m), slot, R.value(q)),
+            lookups.act_right(mod, m, slot, q), num.refs.__getitem__)
+        for m, slot, q in slot_instances(refs, R)]
+    if name in MIXED:
+        assert any(absent) and not all(absent)
     absent = []
-    for m, slot, q in slot_instances(refs, M):
-        message = f"missing right action {m} o_{slot} {q}"
-        absent.append(assert_lookup_pair(
-            mod.try_act_right1, mod.act_right1, (m, slot, q), message))
-    assert any(absent) and not all(absent)
-    absent = []
-    for p in refs:
-        for mrefs in product(refs, repeat=len(p[0][0])):
-            if [m[0][1] for m in mrefs] != list(p[0][0]):
-                continue
-            for args in (mrefs, list(mrefs)):
-                absent.append(assert_lookup_pair(
-                    mod.try_act_left, mod.act_left, (p, args),
-                    f"missing left action {p} on {args}"))
-    assert any(absent) and not all(absent)
+    for p in L.refs():
+        pools = [[m for m in refs if m[0][1] == c] for c in p[0][0]]
+        for mrefs in product(*pools):
+            absent.append(assert_value_lookup(
+                mod.left_cell(L.value(p), tuple(map(num.number, mrefs))),
+                lookups.act_left(mod, p, mrefs), num.refs.__getitem__))
+    if name in MIXED:
+        assert any(absent) and not all(absent)
 
 
 # ---------------------------------------------------------------------------
