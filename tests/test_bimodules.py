@@ -346,8 +346,8 @@ class TestEndRightModule:
                 for p in perms.all_perms(len(s[0])):
                     e2 = ref_tensor_act_sigma(N, e, p)
                     s2 = (perms.permute(s[0], p), s[1])
-                    if (s2, e2) in assign and assign[
-                            s2, e2] != N.collection.act(v, p):
+                    if ((s2, e2) in assign
+                            and assign[s2, e2] != N.collection.act(v, p)):
                         ok = False
                 for slot in range(len(s[0])):
                     for qs in AS2P.signatures():
