@@ -29,7 +29,7 @@ from . import perms
 from .core import (CellLookup, FiniteCollection, LawReport,
                    TableMulticategory, TruncatedSimplicialSet, _gamma_by_size,
                    backtrack, check_slot_laws, compose_values, composed_sig,
-                   is_equivalence, sig_key, tabulate)
+                   fits, is_equivalence, sig_key, tabulate)
 from .errors import DomainError, StructuralError
 from .homcalc import Multifunctor
 from .presents import UnionFind
@@ -76,14 +76,18 @@ class Bimodule:
     def right_cell(self, m, slot, q):
         """m acted on by q in its input slot, on numbers, or None."""
         got = self._right_cells.get((m, slot, q))
-        if got is None and q in self.right.unit_numbers:
+        if (got is None and q in self.right.unit_numbers
+                and fits(self.collection.numbering.sigs[m][0], slot,
+                         self.right.sig_of(q)[1])):
             return m
         return got
 
     def left_cell(self, p, ms):
         """p acting on the tuple of elements ms, on numbers, or None."""
         got = self._left_cells.get((p, ms))
-        if got is None and p in self.left.unit_numbers:
+        if (got is None and p in self.left.unit_numbers and len(ms) == 1
+                and self.collection.numbering.sigs[ms[0]][1]
+                == self.left.sig_of(p)[1]):
             return ms[0]
         return got
 

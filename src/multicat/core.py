@@ -42,6 +42,11 @@ def sig_key(s):
     return ",".join(s[0]) + ";" + s[1]
 
 
+def fits(inputs, slot, color):
+    """Whether an output of ``color`` fits the input ``slot`` of inputs."""
+    return 0 <= slot < len(inputs) and inputs[slot] == color
+
+
 def composed_sig(psig, slot, qsig):
     """Signature of p o_slot q: the slot-th input replaced by q's inputs."""
     p_in, p_out = psig
@@ -271,13 +276,15 @@ class TableMulticategory:
         return frozenset(number(self.unit_ref(c)) for c in self.units)
 
     def cell(self, p, slot, q):
-        """p o_slot q on numbers, or None if the entry is absent."""
+        """p o_slot q on numbers, or None if the entry is absent.  A unit
+        acts as the identity only on a slot of its own color."""
         got = self._cells.get((p, slot, q))
         if got is None:
-            if q in self.unit_numbers:
-                return p
-            if p in self.unit_numbers:
-                return q
+            units = self.unit_numbers
+            if q in units or p in units:
+                sigs = self.collection.numbering.sigs
+                if fits(sigs[p][0], slot, sigs[q][1]):
+                    return p if q in units else q
         return got
 
     def numbered_cells(self):

@@ -124,15 +124,18 @@ def check_multifunctor(F):
     and the target's values."""
     P, Q = F.source, F.target
     report = LawReport()
+    total = 0
     for s in P.signatures():
         table = F.op_maps.get(s, {})
         ms = F.map_sig(s)
         for op in P.ops_at(s):
-            report.note("total")
+            total += 1
             if op not in table:
                 report.fail("total", f"{sig_key(s)}:{op}")
             elif table[op] not in Q.ops_at(ms):
                 report.fail("lands-in-target", f"{sig_key(s)}:{op}")
+    if total:
+        report.note("total", total)
     if report.violations:
         return report
     num = P.collection.numbering
@@ -144,23 +147,29 @@ def check_multifunctor(F):
             F.map_ref(num.refs[m])  # raises: no image
         return got
 
+    if P.colors:
+        report.note("units", len(P.colors))
     for c in P.colors:
-        report.note("units")
         if image(num.number(P.unit_ref(c))) != Q.unit_value(
                 F.object_map[c]):
             report.fail("units", f"color {c}")
     if P.symmetric:
+        count = 0
         for s in P.signatures():
-            n = len(s[0])
             ms = P.values_at(s)
-            for p in perms.all_perms(n):
+            ps = perms.all_perms(len(s[0]))
+            count += len(ps) * len(ms)
+            for p in ps:
                 for m in ms:
-                    report.note("equivariance")
                     if image(num.image(m, p)) != Q.image(image(m), p):
                         report.fail("equivariance",
                                     f"{_ref_str(num.refs[m])} perm {p}")
-    for (p, slot, q), r in P.numbered_cells():
-        report.note("compositions")
+        if count:
+            report.note("equivariance", count)
+    cells = P.numbered_cells()
+    if cells:
+        report.note("compositions", len(cells))
+    for (p, slot, q), r in cells:
         if compose_values(Q, image(p), slot, image(q)) != image(r):
             report.fail(
                 "compositions",

@@ -27,8 +27,9 @@ representatives keyed by (output color, arity, vertex count), only those
 whose graft fits the caps.  Each instance reads the representatives fixed
 at the round's start, so the set of pairs a round unions, and with it the
 partition, the merged flag and the round count, does not depend on the
-order of the unions.  Grafts and rewrites are canonicalized only along
-the changed path (:func:`trees.vertex_minimum`).
+order of the unions.  Grafts, rewrites and the rewrite sites are read
+on term numbers off each pool term's root decomposition
+(:class:`trees.TermPool`), so no tree is built or hashed for them.
 
 The table is filled from the classes.  A composite over the vertex cap
 is reduced by rewriting its subtrees to representatives, unless no class
@@ -56,10 +57,10 @@ from . import perms
 from .core import (FiniteCollection, TableMulticategory, restrict_objects,
                    sig_key, tabulate)
 from .errors import DomainError, PartialInputError, StructuralError
-from .trees import (canonical_graft, canonical_replace, canonical_term,
-                    corolla, enumerate_terms, graft, identity_term,
-                    relabel_leaves, renumber_term, renumbering, term_leaves,
-                    term_signature, term_text, term_vertices)
+from .trees import (canonical_term, corolla, enumerate_terms,
+                    extract_standalone, graft, identity_term, relabel_leaves,
+                    renumber_term, renumbering, term_signature, term_text,
+                    term_vertices)
 
 
 @dataclass(frozen=True)
@@ -125,24 +126,6 @@ class UnionFind:
         return out
 
 
-def subtree_sites(t, path=()):
-    """Proper vertex subtrees of t, as (path, node) pairs."""
-    if t[0] == "L":
-        return
-    for i, child in enumerate(t[3]):
-        if child[0] == "N":
-            yield path + (i,), child
-            yield from subtree_sites(child, path + (i,))
-
-
-def extract_standalone(node):
-    """Rank-normalize the leaf numbers of a subtree; returns the standalone
-    term and the rank -> original index mapping."""
-    indices = sorted(idx for _, _, idx in term_leaves(node))
-    rank = {g: r for r, g in enumerate(indices)}
-    return relabel_leaves(node, rank), indices
-
-
 @dataclass
 class Saturation:
     """A saturated presentation: the quotient table plus class lookup."""
@@ -195,7 +178,7 @@ def saturate(presentation, max_arity=3, max_vertices=4):
     the caps.  See the module docstring."""
     gens = presentation.generators
     terms = enumerate_terms(gens, max_arity, max_vertices, symmetric=True)
-    index = {t: i for i, t in enumerate(terms)}
+    index = terms.number
     n_terms = len(terms)
     sig = [term_signature(t) for t in terms]
     vert = [term_vertices(t) for t in terms]
@@ -226,29 +209,13 @@ def saturate(presentation, max_arity=3, max_vertices=4):
                 best[root] = i
         return [best[root] for root in roots]
 
-    grafts = {}  # (x, slot, r) -> canonical id of graft(x, slot, r), or -1
-
-    def graft_id(x, slot, r):
-        key = (x, slot, r)
-        got = grafts.get(key)
-        if got is None:
-            got = grafts[key] = index.get(
-                canonical_graft(terms[x], slot, terms[r], gens), -1)
-        return got
-
     image, image_row = renumbering(terms)
 
     # the rewrite sites of every term, indexed by their standalone subtree
     sites_of = {}
-    std_ids = {}
-    for u, t in enumerate(terms):
-        for path, node in subtree_sites(t):
-            std, mapping = extract_standalone(node)
-            c = std_ids.get(std)
-            if c is None:
-                c = std_ids[std] = canon_id(std)
-            if c >= 0:
-                sites_of.setdefault(c, []).append((u, path, mapping))
+    for u in range(n_terms):
+        for path, c in terms.sites(u):
+            sites_of.setdefault(c, []).append((u, path))
 
     # Each move instance runs once: a term whose representative did not
     # change since the last round would only repeat its unions.  Classes
@@ -264,10 +231,8 @@ def saturate(presentation, max_arity=3, max_vertices=4):
 
         # rewrite subtrees to their representatives, per (u, site, rep)
         for c in moved:
-            rep = terms[reps[c]]
-            for u, path, mapping in sites_of.get(c, ()):
-                u2 = index.get(canonical_replace(
-                    terms[u], path, relabel_leaves(rep, mapping), gens), -1)
+            for u, path in sites_of.get(c, ()):
+                u2 = terms.rewrite(u, path, reps[c])
                 if u2 >= 0:
                     merged |= uf.union(u, u2)
 
@@ -291,7 +256,7 @@ def saturate(presentation, max_arity=3, max_vertices=4):
             for i, color in enumerate(inputs):
                 for a, v in room:
                     for r in buckets.get((color, a, v), ()):
-                        w1, w2 = graft_id(u, i, r), graft_id(ru, i, r)
+                        w1, w2 = terms.graft(u, i, r), terms.graft(ru, i, r)
                         if w1 >= 0 and w2 >= 0:
                             merged |= uf.union(w1, w2)
             for a, b in zip(image_row(u), image_row(ru)):
@@ -321,7 +286,7 @@ def saturate(presentation, max_arity=3, max_vertices=4):
 
     def compose(s, x, slot, qs, r):
         if vert[x] + vert[r] <= max_vertices:
-            w = graft_id(x, slot, r)
+            w = terms.graft(x, slot, r)
             if w >= 0:
                 return reps[w]
         elif not shrinks:

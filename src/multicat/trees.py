@@ -10,7 +10,8 @@ equality is tuple equality:
   generator.  A planar rooted tree has no nontrivial planar automorphism,
   so the encoding is a complete invariant of the numbered tree; symmetric
   equality (identifying per-vertex twists by the generator actions) is
-  handled by :func:`canonical_term`.
+  handled by :func:`canonical_term`.  A :class:`TermPool` keeps each term
+  also as its root over its children's numbers, to graft on numbers.
 
 * arity trees (operations of the tree multicategory):
   ``('L', index)`` a numbered input edge, ``('V', vnum, children)`` a
@@ -137,6 +138,14 @@ def relabel_leaves(t, index):
     return ("N", t[1], t[2], tuple(relabel_leaves(c, index) for c in t[3]))
 
 
+def extract_standalone(node):
+    """Rank-normalize the leaf numbers of a subtree; returns the standalone
+    term and the rank -> original index mapping."""
+    indices = sorted(idx for _, _, idx in term_leaves(node))
+    rank = {g: r for r, g in enumerate(indices)}
+    return relabel_leaves(node, rank), indices
+
+
 def renumber_term(t, sigma):
     """The symmetric action: input t of the result reads input sigma[t]."""
     return relabel_leaves(t, perms.inverse(sigma))
@@ -198,7 +207,8 @@ def vertex_minimum(gsig, gid, children, gens):
     canonical.  Put a canonical term in place of a leaf or subtree of a
     canonical term, moving the other leaves by such a map: every subtree
     off that path stays canonical, and this minimum taken again along the
-    path, bottom up, gives :func:`canonical_term` of the result."""
+    path, bottom up, gives :func:`canonical_term` of the result; that is
+    how :meth:`TermPool.graft` and :meth:`TermPool.rewrite` work."""
     ref = (gsig, gid)
     s, g, coset = gens.numbering.least.get(ref) or least_image(gens, ref)
     if coset is None:
@@ -207,41 +217,6 @@ def vertex_minimum(gsig, gid, children, gens):
     if len(coset) == 1:
         return ("N", s, g, tuple(map(pick, coset[0])))
     return ("N", s, g, min([tuple(map(pick, p)) for p in coset]))
-
-
-def canonical_graft(t, index, s, gens):
-    """``canonical_term(graft(t, index, s), gens)`` for canonical t and s
-    of matching colors: leaves keep their order, so only the vertices above
-    the grafted leaf take their minimum again (:func:`vertex_minimum`)."""
-    m = term_arity(s)
-
-    def go(node):
-        # the grafted node, and whether it holds s
-        if node[0] == "L":
-            i = node[2]
-            if i == index:
-                return shift_leaves(s, index), True
-            return (node if i < index else ("L", node[1], i + m - 1)), False
-        pairs = [go(c) for c in node[3]]
-        children = tuple([c for c, _ in pairs])
-        if any([h for _, h in pairs]):
-            return vertex_minimum(node[1], node[2], children, gens), True
-        return ("N", node[1], node[2], children), False
-
-    return go(t)[0]
-
-
-def canonical_replace(t, path, node, gens):
-    """``canonical_term`` of t with its subtree at ``path`` (child indices
-    from the root) replaced by node, for canonical t and node whose leaves
-    are those of the subtree it replaces: only the vertices on the path
-    take their minimum again (:func:`vertex_minimum`)."""
-    if not path:
-        return node
-    children = list(t[3])
-    children[path[0]] = canonical_replace(children[path[0]], path[1:], node,
-                                          gens)
-    return vertex_minimum(t[1], t[2], tuple(children), gens)
 
 
 def term_text(t):
@@ -490,9 +465,127 @@ class FreeReport:
 
 
 class TermPool(list):
-    """Sorted symmetric terms, with their transposition table:
+    """Sorted symmetric terms, numbered by position (``number`` maps a
+    term to it), with their transposition table and root decompositions.
+
     ``moves[x][k]`` is the position of ``canonical_term(renumber_term(
-    self[x], perms.adjacent_transpositions(arity of x)[k]), gens)``."""
+    self[x], perms.adjacent_transpositions(arity of x)[k]), gens)``.
+
+    ``parts[x]``, the root decomposition of term x, is None for an
+    identity term, else its root generator ``(signature, id)`` and one
+    ``(s, leaves)`` per child: s numbers the child's standalone subtree
+    (its leaves renumbered 0, 1, ... in order) and ``leaves`` is the
+    increasing map from those leaves to x's; ``numbered`` inverts it.  The
+    standalone subtree is a pool term: a subtree of a canonical term is
+    canonical, an increasing leaf map keeps every comparison
+    (:func:`vertex_minimum`), and it fits the caps.  :meth:`graft` and
+    :meth:`rewrite` change the child on the changed path and minimize the
+    root again over its coset, on numbers.  Two children of a vertex have
+    disjoint leaves, so in preorder they first differ at or before the
+    first leaf of either: they compare by the rank of their preorder up to
+    that leaf, less its number, then by its image (``keys``)."""
+
+    def __init__(self, terms, gens):
+        super().__init__(terms)
+        self.number = {t: i for i, t in enumerate(self)}
+        self.parts, self.arity, self.numbered, self.grafts = [], [], {}, {}
+        self.cosets = {}
+        split = {}  # subtree -> (standalone number, leaves)
+        for x, t in enumerate(self):
+            if t[0] == "L":
+                self.parts.append(None)
+                self.arity.append(1)
+                continue
+            kids = []
+            for child in t[3]:
+                got = split.get(child)
+                if got is None:
+                    std, leaves = extract_standalone(child)
+                    got = split[child] = (self.number[std], tuple(leaves))
+                kids.append(got)
+            ref, kids = (t[1], t[2]), tuple(kids)
+            self.parts.append((ref, kids))
+            self.arity.append(sum([len(leaves) for _, leaves in kids]))
+            self.numbered[ref, kids] = x
+            self.cosets[ref] = least_image(gens, ref)[2]
+        heads = [_head(t) for t in self]
+        rank = {h: r for r, h in enumerate(sorted({h for h, _ in heads}))}
+        self.keys = [(rank[h], first) for h, first in heads]
+
+    def graft(self, x, i, r):
+        """The number of ``canonical_term(graft(self[x], i, self[r]))``,
+        or -1 outside the caps, for r of the color of x's leaf i."""
+        key = (x, i, r)
+        got = self.grafts.get(key)
+        if got is None:
+            got = self.grafts[key] = self._graft(x, i, r)
+        return got
+
+    def _graft(self, x, i, r):
+        if self.parts[x] is None:
+            return r
+        ref, kids = self.parts[x]
+        m = self.arity[r] - 1  # how far the leaves past i move
+        out = []
+        for s, leaves in kids:
+            if i in leaves:
+                q = leaves.index(i)
+                s = self.graft(s, q, r)
+                if s < 0:
+                    return -1
+                leaves = (leaves[:q] + tuple(range(i, i + m + 1))
+                          + tuple([j + m for j in leaves[q + 1:]]))
+            elif m and leaves and leaves[-1] > i:
+                leaves = tuple([j + m if j > i else j for j in leaves])
+            out.append((s, leaves))
+        return self._vertex(ref, out)
+
+    def rewrite(self, x, path, r):
+        """The number of ``canonical_term`` of ``self[x]`` with the subtree
+        at ``path`` (child indices from the root) replaced by ``self[r]``
+        on the subtree's leaves, in order, or -1 outside the caps."""
+        if not path:
+            return r
+        ref, kids = self.parts[x]
+        j = path[0]
+        s = self.rewrite(kids[j][0], path[1:], r)
+        if s < 0:
+            return -1
+        return self._vertex(ref, kids[:j] + ((s, kids[j][1]),) + kids[j + 1:])
+
+    def sites(self, x):
+        """The proper vertex subtrees of term x in preorder, as (path,
+        number of the standalone subtree) pairs."""
+        for j, (s, _) in enumerate(self.parts[x][1] if self.parts[x] else ()):
+            if self.parts[s] is not None:
+                yield (j,), s
+                yield from (((j,) + path, c) for path, c in self.sites(s))
+
+    def _vertex(self, ref, kids):
+        """The number of the vertex ref over the children kids, minimized
+        over ref's coset as :func:`vertex_minimum` does, or -1; ref is its
+        own least image, so the coset is its stabilizer (None if trivial)."""
+        coset = self.cosets[ref]
+        if coset is not None:
+            keys = [(self.keys[s][0], leaves[self.keys[s][1]] if leaves
+                     else -1) for s, leaves in kids]
+            best = min(coset, key=lambda p: [keys[k] for k in p])
+            kids = [kids[k] for k in best]
+        return self.numbered.get((ref, tuple(kids)), -1)
+
+
+def _head(t):
+    """The preorder of t up to its first leaf, that leaf without its
+    number, and the leaf's number (-1 for a term without leaves)."""
+    head, stack = [], [t]
+    while stack:
+        node = stack.pop()
+        if node[0] == "L":
+            head.append(node[:2])
+            return tuple(head), node[2]
+        head.append(node[:3])
+        stack.extend(reversed(node[3]))
+    return tuple(head), -1
 
 
 def enumerate_terms(gens, max_arity, max_vertices, symmetric):
@@ -560,7 +653,7 @@ def enumerate_terms(gens, max_arity, max_vertices, symmetric):
                     found[y] = len(found)
                     frontier.append(y)
                 row.append(found[y])
-    pool = TermPool(sorted(found))
+    pool = TermPool(sorted(found), gens)
     where = {found[t]: i for i, t in enumerate(pool)}
     pool.moves = [tuple([where[j] for j in steps[found[t]]]) for t in pool]
     return pool

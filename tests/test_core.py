@@ -4,11 +4,13 @@ from dataclasses import replace
 
 import pytest
 
-from multicat import perms
+from multicat import dsl, perms
+from multicat.bimodules import module_from_multicategory
 from multicat.core import (FiniteCollection, TableMulticategory,
-                           check_multicategory_laws, extend_objects_injective,
-                           is_equivalence, nerve, restrict_objects, sig_key)
-from multicat.errors import DomainError, StructuralError
+                           check_multicategory_laws, compose_values,
+                           extend_objects_injective, is_equivalence, nerve,
+                           restrict_objects, sig_key)
+from multicat.errors import CompositionError, DomainError, StructuralError
 from multicat.homcalc import Multifunctor, identity_multifunctor
 from multicat.jsonio import category_json
 from multicat.standard import (assoc_multicategory, comm_multicategory,
@@ -25,6 +27,31 @@ COM3 = comm_multicategory(3)
                          ids=lambda M: M.name)
 def test_corpus_laws(M):
     assert check_multicategory_laws(M).ok
+
+
+def test_a_unit_acts_only_on_its_own_color(docs_dir):
+    # Pair has one operation f at each of (a;a), (a;b), (b;a), (b;b), the
+    # units being those at (a;a) and (b;b): a unit composed into a slot of
+    # the other color has no composite, and neither has a module action
+    P = dsl.elaborate(dsl.parse(
+        (docs_dir / "twocolor.mcat").read_text())[0])[0]["Pair"]
+
+    def f(inputs, out):
+        return P.value(((tuple(inputs), out), "f"))
+
+    unit_a, unit_b, ab = f("a", "a"), f("b", "b"), f("a", "b")
+    for p, q in [(ab, unit_b), (unit_a, ab), (unit_a, unit_b)]:
+        assert P.cell(p, 0, q) is None
+        with pytest.raises(CompositionError, match="color mismatch"):
+            compose_values(P, p, 0, q)
+    assert P.cell(ab, 0, unit_a) == P.cell(unit_b, 0, ab) == ab
+    assert P.cell(ab, 1, unit_a) is None
+    M = module_from_multicategory(P)
+    m = M.collection.numbering.number(P.ref_of(ab))
+    assert M.right_cell(m, 0, unit_b) is None
+    assert M.left_cell(unit_a, (m,)) is None
+    assert M.right_cell(m, 0, unit_a) == M.left_cell(unit_b, (m,)) == m
+    assert M.left_cell(unit_b, (m, m)) is None
 
 
 def test_seeded_unit_violation_found():

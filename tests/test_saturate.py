@@ -14,12 +14,16 @@ vertex.  Every field of the result is compared: the report with its
 and grafted and canonicalized every composite; the free symmetric
 multicategory is now the saturation of the empty presentation.
 `ref_renumbering` is the earlier `trees.renumbering`, which canonicalized
-every transposition image again, and `replace_path` the earlier rewrite
-step, canonicalized whole afterwards.  The kernel pieces that take the
-per-vertex minimum only along a changed path (`trees.canonical_graft`,
-`trees.canonical_replace`) and the transposition table kept by the
-enumeration are checked against full canonicalization on the symmetric
-pools of `GENERATORS`.
+every transposition image again, `replace_path` the earlier rewrite
+step, canonicalized whole afterwards, and `subtree_sites` the earlier
+walk over a term's rewrite sites.  The kernel pieces that work on term
+numbers through each pool term's root decomposition (`TermPool.graft`,
+`TermPool.rewrite` and `TermPool.sites`) and the transposition table
+kept by the enumeration are checked against full canonicalization of
+the trees on the symmetric pools of `GENERATORS`, and the graft on every
+fitting triple of two pools.  `SATURATION_DIGESTS` pins the table JSON
+and report of five saturations, taken before the graft and rewrite moved
+onto term numbers.
 
 `ref_tensor_generators` with `ref_side_relations`, and `ref_pushout`, are
 the earlier coproduct and pushout presentations, which each wrote out
@@ -29,6 +33,7 @@ be equal and the relations equal as multisets of canonical terms (the
 coproduct's relations now come per fixed color, then per cell).
 """
 
+import hashlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -43,17 +48,16 @@ from multicat.errors import DomainError, StructuralError, TruncationError
 from multicat.homcalc import Multifunctor, identity_multifunctor
 from multicat.presents import (Presentation, SaturationReport, UnionFind,
                                arrow_multicategory, coproduct,
-                               extract_standalone,
                                interchange_relations, pair_color, pushout,
-                               saturate, subtree_sites, tensor_generator)
+                               saturate, tensor_generator)
 from multicat.standard import (assoc_multicategory, comm_multicategory,
                                unit_multicategory)
-from multicat.trees import (FreeReport, canonical_graft,
-                            canonical_replace, canonical_term, corolla,
-                            enumerate_terms, free_multicategory, graft,
-                            identity_term, relabel_leaves, renumber_term,
-                            renumbering, term_arity, term_out_color,
-                            term_signature, term_text, term_vertices)
+from multicat.trees import (FreeReport, canonical_term, corolla,
+                            enumerate_terms, extract_standalone,
+                            free_multicategory, graft, identity_term,
+                            relabel_leaves, renumber_term, renumbering,
+                            term_arity, term_out_color, term_signature,
+                            term_text, term_vertices)
 
 I = unit_multicategory()
 AS2 = assoc_multicategory(2)
@@ -88,6 +92,16 @@ def ref_symmetric_terms(gens, max_arity, max_vertices):
         for p in perms.all_perms(n):
             out.add(ref_canonical_term(renumber_term(t, p), gens))
     return sorted(out)
+
+
+def subtree_sites(t, path=()):
+    """Proper vertex subtrees of t, as (path, node) pairs, in preorder."""
+    if t[0] == "L":
+        return
+    for i, child in enumerate(t[3]):
+        if child[0] == "N":
+            yield path + (i,), child
+            yield from subtree_sites(child, path + (i,))
 
 
 def replace_path(t, path, new_node):
@@ -399,6 +413,39 @@ def test_saturate_matches_reference(name):
         assert ref.report.comp_escapes
 
 
+def free_binary():
+    return Presentation(magma().generators, (), name="free")
+
+
+# sha256 of the table JSON and the report JSON of a saturation, taken
+# before the graft and rewrite moves ran on term numbers
+SATURATION_DIGESTS = {
+    "com2-com2-4-4": (
+        lambda: tensor_presentation(COM2, COM2), (4, 4),
+        "92e7c20c6af45b402d864c51a40369e321ec0ef283fd00a319ca00cceb7a87e5"),
+    "i-as3-4-3": (
+        lambda: tensor_presentation(I, AS3), (4, 3),
+        "e35d76f11a514e85ed6e616ed2908c5700e3b3189010656b58d880921ad2637e"),
+    "magma-5-4": (
+        magma, (5, 4),
+        "37febab0387b7abfdf3bbb4695b43c843015d186facc6180c103fcfed9fed72f"),
+    "free-binary-5-4": (
+        free_binary, (5, 4),
+        "5571984c16ead9059f583d32728ba8deb1a36ab55072ade4ddf1e3b116895f03"),
+    "free-binary-4-4": (
+        free_binary, (4, 4),
+        "fbe982e2c30f495adcafbf897651a1eb38b91aa3bbc68e5bc535ed00f23fe66f"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SATURATION_DIGESTS))
+def test_saturation_outputs_unchanged(name):
+    build, caps, digest = SATURATION_DIGESTS[name]
+    sat = saturate(build(), *caps)
+    text = jsonio.dumps(sat.table) + jsonio.dumps(sat.report)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def test_tensor_stabilizes_below_eckmann_hilton():
     # stabilized means the bounded closure reached a fixpoint, not that
     # the quotient is the presented operad: Com2(x)Com2 has one class per
@@ -493,17 +540,62 @@ POOL_KEYS = st.tuples(st.sampled_from(sorted(GENERATORS)),
                       st.sampled_from([(3, 3), (4, 3), (4, 4)]))
 
 
+def full_graft(pool, x, i, r):
+    """The number of the whole graft canonicalized, or -1."""
+    gens, terms, index = pool
+    return index.get(canonical_term(graft(terms[x], i, terms[r]), gens), -1)
+
+
 @settings(max_examples=300, deadline=None)
 @given(POOL_KEYS, st.integers(0), st.integers(0))
 def test_path_graft_matches_full_canonicalization(key, a, b):
-    # the minimum is taken again only above the grafted leaf; it must be
-    # the canonical form of the whole graft, in every slot of its color
-    gens, terms, _ = symmetric_pool(*key)
-    x, r = terms[a % len(terms)], terms[b % len(terms)]
-    for i, color in enumerate(term_signature(x)[0]):
-        if color == term_out_color(r):
-            assert canonical_graft(x, i, r, gens) == (
-                canonical_term(graft(x, i, r), gens))
+    # the graft on numbers, in every slot of its color, must number the
+    # canonical form of the whole graft, or give -1 outside the caps
+    pool = symmetric_pool(*key)
+    terms = pool[1]
+    x, r = a % len(terms), b % len(terms)
+    for i, color in enumerate(term_signature(terms[x])[0]):
+        if color == term_out_color(terms[r]):
+            assert terms.graft(x, i, r) == full_graft(pool, x, i, r)
+
+
+@pytest.mark.parametrize("name,caps", [
+    pytest.param("com2-com2", (4, 4), id="com2-com2-4-4"),
+    pytest.param("i-as3", (4, 3), id="i-as3-4-3")])
+def test_every_fitting_graft_matches_full_canonicalization(name, caps):
+    # every (x, i, r) whose graft fits the caps, as the substitution move
+    # and the table fill draw them
+    pool = symmetric_pool(name, caps)
+    terms = pool[1]
+    sig = [term_signature(t) for t in terms]
+    vert = [term_vertices(t) for t in terms]
+    fitting = [(x, i, r) for x in range(len(terms))
+               for i, color in enumerate(sig[x][0])
+               for r in range(len(terms))
+               if sig[r][1] == color and vert[x] + vert[r] <= caps[1]
+               and len(sig[x][0]) + len(sig[r][0]) - 1 <= caps[0]]
+    assert len(fitting) == {"com2-com2": 3479, "i-as3": 4653}[name]
+    for x, i, r in fitting:
+        want = full_graft(pool, x, i, r)
+        assert want >= 0
+        assert terms.graft(x, i, r) == want
+
+
+@pytest.mark.parametrize("name", sorted(GENERATORS))
+def test_standalone_subtrees_are_pool_terms(name):
+    # the root decomposition names each child by its standalone subtree,
+    # which must be a pool member, and gives the term back
+    _, terms, index = symmetric_pool(name, (4, 4))
+    for x, t in enumerate(terms):
+        for _, node in subtree_sites(t):
+            assert extract_standalone(node)[0] in index
+        if t[0] == "L":
+            assert terms.parts[x] is None
+            continue
+        ref, kids = terms.parts[x]
+        assert ref == t[1:3] and terms.numbered[ref, kids] == x
+        assert tuple(relabel_leaves(terms[s], leaves) for s, leaves in kids
+                     ) == t[3]
 
 
 @settings(max_examples=300, deadline=None)
@@ -511,15 +603,19 @@ def test_path_graft_matches_full_canonicalization(key, a, b):
 def test_path_rewrite_matches_full_canonicalization(key, a, b):
     # the rewrite move: a subtree replaced by a pool term of its standalone
     # signature, relabeled onto the subtree's leaves
-    gens, terms, _ = symmetric_pool(*key)
-    x = terms[a % len(terms)]
-    for path, node in subtree_sites(x):
+    gens, terms, index = symmetric_pool(*key)
+    x = a % len(terms)
+    sites = list(subtree_sites(terms[x]))
+    assert [path for path, _ in terms.sites(x)] == [p for p, _ in sites]
+    for (path, node), (_, c) in zip(sites, terms.sites(x)):
         std, mapping = extract_standalone(node)
-        same = [t for t in terms
+        assert c == index[canonical_term(std, gens)]
+        same = [i for i, t in enumerate(terms)
                 if term_signature(t) == term_signature(std)]
-        new = relabel_leaves(same[b % len(same)], mapping)
-        assert canonical_replace(x, path, new, gens) == (
-            canonical_term(replace_path(x, path, new), gens))
+        r = same[b % len(same)]
+        new = relabel_leaves(terms[r], mapping)
+        assert terms.rewrite(x, path, r) == index.get(
+            canonical_term(replace_path(terms[x], path, new), gens), -1)
 
 
 @settings(max_examples=300, deadline=None)

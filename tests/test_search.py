@@ -409,6 +409,39 @@ def test_maps_follow_the_source_order(case, monkeypatch):
                                                   for F in got]
 
 
+# the instances `check_multifunctor` counts per law, summed over the
+# multifunctors each case finds ("Com2^2->End" is the arrow census), taken
+# while the check noted every instance on its own
+CHECKED = {
+    "As2->Com2": (1, (4, 1, 6, 12)),
+    "As2->Hom(As2,End(A2))": (8, (32, 8, 48, 96)),
+    "As3->Com3": (1, (10, 1, 42, 62)),
+    "As3->End(A2)": (4, (40, 4, 168, 248)),
+    "Com2^1->Com2^1": (3, (30, 6, 45, 111)),
+    "Com2^2->End": (144, (3312, 432, 5328, 16416)),
+    "Com3->End(A3)": (27, (108, 27, 270, 432)),
+    "I(x)As2->End(A2)": (4, (64, 4, 312, 416)),
+    "I->indiscrete": (2, (2, 2, 2, 2)),
+    "Sym12->End(A2)": (64, (256, 64, 1216, 832)),
+    "Sym12->Sym12": (1, (4, 1, 19, 13)),
+    "indiscrete->indiscrete": (4, (16, 8, 16, 32)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MULTIFUNCTOR_CASES))
+def test_check_counts_unchanged(case):
+    P, Q, fix = MULTIFUNCTOR_CASES[case]()
+    laws = ("total", "units", "equivariance", "compositions")
+    found = enumerate_multifunctors(P, Q, fix_objects=fix)
+    sums = [0] * len(laws)
+    for F in found:
+        report = homcalc.check_multifunctor(F)
+        assert report.ok and tuple(report.checked) == laws
+        for k, law in enumerate(laws):
+            sums[k] += report.checked[law]
+    assert (len(found), tuple(sums)) == CHECKED[case]
+
+
 def test_arrow_census_budget():
     # the arrow census branches on (2,2;2) before the mixed signatures it
     # forces: 3,182 candidates for its 144 algebras; an order that loses

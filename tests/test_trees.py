@@ -333,7 +333,7 @@ def full_term_pool(gens, max_arity, max_vertices):
                     found[y] = len(found)
                     frontier.append(y)
                 row.append(found[y])
-    pool = TermPool(sorted(found))
+    pool = TermPool(sorted(found), gens)
     where = {found[t]: i for i, t in enumerate(pool)}
     pool.moves = [tuple(where[j] for j in steps[found[t]]) for t in pool]
     return pool
