@@ -29,7 +29,7 @@ from . import perms
 from .core import (CellLookup, FiniteCollection, LawReport,
                    TableMulticategory, TruncatedSimplicialSet, _gamma_by_size,
                    backtrack, check_slot_laws, compose_values, composed_sig,
-                   fits, is_equivalence, sig_key, tabulate)
+                   fits, is_equivalence, lifts, pull_back, sig_key, tabulate)
 from .errors import DomainError, StructuralError
 from .homcalc import Multifunctor
 from .presents import UnionFind
@@ -479,34 +479,22 @@ def restrict_module(N, psi):
         raise DomainError(f"{psi.name or 'the multifunctor'} lands in "
                           f"{S.name}, not in {N.right.name}, which acts on "
                           f"{N.name} from the right")
-    fibers = {c: [d for d in R.colors if psi.object_map[d] == c]
-              for c in S.colors}
-    ops = {}
-    origin = {}
-    for s in N.collection.signatures():
-        for combo in product(*[fibers[c] for c in s[0]]):
-            new_sig = (tuple(combo), s[1])
-            ops[new_sig] = tuple(N.collection.ops_at(s))
-            origin[new_sig] = s
-    ops = {s: v for s, v in ops.items() if v}
-    action = {}
-    for s in ops:
-        n = len(s[0])
-        for p in perms.all_perms(n):
-            action[s, p] = dict(N.collection.action[(origin[s], p)])
-    colors = tuple(sorted(set(R.colors) | {s[1] for s in ops}))
-    coll = FiniteCollection(colors, ops, action)
+    back = lifts(N.collection.signatures(), R.colors, psi.object_map,
+                 outputs=False)
+    coll = pull_back(N.collection, sorted(
+        {*R.colors, *(s[1] for s, t in back.items()
+                      if N.collection.ops_at(t))}), back)
 
     table = {}
     num = N.collection.numbering
-    for s in ops:
-        for m in ops[s]:
+    for s, ms in coll.ops.items():
+        for m in ms:
             for slot, color in enumerate(s[0]):
                 for qs in R.signatures():
                     if qs[1] != color:
                         continue
                     for q in R.ops_at(qs):
-                        base = N.right_cell(num.number((origin[s], m)), slot,
+                        base = N.right_cell(num.number((back[s], m)), slot,
                                             S.value(psi.map_ref((qs, q))))
                         if base is None:
                             continue

@@ -27,6 +27,13 @@ composite, or None where there is none, and :func:`compose_values` the
 composite that raises instead.  A :class:`TableMulticategory`'s values
 are its numbers; ``algebras.EndView`` gives the other kind.  Composites
 and actions are asked for on values only.
+
+A collection or a table is carried along a color map by one pull-back:
+:func:`lifts` lifts signatures through the fibers of the map,
+:func:`pull_back` takes the operations and exactly the action tables the
+source has at each lift's image, and :func:`pull_back_table` reads the
+composites off the source.  Restriction, extension, the arrow family and
+module restriction are built on them.
 """
 
 from dataclasses import dataclass, field
@@ -930,15 +937,10 @@ def is_equivalence(F):
             witnesses.append(f"not full at {sig_key(s)}")
     # fullness quantifies over all source signatures, including those with
     # empty operation sets: the empty function onto a nonempty set fails
-    fibers = {c: [p for p in P.colors if F.object_map[p] == c]
-              for c in Q.colors}
-    for s in Q.signatures():
-        if not Q.ops_at(s):
-            continue
-        for combo in product(*([fibers[c] for c in s[0]] + [fibers[s[1]]])):
-            pre = (tuple(combo[:-1]), combo[-1])
-            if not P.ops_at(pre):
-                witnesses.append(f"not full at empty {sig_key(pre)}")
+    for pre in lifts([s for s in Q.signatures() if Q.ops_at(s)], P.colors,
+                     F.object_map):
+        if not P.ops_at(pre):
+            witnesses.append(f"not full at empty {sig_key(pre)}")
     ff = not witnesses
     ess = True
     for q in Q.colors:
@@ -949,47 +951,67 @@ def is_equivalence(F):
 
 
 # ---------------------------------------------------------------------------
-# restriction and extension along object maps
+# pull-backs along maps of signatures, and restriction and extension
 
 
-def restrict_objects(M, object_map, new_colors=None):
-    """Pull operations back along a map of color sets into obj(M)."""
+def lifts(sigs, domain, object_map, outputs=True):
+    """Every signature over ``domain`` that ``object_map`` sends to one of
+    ``sigs``, mapped to that signature, in the order of ``sigs`` and then
+    of ``product`` over the fibers, each in the order of ``domain``.
+    Without ``outputs`` only the inputs are lifted."""
+    fibers = {}
+    for d in domain:
+        fibers.setdefault(object_map[d], []).append(d)
+    out = {}
+    for s in sigs:
+        ends = fibers.get(s[1], ()) if outputs else (s[1],)
+        for combo in product(*[fibers.get(c, ()) for c in s[0]], ends):
+            out[combo[:-1], combo[-1]] = s
+    return out
+
+
+def pull_back(coll, colors, back):
+    """The collection over ``colors`` that holds, at each signature s of
+    ``back``, the operations of coll at ``back[s]`` and exactly the action
+    tables coll has there (the identity alone for a planar table); a
+    signature with no operations is left out."""
+    ops = {s: tuple(coll.ops_at(t)) for s, t in back.items() if coll.ops_at(t)}
+    action = {(s, p): dict(coll.action[back[s], p]) for s in ops
+              for p in perms.all_perms(len(s[0]))
+              if (back[s], p) in coll.action}
+    return FiniteCollection(tuple(colors), ops, action)
+
+
+def pull_back_table(M, coll, back, units, name):
+    """The table on ``coll``, a pull-back of M's collection along ``back``
+    (:func:`pull_back`), with each composite of two pulled-back operations
+    read off M at their images, and M's ``complete`` and ``symmetric``."""
+    over = {}
+    for s, t in back.items():
+        over.setdefault(t, []).append(s)
+    comp = {(s, p, slot, u, q): r
+            for (psig, p, slot, qsig, q), r in M.comp.items()
+            for s in over.get(psig, ()) for u in over.get(qsig, ())
+            if u[1] == s[0][slot]}
+    return TableMulticategory(coll, units, comp, M.complete, name,
+                              M.symmetric)
+
+
+def restrict_objects(M, object_map):
+    """Pull M back along a map of color sets into obj(M)."""
     for c, target in object_map.items():
         if target not in M.colors:
             raise DomainError(f"{c} maps to {target}, not a color of M")
-    new_colors = tuple(sorted(new_colors or object_map.keys()))
-    fibers = {c: [d for d in new_colors if object_map[d] == c]
-              for c in M.colors}
-
-    ops = {}
-    for s in M.signatures():
-        choices = [fibers[c] for c in s[0]] + [fibers[s[1]]]
-        for combo in product(*choices):
-            new_sig = (tuple(combo[:-1]), combo[-1])
-            ops[new_sig] = tuple(M.ops_at(s))
-    ops = {s: v for s, v in ops.items() if v}
-
-    def back(s):
-        return (tuple(object_map[c] for c in s[0]), object_map[s[1]])
-
-    action = {(s, p): dict(M.collection.action[back(s), p])
-              for s in ops for p in perms.all_perms(len(s[0]))}
-    units = {d: M.units[object_map[d]] for d in new_colors}
-    comp = {}
-    for (psig, p, slot, qsig, q), r in M.comp.items():
-        p_fib = [fibers[c] for c in psig[0]] + [fibers[psig[1]]]
-        for combo in product(*p_fib):
-            new_p = (tuple(combo[:-1]), combo[-1])
-            q_fib = [fibers[c] for c in qsig[0]]
-            for qcombo in product(*q_fib):
-                new_q = (tuple(qcombo), new_p[0][slot])
-                comp[new_p, p, slot, new_q, q] = r
-    return TableMulticategory(FiniteCollection(new_colors, ops, action),
-                              units, comp, M.complete, f"restrict({M.name})")
+    colors = tuple(sorted(object_map))
+    back = lifts(M.signatures(), colors, object_map)
+    return pull_back_table(M, pull_back(M.collection, colors, back), back,
+                           {d: M.units[object_map[d]] for d in colors},
+                           f"restrict({M.name})")
 
 
 def extend_objects_injective(M, alpha, new_colors):
-    """Push a multicategory forward along an injective map of color sets.
+    """Push a multicategory forward along an injective map of color sets:
+    the pull-back along its inverse on the image signatures.
 
     Image signatures carry the transported operations; a color outside the
     image carries only its identity; every other signature is empty.
@@ -1002,21 +1024,12 @@ def extend_objects_injective(M, alpha, new_colors):
     new_colors = tuple(sorted(new_colors))
     if not set(values) <= set(new_colors):
         raise DomainError("object map lands outside the stated color set")
-    fresh = [d for d in new_colors if d not in values]
-
-    def fwd(s):
-        return (tuple(alpha[c] for c in s[0]), alpha[s[1]])
-
-    ops = {fwd(s): tuple(M.ops_at(s)) for s in M.signatures()}
-    action = {(fwd(s), p): dict(M.collection.action[s, p])
-              for s in M.ops for p in perms.all_perms(len(s[0]))}
+    back = lifts(M.signatures(), values, {v: c for c, v in alpha.items()})
+    coll = pull_back(M.collection, new_colors, back)
     units = {alpha[c]: u for c, u in M.units.items()}
-    comp = {(fwd(psig), p, slot, fwd(qsig), q): r
-            for (psig, p, slot, qsig, q), r in M.comp.items()}
-    for d in fresh:
-        ops[((d,), d)] = ("1",)
-        for p in perms.all_perms(1):
-            action[((d,), d), p] = {"1": "1"}
-        units[d] = "1"
-    return TableMulticategory(FiniteCollection(new_colors, ops, action),
-                              units, comp, M.complete, f"extend({M.name})")
+    for d in new_colors:
+        if d not in values:
+            coll.ops[(d,), d] = ("1",)
+            coll.action[((d,), d), perms.identity(1)] = {"1": "1"}
+            units[d] = "1"
+    return pull_back_table(M, coll, back, units, f"extend({M.name})")

@@ -54,8 +54,8 @@ from dataclasses import dataclass, field
 from functools import partial
 
 from . import perms
-from .core import (FiniteCollection, TableMulticategory, restrict_objects,
-                   sig_key, tabulate)
+from .core import (FiniteCollection, TableMulticategory, lifts, pull_back,
+                   pull_back_table, sig_key, tabulate)
 from .errors import DomainError, PartialInputError, StructuralError
 from .trees import (canonical_term, corolla, enumerate_terms,
                     extract_standalone, graft, identity_term, relabel_leaves,
@@ -440,8 +440,9 @@ def bv_tensor(P, Q, max_arity=3, max_vertices=4):
 def arrow_multicategory(P, n):
     """Colors 0..n; a k-ary operation from x_1..x_k to x exists for every
     k-ary operation of the single-colored P whenever max(x_i) <= x, with
-    composition and actions read off P: the restriction of P along the
-    constant color map, cut to those signatures."""
+    composition and actions read off P: the pull-back of P along the
+    constant color map, on the lifts of its signatures that satisfy that
+    bound."""
     if len(P.colors) != 1:
         raise DomainError("the arrow construction needs a single color")
     if n < 0:
@@ -449,22 +450,12 @@ def arrow_multicategory(P, n):
     if n == 0:
         return P
     colors = tuple(str(i) for i in range(n + 1))
-    full = restrict_objects(P, {c: P.colors[0] for c in colors})
-
-    def allowed(s):
-        return all(int(c) <= int(s[1]) for c in s[0])
-
-    action = {(s, p): t for (s, p), t in full.collection.action.items()
-              if allowed(s)}
-    comp = {(*pref, slot, *qref): rref[1]
-            for pref, slot, qref, rref in full.cells()
-            if allowed(pref[0]) and allowed(qref[0])}
-    return TableMulticategory(
-        collection=FiniteCollection(
-            colors, {s: v for s, v in full.ops.items() if allowed(s)},
-            action),
-        units=full.units, comp=comp, complete=P.complete,
-        name=f"{P.name or 'P'}^{n}")
+    back = {s: t for s, t in lifts(P.signatures(), colors,
+                                   dict.fromkeys(colors, P.colors[0])).items()
+            if all(int(c) <= int(s[1]) for c in s[0])}
+    return pull_back_table(P, pull_back(P.collection, colors, back), back,
+                           dict.fromkeys(colors, P.units[P.colors[0]]),
+                           f"{P.name or 'P'}^{n}")
 
 
 # ---------------------------------------------------------------------------

@@ -186,7 +186,7 @@ def test_restrict_objects():
     assert check_multicategory_laws(M2).ok
 
     # empty domain
-    M3 = restrict_objects(AS3, {}, new_colors=())
+    M3 = restrict_objects(AS3, {})
     assert M3.colors == () and not M3.ops
 
     # functoriality against composition of maps
