@@ -3,9 +3,10 @@
 Carriers are finite sets per color; the endomorphism multicategory has
 all functions between products of carriers as operations, composition by
 substitution, and the symmetric actions permuting source factors.  An
-algebra structure is equivalently a family of action tables or a
-multifunctor into the endomorphism multicategory fixing objects; both
-encodings are supported and interconvert losslessly.
+algebra structure is a multifunctor into the endomorphism multicategory
+that fixes objects, and `AlgebraStructure` holds only that functor: its
+action tables are read off the functor's op ids, and callers that hold
+tables build one through `algebra_from_tables`.
 
 A function is identified by its table ``f:a|b|…``, the outputs listed
 over the lexicographic order of the product of input carriers.  These
@@ -31,8 +32,8 @@ projections to the two views.
 """
 
 import sys
-from dataclasses import dataclass, field
-from functools import partial
+from dataclasses import dataclass
+from functools import cached_property, partial
 from itertools import product, repeat
 from math import log10
 from operator import mul
@@ -399,37 +400,33 @@ def end_multicategory(A, arity_cap=2, limit=200000):
 # algebra structures
 
 
-@dataclass
-class AlgebraStructure:
-    multicategory: object
-    carrier: ObjectFamily
-    action: dict  # source signature -> {op id: function table tuple}
-    # the EndView of the multifunctor it was read off, reused while the
-    # cap and limit agree so its gather and permutation maps are built once
-    view: object = field(default=None, compare=False, repr=False)
+def _action_key(action):
+    return tuple((sig_key(s), tuple(sorted(t.items())))
+                 for s, t in sorted(action.items(),
+                                    key=lambda kv: sig_key(kv[0])))
 
-    def to_multifunctor(self, arity_cap=None, limit=10 ** 6):
-        P = self.multicategory
-        cap = arity_cap if arity_cap is not None else max(P.max_arity(), 1)
-        view = self.view
-        if view is None or (view.arity_cap, view.limit) != (cap, limit):
-            view = EndView(self.carrier, arity_cap=cap, limit=limit)
-        op_maps = {s: {op: fn_id(t) for op, t in table.items()}
-                   for s, table in self.action.items()}
-        F = Multifunctor(source=P, target=view,
-                         object_map={c: c for c in P.colors}, op_maps=op_maps)
-        # the images as values, read off the tables; an operation P lacks
-        # or an entry off the carrier is left to the check to report
-        index, number = view._index, P.collection.numbering.index.get
-        images = {}
-        for s, table in self.action.items():
-            ix = index.get(s[1], {})
-            for op, t in table.items():
-                m = number((s, op))
-                if m is not None and all(v in ix for v in t):
-                    images[m] = s, tuple([ix[v] for v in t])
-        F.keep_images(view, images)
-        return F
+
+@dataclass(frozen=True)
+class AlgebraStructure:
+    """An algebra of P: an object-fixing multifunctor from P into the
+    endomorphism view of its carrier."""
+
+    functor: Multifunctor
+
+    @property
+    def multicategory(self):
+        return self.functor.source
+
+    @property
+    def carrier(self):
+        return self.functor.target.family
+
+    @cached_property
+    def action(self):
+        """Source signature -> {op id: function table tuple}, read once off
+        the functor's op ids."""
+        return {s: {op: fn_table(im) for op, im in table.items()}
+                for s, table in self.functor.op_maps.items()}
 
     def apply(self, ref, args):
         s, op = ref
@@ -437,23 +434,22 @@ class AlgebraStructure:
         return self.action[s][op][_lex_position(coords, args)]
 
     def key(self):
-        return tuple(
-            (sig_key(s), tuple(sorted(t.items())))
-            for s, t in sorted(self.action.items(),
-                               key=lambda kv: sig_key(kv[0])))
+        return _action_key(self.action)
 
 
-def algebra_from_multifunctor(F):
-    action = {}
-    for s, table in F.op_maps.items():
-        action[s] = {op: fn_table(im) for op, im in table.items()}
-    return AlgebraStructure(
-        multicategory=F.source, carrier=F.target.family, action=action,
-        view=F.target)
+def algebra_from_tables(P, carrier, action):
+    """The algebra of P on the carrier that acts by the function tables of
+    ``action`` (source signature -> {op id: table}), into the endomorphism
+    view at P's largest arity, at least 1."""
+    view = EndView(carrier, arity_cap=max(P.max_arity(), 1))
+    return AlgebraStructure(Multifunctor(
+        source=P, target=view, object_map={c: c for c in P.colors},
+        op_maps={s: {op: fn_id(t) for op, t in table.items()}
+                 for s, table in action.items()}))
 
 
 def check_algebra(A):
-    return check_multifunctor(A.to_multifunctor())
+    return check_multifunctor(A.functor)
 
 
 def enumerate_algebras(P, family, budget=10 ** 7, arity_cap=None):
@@ -464,7 +460,7 @@ def enumerate_algebras(P, family, budget=10 ** 7, arity_cap=None):
     fs = enumerate_multifunctors(
         P, view, budget=budget,
         fix_objects={c: c for c in P.colors})
-    return [algebra_from_multifunctor(F) for F in fs]
+    return [AlgebraStructure(F) for F in fs]
 
 
 # ---------------------------------------------------------------------------
@@ -526,6 +522,9 @@ def free_algebra(P, base, arity_cap=None):
     for s in P.signatures():
         if len(s[0]) > cap:
             continue
+        for c in s[0]:
+            if c not in base.carriers:
+                raise DomainError(f"the target has no color {c}")
         domains = [base.carrier(c) for c in s[0]]
         for op in P.ops_at(s):
             for args in product(*domains):
@@ -544,9 +543,8 @@ def free_algebra(P, base, arity_cap=None):
 
 @dataclass
 class EndModule:
-    """Functions between products of two carrier families, with the left
-    action of the target's endomorphisms and the right action of the
-    source's, both by substitution."""
+    """Functions from products of one carrier family into another, listed
+    and counted per signature."""
 
     source: ObjectFamily
     target: ObjectFamily
@@ -574,39 +572,6 @@ class EndModule:
     def signatures(self):
         return _signatures(self.source.colors, self.target.colors,
                            self.arity_cap)
-
-    def apply(self, ref, args):
-        s, opid = ref
-        coords, _ = _lex_coords(_element_index(self.source), s[0])
-        return fn_table(opid)[_lex_position(coords, args)]
-
-    def left_act(self, psi_ref, module_refs):
-        """psi in End(target) applied after a tuple of module elements."""
-        sig_inputs = tuple(c for ref in module_refs for c in ref[0][0])
-        rsig = (sig_inputs, psi_ref[0][1])
-        view = EndView(self.target, arity_cap=len(psi_ref[0][0]))
-        out = []
-        for z in product(*map(self.source.carrier, rsig[0])):
-            mids = []
-            pos = 0
-            for ref in module_refs:
-                k = len(ref[0][0])
-                mids.append(self.apply(ref, z[pos:pos + k]))
-                pos += k
-            out.append(view.apply(psi_ref, mids))
-        return (rsig, fn_id(out))
-
-    def right_act1(self, mref, slot, phi_ref):
-        """One endomorphism of the source substituted into one input."""
-        msig, _ = mref
-        rsig = composed_sig(msig, slot, phi_ref[0])
-        view = EndView(self.source, arity_cap=len(phi_ref[0][0]))
-        k = len(phi_ref[0][0])
-        out = []
-        for z in product(*map(self.source.carrier, rsig[0])):
-            mid = view.apply(phi_ref, z[slot:slot + k])
-            out.append(self.apply(mref, z[:slot] + (mid,) + z[slot + k:]))
-        return (rsig, fn_id(out))
 
 
 def end_module(A, B, arity_cap=2):
@@ -641,18 +606,23 @@ def _intertwined_pairs(f, viewA, viewB, s):
                 yield (s, phi), (s, tuple(psi))
 
 
-def end_of_map(f, A, B, arity_cap=2, limit=200000):
-    """Operations are the pairs (phi, psi) of endomorphisms intertwined by
-    f; the table inherits componentwise structure, and the projections to
-    the endomorphism views of A and B are returned.  The limit bounds
-    each endomorphism multicategory as in `end_multicategory`."""
-    for c in A.colors:
-        if c not in f or set(f[c]) != set(A.carrier(c)):
+def _check_map(f, A, B, colors):
+    """f is a map from the carriers of A into those of B at the colors."""
+    for c in colors:
+        if c not in f or set(f[c]) != set(A.carriers.get(c, ())):
             raise DomainError(f"map not total on carrier {c}")
         if c not in B.carriers:
             raise DomainError(f"the target has no carrier {c}")
         if any(v not in B.carrier(c) for v in f[c].values()):
             raise DomainError(f"map leaves carrier {c} of the target")
+
+
+def end_of_map(f, A, B, arity_cap=2, limit=200000):
+    """Operations are the pairs (phi, psi) of endomorphisms intertwined by
+    f; the table inherits componentwise structure, and the projections to
+    the endomorphism views of A and B are returned.  The limit bounds
+    each endomorphism multicategory as in `end_multicategory`."""
+    _check_map(f, A, B, A.colors)
     viewA = EndView(A, arity_cap=arity_cap, limit=limit)
     viewB = EndView(B, arity_cap=arity_cap, limit=limit)
     sigs = _signatures_within(viewA, limit)
@@ -687,6 +657,7 @@ def end_of_map(f, A, B, arity_cap=2, limit=200000):
 def is_algebra_hom(alg0, alg1, f):
     """The intertwining criterion, checked on every operation."""
     P = alg0.multicategory
+    _check_map(f, alg0.carrier, alg1.carrier, P.colors)
     index1 = _element_index(alg1.carrier)
     for s in P.signatures():
         image = _image_positions(f, alg0.carrier, index1, s[0])
@@ -790,8 +761,7 @@ def operad_to_op_algebra(P, op_table, op_structure, max_arity=3):
                                          *planar_eval(tree, args)))[1]
                 for args in product(*domains))
         action[s] = table
-    return AlgebraStructure(multicategory=op_table, carrier=family,
-                            action=action)
+    return algebra_from_tables(op_table, family, action)
 
 
 # ---------------------------------------------------------------------------
@@ -830,11 +800,8 @@ def p1_algebras_as_triples(P, A0, A1, budget=10 ** 7):
                 act0[((base,) * len(s[0]), base)] = dict(table)
             if set(s[0]) <= {"1"} and s[1] == "1":
                 act1[((base,) * len(s[0]), base)] = dict(table)
-        a0 = AlgebraStructure(P, A0, act0)
-        a1 = AlgebraStructure(P, A1, act1)
-        usig = (("0",), "1")
-        ftable = alg.action[usig][P.units[base]]
-        return (a0.key(), a1.key(), tuple(ftable))
+        ftable = alg.action[(("0",), "1")][P.units[base]]
+        return (_action_key(act0), _action_key(act1), tuple(ftable))
 
     got = sorted(split(alg) for alg in arrow_algebras)
     want = sorted((a0.key(), a1.key(), f) for a0, a1, f in triples)

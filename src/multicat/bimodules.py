@@ -149,6 +149,9 @@ def check_bimodule(M, max_violations=25):
     for the right laws, between signatures of ``M.left`` for the left
     laws, and after each compatibility violation, so the report can hold
     more than that."""
+    if M.left is None:
+        raise DomainError(f"{M.name or 'the module'} has no left action: "
+                          "check_bimodule needs a bimodule")
     report = LawReport()
     coll = M.collection
 

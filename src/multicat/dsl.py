@@ -22,7 +22,7 @@ Block kinds:
 from dataclasses import dataclass, field
 
 from . import perms
-from .algebras import AlgebraStructure, ObjectFamily
+from .algebras import ObjectFamily, algebra_from_tables, check_algebra
 from .bimodules import Bimodule
 from .core import (FiniteCollection, TableMulticategory, complete_actions,
                    check_multicategory_laws, composed_sig, sig_key)
@@ -573,9 +573,7 @@ def _elab_algebra(block, objects, diags):
             if v not in carriers.get(s[1], ()):
                 _fail(f"act row: {v} is not in the carrier of {s[1]}", line,
                       diags)
-    alg = AlgebraStructure(multicategory=M, carrier=family, action=action)
-    from .algebras import check_algebra
-
+    alg = algebra_from_tables(M, family, action)
     _law_diags(check_algebra(alg), block, diags)
     return alg
 

@@ -21,6 +21,7 @@ witnesses.
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import product
+from types import MappingProxyType
 
 from . import perms
 from .core import (LawReport, TableMulticategory, _gamma_by_size, _ref_str,
@@ -31,23 +32,30 @@ from .errors import (BudgetExceededError, DomainError, PartialInputError,
 from .presents import bv_tensor, pair_color, tensor_generator
 
 
-@dataclass
+@dataclass(frozen=True)
 class Multifunctor:
+    """A value: the object map and the operation maps are read-only once
+    made, so an edit is a `dataclasses.replace` with new maps.  ``images``
+    holds the images on the source's numbers as values of the target,
+    read off the maps once asked for (`_Images`); a replaced copy starts
+    with none."""
+
     source: object
     target: object
     object_map: dict
     op_maps: dict  # source signature -> {op id: target op id}
     name: str = ""
-    # (target, object map, op maps, images): images on the source's
-    # numbers and copies of the maps they were read from (see `_Images`)
-    kept: tuple = field(default=None, compare=False, repr=False)
+    images: dict = field(init=False, default_factory=dict, compare=False,
+                         repr=False)
 
-    def keep_images(self, Q, images):
-        """Keep ``images``, number -> value of Q, as read off the current
-        maps; returns them."""
-        self.kept = (Q, dict(self.object_map),
-                     {s: dict(t) for s, t in self.op_maps.items()}, images)
-        return images
+    def __post_init__(self):
+        for c in self.source.colors:
+            if c not in self.object_map:
+                raise DomainError(f"the object map has no image for color {c}")
+        object.__setattr__(self, "object_map",
+                           MappingProxyType(dict(self.object_map)))
+        object.__setattr__(self, "op_maps", MappingProxyType(
+            {s: MappingProxyType(dict(t)) for s, t in self.op_maps.items()}))
 
     def map_sig(self, s):
         return (tuple(self.object_map[c] for c in s[0]),
@@ -80,7 +88,7 @@ def compose_multifunctors(F, G):
     op_maps = {}
     for s, table in F.op_maps.items():
         ms = F.map_sig(s)
-        op_maps[s] = {op: G.op_maps[ms][im] for op, im in table.items()}
+        op_maps[s] = {op: G.map_ref((ms, im))[1] for op, im in table.items()}
     return Multifunctor(
         source=F.source, target=G.target,
         object_map={c: G.object_map[F.object_map[c]]
@@ -92,21 +100,15 @@ class _Images:
     """The images of a multifunctor F on the source's numbers, as values of
     Q, read off ``op_maps`` once asked for; None where there is no image.
 
-    They are kept on F, with copies of the object map and the operation
-    maps they were read from (`Multifunctor.keep_images`), so every check
-    of F reads each image once; `enumerate_multifunctors` seeds them from
-    its assignment and `AlgebraStructure.to_multifunctor` from its
-    function tables.  An image depends only on Q and on those two maps,
-    so the kept ones are reused only while Q is the same object and both
-    maps equal their copies; a map edited in place starts them afresh."""
+    In F's own target they are ``F.images``, so every check of F reads
+    each image once; `enumerate_multifunctors` fills them from its
+    assignment.  F is immutable, so those images stay its own.  In another
+    target they are read afresh."""
 
     def __init__(self, F, Q):
         self.F, self.Q = F, Q
         self.refs = F.source.collection.numbering.refs
-        kept = F.kept
-        fresh = (kept is not None and kept[0] is Q
-                 and kept[1:3] == (F.object_map, F.op_maps))
-        self.got = kept[3] if fresh else F.keep_images(Q, {})
+        self.got = F.images if Q is F.target else {}
 
     def __call__(self, m):
         got = self.got.get(m, False)
@@ -217,8 +219,8 @@ def enumerate_multifunctors(P, Q, budget=10 ** 6, fix_objects=None):
     The search assigns Q's values (the value interface of `core`) to P's
     numbers, the candidates coming from ``Q.values_at`` in ``ops_at``
     order; ``op_maps`` are written as text once an assignment is found,
-    in P's ``refs()`` order, and the assignment is kept as the functor's
-    images (`_Images`).
+    in P's ``refs()`` order, and the assignment fills the functor's
+    ``images``.
     The symmetric images are derived along adjacent transpositions only:
     the closure derives again from every image it assigns, so the whole
     orbit is reached.  A composite of images that Q lacks prunes the
@@ -320,9 +322,9 @@ def enumerate_multifunctors(P, Q, budget=10 ** 6, fix_objects=None):
             for m in sorted(assign):  # P's operations first, in refs() order
                 s, op = refs[m]
                 op_maps.setdefault(s, {})[op] = Q.ref_of(assign[m])[1]
-            F = Multifunctor(source=P, target=Q, object_map=dict(object_map),
+            F = Multifunctor(source=P, target=Q, object_map=object_map,
                              op_maps=op_maps)
-            F.keep_images(Q, assign)
+            F.images.update(assign)
             results.append(F)
     results.sort(key=lambda F: F.key())
     return results
@@ -339,6 +341,9 @@ class KNatTransformation:
     components: dict  # color of P -> op id of Q at (F_1 a..F_k a; G a)
 
     def component_ref(self, a):
+        if a not in self.components:
+            raise DomainError(
+                f"the transformation has no component at color {a}")
         s = (tuple(F.object_map[a] for F in self.sources),
              self.target.object_map[a])
         return (s, self.components[a])

@@ -8,7 +8,7 @@ import pytest
 
 from multicat import perms
 from multicat.algebras import (AlgebraStructure, EndView, ObjectFamily,
-                               algebra_from_multifunctor, check_algebra,
+                               algebra_from_tables, check_algebra,
                                end_multicategory, end_module, end_of_map,
                                enumerate_algebras, free_algebra,
                                is_algebra_hom, op_algebra_to_operad,
@@ -79,29 +79,33 @@ class TestCensus:
         assert len(enumerate_algebras(P, A3)) == fx[key]["3"]
 
     def test_check_reuses_the_census_view(self):
-        algs = enumerate_algebras(COM3, A3) + enumerate_algebras(AS3, A2)
+        # a census's algebras share its view and hold the search's images;
+        # the check of each equals that of a functor rebuilt from its
+        # tables on a fresh view
+        com, ass = enumerate_algebras(COM3, A3), enumerate_algebras(AS3, A2)
+        for census in (com, ass):
+            view = census[0].functor.target
+            assert all(A.functor.target is view and A.functor.images
+                       for A in census)
         s3 = (("x",) * 3, "x")
-        broken = algs[-1].action[s3]
-        algs.append(replace(algs[-1], action={
-            **algs[-1].action, s3: {op: ("a",) * 8 for op in broken}}))
+        broken = ass[-1].action[s3]
+        algs = com + ass + [algebra_from_tables(AS3, A2, {
+            **ass[-1].action, s3: {op: ("a",) * 8 for op in broken}})]
         for A in algs:
-            assert A.view is not None
-            assert A.to_multifunctor().target is A.view
             got = check_algebra(A)
-            fresh = check_multifunctor(replace(A, view=None).to_multifunctor())
+            fresh = check_multifunctor(algebra_from_tables(
+                A.multicategory, A.carrier, A.action).functor)
             assert got.violations == fresh.violations
             assert list(got.checked.items()) == list(fresh.checked.items())
             assert got.to_json() == fresh.to_json()
         assert not got.ok
-        assert algs[0].to_multifunctor(arity_cap=4).target is not algs[0].view
-        assert algs[0].to_multifunctor(limit=10).target is not algs[0].view
 
     def test_encodings_interconvert(self):
         for alg in enumerate_algebras(AS3, A2):
-            F = alg.to_multifunctor()
-            back = algebra_from_multifunctor(F)
+            back = algebra_from_tables(AS3, A2, alg.action)
             assert back.key() == alg.key()
-            assert check_multifunctor(F).ok
+            assert back.functor.key() == alg.functor.key()
+            assert check_algebra(back).ok
 
 
 class TestFreeTruncation:
@@ -218,31 +222,6 @@ class TestEndPairsAndMaps:
         for s in E.signatures():
             assert sorted(mod.ops_at(s)) == sorted(E.ops_at(s))
 
-    def test_pair_bimodule_compatibility(self):
-        # (psi . (m1..mn)) . (phi...) = psi . (m_i . phi_i...) over all
-        # instances with arity <= 2 on 2-element carriers
-        B = ObjectFamily({"x": ("p", "q")})
-        mod = end_module(A2, B, arity_cap=2)
-        viewB = EndView(B, arity_cap=2)
-        viewA = EndView(A2, arity_cap=2)
-        s1 = (("x",), "x")
-        psi_pool = [((s1,), opid) for opid in viewB.ops_at(s1)]
-        m_pool = [(s1, m) for m in mod.ops_at(s1)]
-        phi_pool = [(s1, f) for f in viewA.ops_at(s1)]
-        for psi in viewB.ops_at((("x", "x"), "x")):
-            psi_ref = ((("x", "x"), "x"), psi)
-            for m1 in m_pool:
-                for m2 in m_pool:
-                    combined = mod.left_act(psi_ref, (m1, m2))
-                    for f1 in phi_pool:
-                        for f2 in phi_pool:
-                            left = mod.right_act1(
-                                mod.right_act1(combined, 1, f2), 0, f1)
-                            right = mod.left_act(
-                                psi_ref, (mod.right_act1(m1, 0, f1),
-                                          mod.right_act1(m2, 0, f2)))
-                            assert left == right
-
     def test_end_of_identity_matches_end(self):
         f = {"x": {"a": "a", "b": "b"}}
         table, projA, projB = end_of_map(f, A2, A2, arity_cap=2)
@@ -276,9 +255,9 @@ class TestEndPairsAndMaps:
         for F in fs:
             from multicat.homcalc import compose_multifunctors
 
-            a_side = algebra_from_multifunctor(
+            a_side = AlgebraStructure(
                 _into_view(compose_multifunctors(F, projA), A2))
-            b_side = algebra_from_multifunctor(
+            b_side = AlgebraStructure(
                 _into_view(compose_multifunctors(F, projB), A2))
             assert check_algebra(a_side).ok
             assert check_algebra(b_side).ok
@@ -299,11 +278,17 @@ class TestEndPairsAndMaps:
                     for s in AS3.signatures() for op in AS3.ops_at(s))
                 assert direct == classifier
 
+    @pytest.mark.parametrize("f", [{"x": {"a": "a"}}, {}],
+                             ids=["partial", "no-color"])
+    def test_hom_needs_a_total_map(self, f):
+        alg = enumerate_algebras(AS3, A2)[0]
+        with pytest.raises(DomainError) as info:
+            is_algebra_hom(alg, alg, f)
+        assert str(info.value) == "map not total on carrier x"
+
 
 def _into_view(F, family):
-    view = EndView(family, arity_cap=3)
-    return type(F)(source=F.source, target=view,
-                   object_map=F.object_map, op_maps=F.op_maps)
+    return replace(F, target=EndView(family, arity_cap=3))
 
 
 @pytest.fixture(scope="module")
@@ -351,7 +336,7 @@ class TestTreeAlgebraCorrespondence:
             if v.startswith("w") and len(v) == 4 else v for v in old)
         row[tid] = swapped
         table[s] = row
-        bad = AlgebraStructure(alg.multicategory, alg.carrier, table)
+        bad = algebra_from_tables(alg.multicategory, alg.carrier, table)
         _, report = op_algebra_to_operad(bad, max_arity=3)
         assert not report.ok
 

@@ -212,6 +212,16 @@ class TestLaws:
         # come with the first elements: the default cap of 25 keeps 40
         assert check_bimodule(bad).violations == report.violations
 
+    def test_right_module_is_refused(self):
+        N = restrict_module(right_module_from(AS2P),
+                            identity_multifunctor(AS2P))
+        assert N.left is None
+        with pytest.raises(DomainError) as info:
+            check_bimodule(N)
+        assert str(info.value) == (
+            "restrict(assoc2-bimod) has no left action: check_bimodule "
+            "needs a bimodule")
+
 
 class TestBar:
     def test_unit_bar_trivial(self):

@@ -543,6 +543,10 @@ DOMAIN_ERRORS = {
     "algebras-carrier-without-color": (
         ("algebras", "com3.mcat", "--name", "Com3", "--carrier", "y=a,b"),
         "error: the target has no color x"),
+    "algebras-free-carrier-without-color": (
+        ("algebras", "as3.mcat", "--name", "As3", "--free", "--carrier",
+         "y=a"),
+        "error: the target has no color x"),
     "hochschild-negative-levels": (
         ("hochschild", "as2pos.mcat", "--name", "As2pos", "--levels", "-1"),
         "error: levels and the arity cap must be >= 0"),

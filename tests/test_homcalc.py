@@ -7,7 +7,7 @@ import pytest
 
 from multicat.algebras import EndView, ObjectFamily
 from multicat.core import check_multicategory_laws
-from multicat.errors import DomainError
+from multicat.errors import DomainError, StructuralError
 from multicat.homcalc import (KNatTransformation, Multifunctor,
                               adjunction_check, check_multifunctor,
                               compose_multifunctors, enumerate_multifunctors,
@@ -42,15 +42,10 @@ class TestMultifunctor:
         assert check_multifunctor(terminal_to_com(AS3, COM3)).ok
 
     def test_seeded_equivariance_violation(self):
-        F = terminal_to_com(AS3, COM3)
-        # send the two binary orderings to the single commutative target,
-        # then corrupt the unary image table with a non-functorial swap
-        bad = Multifunctor(
-            source=AS3, target=AS3,
-            object_map={"x": "x"},
-            op_maps={s: {op: op for op in AS3.ops_at(s)}
-                     for s in AS3.signatures()})
-        bad.op_maps[(("x", "x"), "x")] = {"w01": "w01", "w10": "w01"}
+        # a copy of the identity that sends both binary orderings to one
+        F = identity_multifunctor(AS3)
+        bad = replace(F, op_maps={
+            **F.op_maps, (("x", "x"), "x"): {"w01": "w01", "w10": "w01"}})
         report = check_multifunctor(bad)
         assert not report.ok
         assert any(law == "equivariance" for law, _ in report.violations)
@@ -59,6 +54,40 @@ class TestMultifunctor:
         F = terminal_to_com(AS3, COM3)
         G = identity_multifunctor(COM3)
         assert compose_multifunctors(F, G).key() == F.key()
+
+
+class TestTypedErrors:
+    @pytest.mark.parametrize("call", ["check", "equivalence", "restrict"])
+    def test_object_map_missing_a_color(self, call):
+        from multicat.bimodules import (module_from_multicategory,
+                                        restrict_module)
+        from multicat.core import is_equivalence
+
+        run = {"check": check_multifunctor, "equivalence": is_equivalence,
+               "restrict": lambda psi: restrict_module(
+                   module_from_multicategory(AS3), psi)}[call]
+        with pytest.raises(DomainError) as info:
+            run(Multifunctor(AS3, AS3, {}, {}))
+        assert str(info.value) == "the object map has no image for color x"
+
+    def test_compose_without_an_image(self):
+        F = identity_multifunctor(AS3)
+        with pytest.raises(StructuralError) as info:
+            compose_multifunctors(F, _drop_w10(F))
+        assert str(info.value) == "no image for x,x;x:w10"
+
+    @pytest.mark.parametrize("check", ["full", "generators"])
+    def test_transformation_without_a_component(self, check):
+        F = identity_multifunctor(AS3)
+        xi = KNatTransformation((F,), F, {})
+        gens = [(((), "x"), "w"), ((("x", "x"), "x"), "w01")]
+        with pytest.raises(DomainError) as info:
+            if check == "full":
+                is_k_natural(xi)
+            else:
+                naturality_on_generators(xi, gens)
+        assert str(info.value) == (
+            "the transformation has no component at color x")
 
 
 class TestEnumerate:
@@ -309,34 +338,44 @@ def ref_check_multifunctor(F):
     return report
 
 
-def _fixture_functors():
+def _fixture_objects(kinds):
+    """The shipped fixtures' objects of the given kinds, by name."""
     from pathlib import Path
 
-    from multicat.algebras import AlgebraStructure
     from multicat.dsl import elaborate, parse
 
     out = {}
     for path in sorted((Path(__file__).parent.parent / "fixtures"
                         ).glob("*.mcat")):
         objects, _ = elaborate(parse(path.read_text())[0])
-        for name, obj in objects.items():
-            if isinstance(obj, Multifunctor):
-                out[name] = obj
-            elif isinstance(obj, AlgebraStructure):
-                out[name] = obj.to_multifunctor()
+        out.update((name, obj) for name, obj in objects.items()
+                   if isinstance(obj, kinds))
     return out
+
+
+def _fixture_functors():
+    from multicat.algebras import AlgebraStructure
+
+    return {name: getattr(obj, "functor", obj) for name, obj in
+            _fixture_objects((Multifunctor, AlgebraStructure)).items()}
 
 
 def _identity_into_as3():
     return identity_multifunctor(AS3)
 
 
+def _with(F, s, table):
+    """A copy of F whose images at s are the table's."""
+    return replace(F, op_maps={**F.op_maps, s: table})
+
+
 def _drop_w10(F):
-    del F.op_maps[(("x", "x"), "x")]["w10"]
+    s2 = (("x", "x"), "x")
+    return _with(F, s2, {"w01": F.op_maps[s2]["w01"]})
 
 
 def _collapse_binary(F):
-    F.op_maps[(("x", "x"), "x")] = {"w01": "w01", "w10": "w01"}
+    return _with(F, (("x", "x"), "x"), {"w01": "w01", "w10": "w01"})
 
 
 def _constant_ternary(F):
@@ -344,17 +383,17 @@ def _constant_ternary(F):
     # permutation fixes: equivariant, but not the composite of the
     # binary images
     s3 = (("x",) * 3, "x")
-    F.op_maps[s3] = {op: "f:a|a|a|a|a|a|a|a" for op in F.op_maps[s3]}
+    return _with(F, s3, {op: "f:a|a|a|a|a|a|a|a" for op in F.op_maps[s3]})
 
 
 def _algebra_into_end():
     from multicat.algebras import enumerate_algebras
 
-    return enumerate_algebras(AS3, A2)[0].to_multifunctor()
+    return enumerate_algebras(AS3, A2)[0].functor
 
 
-# name -> (a multifunctor, the edit in place that breaks it, the law the
-# edit breaks)
+# name -> (a multifunctor, the edit that breaks it, as a function to the
+# edited copy, the law the edit breaks)
 EDITS = {"missing-image": (_identity_into_as3, _drop_w10, "total"),
          "not-equivariant": (_identity_into_as3, _collapse_binary,
                              "equivariance"),
@@ -364,9 +403,7 @@ EDITS = {"missing-image": (_identity_into_as3, _drop_w10, "total"),
 
 def _broken(name):
     make, edit, _ = EDITS[name]
-    F = make()
-    edit(F)
-    return F
+    return edit(make())
 
 
 BROKEN = {name: (lambda name=name: _broken(name)) for name in EDITS}
@@ -376,8 +413,8 @@ def _censuses():
     from multicat.algebras import enumerate_algebras
 
     A3 = ObjectFamily({"x": ("a", "b", "c")})
-    return ([A.to_multifunctor() for A in enumerate_algebras(COM3, A3)]
-            + [A.to_multifunctor() for A in enumerate_algebras(AS3, A2)])
+    return ([A.functor for A in enumerate_algebras(COM3, A3)]
+            + [A.functor for A in enumerate_algebras(AS3, A2)])
 
 
 def assert_same_report(F):
@@ -400,6 +437,41 @@ def test_check_matches_text_reference_on_censuses():
         assert assert_same_report(F).ok
 
 
+def _algebras(census):
+    from multicat.algebras import AlgebraStructure, enumerate_algebras
+
+    if census == "fixtures":
+        return list(_fixture_objects(AlgebraStructure).values())
+    P, carrier = {"com3": (COM3, ("a", "b", "c")), "as3": (AS3, ("a", "b")),
+                  "arrow-com2": (arrow_multicategory(COM2, 2), ("a", "b"))
+                  }[census]
+    return enumerate_algebras(
+        P, ObjectFamily({c: carrier for c in P.colors}))
+
+
+@pytest.mark.parametrize("census", ["com3", "as3", "arrow-com2", "fixtures"])
+def test_check_algebra_matches_a_rebuilt_functor(census):
+    # an algebra's check reads the functor it holds; it equals the check
+    # of a functor rebuilt from its action tables on a fresh view, and
+    # the check on text
+    from multicat.algebras import algebra_from_tables, check_algebra
+
+    algebras = _algebras(census)
+    assert len(algebras) == {"com3": 27, "as3": 4, "arrow-com2": 144,
+                             "fixtures": 1}[census]
+    for A in algebras:
+        got = check_algebra(A)
+        rebuilt = algebra_from_tables(A.multicategory, A.carrier,
+                                      A.action).functor
+        assert rebuilt.target is not A.functor.target
+        for other in (check_multifunctor(rebuilt),
+                      ref_check_multifunctor(A.functor)):
+            assert got.violations == other.violations
+            assert list(got.checked.items()) == list(other.checked.items())
+            assert got.to_json() == other.to_json()
+        assert got.ok
+
+
 @pytest.mark.parametrize("name", sorted(BROKEN))
 def test_check_matches_text_reference_on_broken_functors(name):
     report = assert_same_report(BROKEN[name]())
@@ -409,7 +481,8 @@ def test_check_matches_text_reference_on_broken_functors(name):
 
 
 # ---------------------------------------------------------------------------
-# the images kept on a multifunctor are read again after an edit in place
+# a multifunctor is a value: its maps refuse writes, and an edited copy
+# starts with no images, so its check reads them afresh
 
 
 @pytest.mark.parametrize("name", sorted(EDITS))
@@ -417,9 +490,16 @@ def test_edit_after_a_check_is_seen(name):
     make, edit, law = EDITS[name]
     F = make()
     assert check_multifunctor(F).ok
-    edit(F)
-    report = assert_same_report(F)
+    s2 = (("x", "x"), "x")
+    with pytest.raises(TypeError):
+        F.op_maps[s2] = {}
+    with pytest.raises(TypeError):
+        F.op_maps[s2]["w10"] = F.op_maps[s2]["w01"]
+    G = edit(F)
+    assert F.images and not G.images
+    report = assert_same_report(G)
     assert law in {law for law, _ in report.violations}
+    assert check_multifunctor(F).ok
 
 
 def test_object_map_edit_after_a_check_is_seen():
@@ -430,8 +510,12 @@ def test_object_map_edit_after_a_check_is_seen():
     view = EndView(ObjectFamily({"x": ("a", "b"), "y": ("a", "b")}), 3)
     F = enumerate_multifunctors(COM3, view, fix_objects={"x": "x"})[1]
     assert check_multifunctor(F).ok
-    F.object_map["x"] = "y"
-    assert assert_same_report(F).ok
+    with pytest.raises(TypeError):
+        F.object_map["x"] = "y"
+    G = replace(F, object_map={"x": "y"})
+    assert not G.images
+    assert assert_same_report(G).ok
+    assert G.images[0] != F.images[0]
 
 
 @pytest.mark.parametrize("name", sorted(EDITS))
@@ -447,7 +531,9 @@ def test_naturality_edit_after_a_check_is_seen(name):
     gens = [(((), "x"), op) for op in F.source.ops_at(((), "x"))] + [
         ((("x", "x"), "x"), op) for op in F.source.ops_at((("x", "x"), "x"))]
     assert naturality_on_generators(xi, gens) == (True, [])
-    edit(G)
+    with pytest.raises(TypeError):
+        G.object_map["x"] = "x"
+    xi = KNatTransformation((F,), edit(G), {"x": unit})
     got = is_k_natural(xi)
     assert got == ref_is_k_natural(xi)
     # a missing image leaves its square out, so only the other two edits

@@ -18,7 +18,7 @@ import pytest
 
 import lookups
 from multicat import homcalc, perms
-from multicat.algebras import EndView, ObjectFamily, algebra_from_multifunctor
+from multicat.algebras import AlgebraStructure, EndView, ObjectFamily
 from multicat.bimodules import (enumerate_module_homs,
                                 module_from_multicategory, right_module_from)
 from multicat.core import backtrack, composed_sig, sig_key
@@ -397,7 +397,7 @@ def test_maps_follow_the_source_order(case, monkeypatch):
     for F in got:
         assert [ref for ref, _ in listed(F.op_maps)] == refs
         if isinstance(Q, EndView):
-            action = listed(algebra_from_multifunctor(F).action)
+            action = listed(AlgebraStructure(F).action)
             assert [ref for ref, _ in action] == refs
 
     num = P.collection.numbering
