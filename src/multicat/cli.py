@@ -107,6 +107,9 @@ def _need(objects, name, kinds=None, option="--name"):
     if name not in objects:
         raise _Usage(f"no block named {name!r} in the document")
     obj = objects[name]
+    if obj is None:
+        raise _Usage(f"block {name!r} did not elaborate; see the diagnostics "
+                     "above")
     if kinds is not None and not isinstance(obj, kinds):
         raise _Usage(f"block {name!r} has the wrong kind")
     return obj
@@ -130,12 +133,13 @@ def _print_diags(diags):
 
 
 def _objects(args):
-    """The elaborated blocks of ``args.file``, its diagnostics printed;
-    exits 1 when the document does not parse or a law is violated."""
+    """The elaborated blocks of ``args.file`` by name, None for a block
+    that did not elaborate, its diagnostics printed; exits 1 when the
+    document does not parse or a law is violated."""
     ast, objects, diags = _load(args.file)
     if _print_diags(diags) or ast is None:
         raise _Failed
-    return objects
+    return {block.name: objects.get(block.name) for block in ast.blocks}
 
 
 def _saturation(args, sat):

@@ -12,15 +12,16 @@ three inference moves until a full round adds no merges:
 * the leaf-renumbering symmetric actions.
 
 Representatives are minimal in (vertex count, encoding), so rewriting
-never escapes the caps.  The terms are numbered once, in sorted order, and
-the closure runs on those numbers.  Each instance of a move runs once: a
-rewrite per (term, subtree, representative of the subtree), a
-substitution per (term, slot, argument), and the symmetric move per
-term; the term images under grafting and renumbering are computed once
-and kept.  Since a union is never undone, a repeated instance could only
-repeat a union that is already made, so every round's merges, the round
-count and the quotient are those of re-running every move over every
-term.
+never escapes the caps.  The terms are enumerated once, on term numbers,
+and numbered in sorted order with their signatures and vertex counts
+(:class:`trees.TermPool`); the closure runs on those numbers.  Each
+instance of a move runs once: a rewrite per (term, subtree,
+representative of the subtree), a substitution per (term, slot,
+argument), and the symmetric move per term; the term images under
+grafting and renumbering are computed once and kept.  Since a union is
+never undone, a repeated instance could only repeat a union that is
+already made, so every round's merges, the round count and the quotient
+are those of re-running every move over every term.
 
 The substitution move reads its arguments from buckets of the round's
 representatives keyed by (output color, arity, vertex count), only those
@@ -59,8 +60,7 @@ from .core import (FiniteCollection, TableMulticategory, lifts, pull_back,
 from .errors import DomainError, PartialInputError, StructuralError
 from .trees import (canonical_term, corolla, enumerate_terms,
                     extract_standalone, graft, identity_term, relabel_leaves,
-                    renumber_term, renumbering, term_signature, term_text,
-                    term_vertices)
+                    renumber_term, renumbering, term_signature, term_text)
 
 
 @dataclass(frozen=True)
@@ -178,15 +178,10 @@ def saturate(presentation, max_arity=3, max_vertices=4):
     the caps.  See the module docstring."""
     gens = presentation.generators
     terms = enumerate_terms(gens, max_arity, max_vertices, symmetric=True)
-    index = terms.number
     n_terms = len(terms)
-    sig = [term_signature(t) for t in terms]
-    vert = [term_vertices(t) for t in terms]
+    index, sig, vert = terms.number, terms.signature, terms.vertices
     # terms are sorted, so ranking by (vertices, id) ranks by (vertices, term)
     by_rank = sorted(range(n_terms), key=lambda i: (vert[i], i))
-    rank = [0] * n_terms
-    for r, i in enumerate(by_rank):
-        rank[i] = r
 
     def canon_id(t):
         return index.get(canonical_term(t, gens), -1)
@@ -203,9 +198,9 @@ def saturate(presentation, max_arity=3, max_vertices=4):
     def class_reps():
         roots = [uf.find(i) for i in range(n_terms)]
         best = {}
-        for i, root in enumerate(roots):
+        for i, root in enumerate(roots):  # i rises: least (vertices, i) wins
             b = best.get(root)
-            if b is None or rank[i] < rank[b]:
+            if b is None or vert[i] < vert[b]:
                 best[root] = i
         return [best[root] for root in roots]
 

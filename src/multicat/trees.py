@@ -11,7 +11,8 @@ equality is tuple equality:
   so the encoding is a complete invariant of the numbered tree; symmetric
   equality (identifying per-vertex twists by the generator actions) is
   handled by :func:`canonical_term`.  A :class:`TermPool` keeps each term
-  also as its root over its children's numbers, to graft on numbers.
+  also as its root over its children's numbers, to enumerate, renumber
+  and graft on numbers; it writes out each nested term once.
 
 * arity trees (operations of the tree multicategory):
   ``('L', index)`` a numbered input edge, ``('V', vnum, children)`` a
@@ -36,13 +37,13 @@ element).  :func:`least_image` keeps, once per operation, that image and
 the permutations giving it, a coset of the operation's stabilizer; the
 minima compare only those permutations, and the symmetric enumerations
 draw only the operations that are their own least image
-(:func:`orbit_least`), since every class has a member whose operations
-all are.
+(:func:`orbit_least`) at the root, since every class has a member whose
+root is one.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import product
+from functools import cache, cached_property
+from itertools import islice, product
 
 from . import perms
 from .core import FiniteCollection, composed_sig, sig_key, tabulate
@@ -73,12 +74,6 @@ def term_leaves(t):
 
 def term_arity(t):
     return sum(1 for _ in term_leaves(t))
-
-
-def term_vertices(t):
-    if t[0] == "L":
-        return 0
-    return 1 + sum(term_vertices(c) for c in t[3])
 
 
 def term_signature(t):
@@ -465,10 +460,10 @@ class FreeReport:
 
 
 class TermPool(list):
-    """Sorted symmetric terms, numbered by position (``number`` maps a
-    term to it), with their transposition table and root decompositions.
-
-    ``moves[x][k]`` is the position of ``canonical_term(renumber_term(
+    """The symmetric terms within the caps, built on term numbers by
+    :func:`enumerate_terms`, sorted and numbered by position (``number``),
+    with each term's ``arity``, ``signature`` and ``vertices`` (its vertex
+    count); ``moves[x][k]`` is the position of ``canonical_term(renumber_term(
     self[x], perms.adjacent_transpositions(arity of x)[k]), gens)``.
 
     ``parts[x]``, the root decomposition of term x, is None for an
@@ -485,32 +480,103 @@ class TermPool(list):
     first leaf of either: they compare by the rank of their preorder up to
     that leaf, less its number, then by its image (``keys``)."""
 
-    def __init__(self, terms, gens):
-        super().__init__(terms)
-        self.number = {t: i for i, t in enumerate(self)}
-        self.parts, self.arity, self.numbered, self.grafts = [], [], {}, {}
-        self.cosets = {}
-        split = {}  # subtree -> (standalone number, leaves)
-        for x, t in enumerate(self):
-            if t[0] == "L":
-                self.parts.append(None)
-                self.arity.append(1)
-                continue
-            kids = []
-            for child in t[3]:
-                got = split.get(child)
-                if got is None:
-                    std, leaves = extract_standalone(child)
-                    got = split[child] = (self.number[std], tuple(leaves))
-                kids.append(got)
-            ref, kids = (t[1], t[2]), tuple(kids)
-            self.parts.append((ref, kids))
-            self.arity.append(sum([len(leaves) for _, leaves in kids]))
-            self.numbered[ref, kids] = x
-            self.cosets[ref] = least_image(gens, ref)[2]
-        heads = [_head(t) for t in self]
-        rank = {h: r for r, h in enumerate(sorted({h for h, _ in heads}))}
-        self.keys = [(rank[h], first) for h, first in heads]
+    def __init__(self, gens, max_arity, max_vertices):
+        super().__init__()
+        self.parts, self.arity, self.signature, self.vertices = [], [], [], []
+        self.moves, self.keys, self.numbered = [], [], {}
+        self.cosets, self.grafts = {}, {}
+        seeds = {}  # (vertices, output color) -> first term of each orbit
+        for c in gens.colors:
+            seeds[0, c] = [self._add(None, ((c,), c), 0)]
+            self.append(identity_term(c))
+        for v in range(1, max_vertices + 1):
+            for s in gens.signatures():
+                refs = [(s, gid) for gid in orbit_least(gens, s)]
+                for split in product(range(v), repeat=len(s[0])):
+                    if sum(split) != v - 1:
+                        continue
+                    for combo in product(*[seeds.get(shape, ())
+                                           for shape in zip(split, s[0])]):
+                        inputs = sum([self.signature[c][0] for c in combo], ())
+                        if len(inputs) > max_arity:
+                            continue
+                        # the children's leaves in contiguous blocks
+                        leaf = iter(range(len(inputs)))
+                        kids = [(c, tuple(islice(leaf, self.arity[c])))
+                                for c in combo]
+                        for ref in refs:
+                            self.cosets[ref] = least_image(gens, ref)[2]
+                            part = self._part(ref, kids)
+                            if part not in self.numbered:
+                                x = self._add(part, (inputs, s[1]), v)
+                                seeds.setdefault((v, s[1]), []).append(x)
+                                self._orbit(x)
+        # write each term out once, then sort and carry every field along
+        write = cache(lambda s, leaves: relabel_leaves(self[s], leaves))
+        for ref, kids in self.parts[len(self):]:
+            self.append(("N",) + ref + (tuple([write(*kid) for kid in kids]),))
+        order = sorted(range(len(self)), key=self.__getitem__)
+        where = {d: x for x, d in enumerate(order)}
+        rank = {h: r for r, h in enumerate(sorted({h for h, _ in self.keys}))}
+        self.keys = [(rank[h], first) for h, first in self.keys]
+        self[:] = map(self.__getitem__, order)
+        self.parts = [p and (p[0], tuple([(where[s], ls) for s, ls in p[1]]))
+                      for p in map(self.parts.__getitem__, order)]
+        self.moves = [tuple([where[z] for z in self.moves[d]]) for d in order]
+        self.arity, self.signature, self.vertices, self.keys = (
+            list(map(field.__getitem__, order)) for field in (
+                self.arity, self.signature, self.vertices, self.keys))
+        self.numbered = {p: x for x, p in enumerate(self.parts) if p}
+        self.number = {t: x for x, t in enumerate(self)}
+
+    def _add(self, part, signature, v):
+        """Number a new term; its head, unranked in ``keys``, is read off
+        its children's."""
+        key = ((("L", signature[1]),), 0)
+        if part is not None:
+            self.numbered[part] = len(self.parts)
+            key = ((("N",) + part[0],), -1)
+            for s, leaves in part[1]:  # the preorder up to the first leaf
+                key = (key[0] + self.keys[s][0],
+                       leaves[self.keys[s][1]] if leaves else -1)
+                if leaves:
+                    break
+        self.parts.append(part)
+        self.arity.append(len(signature[0]))
+        self.signature.append(signature)
+        self.vertices.append(v)
+        self.keys.append(key)
+        self.moves.append(())
+        return len(self.parts) - 1
+
+    def _orbit(self, x):
+        """Number the renumbering orbit of the new term x, walked along the
+        adjacent transpositions, and fill in the moves of its members."""
+        frontier = [x]
+        while frontier:
+            y = frontier.pop()
+            ref, kids = self.parts[y]
+            # leaf number -> (child, position among the child's leaves)
+            at = {i: (j, q) for j, (_, leaves) in enumerate(kids)
+                  for q, i in enumerate(leaves)}
+            row = []
+            for k in range(self.arity[y] - 1):
+                (a, q), (b, r) = at[k], at[k + 1]
+                (s, la), (t, lb), new = kids[a], kids[b], list(kids)
+                if a == b:  # the child's own transposition (q q+1)
+                    new[a] = (self.moves[s][q], la)
+                else:  # the two children trade the leaf numbers
+                    new[a] = (s, la[:q] + (k + 1,) + la[q + 1:])
+                    new[b] = (t, lb[:r] + (k,) + lb[r + 1:])
+                part = self._part(ref, new)
+                z = self.numbered.get(part)
+                if z is None:
+                    ins, out = self.signature[y]
+                    z = self._add(part, (ins[:k] + (ins[k + 1], ins[k])
+                                         + ins[k + 2:], out), self.vertices[y])
+                    frontier.append(z)
+                row.append(z)
+            self.moves[y] = tuple(row)
 
     def graft(self, x, i, r):
         """The number of ``canonical_term(graft(self[x], i, self[r]))``,
@@ -538,7 +604,7 @@ class TermPool(list):
             elif m and leaves and leaves[-1] > i:
                 leaves = tuple([j + m if j > i else j for j in leaves])
             out.append((s, leaves))
-        return self._vertex(ref, out)
+        return self.numbered.get(self._part(ref, out), -1)
 
     def rewrite(self, x, path, r):
         """The number of ``canonical_term`` of ``self[x]`` with the subtree
@@ -551,7 +617,8 @@ class TermPool(list):
         s = self.rewrite(kids[j][0], path[1:], r)
         if s < 0:
             return -1
-        return self._vertex(ref, kids[:j] + ((s, kids[j][1]),) + kids[j + 1:])
+        return self.numbered.get(
+            self._part(ref, kids[:j] + ((s, kids[j][1]),) + kids[j + 1:]), -1)
 
     def sites(self, x):
         """The proper vertex subtrees of term x in preorder, as (path,
@@ -561,31 +628,16 @@ class TermPool(list):
                 yield (j,), s
                 yield from (((j,) + path, c) for path, c in self.sites(s))
 
-    def _vertex(self, ref, kids):
-        """The number of the vertex ref over the children kids, minimized
-        over ref's coset as :func:`vertex_minimum` does, or -1; ref is its
-        own least image, so the coset is its stabilizer (None if trivial)."""
+    def _part(self, ref, kids):
+        """The vertex ref over the children kids, minimized as by
+        :func:`vertex_minimum` over ref's coset, its stabilizer (or None)."""
         coset = self.cosets[ref]
         if coset is not None:
             keys = [(self.keys[s][0], leaves[self.keys[s][1]] if leaves
                      else -1) for s, leaves in kids]
             best = min(coset, key=lambda p: [keys[k] for k in p])
             kids = [kids[k] for k in best]
-        return self.numbered.get((ref, tuple(kids)), -1)
-
-
-def _head(t):
-    """The preorder of t up to its first leaf, that leaf without its
-    number, and the leaf's number (-1 for a term without leaves)."""
-    head, stack = [], [t]
-    while stack:
-        node = stack.pop()
-        if node[0] == "L":
-            head.append(node[:2])
-            return tuple(head), node[2]
-        head.append(node[:3])
-        stack.extend(reversed(node[3]))
-    return tuple(head), -1
+        return ref, tuple(kids)
 
 
 def enumerate_terms(gens, max_arity, max_vertices, symmetric):
@@ -593,25 +645,30 @@ def enumerate_terms(gens, max_arity, max_vertices, symmetric):
 
     Non-symmetric terms carry the planar leaf numbering, over every
     generator.  Symmetric terms are closed under renumbering and reduced
-    modulo per-vertex actions, and come as a :class:`TermPool`; their
-    planar seeds draw only the generators that are their own least image
-    (:func:`orbit_least`).  No class is lost: a per-vertex move keeps the
-    leaf and vertex counts, so every class has a member with the least
-    image at every vertex, and renumbering its leaves in planar order
-    gives a seed whose renumbering orbit, walked below, holds the class.
+    modulo per-vertex actions, and come as a :class:`TermPool`, built by
+    vertex count on term numbers: each new orbit is drawn from a seed, a
+    generator that is its own least image (:func:`orbit_least`) over the
+    first-found members of orbits of fewer vertices, leaves dealt in
+    contiguous blocks, root minimized over its coset.  No class is lost:
+    every class has a member whose root is a least image over canonical
+    children, and renumbering its leaves into contiguous blocks gives a
+    seed (up to each child's own renumbering) whose orbit holds the class.
+    The orbit is walked along the adjacent transpositions (k k+1), with no
+    tree built.  Leaf maps are increasing, so a transposition touches at
+    most one child: if k and k+1 feed one child they are adjacent in its
+    map and it takes its own ``moves`` entry; else two children trade the
+    two leaf numbers and keep their terms.  The root is minimized again.
     """
     if min(max_arity, max_vertices) < 0:
         raise DomainError("the arity and vertex caps must be >= 0")
-    by_shape = {}  # (vertices, out_color) -> {planar-numbered term: arity}
-
-    for c in gens.colors:
-        by_shape.setdefault((0, c), {})[identity_term(c)] = 1
-
+    if symmetric:
+        return TermPool(gens, max_arity, max_vertices)
+    # (vertices, out_color) -> {planar-numbered term: arity}
+    by_shape = {(0, c): {identity_term(c): 1} for c in gens.colors}
     for v in range(1, max_vertices + 1):
         for s in gens.signatures():
             k = len(s[0])
-            for gid in (orbit_least(gens, s) if symmetric
-                        else gens.ops_at(s)):
+            for gid in gens.ops_at(s):
                 for split in product(range(v), repeat=k):
                     if sum(split) != v - 1:
                         continue
@@ -629,34 +686,7 @@ def enumerate_terms(gens, max_arity, max_vertices, symmetric):
                         by_shape.setdefault((v, s[1]), {})[
                             ("N", s, gid, tuple(fixed))] = offset
 
-    planar = {t: n for pool in by_shape.values() for t, n in pool.items()}
-    if not symmetric:
-        return sorted(planar)
-    # the renumbering orbit of each new canonical form, walked along the
-    # adjacent transpositions (they generate the symmetric group); the
-    # images are kept by number of discovery, then by sorted position
-    found = {}  # canonical term -> number of discovery
-    steps = {}  # number -> numbers of its transposition images
-    for t, n in planar.items():
-        c = canonical_term(t, gens)
-        if c in found:
-            continue
-        found[c] = len(found)
-        taus = perms.adjacent_transpositions(n)
-        frontier = [c]
-        while frontier:
-            x = frontier.pop()
-            row = steps[found[x]] = []
-            for tau in taus:
-                y = canonical_term(renumber_term(x, tau), gens)
-                if y not in found:
-                    found[y] = len(found)
-                    frontier.append(y)
-                row.append(found[y])
-    pool = TermPool(sorted(found), gens)
-    where = {found[t]: i for i, t in enumerate(pool)}
-    pool.moves = [tuple([where[j] for j in steps[found[t]]]) for t in pool]
-    return pool
+    return sorted({t for pool in by_shape.values() for t in pool})
 
 
 def renumbering(pool):

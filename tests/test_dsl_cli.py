@@ -824,6 +824,25 @@ def test_unusable_row_is_a_diagnostic(name, docs_dir, tmp_path, capsys):
     assert f"{lineno}:0: STRUCT" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("name", sorted(ELABORATION_MUTANTS))
+def test_command_on_a_block_that_did_not_elaborate(name, docs_dir, tmp_path,
+                                                   capsys):
+    # the block is in the document, so the usage error must not say that
+    # it is missing
+    file, row, new, dropped, _ = ELABORATION_MUTANTS[name]
+    lines = (docs_dir / file).read_text().splitlines()
+    lines[lines.index(row)] = new
+    path = tmp_path / "mutant.mcat"
+    path.write_text("\n".join(lines) + "\n")
+    for command in ("export", "free"):
+        assert run_cli(command, str(path), "--name", dropped) == 2
+        err = capsys.readouterr().err
+        assert ": STRUCT" in err and "Traceback" not in err
+        assert err.rstrip().splitlines()[-1] == (
+            f"usage error: block {dropped!r} did not elaborate; see the "
+            "diagnostics above")
+
+
 def test_wrong_unit_ract_row_is_a_law_diagnostic(docs_dir, tmp_path, capsys):
     # the row is read before the unit, so the check sees it
     row = "  ract (x,x;x) w01 1 (x;x) w0 = (x,x;x) w01"

@@ -9,6 +9,12 @@ canonicalization that asks `FiniteCollection.act` per permutation and
 vertex.  Every field of the result is compared: the report with its
 `rounds`, `rep_of`, `structure` and the table's JSON.
 
+`ref_term_pool` is the symmetric branch of `trees.enumerate_terms` before
+the pool was built on term numbers: planar seeds, each orbit walked by
+`canonical_term` of `renumber_term`, and the sorted terms split again
+into their root decompositions.  Every field of the pool is compared
+with it, and the symmetric enumeration must call neither function.
+
 `ref_free_multicategory` is the earlier symmetric branch of
 `trees.free_multicategory`, which tabulated the symmetric terms itself
 and grafted and canonicalized every composite; the free symmetric
@@ -34,8 +40,10 @@ coproduct's relations now come per fixed color, then per cell).
 """
 
 import hashlib
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -52,12 +60,14 @@ from multicat.presents import (Presentation, SaturationReport, UnionFind,
                                saturate, tensor_generator)
 from multicat.standard import (assoc_multicategory, comm_multicategory,
                                unit_multicategory)
+from multicat import trees
 from multicat.trees import (FreeReport, canonical_term, corolla,
                             enumerate_terms, extract_standalone,
                             free_multicategory, graft, identity_term,
-                            relabel_leaves, renumber_term, renumbering,
-                            term_arity, term_out_color, term_signature,
-                            term_text, term_vertices)
+                            least_image, relabel_leaves, renumber_term,
+                            renumbering, term_arity, term_out_color,
+                            term_signature, term_text)
+from test_trees import COLLECTIONS
 
 I = unit_multicategory()
 AS2 = assoc_multicategory(2)
@@ -82,6 +92,12 @@ def ref_canonical_term(t, gens):
         if best is None or cand < best:
             best = cand
     return best
+
+
+def term_vertices(t):
+    if t[0] == "L":
+        return 0
+    return 1 + sum(term_vertices(c) for c in t[3])
 
 
 def ref_symmetric_terms(gens, max_arity, max_vertices):
@@ -313,6 +329,81 @@ def ref_renumbering(terms, index, gens):
     return image
 
 
+def _least_at_every_vertex(t, gens):
+    return t[0] == "L" or (least_image(gens, t[1:3])[:2] == t[1:3] and all(
+        _least_at_every_vertex(c, gens) for c in t[3]))
+
+
+def _ref_head(t):
+    """The preorder of t up to its first leaf, that leaf without its
+    number, and the leaf's number (-1 for a term without leaves)."""
+    head, stack = [], [t]
+    while stack:
+        node = stack.pop()
+        if node[0] == "L":
+            head.append(node[:2])
+            return tuple(head), node[2]
+        head.append(node[:3])
+        stack.extend(reversed(node[3]))
+    return tuple(head), -1
+
+
+def ref_term_pool(gens, max_arity, max_vertices):
+    """The earlier symmetric branch of `trees.enumerate_terms`: planar
+    seeds with a least image at every vertex, each new canonical form's
+    orbit walked along the adjacent transpositions by `canonical_term` of
+    `renumber_term`, and the sorted terms split again into their root
+    decompositions, as the earlier `TermPool` constructor did."""
+    found, steps = {}, {}  # canonical term -> discovery number; its images
+    for t in enumerate_terms(gens, max_arity, max_vertices, False):
+        if not _least_at_every_vertex(t, gens):
+            continue
+        c = canonical_term(t, gens)
+        if c in found:
+            continue
+        found[c] = len(found)
+        taus = perms.adjacent_transpositions(term_arity(t))
+        frontier = [c]
+        while frontier:
+            x = frontier.pop()
+            row = steps[found[x]] = []
+            for tau in taus:
+                y = canonical_term(renumber_term(x, tau), gens)
+                if y not in found:
+                    found[y] = len(found)
+                    frontier.append(y)
+                row.append(found[y])
+    terms = sorted(found)
+    number = {t: i for i, t in enumerate(terms)}
+    where = {found[t]: i for i, t in enumerate(terms)}
+    pool = SimpleNamespace(
+        terms=terms, number=number, parts=[], arity=[], numbered={},
+        cosets={}, moves=[tuple([where[j] for j in steps[found[t]]])
+                          for t in terms])
+    split = {}  # subtree -> (standalone number, leaves)
+    for x, t in enumerate(terms):
+        if t[0] == "L":
+            pool.parts.append(None)
+            pool.arity.append(1)
+            continue
+        kids = []
+        for child in t[3]:
+            got = split.get(child)
+            if got is None:
+                std, leaves = extract_standalone(child)
+                got = split[child] = (number[std], tuple(leaves))
+            kids.append(got)
+        ref, kids = (t[1], t[2]), tuple(kids)
+        pool.parts.append((ref, kids))
+        pool.arity.append(sum([len(leaves) for _, leaves in kids]))
+        pool.numbered[ref, kids] = x
+        pool.cosets[ref] = least_image(gens, ref)[2]
+    heads = [_ref_head(t) for t in terms]
+    rank = {h: r for r, h in enumerate(sorted({h for h, _ in heads}))}
+    pool.keys = [(rank[h], first) for h, first in heads]
+    return pool
+
+
 def ref_free_multicategory(gens, max_arity, max_vertices):
     terms = enumerate_terms(gens, max_arity, max_vertices, symmetric=True)
     term_set = set(terms)
@@ -495,11 +586,67 @@ GENERATORS = {
 @pytest.mark.parametrize("name,caps", [
     (name, caps) for name in sorted(GENERATORS)
     for caps in [(3, 3), (4, 3), (5, 3)]
-    if (name, caps) != ("i-as3", (5, 3))])
+    if (name, caps) != ("i-as3", (5, 3))] + [
+        ("binary", (5, 4)), ("com2-com2", (4, 4))])
 def test_symmetric_terms_match_reference(name, caps):
     gens = GENERATORS[name]()
     assert enumerate_terms(gens, *caps, symmetric=True) == (
         ref_symmetric_terms(gens, *caps))
+
+
+# the benchmark's saturations, and the two-color and proper-stabilizer
+# collections of tests/test_trees.py
+POOL_CASES = {
+    **{f"{name}-{caps[0]}-{caps[1]}": (GENERATORS[name], caps)
+       for name, caps in [("binary", (5, 4)), ("binary", (4, 4)),
+                          ("com2-com2", (4, 4)), ("i-as3", (4, 3)),
+                          ("com2-as2", (4, 4))]},
+    **{f"{name}-{caps[0]}-{caps[1]}": (COLLECTIONS[name], caps)
+       for name in ("Pair", "Sym12") for caps in [(3, 3), (4, 3)]},
+}
+
+
+@pytest.mark.parametrize("case", sorted(POOL_CASES))
+def test_term_pool_matches_reference(case):
+    build, caps = POOL_CASES[case]
+    gens = build()
+    pool = enumerate_terms(gens, *caps, symmetric=True)
+    ref = ref_term_pool(gens, *caps)
+    assert list(pool) == ref.terms
+    assert pool.number == ref.number
+    assert pool.parts == ref.parts
+    assert pool.arity == ref.arity
+    assert pool.numbered == ref.numbered
+    assert pool.cosets == ref.cosets
+    assert pool.keys == ref.keys
+    assert pool.moves == ref.moves
+    assert pool.signature == [term_signature(t) for t in ref.terms]
+    assert pool.vertices == [term_vertices(t) for t in ref.terms]
+
+
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_symmetric_enumeration_canonicalizes_no_tree(symmetric, monkeypatch):
+    # the symmetric pool is built on numbers alone; the planar branch is
+    # the control that shows the counters see the module's calls
+    calls = Counter()
+
+    def counted(name):
+        kernel = getattr(trees, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return kernel(*args)
+        return wrapper
+
+    cases = [(GENERATORS[name](), caps) for name, caps in [
+        ("binary", (5, 4)), ("com2-com2", (4, 4)), ("i-as3", (4, 3)),
+        ("com2-as2", (4, 4))]]
+    for name in ("canonical_term", "renumber_term", "shift_leaves"):
+        monkeypatch.setattr(trees, name, counted(name))
+    for gens, caps in cases:
+        enumerate_terms(gens, *caps, symmetric=symmetric)
+    assert calls["canonical_term"] == calls["renumber_term"] == 0
+    assert (calls["shift_leaves"] > 0) == (not symmetric)
 
 
 @pytest.mark.parametrize("name,caps", [

@@ -16,7 +16,7 @@ from multicat.errors import SubstitutionError, TruncationError
 from multicat.presents import arrow_multicategory, coproduct
 from multicat.standard import assoc_multicategory, comm_multicategory, \
     unit_multicategory
-from multicat.trees import (BARE_EDGE, Layer, TermPool, base_layer,
+from multicat.trees import (BARE_EDGE, Layer, base_layer,
                             build_tree_multicategory, canonical_circle,
                             canonical_term, circle_layer, circle_product,
                             corolla, enumerate_terms, free_multicategory,
@@ -333,10 +333,14 @@ def full_term_pool(gens, max_arity, max_vertices):
                     found[y] = len(found)
                     frontier.append(y)
                 row.append(found[y])
-    pool = TermPool(sorted(found), gens)
+    pool = FullPool(sorted(found))
     where = {found[t]: i for i, t in enumerate(pool)}
     pool.moves = [tuple(where[j] for j in steps[found[t]]) for t in pool]
     return pool
+
+
+class FullPool(list):
+    """The sorted terms of :func:`full_term_pool`, with ``moves``."""
 
 
 def full_circle_layer(m_coll, below, max_arity):
